@@ -28,6 +28,7 @@ refuse a changed budget: their entire profile depends on it.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -36,7 +37,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, format_config, parse_config
 from .optim import AdamState, MomentumState
-from .params import Layer, ParamSet
+from .params import GradSet, Layout, ParamSet
 from .runner import RunState
 
 MAGIC = b"ABCK"
@@ -53,9 +54,15 @@ class ResumeRefusedError(RuntimeError):
     """Raised when a resume request contradicts the checkpointed run."""
 
 
-def _pack_array(a: np.ndarray) -> bytes:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    return struct.pack(f"<B{a.ndim}I", a.ndim, *a.shape) + a.tobytes()
+def _pack_arrays(layout: Layout, flat: np.ndarray) -> list[bytes]:
+    """Each layer's part of ``flat``: ndim u8, u32 per dimension, float64 data."""
+    return [struct.pack(f"<B{len(shape)}I", len(shape), *shape) + flat[sl].tobytes()
+            for shape, sl in zip(layout.shapes, layout.slices)]
+
+
+def _floats(chunks: list[bytes]) -> np.ndarray:
+    """A new float64 vector holding the raw chunks one after another."""
+    return np.frombuffer(b"".join(chunks), dtype=np.float64).copy()
 
 
 class _Reader:
@@ -78,12 +85,19 @@ class _Reader:
         self.pos += count
         return out
 
-    def take_array(self) -> np.ndarray:
+    def take_shape(self) -> tuple[int, ...]:
         (ndim,) = self.take("<B")
-        shape = self.take(f"<{ndim}I")
-        count = int(np.prod(shape)) if ndim else 1
-        raw = self.take_bytes(count * 8)
-        return np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
+        return self.take(f"<{ndim}I")
+
+
+def _take_buffer(r: _Reader, layout: Layout, path) -> GradSet:
+    """One optimizer buffer: an array per layer, shaped like the parameters."""
+    chunks = []
+    for name, shape in zip(layout.names, layout.shapes):
+        if r.take_shape() != shape:
+            raise CheckpointError(f"{path}: optimizer buffer shape differs on layer {name!r}")
+        chunks.append(r.take_bytes(8 * math.prod(shape)))
+    return GradSet(layout, _floats(chunks))
 
 
 def save_checkpoint(path: str | Path, config: ExperimentConfig, state: RunState) -> None:
@@ -92,22 +106,21 @@ def save_checkpoint(path: str | Path, config: ExperimentConfig, state: RunState)
              struct.pack("<I", len(text)), text, hashlib.sha256(text).digest(),
              struct.pack("<IQ", state.epoch, state.global_step),
              struct.pack("<H", len(state.params))]
-    for layer in state.params:
-        name = layer.name.encode()
-        flags = (1 if layer.l2_enabled else 0) | (2 if layer.scale_invariant else 0)
-        parts.append(struct.pack("<H", len(name)) + name + struct.pack("<B", flags))
-        parts.append(_pack_array(layer.value))
+    layout = state.params.layout
+    for (name, _, l2, invariant), data in zip(layout.specs,
+                                              _pack_arrays(layout, state.params.flat)):
+        encoded = name.encode()
+        flags = (1 if l2 else 0) | (2 if invariant else 0)
+        parts.append(struct.pack("<H", len(encoded)) + encoded + struct.pack("<B", flags))
+        parts.append(data)
     opt = state.opt
     if isinstance(opt, MomentumState):
         parts.append(struct.pack("<Bd", 1, opt.mu))
-        for layer in state.params:
-            parts.append(_pack_array(opt.velocity[layer.name]))
+        parts += _pack_arrays(layout, layout.flat_of(opt.velocity, "velocity"))
     elif isinstance(opt, AdamState):
         parts.append(struct.pack("<BdddQ", 2, opt.beta1, opt.beta2, opt.eps, opt.t))
-        for layer in state.params:
-            parts.append(_pack_array(opt.m[layer.name]))
-        for layer in state.params:
-            parts.append(_pack_array(opt.v[layer.name]))
+        parts += _pack_arrays(layout, layout.flat_of(opt.m, "first moment"))
+        parts += _pack_arrays(layout, layout.flat_of(opt.v, "second moment"))
     else:
         raise TypeError(f"cannot checkpoint optimizer {type(opt).__name__}")
     parts.append(struct.pack("<I", len(state.scheduler_bytes)))
@@ -135,23 +148,28 @@ def load_checkpoint(path: str | Path) -> tuple[ExperimentConfig, RunState]:
 
     epoch, global_step = r.take("<IQ")
     (n_layers,) = r.take("<H")
-    layers = []
+    specs, chunks = [], []
     for _ in range(n_layers):
         (name_len,) = r.take("<H")
         name = r.take_bytes(name_len).decode()
         (flags,) = r.take("<B")
-        layers.append(Layer(name, r.take_array(),
-                            l2_enabled=bool(flags & 1), scale_invariant=bool(flags & 2)))
-    params = ParamSet(layers)
+        shape = r.take_shape()
+        chunks.append(r.take_bytes(8 * math.prod(shape)))
+        specs.append((name, shape, bool(flags & 1), bool(flags & 2)))
+    try:
+        layout = Layout(tuple(specs))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    params = ParamSet.from_flat(layout, _floats(chunks))
     (opt_kind,) = r.take("<B")
     if opt_kind == 1:
         (mu,) = r.take("<d")
-        velocity = {layer.name: r.take_array() for layer in params}
+        velocity = _take_buffer(r, layout, path)
         opt: MomentumState | AdamState = MomentumState(mu=mu, velocity=velocity)
     elif opt_kind == 2:
         beta1, beta2, eps, t = r.take("<dddQ")
-        m = {layer.name: r.take_array() for layer in params}
-        v = {layer.name: r.take_array() for layer in params}
+        m = _take_buffer(r, layout, path)
+        v = _take_buffer(r, layout, path)
         opt = AdamState(m=m, v=v, t=t, beta1=beta1, beta2=beta2, eps=eps)
     else:
         raise CheckpointError(f"{path}: unknown optimizer kind {opt_kind}")

@@ -10,12 +10,15 @@ Two families:
   readout; used to get per-layer norm heterogeneity on image-shaped inputs.
 
 Gradients are of the bare loss only: the L2 term is applied by the
-optimizer, never folded into these gradients.
+optimizer, never folded into these gradients. They are written straight
+into one flat vector in the parameters' layout (a GradSet), listed in the
+order the backward pass produces them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,8 +75,19 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
 
 
-def _act_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    return (z > 0).astype(z.dtype) if kind == "relu" else 1.0 - a * a
+def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    """Derivative at the pre-activation, from the activation a: relu's z > 0 is a > 0."""
+    return (a > 0).astype(a.dtype) if kind == "relu" else 1.0 - a * a
+
+
+@lru_cache(maxsize=16)
+def _smoothed_targets(classes: int, label_smoothing: float) -> np.ndarray:
+    """Row k is the smoothed target of label k (read-only, shared)."""
+    table = np.full((classes, classes),
+                    label_smoothing / (classes - 1) if classes > 1 else 0.0)
+    np.fill_diagonal(table, 1.0 - label_smoothing)
+    table.flags.writeable = False
+    return table
 
 
 def loss_ce(logits: np.ndarray, labels: np.ndarray, label_smoothing: float = 0.0) -> float:
@@ -100,9 +114,7 @@ def _loss_and_dlogits(
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + m
     logp = logits - lse
 
-    s = label_smoothing
-    q = np.full_like(logits, s / (c - 1) if c > 1 else 0.0)
-    q[np.arange(n), labels] = 1.0 - s
+    q = _smoothed_targets(c, label_smoothing).take(labels, axis=0)
     loss = float(-(q * logp).sum() / n)
     dlogits = (np.exp(logp) - q) / n
     return loss, dlogits
@@ -111,9 +123,15 @@ def _loss_and_dlogits(
 class Model:
     """Stateless network: parameters travel separately as a ParamSet."""
 
-    def __init__(self, arch: ModelArch, dtype=np.float64):
+    def __init__(self, arch: ModelArch):
         self.arch = arch
-        self.dtype = dtype
+        if arch.kind == "mlp":
+            self._dense = tuple(f"fc{i + 1}" for i in range(len(arch.hidden))) + ("out",)
+            parts = (".w",) if arch.normalize else (".w", ".b")
+            self._grad_names = tuple(name + part for name in reversed(self._dense)
+                                     for part in parts)
+        else:
+            self._grad_names = ("out.w", "out.b", "conv2.w", "conv2.b", "conv1.w", "conv1.b")
 
     # -- initialization -----------------------------------------------------
 
@@ -132,18 +150,16 @@ class Model:
 
         def weight(name: str, shape: tuple[int, ...], fan_in: int, invariant: bool) -> None:
             a = np.sqrt(3.0 / fan_in)
-            w = rng.uniform(-a, a, size=shape).astype(self.dtype) * scale
+            w = rng.uniform(-a, a, size=shape) * scale
             layers.append(Layer(name, w, l2_enabled=True, scale_invariant=invariant))
 
         def bias(name: str, n: int) -> None:
-            layers.append(Layer(name, np.zeros(n, dtype=self.dtype),
-                                l2_enabled=False, scale_invariant=False))
+            layers.append(Layer(name, np.zeros(n), l2_enabled=False, scale_invariant=False))
 
         arch = self.arch
         if arch.kind == "mlp":
             dims = (arch.input_dim, *arch.hidden, arch.classes)
-            for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-                name = f"fc{i + 1}" if i < len(arch.hidden) else "out"
+            for name, d_in, d_out in zip(self._dense, dims[:-1], dims[1:]):
                 weight(f"{name}.w", (d_out, d_in), d_in, invariant=arch.normalize)
                 if not arch.normalize:
                     bias(f"{name}.b", d_out)
@@ -168,35 +184,45 @@ class Model:
 
     def forward(self, params: ParamSet, x: np.ndarray) -> np.ndarray:
         """Logits for a (batch, input_dim) input."""
-        logits, _ = self._forward_cached(params, x)
+        logits, _ = self._forward(self._prepared(params), self._check_input(x))
         return logits
 
-    def _forward_cached(self, params: ParamSet, x: np.ndarray):
-        x = np.asarray(x, dtype=self.dtype)
+    def _check_input(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
             raise ValueError(f"expected input of shape (batch, {self.arch.input_dim})")
-        if self.arch.kind == "mlp":
-            return self._forward_mlp(params, x)
-        return self._forward_conv(params, x)
+        return x
 
-    def _forward_mlp(self, params: ParamSet, x: np.ndarray):
-        arch = self.arch
-        n_layers = len(arch.hidden) + 1
-        cache = []
-        h = x
-        for i in range(n_layers):
-            name = f"fc{i + 1}" if i < len(arch.hidden) else "out"
+    def _prepared(self, params: ParamSet):
+        """What the forward pass reads: an MLP's dense weights, or a convnet's ParamSet."""
+        return self._dense_weights(params) if self.arch.kind == "mlp" else params
+
+    def _forward(self, prepared, x: np.ndarray):
+        """Logits and the cache the backward pass reads."""
+        if self.arch.kind == "mlp":
+            return self._forward_mlp(prepared, x)
+        return self._forward_conv(prepared, x)
+
+    def _dense_weights(self, params: ParamSet) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per dense layer: (w / |w_row|, |w_row| as a column) when normalized, else (w, b)."""
+        out = []
+        for name in self._dense:
             w = params[f"{name}.w"].value
-            if arch.normalize:
-                rn = np.sqrt((w * w).sum(axis=1))
-                w_hat = w / rn[:, None]
-                z = h @ w_hat.T
-                cache.append((name, h, z, rn, w_hat))
+            if self.arch.normalize:
+                rn = np.sqrt((w * w).sum(axis=1))[:, None]
+                out.append((w / rn, rn))
             else:
-                z = h @ w.T + params[f"{name}.b"].value
-                cache.append((name, h, z, None, None))
-            h = _act(z, arch.activation) if i < n_layers - 1 else z
-        return h, cache
+                out.append((w, params[f"{name}.b"].value))
+        return out
+
+    def _forward_mlp(self, weights, x: np.ndarray):
+        """Logits, and as cache the input of every dense layer followed by the logits."""
+        acts = [x]
+        last = len(weights) - 1
+        for i, (w, extra) in enumerate(weights):
+            z = acts[-1] @ w.T if self.arch.normalize else acts[-1] @ w.T + extra
+            acts.append(z if i == last else _act(z, self.arch.activation))
+        return acts[-1], acts
 
     def _forward_conv(self, params: ParamSet, x: np.ndarray):
         arch = self.arch
@@ -208,7 +234,7 @@ class Model:
         pooled = _avgpool2(a2)
         flat = pooled.reshape(pooled.shape[0], -1)
         logits = flat @ params["out.w"].value.T + params["out.b"].value
-        cache = (imgs, z1, a1, z2, a2, pooled.shape, flat)
+        cache = (imgs, a1, a2, pooled.shape, flat)
         return logits, cache
 
     # -- loss and gradients ---------------------------------------------------
@@ -228,68 +254,75 @@ class Model:
         self, params: ParamSet, x: np.ndarray, y: np.ndarray, label_smoothing: float = 0.0
     ) -> tuple[float, GradSet, float]:
         """Loss, gradients, and batch error rate from a single forward/backward."""
+        x = self._check_input(x)
         # overflow here is handled: non-finite logits raise NumericError below
         with np.errstate(over="ignore", invalid="ignore"):
-            logits, cache = self._forward_cached(params, x)
-        if not np.all(np.isfinite(logits)):
+            prepared = self._prepared(params)
+            logits, cache = self._forward(prepared, x)
+        if not np.isfinite(logits).all():
             raise NumericError("non-finite activations in forward pass")
         y = np.asarray(y)
         loss, dlogits = _loss_and_dlogits(logits, y, label_smoothing)
+        layout = params.layout
+        flat = np.empty(layout.size)
+        views = dict(zip(layout.names, layout.views(flat)))
         if self.arch.kind == "mlp":
-            grads = self._backward_mlp(params, cache, dlogits)
+            self._backward_mlp(prepared, cache, dlogits, views)
         else:
-            grads = self._backward_conv(params, cache, dlogits)
-        error = float((logits.argmax(axis=1) != y).mean())
-        return loss, grads, error
+            self._backward_conv(params, cache, dlogits, views)
+        error = np.count_nonzero(logits.argmax(axis=1) != y) / y.shape[0]
+        return loss, GradSet(layout, flat, self._grad_names), error
 
-    def _backward_mlp(self, params: ParamSet, cache, dlogits: np.ndarray) -> GradSet:
+    def _backward_mlp(self, weights, acts: list[np.ndarray], dlogits: np.ndarray,
+                      grads: dict[str, np.ndarray]) -> None:
+        """Write the gradients into ``grads``, reusing the forward pass's activations."""
         arch = self.arch
-        grads: GradSet = {}
         dh = dlogits
-        for i in reversed(range(len(cache))):
-            name, h, z, rn, w_hat = cache[i]
-            if i < len(cache) - 1:
-                a = _act(z, arch.activation)
-                dz = dh * _act_grad(z, a, arch.activation)
-            else:
-                dz = dh
+        for i in reversed(range(len(weights))):
+            name = self._dense[i]
+            w, extra = weights[i]
+            h = acts[i]
+            dz = dh if i == len(weights) - 1 else dh * _act_grad(acts[i + 1], arch.activation)
             if arch.normalize:
+                # w is w/|w_row| and extra is |w_row|; pull the normalization back onto w
                 dw_hat = dz.T @ h
-                # w_hat is w/|w_row|; pull the normalization back onto w
-                proj = (dw_hat * w_hat).sum(axis=1, keepdims=True)
-                grads[f"{name}.w"] = (dw_hat - proj * w_hat) / rn[:, None]
-                dh = dz @ w_hat
+                proj = (dw_hat * w).sum(axis=1, keepdims=True)
+                np.divide(dw_hat - proj * w, extra, out=grads[f"{name}.w"])
             else:
-                grads[f"{name}.w"] = dz.T @ h
-                grads[f"{name}.b"] = dz.sum(axis=0)
-                dh = dz @ params[f"{name}.w"].value
-        return grads
+                np.matmul(dz.T, h, out=grads[f"{name}.w"])
+                dz.sum(axis=0, out=grads[f"{name}.b"])
+            if i:  # no gradient is needed for the input itself
+                dh = dz @ w
 
-    def _backward_conv(self, params: ParamSet, cache, dlogits: np.ndarray) -> GradSet:
+    def _backward_conv(self, params: ParamSet, cache, dlogits: np.ndarray,
+                       grads: dict[str, np.ndarray]) -> None:
         arch = self.arch
-        imgs, z1, a1, z2, a2, pooled_shape, flat = cache
-        grads: GradSet = {}
-        grads["out.w"] = dlogits.T @ flat
-        grads["out.b"] = dlogits.sum(axis=0)
+        imgs, a1, a2, pooled_shape, flat = cache
+        grads["out.w"][...] = dlogits.T @ flat
+        grads["out.b"][...] = dlogits.sum(axis=0)
         dpool = (dlogits @ params["out.w"].value).reshape(pooled_shape)
         da2 = _avgpool2_backward(dpool, a2.shape)
-        dz2 = da2 * _act_grad(z2, a2, arch.activation)
-        grads["conv2.w"], grads["conv2.b"], da1 = _conv_valid_backward(
+        dz2 = da2 * _act_grad(a2, arch.activation)
+        grads["conv2.w"][...], grads["conv2.b"][...], da1 = _conv_valid_backward(
             a1, params["conv2.w"].value, dz2)
-        dz1 = da1 * _act_grad(z1, a1, arch.activation)
-        grads["conv1.w"], grads["conv1.b"], _ = _conv_valid_backward(
+        dz1 = da1 * _act_grad(a1, arch.activation)
+        grads["conv1.w"][...], grads["conv1.b"][...], _ = _conv_valid_backward(
             imgs, params["conv1.w"].value, dz1)
-        return grads
 
     # -- evaluation -----------------------------------------------------------
 
     def error_rate(self, params: ParamSet, x: np.ndarray, y: np.ndarray,
                    batch_size: int = 1024) -> float:
-        """Fraction of misclassified samples, evaluated in chunks."""
+        """Fraction of misclassified samples, evaluated in chunks.
+
+        An MLP's weight rows are normalized once per call, not once per chunk.
+        """
+        x = self._check_input(x)
+        prepared = self._prepared(params)
         wrong = 0
         for start in range(0, x.shape[0], batch_size):
-            logits = self.forward(params, x[start:start + batch_size])
-            wrong += int((logits.argmax(axis=1) != y[start:start + batch_size]).sum())
+            logits, _ = self._forward(prepared, x[start:start + batch_size])
+            wrong += np.count_nonzero(logits.argmax(axis=1) != y[start:start + batch_size])
         return wrong / x.shape[0]
 
 

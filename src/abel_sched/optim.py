@@ -1,5 +1,11 @@
 """Optimizer steps, gradient clipping, and the squared-norm update identity.
 
+The steps work on whole flat vectors in the parameters' layout (see
+``params``): gradients, momentum and Adam moments are GradSets of that
+layout, and a step returns a new ParamSet over a new vector. Inputs are
+never modified. Plain name -> array mappings are accepted too and are
+checked and packed first.
+
 The L2 coefficient acts as an added gradient ``weight_decay * w`` on layers
 with ``l2_enabled`` (plain L2 regularization, not decoupled decay, for both
 SGD and Adam). Gradients passed in are of the bare loss.
@@ -13,11 +19,12 @@ truncation used for intuition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
-from .params import GradSet, ParamSet, check_congruent, grad_norm_sq
+from .params import GradSet, Layout, ParamSet, grad_norm_sq
 
 
 @dataclass
@@ -31,7 +38,7 @@ class MomentumState:
     def init(cls, params: ParamSet, mu: float = 0.9) -> "MomentumState":
         if not 0.0 <= mu < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        return cls(mu=mu, velocity={l.name: np.zeros_like(l.value) for l in params})
+        return cls(mu=mu, velocity=GradSet.zeros(params.layout))
 
 
 @dataclass
@@ -48,17 +55,14 @@ class AdamState:
     @classmethod
     def init(cls, params: ParamSet, beta1: float = 0.9, beta2: float = 0.999,
              eps: float = 1e-8) -> "AdamState":
-        return cls(
-            m={l.name: np.zeros_like(l.value) for l in params},
-            v={l.name: np.zeros_like(l.value) for l in params},
-            beta1=beta1, beta2=beta2, eps=eps,
-        )
+        return cls(m=GradSet.zeros(params.layout), v=GradSet.zeros(params.layout),
+                   beta1=beta1, beta2=beta2, eps=eps)
 
 
 OptState = MomentumState | AdamState
 
 
-def clip_global_norm(grads: GradSet, max_norm: float) -> GradSet:
+def clip_global_norm(grads: Mapping[str, np.ndarray], max_norm: float) -> Mapping[str, np.ndarray]:
     """Scale all gradients by max_norm/||g|| when the global norm exceeds it."""
     if not max_norm > 0:
         raise ValueError("max_norm must be > 0")
@@ -66,62 +70,58 @@ def clip_global_norm(grads: GradSet, max_norm: float) -> GradSet:
     if norm <= max_norm:
         return grads
     scale = max_norm / norm
+    if isinstance(grads, GradSet):
+        return GradSet(grads.layout, grads.flat * scale, grads.names)
     return {name: g * scale for name, g in grads.items()}
 
 
-def _l2_grad(layer, grads: GradSet, weight_decay: float) -> np.ndarray:
-    g = grads[layer.name]
-    if weight_decay != 0.0 and layer.l2_enabled:
-        return g + weight_decay * layer.value
-    return g
+def _l2_grad(layout: Layout, g: np.ndarray, w: np.ndarray, weight_decay: float) -> np.ndarray:
+    """g + weight_decay*w on the slices of the l2_enabled layers, g elsewhere."""
+    if weight_decay == 0.0 or not layout.l2_runs:
+        return g
+    out = g.copy()
+    for sl in layout.l2_runs:
+        out[sl] += weight_decay * w[sl]
+    return out
 
 
 def step_sgd(
     params: ParamSet,
     opt: MomentumState,
-    grads: GradSet,
+    grads: Mapping[str, np.ndarray],
     lr: float,
     weight_decay: float = 0.0,
 ) -> tuple[ParamSet, MomentumState]:
     """One SGD step; with mu = 0 this is exactly w <- w - lr*g - lr*l2*w."""
-    check_congruent(params, grads)
-    new_values: GradSet = {}
-    new_velocity: GradSet = {}
-    for layer in params:
-        g = _l2_grad(layer, grads, weight_decay)
-        if opt.mu == 0.0:
-            v = g
-        else:
-            v = opt.mu * opt.velocity[layer.name] + g
-        new_velocity[layer.name] = v
-        new_values[layer.name] = layer.value - lr * v
-    return params.with_values(new_values), MomentumState(mu=opt.mu, velocity=new_velocity)
+    layout, w = params.layout, params.flat
+    g = _l2_grad(layout, layout.flat_of(grads, "gradient"), w, weight_decay)
+    if opt.mu == 0.0:
+        v = g
+    else:
+        v = opt.mu * layout.flat_of(opt.velocity, "velocity") + g
+    return (ParamSet.from_flat(layout, w - lr * v),
+            MomentumState(mu=opt.mu, velocity=GradSet(layout, v)))
 
 
 def step_adam(
     params: ParamSet,
     opt: AdamState,
-    grads: GradSet,
+    grads: Mapping[str, np.ndarray],
     lr: float,
     weight_decay: float = 0.0,
 ) -> tuple[ParamSet, AdamState]:
     """One bias-corrected Adam step with L2 as an added gradient."""
-    check_congruent(params, grads)
+    layout, w = params.layout, params.flat
+    g = _l2_grad(layout, layout.flat_of(grads, "gradient"), w, weight_decay)
     t = opt.t + 1
     c1 = 1.0 - opt.beta1 ** t
     c2 = 1.0 - opt.beta2 ** t
-    new_values: GradSet = {}
-    new_m: GradSet = {}
-    new_v: GradSet = {}
-    for layer in params:
-        g = _l2_grad(layer, grads, weight_decay)
-        m = opt.beta1 * opt.m[layer.name] + (1.0 - opt.beta1) * g
-        v = opt.beta2 * opt.v[layer.name] + (1.0 - opt.beta2) * g * g
-        new_m[layer.name] = m
-        new_v[layer.name] = v
-        new_values[layer.name] = layer.value - lr * (m / c1) / (np.sqrt(v / c2) + opt.eps)
-    return params.with_values(new_values), AdamState(
-        m=new_m, v=new_v, t=t, beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps)
+    m = opt.beta1 * layout.flat_of(opt.m, "first moment") + (1.0 - opt.beta1) * g
+    v = opt.beta2 * layout.flat_of(opt.v, "second moment") + (1.0 - opt.beta2) * g * g
+    new = w - lr * (m / c1) / (np.sqrt(v / c2) + opt.eps)
+    return ParamSet.from_flat(layout, new), AdamState(
+        m=GradSet(layout, m), v=GradSet(layout, v), t=t,
+        beta1=opt.beta1, beta2=opt.beta2, eps=opt.eps)
 
 
 def predicted_delta_wsq(wsq: float, gsq: float, gw: float, lr: float,

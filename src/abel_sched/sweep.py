@@ -6,11 +6,12 @@ A grid specification is ``name=v1,v2,...`` groups joined by semicolons, e.g.
 ``init_scale`` and ``weight_decay``. Each grid point trains in its own
 subdirectory of the sweep directory; failures are recorded in the summary
 and do not stop the sweep. Points are independent, so they may run in
-parallel worker processes.
+parallel worker processes, each of which runs its BLAS calls on one thread.
 """
 
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
@@ -88,6 +89,37 @@ def _point_dir_name(index: int, values: dict[str, float]) -> str:
     return f"point_{index:03d}__{tags}"
 
 
+def _openblas(stem: str):
+    """Entry point ``stem`` of numpy's bundled OpenBLAS (e.g. ``set_num_threads``), or None.
+
+    numpy's extension module links OpenBLAS, so its symbols resolve through it.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, f"{prefix}{stem}{suffix}", None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: limit OpenBLAS to one thread in this worker.
+
+    The workers already share the cores, so the BLAS threads each one
+    inherits would oversubscribe them. Without a setter nothing changes.
+    """
+    setter = _openblas("set_num_threads")
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+
+
 def _run_point(args: tuple[int, ExperimentConfig, dict[str, float]]) -> SweepPoint:
     index, config, values = args
     point = SweepPoint(index=index, values=values, status="ok", log_dir=config.log_dir)
@@ -128,7 +160,7 @@ def run_sweep(template: ExperimentConfig, grid: dict[str, list[float]],
         tasks.append((index, config, values))
 
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
             points = list(pool.map(_run_point, tasks))
     else:
         points = [_run_point(task) for task in tasks]

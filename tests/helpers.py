@@ -220,3 +220,54 @@ def strip_wall_ms(csv_text: str) -> str:
     """Drop the trailing wall-clock column, the one non-deterministic field."""
     lines = csv_text.splitlines()
     return "\n".join(line.rsplit(",", 1)[0] for line in lines)
+
+
+# -- per-layer reference optimizer ----------------------------------------------
+#
+# The optimizer as it was written before the parameters moved into one flat
+# vector: a dict of arrays per state, a loop over layers in every step. The
+# flat steps must match these bit for bit, since the logs are pinned to them.
+
+
+def ref_clip_global_norm(grads: dict, max_norm: float) -> dict:
+    norm = float(np.sqrt(float(sum(np.dot(g.ravel(), g.ravel()) for g in grads.values()))))
+    if norm <= max_norm:
+        return dict(grads)
+    scale = max_norm / norm
+    return {name: g * scale for name, g in grads.items()}
+
+
+def _ref_l2_grad(layer, grads: dict, weight_decay: float) -> np.ndarray:
+    g = grads[layer.name]
+    if weight_decay != 0.0 and layer.l2_enabled:
+        return g + weight_decay * layer.value
+    return g
+
+
+def ref_step_sgd(params, velocity: dict, mu: float, grads: dict, lr: float,
+                 weight_decay: float) -> tuple[dict, dict]:
+    """New parameter values and velocity, both by layer name."""
+    values, new_velocity = {}, {}
+    for layer in params:
+        g = _ref_l2_grad(layer, grads, weight_decay)
+        v = g if mu == 0.0 else mu * velocity[layer.name] + g
+        new_velocity[layer.name] = v
+        values[layer.name] = layer.value - lr * v
+    return values, new_velocity
+
+
+def ref_step_adam(params, m: dict, v: dict, t: int, grads: dict, lr: float,
+                  weight_decay: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    """New parameter values, first and second moments by layer name, and the step count."""
+    t += 1
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    values, new_m, new_v = {}, {}, {}
+    for layer in params:
+        g = _ref_l2_grad(layer, grads, weight_decay)
+        mi = beta1 * m[layer.name] + (1.0 - beta1) * g
+        vi = beta2 * v[layer.name] + (1.0 - beta2) * g * g
+        new_m[layer.name] = mi
+        new_v[layer.name] = vi
+        values[layer.name] = layer.value - lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+    return values, new_m, new_v, t

@@ -238,3 +238,56 @@ def test_avgpool_matches_hand_computation():
     pooled = _avgpool2(x)
     expected = np.array([[[[2.5, 4.5], [10.5, 12.5]]]])
     np.testing.assert_array_equal(pooled, expected)
+
+
+# -- evaluation ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("arch", [MLP_NORM, MLP_RELU, CONV],
+                         ids=["mlp-normalized", "mlp-relu", "convnet"])
+@pytest.mark.parametrize("batch_size", [1024, 1000, 8192])
+def test_error_rate_equals_chunked_forward_count(arch, batch_size):
+    model = Model(arch)
+    params = model.init_params(3)
+    rng = np.random.default_rng(4)
+    n = 8192
+    x = rng.normal(size=(n, arch.input_dim))
+    y = rng.integers(0, arch.classes, n)
+    wrong = 0
+    for start in range(0, n, batch_size):
+        logits = model.forward(params, x[start:start + batch_size])
+        wrong += int((logits.argmax(axis=1) != y[start:start + batch_size]).sum())
+    assert 0 < wrong < n
+    assert model.error_rate(params, x, y, batch_size=batch_size) == wrong / n
+
+
+# -- the flat layout ---------------------------------------------------------------
+
+
+def test_layers_are_views_into_one_flat_vector():
+    params = Model(MLP_RELU).init_params(0)
+    offset = 0
+    for layer in params:
+        size = layer.value.size
+        assert np.shares_memory(layer.value, params.flat)
+        np.testing.assert_array_equal(params.flat[offset:offset + size], layer.value.ravel())
+        offset += size
+    assert offset == params.flat.size
+    params["fc1.b"].value[:] = 7.0  # in-place edits reach the flat vector
+    assert np.count_nonzero(params.flat == 7.0) == params["fc1.b"].value.size
+    with pytest.raises(AttributeError):
+        params["fc1.b"].value = np.zeros(16)  # rebinding would detach the view
+    # copies and scaled sets own their vectors
+    assert not np.shares_memory(params.copy().flat, params.flat)
+    assert not np.shares_memory(params.scaled(2.0).flat, params.flat)
+
+
+def test_gradients_share_the_parameter_layout():
+    model = Model(MLP_RELU)
+    params = model.init_params(0)
+    rng = np.random.default_rng(1)
+    _, grads = model.loss_and_grad(params, rng.normal(size=(4, 10)), rng.integers(0, 4, 4))
+    assert grads.layout is params.layout
+    for layer in params:
+        assert grads[layer.name].shape == layer.value.shape
+        assert np.shares_memory(grads[layer.name], grads.flat)

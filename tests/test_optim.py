@@ -18,7 +18,7 @@ from abel_sched import (
     weight_norm_sq,
 )
 
-from helpers import measured_delta_wsq
+from helpers import measured_delta_wsq, ref_clip_global_norm, ref_step_adam, ref_step_sgd
 
 ARCH = ModelArch(input_dim=10, hidden=(16, 8), classes=4)
 
@@ -213,3 +213,100 @@ def test_shape_mismatch_rejected():
         step_sgd(params, opt, {"w": np.zeros(3)}, lr=0.1)
     with pytest.raises(ValueError):
         step_sgd(params, opt, {"v": np.zeros((2, 2))}, lr=0.1)
+
+
+# -- flat steps against the per-layer reference -----------------------------------
+
+NORMALIZED = ModelArch(input_dim=10, hidden=(16, 8), classes=4, activation="tanh",
+                       normalize=True)
+WITH_BIASES = ModelArch(input_dim=10, hidden=(16, 8), classes=4)  # biases: l2_enabled=False
+CONV = ModelArch(input_dim=64, hidden=(4, 6), classes=3, kind="conv", activation="tanh",
+                 input_shape=(1, 8, 8))
+
+
+def snapshot(mapping):
+    return {name: np.array(value, copy=True) for name, value in mapping.items()}
+
+
+def assert_same(mapping, expected):
+    assert set(mapping) == set(expected)
+    for name in expected:
+        assert np.array_equal(mapping[name], expected[name]), name
+
+
+@pytest.mark.parametrize("arch", [NORMALIZED, WITH_BIASES, CONV],
+                         ids=["normalized", "with-biases", "conv"])
+@pytest.mark.parametrize("optimizer", ["sgd", "momentum", "adam"])
+@pytest.mark.parametrize("clip", ["fires", "idle"])
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-3])
+def test_flat_steps_match_per_layer_reference_bit_for_bit(arch, optimizer, clip, weight_decay):
+    model = Model(arch)
+    params = model.init_params(2)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(16, arch.input_dim))
+    y = rng.integers(0, arch.classes, 16)
+    lr = 0.001 if optimizer == "adam" else 0.05
+    if optimizer == "adam":
+        opt = AdamState.init(params)
+        ref = (snapshot(opt.m), snapshot(opt.v), 0)
+    else:
+        opt = MomentumState.init(params, mu=0.0 if optimizer == "sgd" else 0.9)
+        ref = snapshot(opt.velocity)
+    for _ in range(4):
+        _, grads = model.loss_and_grad(params, x, y, label_smoothing=0.1)
+        norm = np.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads.values()))
+        max_norm = 0.5 * norm if clip == "fires" else 2.0 * norm
+        ref_grads = ref_clip_global_norm(snapshot(grads), max_norm)
+        before = (snapshot(params.values()), snapshot(grads),
+                  [snapshot(s) for s in ((opt.m, opt.v) if optimizer == "adam"
+                                         else (opt.velocity,))])
+
+        clipped = clip_global_norm(grads, max_norm)
+        assert_same(clipped, ref_grads)
+        if optimizer == "adam":
+            new, new_opt = step_adam(params, opt, clipped, lr, weight_decay)
+            values, m, v, t = ref_step_adam(params, *ref, ref_grads, lr, weight_decay)
+            assert_same(new_opt.m, m)
+            assert_same(new_opt.v, v)
+            assert new_opt.t == t
+            ref = (m, v, t)
+        else:
+            new, new_opt = step_sgd(params, opt, clipped, lr, weight_decay)
+            values, velocity = ref_step_sgd(params, ref, opt.mu, ref_grads, lr, weight_decay)
+            assert_same(new_opt.velocity, velocity)
+            ref = velocity
+        assert_same(new.values(), values)
+
+        # a step reads its inputs and never writes them
+        assert_same(params.values(), before[0])
+        assert_same(grads, before[1])
+        for state, saved in zip((opt.m, opt.v) if optimizer == "adam" else (opt.velocity,),
+                                before[2]):
+            assert_same(state, saved)
+        params, opt = new, new_opt
+
+
+def test_gradients_come_in_backward_order():
+    """The global norm sums layers in this order; the logged floats depend on it."""
+    x = np.zeros((2, 10))
+    y = np.array([0, 1])
+    _, grads = Model(WITH_BIASES).loss_and_grad(Model(WITH_BIASES).init_params(0), x, y)
+    assert list(grads) == ["out.w", "out.b", "fc2.w", "fc2.b", "fc1.w", "fc1.b"]
+    conv = Model(CONV)
+    _, grads = conv.loss_and_grad(conv.init_params(0), np.zeros((2, 64)), y)
+    assert list(grads) == ["out.w", "out.b", "conv2.w", "conv2.b", "conv1.w", "conv1.b"]
+
+
+def test_plain_mappings_are_checked_and_packed():
+    params = ParamSet([Layer("w", np.array([1.0, 2.0])), Layer("b", np.array([3.0]),
+                                                               l2_enabled=False)])
+    opt = MomentumState(mu=0.5, velocity={"b": np.array([1.0]), "w": np.array([0.0, 2.0])})
+    new, new_opt = step_sgd(params, opt, {"b": np.array([1.0]), "w": np.array([1.0, 1.0])},
+                            lr=0.5, weight_decay=0.1)
+    np.testing.assert_array_equal(new_opt.velocity["w"], [0.5 * 0.0 + (1.0 + 0.1),
+                                                          0.5 * 2.0 + (1.0 + 0.2)])
+    np.testing.assert_array_equal(new_opt.velocity["b"], [0.5 + 1.0])
+    np.testing.assert_array_equal(new["b"].value, [3.0 - 0.5 * 1.5])
+    with pytest.raises(ValueError):
+        step_sgd(params, MomentumState(mu=0.5, velocity={"w": np.zeros(2)}),
+                 {"b": np.zeros(1), "w": np.zeros(2)}, lr=0.1)

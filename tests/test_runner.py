@@ -246,6 +246,23 @@ def test_checkpoint_preserves_adam_state(tmp_path):
         [r.test_error for r in full.records[4:]]
 
 
+@pytest.mark.parametrize("optimizer,model", [
+    (OptimizerSpec(kind="momentum", momentum=0.9),
+     ModelSpec(kind="mlp", hidden=(8,), activation="relu")),
+    (OptimizerSpec(kind="adam"),
+     ModelSpec(kind="mlp", hidden=(8,), activation="tanh", normalize=True)),
+], ids=["momentum-biases", "adam-normalized"])
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path, optimizer, model):
+    cfg = tiny_config(tmp_path / "run", epochs=4, checkpoint_every=2, schedule_kind="abel",
+                      optimizer=optimizer, model=model)
+    run_experiment(cfg)
+    original = tmp_path / "run" / "epoch_0004.ckpt"
+    config, state = load_checkpoint(original)
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(again, config, state)
+    assert again.read_bytes() == original.read_bytes()
+
+
 def test_conv_model_with_idx_dataset_end_to_end(tmp_path):
     from abel_sched import IdxSpec
     from abel_sched.datasets import write_idx_images, write_idx_labels
@@ -304,3 +321,31 @@ def test_cli_plotdata_and_analyze(tmp_path, capsys):
     assert cli_main(["analyze", str(tmp_path / "run")]) == 0
     assert (tmp_path / "run" / "report.txt").exists()
     assert (tmp_path / "run" / "report.csv").exists()
+
+
+# -- calls per epoch -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("log_gw", [False, True])
+def test_model_calls_per_epoch(tmp_path, monkeypatch, log_gw):
+    """ceil(n / batch) training steps (plus the g.w probe) and one evaluation per epoch."""
+    from abel_sched import Model
+
+    calls = []
+    train_step, error_rate = Model.train_step_stats, Model.error_rate
+
+    def counted_train_step(*args, **kwargs):
+        calls.append("train_step")
+        return train_step(*args, **kwargs)
+
+    def counted_error_rate(*args, **kwargs):
+        calls.append("error_rate")
+        return error_rate(*args, **kwargs)
+
+    monkeypatch.setattr(Model, "train_step_stats", counted_train_step)
+    monkeypatch.setattr(Model, "error_rate", counted_error_rate)
+    run_experiment(tiny_config(tmp_path / "run", epochs=3, batch_size=100, log_gw=log_gw))
+    per_epoch = " ".join(calls).split("error_rate")
+    assert per_epoch[-1] == ""
+    steps = 3 + (1 if log_gw else 0)  # 256 samples in batches of 100
+    assert [part.split() for part in per_epoch[:-1]] == [["train_step"] * steps] * 3

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from abel_sched import ConfigError, apply_point, parse_grid, run_sweep
@@ -64,3 +66,36 @@ def test_sweep_records_decay_epochs(tmp_path):
     points = run_sweep(template, {"decay_factor": [0.5]}, tmp_path / "sweep")
     assert points[0].n_decays >= 1  # at least the final decay at epoch 10
     assert points[0].decay_epochs[-1] >= 10
+
+
+def test_sweep_workers_run_blas_on_one_thread(tmp_path, monkeypatch):
+    """Each of the jobs workers runs its points with one BLAS thread, whatever the parent has."""
+    import ctypes
+
+    import abel_sched.sweep as sweep
+    from abel_sched import EpochRecord, RunResult
+
+    get, set_ = sweep._openblas("get_num_threads"), sweep._openblas("set_num_threads")
+    if get is None or set_ is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread setter")
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+
+    def record_threads(config, *args, **kwargs):  # forked workers inherit this stand-in
+        (tmp_path / f"{Path(config.log_dir).name}.threads").write_text(str(get()))
+        record = EpochRecord(epoch=1, lr=0.1, train_loss=1.0, train_error=0.5,
+                             test_error=0.5, wsq_total=1.0, wsq_l2_only=1.0, per_layer_wsq={})
+        return RunResult(records=[record], events=[], meta={"status": "completed"},
+                         log_dir=Path(config.log_dir))
+
+    monkeypatch.setattr(sweep, "run_experiment", record_threads)
+    before = get()
+    set_(2)
+    try:
+        points = run_sweep(tiny_config(tmp_path / "unused"), {"base_lr": [0.1, 0.2, 0.3]},
+                           tmp_path / "sweep", jobs=2)
+        assert get() == 2  # the parent keeps its own setting
+    finally:
+        set_(before)
+    assert [p.status for p in points] == ["ok"] * 3
+    assert sorted(f.read_text() for f in tmp_path.glob("*.threads")) == ["1"] * 3
