@@ -48,7 +48,6 @@ from .optim import (
     clip_global_norm,
     growth_threshold_lr,
     predicted_delta_wsq,
-    predicted_delta_wsq_truncated,
     step_adam,
     step_sgd,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "parse_grid",
     "post_decay_drops",
     "predicted_delta_wsq",
-    "predicted_delta_wsq_truncated",
     "prepare_resume",
     "read_events",
     "read_idx_images",

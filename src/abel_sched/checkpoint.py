@@ -15,6 +15,10 @@ Layout (little-endian):
     scheduler: u32 byte length + scheduler state blob (empty for
     stateless schedules).
 
+Loading decodes through the bounds-checked ``state_io.Reader`` and decodes
+the scheduler blob too, which must fit the config's schedule kind (none for
+stateless kinds). Any fault raises :class:`CheckpointError`.
+
 No RNG state is stored: the data order of epoch e is derived from
 ``[seed, e]``, so the checkpointed epoch number determines it.
 
@@ -35,10 +39,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .adaptive import AbelScheduler, PlateauScheduler
 from .config import ConfigError, ExperimentConfig, format_config, parse_config
 from .optim import AdamState, MomentumState
 from .params import GradSet, Layout, ParamSet
 from .runner import RunState
+from .state_io import Reader, StateDecodeError, restore_scheduler
 
 MAGIC = b"ABCK"
 VERSION = 1
@@ -65,37 +71,12 @@ def _floats(chunks: list[bytes]) -> np.ndarray:
     return np.frombuffer(b"".join(chunks), dtype=np.float64).copy()
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise CheckpointError("truncated checkpoint")
-        out = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return out
-
-    def take_bytes(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
-            raise CheckpointError("truncated checkpoint")
-        out = self.data[self.pos:self.pos + count]
-        self.pos += count
-        return out
-
-    def take_shape(self) -> tuple[int, ...]:
-        (ndim,) = self.take("<B")
-        return self.take(f"<{ndim}I")
-
-
-def _take_buffer(r: _Reader, layout: Layout, path) -> GradSet:
+def _take_buffer(r: Reader, layout: Layout) -> GradSet:
     """One optimizer buffer: an array per layer, shaped like the parameters."""
     chunks = []
     for name, shape in zip(layout.names, layout.shapes):
         if r.take_shape() != shape:
-            raise CheckpointError(f"{path}: optimizer buffer shape differs on layer {name!r}")
+            raise CheckpointError(f"optimizer buffer shape differs on layer {name!r}")
         chunks.append(r.take_bytes(8 * math.prod(shape)))
     return GradSet(layout, _floats(chunks))
 
@@ -129,22 +110,30 @@ def save_checkpoint(path: str | Path, config: ExperimentConfig, state: RunState)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ExperimentConfig, RunState]:
-    data = Path(path).read_bytes()
-    r = _Reader(data)
+    try:
+        return _decode(Path(path).read_bytes())
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    except (StateDecodeError, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"{path}: corrupt checkpoint: {exc}") from None
+
+
+def _decode(data: bytes) -> tuple[ExperimentConfig, RunState]:
+    r = Reader(data)
     if r.take_bytes(4) != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
+        raise CheckpointError("not a checkpoint file")
     (version,) = r.take("<H")
     if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        raise CheckpointError(f"unsupported checkpoint version {version}")
     (text_len,) = r.take("<I")
     text = r.take_bytes(text_len)
     digest = r.take_bytes(32)
     if hashlib.sha256(text).digest() != digest:
-        raise CheckpointError(f"{path}: config hash mismatch (corrupt checkpoint)")
+        raise CheckpointError("config hash mismatch (corrupt checkpoint)")
     try:
         config = parse_config(text.decode())
     except ConfigError as exc:
-        raise CheckpointError(f"{path}: embedded config is invalid: {exc}") from None
+        raise CheckpointError(f"embedded config is invalid: {exc}") from None
 
     epoch, global_step = r.take("<IQ")
     (n_layers,) = r.take("<H")
@@ -159,26 +148,39 @@ def load_checkpoint(path: str | Path) -> tuple[ExperimentConfig, RunState]:
     try:
         layout = Layout(tuple(specs))
     except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
+        raise CheckpointError(str(exc)) from None
     params = ParamSet.from_flat(layout, _floats(chunks))
     (opt_kind,) = r.take("<B")
     if opt_kind == 1:
         (mu,) = r.take("<d")
-        velocity = _take_buffer(r, layout, path)
+        velocity = _take_buffer(r, layout)
         opt: MomentumState | AdamState = MomentumState(mu=mu, velocity=velocity)
     elif opt_kind == 2:
         beta1, beta2, eps, t = r.take("<dddQ")
-        m = _take_buffer(r, layout, path)
-        v = _take_buffer(r, layout, path)
+        m = _take_buffer(r, layout)
+        v = _take_buffer(r, layout)
         opt = AdamState(m=m, v=v, t=t, beta1=beta1, beta2=beta2, eps=eps)
     else:
-        raise CheckpointError(f"{path}: unknown optimizer kind {opt_kind}")
+        raise CheckpointError(f"unknown optimizer kind {opt_kind}")
     (sched_len,) = r.take("<I")
-    scheduler_bytes = bytes(r.take_bytes(sched_len))
-    if r.pos != len(data):
-        raise CheckpointError(f"{path}: trailing bytes")
+    scheduler_bytes = r.take_bytes(sched_len)
+    r.done()
+    _check_scheduler(scheduler_bytes, config.schedule.kind)
     return config, RunState(epoch=epoch, global_step=global_step, params=params,
                             opt=opt, scheduler_bytes=scheduler_bytes)
+
+
+def _check_scheduler(blob: bytes, kind: str) -> None:
+    """The blob must hold the state of the scheduler a ``kind`` schedule runs, if any."""
+    expected = {"abel": AbelScheduler, "plateau": PlateauScheduler}.get(kind)
+    if expected is None and not blob:
+        return
+    try:
+        fits = expected is not None and isinstance(restore_scheduler(blob), expected)
+    except StateDecodeError as exc:
+        raise CheckpointError(f"scheduler state: {exc}") from None
+    if not fits:
+        raise CheckpointError(f"{len(blob)}-byte scheduler state does not fit a {kind!r} schedule")
 
 
 def prepare_resume(path: str | Path, epochs: int | None = None,

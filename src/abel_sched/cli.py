@@ -12,8 +12,8 @@ Verbs:
   report.txt and report.csv next to the logs.
 * ``plotdata <log_dir> --what lr|error|wsq`` -- two-column CSV on stdout.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric divergence,
-4 resume refusal.
+Exit codes: 0 success, 2 configuration error or unreadable/corrupt
+checkpoint, 3 numeric divergence, 4 resume refusal.
 """
 
 from __future__ import annotations

@@ -99,6 +99,10 @@ class ExperimentConfig:
             raise ConfigError("clip_norm must be >= 0 (0 disables clipping)")
         if self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be >= 0")
+        for key, text in (("log_dir", self.log_dir),
+                          ("dataset.path", getattr(self.dataset, "path", ""))):
+            if text != text.strip() or "#" in text or len(text.splitlines()) > 1:
+                raise ConfigError(f"{key} {text!r} does not fit on one config line")
         if self.schedule is None:
             object.__setattr__(self, "schedule", ScheduleSpec(
                 kind="constant", base_lr=self.base_lr))

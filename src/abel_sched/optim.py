@@ -12,9 +12,7 @@ SGD and Adam). Gradients passed in are of the bare loss.
 
 For plain SGD (momentum 0) the per-layer change of the squared weight norm
 obeys an exact identity in the learning rate, L2 coefficient, gradient norm
-and g.w; :func:`predicted_delta_wsq` evaluates it, and
-:func:`predicted_delta_wsq_truncated` evaluates the first-order-in-lr*l2
-truncation used for intuition.
+and g.w; :func:`predicted_delta_wsq` evaluates it.
 """
 
 from __future__ import annotations
@@ -136,12 +134,6 @@ def predicted_delta_wsq(wsq: float, gsq: float, gw: float, lr: float,
     """
     e = lr * weight_decay
     return lr * lr * gsq - (2.0 - e) * e * wsq - 2.0 * lr * (1.0 - e) * gw
-
-
-def predicted_delta_wsq_truncated(wsq: float, gsq: float, gw: float, lr: float,
-                                  weight_decay: float) -> float:
-    """First order in lr*l2: lr^2*|g|^2 - 2*lr*l2*|w|^2 - 2*lr*g.w."""
-    return lr * lr * gsq - 2.0 * lr * weight_decay * wsq - 2.0 * lr * gw
 
 
 def growth_threshold_lr(gsq: float, gw: float) -> float | None:

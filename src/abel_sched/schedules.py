@@ -34,8 +34,8 @@ class ScheduleSpec:
     """Declarative description of one learning-rate schedule.
 
     ``kind`` selects the schedule; only the parameters relevant to that kind
-    are consulted. ``warmup_epochs`` composes with any kind: the effective
-    learning rate is the schedule value times :func:`warmup_scale`.
+    are consulted. ``warmup_epochs`` composes with any kind: the runner scales
+    every step's lr by :func:`warmup_scale`, one ramp shared by all kinds.
 
     Kinds and their parameters:
 
@@ -138,9 +138,9 @@ def warmup_scale(step: int, steps_per_epoch: int, warmup_epochs: int) -> float:
 def lr_at(spec: ScheduleSpec, t: float, total_epochs: int | None = None) -> float:
     """Learning rate of a stateless schedule at (real-valued) epoch ``t``.
 
-    ``total_epochs`` overrides ``spec.total_epochs`` when given. Warmup, if
-    configured on the spec, is applied as ``min(1, t / warmup_epochs)``,
-    which is the per-step :func:`warmup_scale` expressed in epochs.
+    ``total_epochs`` overrides ``spec.total_epochs`` when given. The value is
+    the schedule's alone: warmup is not applied here but per step, through
+    :func:`warmup_scale`, so milestone comparisons see pure schedule values.
     """
     if spec.kind not in STATELESS_KINDS:
         raise ValueError(f"lr_at is only defined for stateless kinds, got {spec.kind!r}")
@@ -166,9 +166,6 @@ def lr_at(spec: ScheduleSpec, t: float, total_epochs: int | None = None) -> floa
         lr = spec.base_lr + (spec.final_lr - spec.base_lr) * t / T
     else:  # simple
         lr = spec.base_lr if t < spec.decay_fraction * T else spec.base_lr * spec.factor
-
-    if spec.warmup_epochs > 0:
-        lr *= min(1.0, t / spec.warmup_epochs)
     return lr
 
 

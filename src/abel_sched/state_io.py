@@ -1,6 +1,7 @@
-"""Byte-exact serialization of scheduler state.
+"""Byte-exact serialization of scheduler state, and the one binary reader
+(:class:`Reader`) that scheduler state and checkpoints both decode through.
 
-Format (all integers and reals little-endian):
+Scheduler state format (all integers and reals little-endian):
 
     offset  field
     0       magic ``b"LRS1"``
@@ -44,25 +45,34 @@ class StateDecodeError(ValueError):
     """Raised when scheduler state bytes are malformed."""
 
 
-class _Reader:
+class Reader:
+    """Sequential reads from bytes; reading past the end, or leaving bytes
+    unread at ``done()``, raises :class:`StateDecodeError`."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
 
     def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise StateDecodeError("truncated scheduler state")
-        values = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return values
+        return struct.unpack(fmt, self.take_bytes(struct.calcsize(fmt)))
+
+    def take_bytes(self, count: int) -> bytes:
+        if self.pos + count > len(self.data):
+            raise StateDecodeError(f"truncated: need {count} bytes at offset {self.pos}")
+        out = self.data[self.pos:self.pos + count]
+        self.pos += count
+        return out
 
     def take_floats(self, count: int) -> list[float]:
         return list(self.take(f"<{count}d")) if count else []
 
+    def take_shape(self) -> tuple[int, ...]:
+        (ndim,) = self.take("<B")  # then u32 per dimension
+        return self.take(f"<{ndim}I")
+
     def done(self) -> None:
         if self.pos != len(self.data):
-            raise StateDecodeError("trailing bytes after scheduler state")
+            raise StateDecodeError(f"{len(self.data) - self.pos} trailing bytes")
 
 
 def _pack_events(events: list[LrEvent]) -> bytes:
@@ -72,7 +82,7 @@ def _pack_events(events: list[LrEvent]) -> bytes:
     return b"".join(out)
 
 
-def _unpack_events(r: _Reader) -> list[LrEvent]:
+def _unpack_events(r: Reader) -> list[LrEvent]:
     (count,) = r.take("<I")
     events = []
     for _ in range(count):
@@ -116,17 +126,14 @@ def serialize_scheduler(scheduler: AbelScheduler | PlateauScheduler) -> bytes:
     raise TypeError(f"cannot serialize {type(scheduler).__name__}")
 
 
-def restore_scheduler(
-    data: bytes, total_epochs: int | None = None
-) -> AbelScheduler | PlateauScheduler:
-    """Decode scheduler state bytes.
+def restore_scheduler(data: bytes) -> AbelScheduler | PlateauScheduler:
+    """Decode scheduler state bytes, exactly as they were saved.
 
-    ``total_epochs``, if given, retargets a bounce scheduler's final decay to
-    the new budget (the stored last_decay_fraction is kept). It is rejected
-    for plateau schedulers, whose behaviour never depends on the budget.
+    A bounce scheduler keeps its stored budget; a resume with a new one
+    calls :meth:`AbelScheduler.retarget` on the result.
     """
-    r = _Reader(data)
-    if bytes(r.take("<4s")[0]) != MAGIC:
+    r = Reader(data)
+    if r.take_bytes(4) != MAGIC:
         raise StateDecodeError("bad magic: not a scheduler state blob")
     version, kind = r.take("<HB")
     if version != VERSION:
@@ -155,13 +162,9 @@ def restore_scheduler(
         s.norm_history = raw
         s.smoothed_history = smooth
         s.decay_log = events
-        if total_epochs is not None:
-            s.retarget(total_epochs)
         return s
 
     if kind == _KIND_PLATEAU:
-        if total_epochs is not None:
-            raise StateDecodeError("plateau scheduler state does not carry a training budget")
         base_lr, current_lr, factor, threshold = r.take("<dddd")
         patience, since, epoch = r.take("<III")
         (mode_code,) = r.take("<B")

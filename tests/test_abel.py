@@ -182,7 +182,8 @@ def test_restore_with_larger_budget_relocates_final_decay():
     feed(s, trace[:20])
     blob = serialize_scheduler(s)
     stayed = restore_scheduler(blob)
-    moved = restore_scheduler(blob, total_epochs=80)
+    moved = restore_scheduler(blob)
+    moved.retarget(80)  # what the runner does on a resume with a new budget
     assert stayed.last_decay_epoch == 34
     assert moved.last_decay_epoch == 68
     for v in trace[20:]:

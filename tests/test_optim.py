@@ -12,7 +12,6 @@ from abel_sched import (
     growth_threshold_lr,
     inner_gw,
     predicted_delta_wsq,
-    predicted_delta_wsq_truncated,
     step_adam,
     step_sgd,
     weight_norm_sq,
@@ -64,20 +63,6 @@ def test_exact_norm_identity_per_layer(lr, weight_decay):
                 abs(measured[name]), abs(predicted), 1e-30)
             assert rel < 1e-10, (name, lr, weight_decay, rel)
         params = new
-
-
-def test_truncation_differs_by_second_order_terms_exactly():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        wsq, gsq = rng.uniform(0.1, 100, size=2)
-        gw = rng.normal(0, 10)
-        lr = rng.uniform(0.01, 2)
-        lam = rng.uniform(0, 0.01)
-        exact = predicted_delta_wsq(wsq, gsq, gw, lr, lam)
-        trunc = predicted_delta_wsq_truncated(wsq, gsq, gw, lr, lam)
-        # exact - truncated = (lr*lam)^2 * wsq + 2*lr^2*lam*gw, an O(lr^2*lam) remainder
-        remainder = (lr * lam) ** 2 * wsq + 2 * lr * lr * lam * gw
-        assert exact - trunc == pytest.approx(remainder, rel=1e-9, abs=1e-15)
 
 
 def test_lambda_zero_identity_reduces_to_two_terms():

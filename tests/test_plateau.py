@@ -75,10 +75,3 @@ def test_serialization_round_trip():
         lr_b, ev_b = b.observe_epoch(v)
         assert lr_a == lr_b and ev_a == ev_b
     assert a.decay_log == b.decay_log
-
-
-def test_budget_override_rejected_for_plateau_state():
-    s = PlateauScheduler(base_lr=1.0, factor=0.5)
-    s.observe_epoch(1.0)
-    with pytest.raises(ValueError):
-        restore_scheduler(serialize_scheduler(s), total_epochs=100)

@@ -12,6 +12,7 @@ from abel_sched import (
     OptimizerSpec,
     ScheduleSpec,
     load_checkpoint,
+    lr_at,
     prepare_resume,
     read_events,
     read_metrics,
@@ -21,8 +22,9 @@ from abel_sched import (
 from abel_sched.checkpoint import CheckpointError, ResumeRefusedError
 from abel_sched.cli import main as cli_main
 from abel_sched.runner import RunState, _should_auto_stop
+from abel_sched.schedules import STATELESS_KINDS
 
-from helpers import strip_wall_ms
+from helpers import STANDARD_LR, run_cached, standard_config, strip_wall_ms
 
 
 def tiny_config(log_dir, *, epochs=12, schedule_kind="constant", base_lr=0.5,
@@ -99,6 +101,39 @@ def test_warmup_ramps_effective_lr(tmp_path):
     # first 4 epochs, saturated afterwards
     assert lrs[0] < lrs[1] < lrs[2] < lrs[3] <= 0.5
     assert all(lr == 0.5 for lr in lrs[4:])
+
+
+@pytest.fixture(scope="module")
+def abel_ramp(tmp_path_factory):
+    """ABEL's logged lr over epochs 1-5 of the standard task, as a share of base_lr."""
+    cfg = standard_config("abel", epochs=10, log_dir=str(tmp_path_factory.mktemp("abel")))
+    return [r.lr / STANDARD_LR for r in run_experiment(cfg).records[:5]]
+
+
+def test_abel_warmup_ramp_is_linear_per_step(abel_ramp):
+    # 16 steps per epoch, 5 warmup epochs: epoch e ends on step 16e - 1 of 80
+    assert [STANDARD_LR * s for s in abel_ramp] == pytest.approx([0.75, 1.55, 2.35, 3.15, 3.95])
+
+
+@pytest.mark.parametrize("kind", STATELESS_KINDS)
+def test_every_stateless_kind_shares_the_abel_warmup_ramp(tmp_path, abel_ramp, kind):
+    cfg = standard_config(kind, epochs=10, log_dir=str(tmp_path / kind))
+    records = run_experiment(cfg).records
+    assert records[0].lr > 0
+    for epoch, (rec, scale) in enumerate(zip(records, abel_ramp), start=1):
+        assert rec.lr == pytest.approx(lr_at(cfg.schedule, epoch - 1) * scale, rel=1e-15)
+
+
+@pytest.mark.parametrize("kind,epochs", [("stepwise", [60, 120, 160]), ("simple", [170])])
+def test_standard_runs_log_only_their_milestones(tmp_path_factory, kind, epochs):
+    cfg = standard_config(kind)
+    result = run_cached(cfg, tmp_path_factory.mktemp(kind))
+    events = read_events(result.log_dir)
+    assert events == result.events
+    assert [(ev.epoch, ev.trigger) for ev in events] == [(e, "milestone") for e in epochs]
+    for ev in events:  # pure schedule values, before and after the milestone
+        assert (ev.old_lr, ev.new_lr) == (lr_at(cfg.schedule, ev.epoch - 1),
+                                          lr_at(cfg.schedule, ev.epoch))
 
 
 def test_divergence_aborts_with_status(tmp_path):
@@ -227,6 +262,45 @@ def test_corrupt_checkpoint_detected(tmp_path):
     bad.write_bytes(ckpt.read_bytes()[:-20])
     with pytest.raises(CheckpointError):
         load_checkpoint(bad)
+
+
+@pytest.fixture(scope="module")
+def saved_states(tmp_path_factory):
+    """Config and state of an epoch-2 checkpoint, per schedule kind."""
+    root = tmp_path_factory.mktemp("ckpts")
+    out = {}
+    for kind in ("abel", "plateau", "constant"):
+        run_experiment(tiny_config(root / kind, epochs=2, schedule_kind=kind,
+                                   checkpoint_every=2))
+        out[kind] = load_checkpoint(root / kind / "epoch_0002.ckpt")
+    return out
+
+
+@pytest.mark.parametrize("kind,corrupt", [
+    ("abel", lambda blobs: b"XXXX" + blobs["abel"][4:]),
+    ("abel", lambda blobs: blobs["abel"][:-3]),
+    ("abel", lambda blobs: blobs["abel"] + b"\x00"),
+    ("plateau", lambda blobs: b"XXXX" + blobs["plateau"][4:]),
+    ("plateau", lambda blobs: blobs["plateau"][:-3]),
+    ("plateau", lambda blobs: blobs["plateau"] + b"\x00"),
+    ("abel", lambda blobs: b""),
+    ("plateau", lambda blobs: b""),
+    ("constant", lambda blobs: blobs["abel"]),
+    ("abel", lambda blobs: blobs["plateau"]),
+    ("plateau", lambda blobs: blobs["abel"]),
+], ids=["abel-bad-magic", "abel-truncated", "abel-trailing", "plateau-bad-magic",
+        "plateau-truncated", "plateau-trailing", "abel-empty", "plateau-empty",
+        "constant-non-empty", "abel-plateau-state", "plateau-abel-state"])
+def test_checkpoint_with_bad_scheduler_state_is_rejected(tmp_path, saved_states, kind,
+                                                         corrupt):
+    config, state = saved_states[kind]
+    blobs = {k: saved_states[k][1].scheduler_bytes for k in ("abel", "plateau")}
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, config, replace(state, scheduler_bytes=corrupt(blobs)))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(bad)
+    assert cli_main(["resume", str(bad), "--log-dir", str(tmp_path / "resumed")]) == 2
+    assert not (tmp_path / "resumed").exists()
 
 
 def test_checkpoint_preserves_adam_state(tmp_path):
