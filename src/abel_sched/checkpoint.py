@@ -19,6 +19,9 @@ Loading decodes through the bounds-checked ``state_io.Reader`` and decodes
 the scheduler blob too, which must fit the config's schedule kind (none for
 stateless kinds). Any fault raises :class:`CheckpointError`.
 
+Checkpoints are written through a temp file and ``os.replace``, so a
+crash leaves the previous file or the new one, never a torn one.
+
 No RNG state is stored: the data order of epoch e is derived from
 ``[seed, e]``, so the checkpointed epoch number determines it.
 
@@ -43,7 +46,7 @@ from .adaptive import AbelScheduler, PlateauScheduler
 from .config import ConfigError, ExperimentConfig, format_config, parse_config
 from .optim import AdamState, MomentumState
 from .params import GradSet, Layout, ParamSet
-from .runner import RunState
+from .runner import ResumeRefusedError, RunState, write_atomic
 from .state_io import Reader, StateDecodeError, restore_scheduler
 
 MAGIC = b"ABCK"
@@ -54,10 +57,6 @@ BUDGET_FREE_KINDS = ("constant", "stepwise", "abel", "plateau")
 
 class CheckpointError(ValueError):
     """Raised for unreadable or corrupt checkpoint files."""
-
-
-class ResumeRefusedError(RuntimeError):
-    """Raised when a resume request contradicts the checkpointed run."""
 
 
 def _pack_arrays(layout: Layout, flat: np.ndarray) -> list[bytes]:
@@ -106,7 +105,7 @@ def save_checkpoint(path: str | Path, config: ExperimentConfig, state: RunState)
         raise TypeError(f"cannot checkpoint optimizer {type(opt).__name__}")
     parts.append(struct.pack("<I", len(state.scheduler_bytes)))
     parts.append(state.scheduler_bytes)
-    Path(path).write_bytes(b"".join(parts))
+    write_atomic(Path(path), b"".join(parts))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ExperimentConfig, RunState]:

@@ -26,7 +26,8 @@ Keys (defaults in parentheses):
     optimizer.kind = momentum | adam, optimizer.momentum,
     optimizer.beta1/2, optimizer.eps,
     schedule.kind and the per-kind schedule fields; the schedule's
-    base_lr and total_epochs come from the top-level keys.
+    base_lr and total_epochs come from the top-level keys, and an
+    ExperimentConfig whose schedule disagrees with them is refused.
 
 ``epochs``, ``base_lr``, ``log_dir`` and ``dataset.kind`` are required.
 """
@@ -105,7 +106,14 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} {text!r} does not fit on one config line")
         if self.schedule is None:
             object.__setattr__(self, "schedule", ScheduleSpec(
-                kind="constant", base_lr=self.base_lr))
+                kind="constant", base_lr=self.base_lr, total_epochs=self.epochs))
+        elif (self.schedule.base_lr, self.schedule.total_epochs) != (self.base_lr, self.epochs):
+            # The config text carries only the top-level pair, so a schedule
+            # with its own would come back from a checkpoint changed.
+            raise ConfigError(
+                f"schedule base_lr/total_epochs {self.schedule.base_lr!r}/"
+                f"{self.schedule.total_epochs} differ from base_lr/epochs "
+                f"{self.base_lr!r}/{self.epochs}")
 
 
 # -- schema -------------------------------------------------------------------

@@ -71,8 +71,8 @@ class ModelArch:
                 raise ValueError("normalize is only supported for mlp models")
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
+def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(z, 0.0, out=out) if kind == "relu" else np.tanh(z, out=out)
 
 
 def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
@@ -109,7 +109,9 @@ def _loss_and_dlogits(
     n, c = logits.shape
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError("labels out of range")
-    m = logits.max(axis=1, keepdims=True)
+    # The row max, reduced over a class-major copy: for few classes this is
+    # several times faster than max(axis=1), and max is exact either way.
+    m = np.ascontiguousarray(logits.T).max(axis=0)[:, None]
     shifted = logits - m
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + m
     logp = logits - lse
@@ -197,31 +199,38 @@ class Model:
         """What the forward pass reads: an MLP's dense weights, or a convnet's ParamSet."""
         return self._dense_weights(params) if self.arch.kind == "mlp" else params
 
-    def _forward(self, prepared, x: np.ndarray):
-        """Logits and the cache the backward pass reads."""
+    def _forward(self, prepared, x: np.ndarray, bufs: list[np.ndarray] | None = None):
+        """Logits and the cache the backward pass reads; ``bufs`` as for ``_forward_mlp``."""
         if self.arch.kind == "mlp":
-            return self._forward_mlp(prepared, x)
+            return self._forward_mlp(prepared, x, bufs)
         return self._forward_conv(prepared, x)
 
     def _dense_weights(self, params: ParamSet) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per dense layer: (w / |w_row|, |w_row| as a column) when normalized, else (w, b)."""
+        views = dict(zip(params.layout.names, params.layout.views(params.flat)))
         out = []
         for name in self._dense:
-            w = params[f"{name}.w"].value
+            w = views[f"{name}.w"]
             if self.arch.normalize:
                 rn = np.sqrt((w * w).sum(axis=1))[:, None]
                 out.append((w / rn, rn))
             else:
-                out.append((w, params[f"{name}.b"].value))
+                out.append((w, views[f"{name}.b"]))
         return out
 
-    def _forward_mlp(self, weights, x: np.ndarray):
-        """Logits, and as cache the input of every dense layer followed by the logits."""
+    def _forward_mlp(self, weights, x: np.ndarray, bufs: list[np.ndarray] | None = None):
+        """Logits, and as cache the input of every dense layer followed by the logits.
+
+        With ``bufs`` (one array of at least ``len(x)`` rows per dense layer),
+        each layer's output is written into its buffer instead of a new array.
+        """
         acts = [x]
         last = len(weights) - 1
         for i, (w, extra) in enumerate(weights):
-            z = acts[-1] @ w.T if self.arch.normalize else acts[-1] @ w.T + extra
-            acts.append(z if i == last else _act(z, self.arch.activation))
+            z = np.matmul(acts[-1], w.T, out=None if bufs is None else bufs[i][:len(x)])
+            if not self.arch.normalize:
+                z += extra
+            acts.append(z if i == last else _act(z, self.arch.activation, out=z))
         return acts[-1], acts
 
     def _forward_conv(self, params: ParamSet, x: np.ndarray):
@@ -315,13 +324,18 @@ class Model:
                    batch_size: int = 1024) -> float:
         """Fraction of misclassified samples, evaluated in chunks.
 
-        An MLP's weight rows are normalized once per call, not once per chunk.
+        An MLP's weight rows are normalized once per call, not once per chunk,
+        and its layers write every chunk's outputs into one buffer each.
         """
         x = self._check_input(x)
         prepared = self._prepared(params)
+        bufs = None
+        if self.arch.kind == "mlp":
+            rows = min(batch_size, x.shape[0])
+            bufs = [np.empty((rows, w.shape[0])) for w, _ in prepared]
         wrong = 0
         for start in range(0, x.shape[0], batch_size):
-            logits, _ = self._forward(prepared, x[start:start + batch_size])
+            logits, _ = self._forward(prepared, x[start:start + batch_size], bufs)
             wrong += np.count_nonzero(logits.argmax(axis=1) != y[start:start + batch_size])
         return wrong / x.shape[0]
 

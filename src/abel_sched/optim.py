@@ -17,6 +17,7 @@ and g.w; :func:`predicted_delta_wsq` evaluates it.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -64,7 +65,7 @@ def clip_global_norm(grads: Mapping[str, np.ndarray], max_norm: float) -> Mappin
     """Scale all gradients by max_norm/||g|| when the global norm exceeds it."""
     if not max_norm > 0:
         raise ValueError("max_norm must be > 0")
-    norm = float(np.sqrt(grad_norm_sq(grads)))
+    norm = math.sqrt(grad_norm_sq(grads))
     if norm <= max_norm:
         return grads
     scale = max_norm / norm

@@ -137,7 +137,13 @@ class GradSet(Mapping):
 
 
 class ParamSet:
-    """Ordered collection of named parameter tensors over one flat buffer."""
+    """Ordered collection of named parameter tensors over one flat buffer.
+
+    Building one over a flat vector costs O(1): the Layer views and the
+    by-name lookup are made on first use.
+    """
+
+    __slots__ = ("layout", "flat", "_by_name")
 
     def __init__(self, layers: list[Layer]):
         layout = Layout(tuple((l.name, tuple(np.shape(l.value)), l.l2_enabled,
@@ -154,24 +160,33 @@ class ParamSet:
     def _bind(self, layout: Layout, flat: np.ndarray) -> None:
         self.layout = layout
         self.flat = flat
-        self.layers = [Layer(name, value, l2, invariant) for (name, _, l2, invariant), value
-                       in zip(layout.specs, layout.views(flat))]
-        self._by_name = {l.name: l for l in self.layers}
+        self._by_name: dict[str, Layer] | None = None
+
+    def _layer_map(self) -> dict[str, Layer]:
+        if self._by_name is None:
+            self._by_name = {
+                name: Layer(name, value, l2, invariant) for (name, _, l2, invariant), value
+                in zip(self.layout.specs, self.layout.views(self.flat))}
+        return self._by_name
+
+    @property
+    def layers(self) -> list[Layer]:
+        return list(self._layer_map().values())
 
     def __iter__(self):
-        return iter(self.layers)
+        return iter(self._layer_map().values())
 
     def __len__(self) -> int:
-        return len(self.layers)
+        return len(self.layout.names)
 
     def __getitem__(self, name: str) -> Layer:
-        return self._by_name[name]
+        return self._layer_map()[name]
 
     def names(self) -> list[str]:
         return list(self.layout.names)
 
     def values(self) -> dict[str, np.ndarray]:
-        return {l.name: l.value for l in self.layers}
+        return {name: layer.value for name, layer in self._layer_map().items()}
 
     def copy(self) -> "ParamSet":
         return ParamSet.from_flat(self.layout, self.flat.copy())
@@ -191,12 +206,12 @@ def weight_norm_sq(params: ParamSet, include: str = "all") -> tuple[float, dict[
     """
     if include not in ("all", "l2_only"):
         raise ValueError("include must be 'all' or 'l2_only'")
+    layout, flat = params.layout, params.flat
     per_layer: dict[str, float] = {}
-    for layer in params:
-        if include == "l2_only" and not layer.l2_enabled:
-            continue
-        v = layer.value.ravel()
-        per_layer[layer.name] = float(v.dot(v))
+    for name, sl, l2 in zip(layout.names, layout.slices, layout.l2):
+        if l2 or include == "all":
+            v = flat[sl]
+            per_layer[name] = float(v.dot(v))
     return sum(per_layer.values()), per_layer
 
 

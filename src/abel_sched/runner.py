@@ -25,11 +25,21 @@ Auto-stop: when ``auto_stop_min_improvement > 0``, training stops a fixed
 below the threshold (best over all epochs up to the decay versus best in
 the 3 epochs after it). Auto-stop bookkeeping is process-local: it is not
 carried across checkpoint/resume.
+
+Resume: a run resumed into a log directory that already holds logs cuts
+each log back to the checkpoint epoch and appends to it, so the directory
+ends up with the logs of an uninterrupted run. Logs that lack a row at or
+before the checkpoint epoch (or a whole file) refuse the resume with
+:class:`ResumeRefusedError`. ``meta.json``, ``config.txt`` and checkpoints
+are written through a temp file and ``os.replace``, so a crash never
+leaves a torn file.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,9 +61,19 @@ AUTO_STOP_SETTLE_EPOCHS = 3
 METRICS_COLUMNS = ("epoch", "lr", "train_loss", "train_error", "test_error",
                    "wsq_total", "wsq_l2_only", "gw_total", "wall_ms")
 
+LOG_HEADERS = {
+    "metrics.csv": ",".join(METRICS_COLUMNS),
+    "layers.csv": "epoch,layer,wsq",
+    "events.csv": "epoch,old_lr,new_lr,trigger",
+}
+
 
 class DivergenceError(RuntimeError):
     """Raised when training produces a non-finite loss."""
+
+
+class ResumeRefusedError(RuntimeError):
+    """Raised when a resume request contradicts the checkpointed run or its logs."""
 
 
 @dataclass
@@ -120,17 +140,70 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def write_atomic(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` through a temp file in the same directory.
+
+    A reader sees the old file or the new one, never a torn one, and a write
+    that fails leaves the old file in place and no temp file behind.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _log_history(log_dir: Path, epoch: int) -> dict[str, list[str]] | None:
+    """The rows of ``log_dir``'s logs up to ``epoch``; None when it holds no logs.
+
+    The metrics rows kept must be consecutive epochs ending at ``epoch``, and
+    the per-layer rows must cover the same epochs; anything else refuses.
+    """
+    if not (log_dir / "metrics.csv").exists():
+        return None
+    kept: dict[str, list[str]] = {}
+    epochs: dict[str, list[int]] = {}
+    for name, header in LOG_HEADERS.items():
+        path = log_dir / name
+        if not path.exists():
+            raise ResumeRefusedError(f"cannot append to the logs in {log_dir}: no {name}")
+        lines = path.read_text().splitlines()
+        if not lines or lines[0] != header:
+            raise ResumeRefusedError(f"cannot append to {path}: unexpected header")
+        try:
+            row_epochs = [int(line.split(",", 1)[0]) for line in lines[1:]]
+        except ValueError:
+            raise ResumeRefusedError(f"cannot append to {path}: unreadable row") from None
+        kept[name] = [line for line, e in zip(lines[1:], row_epochs) if e <= epoch]
+        epochs[name] = [e for e in row_epochs if e <= epoch]
+    logged = epochs["metrics.csv"]
+    first = logged[0] if logged else 1
+    layer_epochs = list(dict.fromkeys(epochs["layers.csv"]))
+    if logged != list(range(first, epoch + 1)) or layer_epochs != logged:
+        raise ResumeRefusedError(
+            f"the logs in {log_dir} lack rows up to the checkpoint epoch {epoch}; "
+            f"resume into another log_dir")
+    return kept
+
+
 class _RunLog:
-    def __init__(self, log_dir: Path, config: ExperimentConfig):
+    """The run's log files, opened for appending after their header and any
+    rows of ``history`` (see ``_log_history``)."""
+
+    def __init__(self, log_dir: Path, config: ExperimentConfig,
+                 history: dict[str, list[str]] | None = None):
         log_dir.mkdir(parents=True, exist_ok=True)
         self.dir = log_dir
-        (log_dir / "config.txt").write_text(format_config(config))
-        self.metrics = open(log_dir / "metrics.csv", "w")
-        self.metrics.write(",".join(METRICS_COLUMNS) + "\n")
-        self.layers = open(log_dir / "layers.csv", "w")
-        self.layers.write("epoch,layer,wsq\n")
-        self.events = open(log_dir / "events.csv", "w")
-        self.events.write("epoch,old_lr,new_lr,trigger\n")
+        write_atomic(log_dir / "config.txt", format_config(config).encode())
+        for name, header in LOG_HEADERS.items():
+            rows = [header, *(history[name] if history else ())]
+            write_atomic(log_dir / name, "".join(row + "\n" for row in rows).encode())
+        self.metrics = open(log_dir / "metrics.csv", "a")
+        self.layers = open(log_dir / "layers.csv", "a")
+        self.events = open(log_dir / "events.csv", "a")
 
     def write_record(self, rec: EpochRecord) -> None:
         gw = "" if rec.gw_total is None else _fmt(rec.gw_total)
@@ -143,6 +216,8 @@ class _RunLog:
         self.flush()
 
     def write_events(self, events: list[LrEvent]) -> None:
+        if not events:
+            return
         for ev in events:
             self.events.write(f"{ev.epoch},{_fmt(ev.old_lr)},{_fmt(ev.new_lr)},{ev.trigger}\n")
         self.events.flush()
@@ -157,7 +232,8 @@ class _RunLog:
         self.events.close()
 
     def write_meta(self, meta: dict) -> None:
-        (self.dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        write_atomic(self.dir / "meta.json",
+                     (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
 
 
 def run_experiment(config: ExperimentConfig, resume_state: RunState | None = None,
@@ -165,7 +241,8 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     """Train per the config, logging one record per epoch.
 
     ``resume_state`` continues a checkpointed run; only epochs after
-    ``resume_state.epoch`` are executed and logged. Raises
+    ``resume_state.epoch`` are executed, and they are appended to any logs
+    already in ``config.log_dir`` (see the module docstring). Raises
     :class:`DivergenceError` on a non-finite training loss.
     """
     model, data = build_model(config)
@@ -191,7 +268,9 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
         start_epoch = resume_state.epoch
         global_step = resume_state.global_step
 
-    log = _RunLog(Path(config.log_dir), config)
+    history = (_log_history(Path(config.log_dir), start_epoch)
+               if resume_state is not None else None)
+    log = _RunLog(Path(config.log_dir), config, history)
     meta = {
         "config_hash": config_hash(config),
         "version": _version,
@@ -206,6 +285,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     pending_stop_check: list[int] = []  # bounce-decay epochs awaiting the settle window
     status = "completed"
     probe = slice(0, min(config.batch_size, n))
+    optimizer_step = step_sgd if isinstance(opt, MomentumState) else step_adam
 
     def schedule_lr(epoch: int) -> float:
         # epoch is 1-based; the lr for epoch e is the schedule value at t = e - 1
@@ -217,27 +297,28 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
         for epoch in range(start_epoch + 1, config.epochs + 1):
             t0 = time.perf_counter()
             lr_epoch = schedule_lr(epoch)
+            # One gather per epoch; each minibatch is then a contiguous slice.
             order = np.random.default_rng([config.seed, epoch]).permutation(n)
+            x_epoch, y_epoch = xtr[order], ytr[order]
             loss_sum = 0.0
             err_sum = 0.0
             eff_lr = lr_epoch
             for start in range(0, n, config.batch_size):
-                idx = order[start:start + config.batch_size]
+                xb = x_epoch[start:start + config.batch_size]
+                yb = y_epoch[start:start + config.batch_size]
                 loss, grads, err = model.train_step_stats(
-                    params, xtr[idx], ytr[idx], config.label_smoothing)
-                if not np.isfinite(loss):
+                    params, xb, yb, config.label_smoothing)
+                if not math.isfinite(loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
                 if config.clip_norm > 0:
                     grads = clip_global_norm(grads, config.clip_norm)
                 eff_lr = lr_epoch * warmup_scale(global_step, steps_per_epoch,
                                                  spec.warmup_epochs)
-                if isinstance(opt, MomentumState):
-                    params, opt = step_sgd(params, opt, grads, eff_lr, config.weight_decay)
-                else:
-                    params, opt = step_adam(params, opt, grads, eff_lr, config.weight_decay)
+                params, opt = optimizer_step(params, opt, grads, eff_lr, config.weight_decay)
                 global_step += 1
-                loss_sum += loss * len(idx)
-                err_sum += err * len(idx)
+                rows = len(yb)
+                loss_sum += loss * rows
+                err_sum += err * rows
 
             train_loss = loss_sum / n
             train_error = err_sum / n
@@ -336,7 +417,7 @@ def read_metrics(log_dir: str | Path) -> list[EpochRecord]:
             per_layer.setdefault(int(epoch_s), {})[name] = float(wsq_s)
     records = []
     lines = (log_dir / "metrics.csv").read_text().splitlines()
-    if lines and lines[0] != ",".join(METRICS_COLUMNS):
+    if lines and lines[0] != LOG_HEADERS["metrics.csv"]:
         raise ValueError(f"unexpected metrics header in {log_dir}")
     for line in lines[1:]:
         parts = line.split(",")

@@ -10,15 +10,24 @@ from __future__ import annotations
 import numpy as np
 
 from abel_sched import (
+    AdamState,
     BlobsSpec,
     ExperimentConfig,
     Model,
     ModelSpec,
+    MomentumState,
     OptimizerSpec,
     ScheduleSpec,
+    clip_global_norm,
     config_hash,
+    lr_at,
     run_experiment,
+    step_adam,
+    step_sgd,
+    warmup_scale,
+    weight_norm_sq,
 )
+from abel_sched.runner import build_model
 
 # -- the standard hard synthetic task ------------------------------------------
 #
@@ -271,3 +280,59 @@ def ref_step_adam(params, m: dict, v: dict, t: int, grads: dict, lr: float,
         new_v[layer.name] = vi
         values[layer.name] = layer.value - lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
     return values, new_m, new_v, t
+
+
+# -- reference training loop ------------------------------------------------------
+#
+# The runner's epoch loop rebuilt from public pieces, the slow plain way: a
+# gather per minibatch, the optimizer and clipping as separate calls, and the
+# test error from a chunked forward pass and argmax. The runner's logs must
+# match it bit for bit.
+
+
+def reference_log_rows(config: ExperimentConfig) -> tuple[list[str], list[str]]:
+    """The metrics rows (``wall_ms`` stripped) and layers rows the runner should
+    log for ``config``, a config with a stateless schedule."""
+    model, data = build_model(config)
+    xtr, ytr = data["train"]
+    xte, yte = data["test"]
+    n, batch = xtr.shape[0], config.batch_size
+    params = model.init_params(config.seed)
+    o = config.optimizer
+    if o.kind == "momentum":
+        opt = MomentumState.init(params, mu=o.momentum)
+    else:
+        opt = AdamState.init(params, beta1=o.beta1, beta2=o.beta2, eps=o.eps)
+    steps_per_epoch = -(-n // batch)
+    step = 0
+    metrics, layers = [], []
+    for epoch in range(1, config.epochs + 1):
+        lr_epoch = lr_at(config.schedule, epoch - 1, config.epochs)
+        order = np.random.default_rng([config.seed, epoch]).permutation(n)
+        loss_sum = err_sum = 0.0
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
+            loss, grads, err = model.train_step_stats(params, xtr[idx], ytr[idx],
+                                                      config.label_smoothing)
+            if config.clip_norm > 0:
+                grads = clip_global_norm(grads, config.clip_norm)
+            lr = lr_epoch * warmup_scale(step, steps_per_epoch,
+                                         config.schedule.warmup_epochs)
+            if o.kind == "momentum":
+                params, opt = step_sgd(params, opt, grads, lr, config.weight_decay)
+            else:
+                params, opt = step_adam(params, opt, grads, lr, config.weight_decay)
+            step += 1
+            loss_sum += loss * len(idx)
+            err_sum += err * len(idx)
+        wrong = 0
+        for start in range(0, xte.shape[0], config.eval_batch):
+            logits = model.forward(params, xte[start:start + config.eval_batch])
+            wrong += int(np.count_nonzero(
+                logits.argmax(axis=1) != yte[start:start + config.eval_batch]))
+        wsq, per_layer = weight_norm_sq(params)
+        wsq_l2, _ = weight_norm_sq(params, include="l2_only")
+        fields = (lr, loss_sum / n, err_sum / n, wrong / xte.shape[0], wsq, wsq_l2)
+        metrics.append(f"{epoch}," + ",".join(repr(float(v)) for v in fields) + ",")
+        layers += [f"{epoch},{name},{value!r}" for name, value in per_layer.items()]
+    return metrics, layers

@@ -1,6 +1,7 @@
 import pytest
 
-from abel_sched import BlobsSpec, ConfigError, IdxSpec, config_hash, format_config, parse_config
+from abel_sched import (BlobsSpec, ConfigError, ExperimentConfig, IdxSpec, ScheduleSpec,
+                        config_hash, format_config, parse_config)
 
 MINIMAL = """
 epochs = 100
@@ -119,3 +120,25 @@ def test_comments_and_blank_lines_ignored():
 def test_malformed_line_rejected():
     with pytest.raises(ConfigError, match="key = value"):
         parse_config(MINIMAL + "this is not an assignment\n")
+
+
+@pytest.mark.parametrize("schedule_lr, schedule_epochs", [(1.0, 20), (1.0, 10), (4.0, 20)])
+def test_schedule_must_agree_with_the_top_level_lr_and_budget(schedule_lr, schedule_epochs):
+    """The config text carries one base_lr and one budget; a schedule with its
+    own would resume from a checkpoint as a different schedule."""
+
+    def config(base_lr, total):
+        return ExperimentConfig(
+            epochs=10, base_lr=4.0, log_dir="runs/x", dataset=BlobsSpec(),
+            schedule=ScheduleSpec(kind="cosine", base_lr=base_lr, total_epochs=total))
+
+    with pytest.raises(ConfigError):
+        config(schedule_lr, schedule_epochs)
+    agreed = config(4.0, 10)
+    assert parse_config(format_config(agreed)) == agreed
+
+
+def test_default_schedule_round_trips():
+    config = ExperimentConfig(epochs=7, base_lr=0.3, log_dir="runs/x", dataset=BlobsSpec())
+    assert config.schedule.total_epochs == 7
+    assert parse_config(format_config(config)) == config

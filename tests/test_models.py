@@ -243,10 +243,14 @@ def test_avgpool_matches_hand_computation():
 # -- evaluation ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("arch", [MLP_NORM, MLP_RELU, CONV],
-                         ids=["mlp-normalized", "mlp-relu", "convnet"])
-@pytest.mark.parametrize("batch_size", [1024, 1000, 8192])
+@pytest.mark.parametrize("arch", [
+    MLP_NORM, MLP_RELU, CONV,
+    ModelArch(input_dim=10, hidden=(16, 8), classes=4, activation="relu", normalize=True),
+    ModelArch(input_dim=10, hidden=(16, 8), classes=4, activation="tanh"),
+], ids=["mlp-normalized", "mlp-relu", "convnet", "mlp-relu-normalized", "mlp-tanh"])
+@pytest.mark.parametrize("batch_size", [1024, 1000, 8192, 10000])
 def test_error_rate_equals_chunked_forward_count(arch, batch_size):
+    """Chunks that fill, do not fill (a partial last chunk) and exceed the input."""
     model = Model(arch)
     params = model.init_params(3)
     rng = np.random.default_rng(4)
@@ -291,3 +295,47 @@ def test_gradients_share_the_parameter_layout():
     for layer in params:
         assert grads[layer.name].shape == layer.value.shape
         assert np.shares_memory(grads[layer.name], grads.flat)
+
+
+def _loss_with_row_max_along_rows(logits, labels, label_smoothing):
+    """The loss and logit gradients with the row max taken as logits.max(axis=1)."""
+    n, c = logits.shape
+    m = logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(logits - m).sum(axis=1, keepdims=True)) + m
+    logp = logits - lse
+    q = np.full((n, c), label_smoothing / (c - 1))
+    q[np.arange(n), labels] = 1.0 - label_smoothing
+    return float(-(q * logp).sum() / n), (np.exp(logp) - q) / n
+
+
+@pytest.mark.parametrize("classes", [2, 4, 10, 100])
+def test_loss_is_bit_equal_to_the_row_max_formula(classes):
+    from abel_sched.models import _loss_and_dlogits
+
+    rng = np.random.default_rng(classes)
+    logits = rng.normal(scale=3.0, size=(128, classes))
+    logits[:8] = rng.normal(size=8)[:, None]  # rows of ties
+    logits[8:16, :2] = [[0.0, -0.0]] * 8      # +-0 ties at the row max
+    logits[8:16, 2:] = -1.0
+    logits[16:24, :2] = [[-0.0, 0.0]] * 8
+    logits[16:24, 2:] = -1e3                  # far below: exp underflows to 0
+    labels = rng.integers(0, classes, 128)
+    for smoothing in (0.0, 0.1):
+        loss, dlogits = _loss_and_dlogits(logits, labels, smoothing)
+        ref_loss, ref_dlogits = _loss_with_row_max_along_rows(logits, labels, smoothing)
+        assert loss == ref_loss
+        assert np.array_equal(dlogits, ref_dlogits)
+        assert np.array_equal(np.signbit(dlogits), np.signbit(ref_dlogits))
+
+
+def test_lazy_layer_views_alias_the_flat_vector():
+    params = Model(MLP_NORM).init_params(0)
+    lazy = ParamSet.from_flat(params.layout, params.flat)
+    values = lazy.values()
+    for layer in lazy:
+        assert np.shares_memory(layer.value, params.flat)
+        assert np.shares_memory(values[layer.name], params.flat)
+    assert lazy["fc1.w"] is lazy["fc1.w"]  # built once, then reused
+    lazy["out.w"].value[0, 0] = 123.0
+    assert params["out.w"].value[0, 0] == 123.0  # in-place edits reach every view
+    assert [l.name for l in lazy.layers] == lazy.names()

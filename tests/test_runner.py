@@ -24,7 +24,8 @@ from abel_sched.cli import main as cli_main
 from abel_sched.runner import RunState, _should_auto_stop
 from abel_sched.schedules import STATELESS_KINDS
 
-from helpers import STANDARD_LR, run_cached, standard_config, strip_wall_ms
+from helpers import (STANDARD_LR, reference_log_rows, run_cached, standard_config,
+                     strip_wall_ms)
 
 
 def tiny_config(log_dir, *, epochs=12, schedule_kind="constant", base_lr=0.5,
@@ -423,3 +424,143 @@ def test_model_calls_per_epoch(tmp_path, monkeypatch, log_gw):
     assert per_epoch[-1] == ""
     steps = 3 + (1 if log_gw else 0)  # 256 samples in batches of 100
     assert [part.split() for part in per_epoch[:-1]] == [["train_step"] * steps] * 3
+
+
+# -- the epoch loop against a plain reference ------------------------------------
+
+
+def _hot_loop_config(log_dir, optimizer: str) -> ExperimentConfig:
+    """Five epochs with a partial last minibatch, a partial last eval chunk and a warmup."""
+    cfg = {
+        "momentum-0": tiny_config(
+            log_dir, model=ModelSpec(kind="mlp", hidden=(8, 6), activation="tanh",
+                                     normalize=True),
+            optimizer=OptimizerSpec(kind="momentum", momentum=0.0), label_smoothing=0.1),
+        "momentum-0.9": tiny_config(log_dir),
+        "adam": tiny_config(log_dir, base_lr=0.01, optimizer=OptimizerSpec(kind="adam")),
+    }[optimizer]
+    return replace(cfg, epochs=5, batch_size=60, eval_batch=100,
+                   schedule=replace(cfg.schedule, total_epochs=5, warmup_epochs=2))
+
+
+@pytest.mark.parametrize("optimizer", ["momentum-0", "momentum-0.9", "adam"])
+def test_runner_logs_match_the_reference_loop_bit_for_bit(tmp_path, optimizer):
+    cfg = _hot_loop_config(tmp_path / "run", optimizer)
+    run_experiment(cfg)
+    metrics, layers = reference_log_rows(cfg)
+    logged = strip_wall_ms((tmp_path / "run" / "metrics.csv").read_text()).splitlines()
+    assert logged[1:] == metrics
+    assert (tmp_path / "run" / "layers.csv").read_text().splitlines()[1:] == layers
+
+
+# -- resume into the original log directory ----------------------------------------
+
+
+def _log_texts(log_dir: Path) -> dict[str, str]:
+    """The three logs, ``wall_ms`` stripped from metrics.csv."""
+    texts = {name: (log_dir / name).read_text() for name in ("layers.csv", "events.csv")}
+    return {"metrics.csv": strip_wall_ms((log_dir / "metrics.csv").read_text()), **texts}
+
+
+def test_resume_into_the_same_log_dir_keeps_the_history(tmp_path):
+    run_experiment(tiny_config(tmp_path / "full", schedule_kind="stepwise"))
+    cut = tiny_config(tmp_path / "cut", schedule_kind="stepwise", checkpoint_every=6)
+    run_experiment(cut)
+    config, state = prepare_resume(tmp_path / "cut" / "epoch_0006.ckpt",
+                                   log_dir=str(tmp_path / "cut"))
+    run_experiment(config, resume_state=state)
+    expected = _log_texts(tmp_path / "full")
+    assert expected["events.csv"].count("milestone") == 2  # epochs 4 and 8, either side of 6
+    assert _log_texts(tmp_path / "cut") == expected
+
+
+def test_resume_appends_to_a_directory_an_earlier_resume_wrote(tmp_path):
+    run_experiment(tiny_config(tmp_path / "full", schedule_kind="stepwise"))
+    run_experiment(tiny_config(tmp_path / "cut", schedule_kind="stepwise", checkpoint_every=3))
+    config, state = prepare_resume(tmp_path / "cut" / "epoch_0003.ckpt",
+                                   log_dir=str(tmp_path / "res"))
+    run_experiment(config, resume_state=state)  # logs epochs 4-12, checkpoints 6, 9, 12
+    config, state = prepare_resume(tmp_path / "res" / "epoch_0009.ckpt",
+                                   log_dir=str(tmp_path / "res"))
+    run_experiment(config, resume_state=state)
+    rows = strip_wall_ms((tmp_path / "full" / "metrics.csv").read_text()).splitlines()
+    assert _log_texts(tmp_path / "res")["metrics.csv"].splitlines() == rows[:1] + rows[4:]
+
+
+def _drop_metrics_row(log_dir: Path, epoch: int) -> None:
+    path = log_dir / "metrics.csv"
+    path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                            if not line.startswith(f"{epoch},")))
+
+
+@pytest.mark.parametrize("damage", ["metrics-row", "layers-file", "metrics-header"])
+def test_resume_refuses_logs_that_lack_rows(tmp_path, damage):
+    cfg = tiny_config(tmp_path / "run", checkpoint_every=6)
+    run_experiment(cfg)
+    run_dir = tmp_path / "run"
+    if damage == "metrics-row":
+        _drop_metrics_row(run_dir, 5)
+    elif damage == "layers-file":
+        (run_dir / "layers.csv").unlink()
+    else:
+        (run_dir / "metrics.csv").write_text("epoch,lr\n")
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    config, state = prepare_resume(run_dir / "epoch_0006.ckpt", log_dir=str(run_dir))
+    with pytest.raises(ResumeRefusedError):
+        run_experiment(config, resume_state=state)
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+    ckpt = str(run_dir / "epoch_0006.ckpt")
+    assert cli_main(["resume", ckpt, "--log-dir", str(run_dir)]) == 4
+
+
+# -- atomic writes -----------------------------------------------------------------
+
+
+class _FailingFile:
+    """Writes half of what it is given, then fails like a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+@pytest.mark.parametrize("target", ["checkpoint", "meta"])
+def test_a_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, failure, target):
+    import builtins
+    import os
+
+    import abel_sched.runner as runner
+
+    cfg = tiny_config(tmp_path / "run", epochs=2, checkpoint_every=1)
+    run_experiment(cfg)
+    path = tmp_path / "run" / ("epoch_0001.ckpt" if target == "checkpoint" else "meta.json")
+    before = path.read_bytes()
+    if failure == "write":
+        real_open = builtins.open
+        monkeypatch.setattr(runner, "open", lambda *a, **k: _FailingFile(real_open(*a, **k)),
+                            raising=False)
+    else:
+        def failing_replace(src, dst):
+            raise OSError(5, "Input/output error")
+        monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        if target == "checkpoint":
+            _, state = load_checkpoint(path)
+            save_checkpoint(path, cfg, replace(state, epoch=7))
+        else:
+            runner.write_atomic(path, b"{}\n")
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in path.parent.iterdir()) == [
+        "config.txt", "epoch_0001.ckpt", "epoch_0002.ckpt", "events.csv", "layers.csv",
+        "meta.json", "metrics.csv"]

@@ -99,3 +99,19 @@ def test_sweep_workers_run_blas_on_one_thread(tmp_path, monkeypatch):
         set_(before)
     assert [p.status for p in points] == ["ok"] * 3
     assert sorted(f.read_text() for f in tmp_path.glob("*.threads")) == ["1"] * 3
+
+
+def test_importing_the_package_leaves_the_process_pool_unloaded():
+    """The pool's modules load only when a sweep runs with jobs > 1."""
+    import subprocess
+    import sys
+
+    import abel_sched
+
+    src = str(Path(abel_sched.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import abel_sched; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
