@@ -72,13 +72,13 @@ class AbelScheduler:
         return round(self.last_decay_fraction * self.total_epochs)
 
     @classmethod
-    def from_spec(cls, spec: ScheduleSpec, total_epochs: int | None = None) -> "AbelScheduler":
+    def from_spec(cls, spec: ScheduleSpec) -> "AbelScheduler":
         if spec.kind != "abel":
             raise ValueError(f"expected an abel spec, got {spec.kind!r}")
         return cls(
             base_lr=spec.base_lr,
             decay_factor=spec.decay_factor,
-            total_epochs=total_epochs if total_epochs is not None else spec.total_epochs,
+            total_epochs=spec.total_epochs,
             last_decay_fraction=spec.last_decay_fraction,
             smoothing_window=spec.smoothing_window,
             min_history=spec.min_history,
@@ -212,12 +212,10 @@ class PlateauScheduler:
         return self.current_lr, events
 
 
-def make_scheduler(
-    spec: ScheduleSpec, total_epochs: int | None = None
-) -> AbelScheduler | PlateauScheduler | None:
+def make_scheduler(spec: ScheduleSpec) -> AbelScheduler | PlateauScheduler | None:
     """Build the stateful observer for a spec, or None for stateless kinds."""
     if spec.kind == "abel":
-        return AbelScheduler.from_spec(spec, total_epochs)
+        return AbelScheduler.from_spec(spec)
     if spec.kind == "plateau":
         return PlateauScheduler.from_spec(spec)
     return None

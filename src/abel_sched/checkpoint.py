@@ -1,29 +1,35 @@
 """Byte-exact checkpoints and the resume rules.
 
-Layout (little-endian):
+Layout, format version 2 (little-endian):
 
-    magic ``b"ABCK"``; version u16.
-    config: u32 byte length + canonical config text (utf-8),
-    followed by its raw sha256 (32 bytes).
-    epoch u32; global_step u64.
-    parameters: u16 layer count, then per layer: u16 name length + name,
+    magic ``b"ABCK"``; version u16 (= 2).
+    config: u32 byte length + canonical config text (utf-8).
+    epoch u32; global_step u64; test error count u32.
+    layout table: u16 layer count, then per layer: u16 name length + name,
     flags u8 (bit 0 = l2_enabled, bit 1 = scale_invariant), ndim u8,
-    u32 per dimension, float64 data.
-    optimizer: u8 kind (1 = momentum, 2 = adam); momentum carries mu f64
-    and one buffer per layer (raw float64, shapes as the parameters);
-    adam carries beta1, beta2, eps f64, t u64 and two buffers per layer.
+    u32 per dimension.
+    optimizer: u8 kind (1 = momentum, 2 = adam); momentum carries mu f64,
+    adam beta1, beta2, eps f64 and t u64.
     scheduler: u32 byte length + scheduler state blob (empty for
     stateless schedules).
+    one float64 block: the parameters' flat vector, then each optimizer
+    buffer in the same layout (momentum: velocity; adam: first, then
+    second moment), then the test error of each epoch 1..epoch.
+    sha256 (32 bytes) of every byte before it.
 
-Loading decodes through the bounds-checked ``state_io.Reader`` and decodes
-the scheduler blob too, which must fit the config's schedule kind (none for
-stateless kinds). Any fault raises :class:`CheckpointError`.
+Loading reads the magic and version first, so a version-1 file (per-layer
+framing, only the config text hashed) is refused by its version; then it
+checks the sha256, which refuses any flipped bit, truncation or appended
+byte; then it decodes through the bounds-checked ``state_io.Reader``. The
+scheduler blob must fit the config's schedule kind (none for stateless
+kinds). Any fault raises :class:`CheckpointError`.
 
 Checkpoints are written through a temp file and ``os.replace``, so a
 crash leaves the previous file or the new one, never a torn one.
 
 No RNG state is stored: the data order of epoch e is derived from
-``[seed, e]``, so the checkpointed epoch number determines it.
+``[seed, e]``, so the checkpointed epoch number determines it. The test
+errors let a resumed run decide auto-stop as the uninterrupted run would.
 
 Resume with a changed epoch budget is allowed only for schedules whose
 learning rate at an epoch does not depend on the budget (constant,
@@ -35,7 +41,6 @@ refuse a changed budget: their entire profile depends on it.
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -50,7 +55,8 @@ from .runner import ResumeRefusedError, RunState, write_atomic
 from .state_io import Reader, StateDecodeError, restore_scheduler
 
 MAGIC = b"ABCK"
-VERSION = 1
+VERSION = 2
+DIGEST_SIZE = 32
 
 BUDGET_FREE_KINDS = ("constant", "stepwise", "abel", "plateau")
 
@@ -59,53 +65,31 @@ class CheckpointError(ValueError):
     """Raised for unreadable or corrupt checkpoint files."""
 
 
-def _pack_arrays(layout: Layout, flat: np.ndarray) -> list[bytes]:
-    """Each layer's part of ``flat``: ndim u8, u32 per dimension, float64 data."""
-    return [struct.pack(f"<B{len(shape)}I", len(shape), *shape) + flat[sl].tobytes()
-            for shape, sl in zip(layout.shapes, layout.slices)]
-
-
-def _floats(chunks: list[bytes]) -> np.ndarray:
-    """A new float64 vector holding the raw chunks one after another."""
-    return np.frombuffer(b"".join(chunks), dtype=np.float64).copy()
-
-
-def _take_buffer(r: Reader, layout: Layout) -> GradSet:
-    """One optimizer buffer: an array per layer, shaped like the parameters."""
-    chunks = []
-    for name, shape in zip(layout.names, layout.shapes):
-        if r.take_shape() != shape:
-            raise CheckpointError(f"optimizer buffer shape differs on layer {name!r}")
-        chunks.append(r.take_bytes(8 * math.prod(shape)))
-    return GradSet(layout, _floats(chunks))
-
-
 def save_checkpoint(path: str | Path, config: ExperimentConfig, state: RunState) -> None:
     text = format_config(config).encode()
-    parts = [MAGIC, struct.pack("<H", VERSION),
-             struct.pack("<I", len(text)), text, hashlib.sha256(text).digest(),
-             struct.pack("<IQ", state.epoch, state.global_step),
-             struct.pack("<H", len(state.params))]
     layout = state.params.layout
-    for (name, _, l2, invariant), data in zip(layout.specs,
-                                              _pack_arrays(layout, state.params.flat)):
-        encoded = name.encode()
-        flags = (1 if l2 else 0) | (2 if invariant else 0)
-        parts.append(struct.pack("<H", len(encoded)) + encoded + struct.pack("<B", flags))
-        parts.append(data)
     opt = state.opt
     if isinstance(opt, MomentumState):
-        parts.append(struct.pack("<Bd", 1, opt.mu))
-        parts += _pack_arrays(layout, layout.flat_of(opt.velocity, "velocity"))
+        opt_head = struct.pack("<Bd", 1, opt.mu)
+        buffers = [layout.flat_of(opt.velocity, "velocity")]
     elif isinstance(opt, AdamState):
-        parts.append(struct.pack("<BdddQ", 2, opt.beta1, opt.beta2, opt.eps, opt.t))
-        parts += _pack_arrays(layout, layout.flat_of(opt.m, "first moment"))
-        parts += _pack_arrays(layout, layout.flat_of(opt.v, "second moment"))
+        opt_head = struct.pack("<BdddQ", 2, opt.beta1, opt.beta2, opt.eps, opt.t)
+        buffers = [layout.flat_of(opt.m, "first moment"), layout.flat_of(opt.v, "second moment")]
     else:
         raise TypeError(f"cannot checkpoint optimizer {type(opt).__name__}")
-    parts.append(struct.pack("<I", len(state.scheduler_bytes)))
-    parts.append(state.scheduler_bytes)
-    write_atomic(Path(path), b"".join(parts))
+    errors = state.test_errors
+    parts = [MAGIC, struct.pack("<HI", VERSION, len(text)), text,
+             struct.pack("<IQIH", state.epoch, state.global_step, len(errors), len(layout.names))]
+    for name, shape, l2, invariant in layout.specs:
+        encoded = name.encode()
+        flags = (1 if l2 else 0) | (2 if invariant else 0)
+        parts.append(struct.pack(f"<H{len(encoded)}sBB{len(shape)}I", len(encoded), encoded,
+                                 flags, len(shape), *shape))
+    parts += [opt_head, struct.pack("<I", len(state.scheduler_bytes)), state.scheduler_bytes,
+              state.params.flat.tobytes(), *(b.tobytes() for b in buffers),
+              struct.pack(f"<{len(errors)}d", *errors)]
+    body = b"".join(parts)
+    write_atomic(Path(path), body + hashlib.sha256(body).digest())
 
 
 def load_checkpoint(path: str | Path) -> tuple[ExperimentConfig, RunState]:
@@ -124,49 +108,51 @@ def _decode(data: bytes) -> tuple[ExperimentConfig, RunState]:
     (version,) = r.take("<H")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
+    body = data[:-DIGEST_SIZE]
+    if hashlib.sha256(body).digest() != data[-DIGEST_SIZE:]:
+        raise CheckpointError("sha256 mismatch (corrupt or truncated checkpoint)")
+    r.data = body  # the rest is read from the hashed bytes only
     (text_len,) = r.take("<I")
-    text = r.take_bytes(text_len)
-    digest = r.take_bytes(32)
-    if hashlib.sha256(text).digest() != digest:
-        raise CheckpointError("config hash mismatch (corrupt checkpoint)")
     try:
-        config = parse_config(text.decode())
+        config = parse_config(r.take_bytes(text_len).decode())
     except ConfigError as exc:
         raise CheckpointError(f"embedded config is invalid: {exc}") from None
-
-    epoch, global_step = r.take("<IQ")
-    (n_layers,) = r.take("<H")
-    specs, chunks = [], []
+    epoch, global_step, n_errors, n_layers = r.take("<IQIH")
+    specs = []
     for _ in range(n_layers):
         (name_len,) = r.take("<H")
         name = r.take_bytes(name_len).decode()
         (flags,) = r.take("<B")
-        shape = r.take_shape()
-        chunks.append(r.take_bytes(8 * math.prod(shape)))
-        specs.append((name, shape, bool(flags & 1), bool(flags & 2)))
+        specs.append((name, r.take_shape(), bool(flags & 1), bool(flags & 2)))
     try:
         layout = Layout(tuple(specs))
     except ValueError as exc:
         raise CheckpointError(str(exc)) from None
-    params = ParamSet.from_flat(layout, _floats(chunks))
     (opt_kind,) = r.take("<B")
     if opt_kind == 1:
-        (mu,) = r.take("<d")
-        velocity = _take_buffer(r, layout)
-        opt: MomentumState | AdamState = MomentumState(mu=mu, velocity=velocity)
+        opt_fields, n_buffers = r.take("<d"), 1
     elif opt_kind == 2:
-        beta1, beta2, eps, t = r.take("<dddQ")
-        m = _take_buffer(r, layout)
-        v = _take_buffer(r, layout)
-        opt = AdamState(m=m, v=v, t=t, beta1=beta1, beta2=beta2, eps=eps)
+        opt_fields, n_buffers = r.take("<dddQ"), 2
     else:
         raise CheckpointError(f"unknown optimizer kind {opt_kind}")
     (sched_len,) = r.take("<I")
     scheduler_bytes = r.take_bytes(sched_len)
+    size = layout.size
+    end = (1 + n_buffers) * size
+    floats = np.frombuffer(r.take_bytes(8 * (end + n_errors)), dtype=np.float64).copy()
     r.done()
     _check_scheduler(scheduler_bytes, config.schedule.kind)
-    return config, RunState(epoch=epoch, global_step=global_step, params=params,
-                            opt=opt, scheduler_bytes=scheduler_bytes)
+
+    buffers = [GradSet(layout, floats[k * size:(k + 1) * size]) for k in range(1, 1 + n_buffers)]
+    if opt_kind == 1:
+        opt: MomentumState | AdamState = MomentumState(mu=opt_fields[0], velocity=buffers[0])
+    else:
+        beta1, beta2, eps, t = opt_fields
+        opt = AdamState(m=buffers[0], v=buffers[1], t=t, beta1=beta1, beta2=beta2, eps=eps)
+    return config, RunState(epoch=epoch, global_step=global_step,
+                            params=ParamSet.from_flat(layout, floats[:size]), opt=opt,
+                            scheduler_bytes=scheduler_bytes,
+                            test_errors=tuple(floats[end:].tolist()))
 
 
 def _check_scheduler(blob: bytes, kind: str) -> None:

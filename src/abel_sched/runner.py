@@ -23,8 +23,9 @@ plateau scheduler watches the epoch's mean training loss.
 Auto-stop: when ``auto_stop_min_improvement > 0``, training stops a fixed
 3 epochs after any bounce decay whose improvement in best test error is
 below the threshold (best over all epochs up to the decay versus best in
-the 3 epochs after it). Auto-stop bookkeeping is process-local: it is not
-carried across checkpoint/resume.
+the 3 epochs after it). The decays come from the scheduler's decay log and
+the test errors of earlier epochs from the checkpoint, so a resumed run
+stops where the uninterrupted run does.
 
 Resume: a run resumed into a log directory that already holds logs cuts
 each log back to the checkpoint epoch and appends to it, so the directory
@@ -99,6 +100,7 @@ class RunState:
     params: ParamSet
     opt: MomentumState | AdamState
     scheduler_bytes: bytes
+    test_errors: tuple[float, ...]  # of epochs 1..epoch, for auto-stop
 
 
 @dataclass
@@ -255,9 +257,10 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     if resume_state is None:
         params = model.init_params(config.seed)
         opt = _init_opt(config, params)
-        scheduler = make_scheduler(spec, total_epochs=config.epochs)
+        scheduler = make_scheduler(spec)
         start_epoch = 0
         global_step = 0
+        test_errors: list[float] = []
     else:
         params = resume_state.params
         opt = resume_state.opt
@@ -267,6 +270,11 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
             scheduler.retarget(config.epochs)
         start_epoch = resume_state.epoch
         global_step = resume_state.global_step
+        test_errors = list(resume_state.test_errors)
+        if len(test_errors) != start_epoch:
+            raise ResumeRefusedError(
+                f"the resume state holds {len(test_errors)} test errors for "
+                f"{start_epoch} epochs")
 
     history = (_log_history(Path(config.log_dir), start_epoch)
                if resume_state is not None else None)
@@ -282,7 +290,6 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
 
     records: list[EpochRecord] = []
     all_events: list[LrEvent] = []
-    pending_stop_check: list[int] = []  # bounce-decay epochs awaiting the settle window
     status = "completed"
     probe = slice(0, min(config.batch_size, n))
     optimizer_step = step_sgd if isinstance(opt, MomentumState) else step_adam
@@ -291,7 +298,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
         # epoch is 1-based; the lr for epoch e is the schedule value at t = e - 1
         if scheduler is not None:
             return scheduler.current_lr
-        return lr_at(spec, epoch - 1, config.epochs)
+        return lr_at(spec, epoch - 1)
 
     try:
         for epoch in range(start_epoch + 1, config.epochs + 1):
@@ -337,7 +344,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
             elif isinstance(scheduler, PlateauScheduler):
                 _, events = scheduler.observe_epoch(train_loss)
             elif has_discrete_milestones(spec) and epoch < config.epochs:
-                next_lr = lr_at(spec, epoch, config.epochs)
+                next_lr = lr_at(spec, epoch)
                 if next_lr != lr_epoch:
                     events = [LrEvent(epoch=epoch, old_lr=lr_epoch, new_lr=next_lr,
                                       trigger="milestone")]
@@ -348,6 +355,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
                 per_layer_wsq=per_layer, gw_total=gw_total,
                 wall_ms=int((time.perf_counter() - t0) * 1000))
             records.append(rec)
+            test_errors.append(test_error)
             all_events.extend(events)
             log.write_record(rec)
             log.write_events(events)
@@ -356,12 +364,12 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
                 from .checkpoint import save_checkpoint
                 state = RunState(
                     epoch=epoch, global_step=global_step, params=params, opt=opt,
-                    scheduler_bytes=serialize_scheduler(scheduler) if scheduler else b"")
+                    scheduler_bytes=serialize_scheduler(scheduler) if scheduler else b"",
+                    test_errors=tuple(test_errors))
                 save_checkpoint(log.dir / f"epoch_{epoch:04d}.ckpt", config, state)
 
-            pending_stop_check.extend(
-                ev.epoch for ev in events if ev.trigger == "bounce")
-            if _should_auto_stop(config, records, pending_stop_check, epoch):
+            if _should_auto_stop(config, test_errors,
+                                 scheduler.decay_log if scheduler else (), epoch):
                 status = "auto_stopped"
                 break
     except NumericError as exc:
@@ -388,16 +396,16 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     return RunResult(records=records, events=all_events, meta=meta, log_dir=log.dir)
 
 
-def _should_auto_stop(config: ExperimentConfig, records: list[EpochRecord],
-                      pending: list[int], epoch: int) -> bool:
+def _should_auto_stop(config: ExperimentConfig, test_errors: list[float],
+                      decay_log: list[LrEvent], epoch: int) -> bool:
+    """Whether a bounce decay settled at ``epoch`` with too small a gain;
+    ``test_errors`` holds the test errors of epochs 1..epoch."""
     if config.auto_stop_min_improvement <= 0:
         return False
-    by_epoch = {r.epoch: r.test_error for r in records}
-    for decay_epoch in list(pending):
-        if epoch >= decay_epoch + AUTO_STOP_SETTLE_EPOCHS:
-            pending.remove(decay_epoch)
-            before = min(err for ep, err in by_epoch.items() if ep <= decay_epoch)
-            after = min(err for ep, err in by_epoch.items() if ep > decay_epoch)
+    for ev in decay_log:
+        if ev.trigger == "bounce" and ev.epoch + AUTO_STOP_SETTLE_EPOCHS == epoch:
+            before = min(test_errors[:ev.epoch])
+            after = min(test_errors[ev.epoch:epoch])
             if before - after < config.auto_stop_min_improvement:
                 return True
     return False

@@ -135,16 +135,16 @@ def warmup_scale(step: int, steps_per_epoch: int, warmup_epochs: int) -> float:
     return min(1.0, step / (steps_per_epoch * warmup_epochs))
 
 
-def lr_at(spec: ScheduleSpec, t: float, total_epochs: int | None = None) -> float:
+def lr_at(spec: ScheduleSpec, t: float) -> float:
     """Learning rate of a stateless schedule at (real-valued) epoch ``t``.
 
-    ``total_epochs`` overrides ``spec.total_epochs`` when given. The value is
-    the schedule's alone: warmup is not applied here but per step, through
-    :func:`warmup_scale`, so milestone comparisons see pure schedule values.
+    The value is the schedule's alone: warmup is not applied here but per
+    step, through :func:`warmup_scale`, so milestone comparisons see pure
+    schedule values.
     """
     if spec.kind not in STATELESS_KINDS:
         raise ValueError(f"lr_at is only defined for stateless kinds, got {spec.kind!r}")
-    T = spec.total_epochs if total_epochs is None else total_epochs
+    T = spec.total_epochs
     if spec.kind in ("cosine", "linear", "simple") and T < 1:
         raise ValueError("total_epochs must be >= 1")
     if t < 0 or (T >= 1 and t > T):

@@ -129,8 +129,10 @@ def serialize_scheduler(scheduler: AbelScheduler | PlateauScheduler) -> bytes:
 def restore_scheduler(data: bytes) -> AbelScheduler | PlateauScheduler:
     """Decode scheduler state bytes, exactly as they were saved.
 
-    A bounce scheduler keeps its stored budget; a resume with a new one
-    calls :meth:`AbelScheduler.retarget` on the result.
+    Bytes that do not decode, or decode to values the scheduler's
+    constructor refuses, raise :class:`StateDecodeError`. A bounce scheduler
+    keeps its stored budget; a resume with a new one calls
+    :meth:`AbelScheduler.retarget` on the result.
     """
     r = Reader(data)
     if r.take_bytes(4) != MAGIC:
@@ -148,14 +150,12 @@ def restore_scheduler(data: bytes) -> AbelScheduler | PlateauScheduler:
         smooth = r.take_floats(n_smooth)
         events = _unpack_events(r)
         r.done()
-        s = AbelScheduler(
-            base_lr=base_lr,
-            decay_factor=decay_factor,
-            total_epochs=total,
-            last_decay_fraction=last_decay_fraction,
-            smoothing_window=window,
-            min_history=min_history,
-        )
+        try:
+            s = AbelScheduler(base_lr=base_lr, decay_factor=decay_factor, total_epochs=total,
+                              last_decay_fraction=last_decay_fraction,
+                              smoothing_window=window, min_history=min_history)
+        except ValueError as exc:
+            raise StateDecodeError(f"invalid bounce-scheduler state: {exc}") from None
         s.current_lr = current_lr
         s.epoch = epoch
         s.reached_minimum = bool(reached)
@@ -173,10 +173,11 @@ def restore_scheduler(data: bytes) -> AbelScheduler | PlateauScheduler:
         has_best, best = r.take("<Bd")
         events = _unpack_events(r)
         r.done()
-        p = PlateauScheduler(
-            base_lr=base_lr, factor=factor, patience=patience, threshold=threshold,
-            mode=_MODES[mode_code],
-        )
+        try:
+            p = PlateauScheduler(base_lr=base_lr, factor=factor, patience=patience,
+                                 threshold=threshold, mode=_MODES[mode_code])
+        except ValueError as exc:
+            raise StateDecodeError(f"invalid plateau-scheduler state: {exc}") from None
         p.current_lr = current_lr
         p.epochs_since_improvement = since
         p.epoch = epoch

@@ -307,7 +307,7 @@ def reference_log_rows(config: ExperimentConfig) -> tuple[list[str], list[str]]:
     step = 0
     metrics, layers = [], []
     for epoch in range(1, config.epochs + 1):
-        lr_epoch = lr_at(config.schedule, epoch - 1, config.epochs)
+        lr_epoch = lr_at(config.schedule, epoch - 1)
         order = np.random.default_rng([config.seed, epoch]).permutation(n)
         loss_sum = err_sum = 0.0
         for start in range(0, n, batch):

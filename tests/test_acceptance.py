@@ -208,7 +208,7 @@ def test_criterion_05_cosine_form_pins():
         lo, hi = 0.0, 1.0
         while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
-            if lr_at(spec, mid, 1) <= 0.1:
+            if lr_at(spec, mid) <= 0.1:
                 hi = mid
             else:
                 lo = mid

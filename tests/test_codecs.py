@@ -2,10 +2,12 @@
 config text format.
 
 Every truncation and every appended suffix must be refused, never loaded;
-encode -> decode -> encode must give back the same bytes. Bit flips inside
-the float payloads of format v1 are not detectable and are not tested here.
+encode -> decode -> encode must give back the same bytes. Every single-bit
+flip of a checkpoint is refused (its sha256 covers every byte), and a flip
+in a scheduler state blob either decodes or raises StateDecodeError.
 """
 
+import struct
 from dataclasses import replace
 
 import pytest
@@ -35,6 +37,7 @@ from abel_sched import (
     save_checkpoint,
     serialize_scheduler,
 )
+from abel_sched.cli import main as cli_main
 from abel_sched.config import ConfigError
 from abel_sched.runner import RunState
 from abel_sched.schedules import COSINE_FORMS, PLATEAU_MODES, SCHEDULE_KINDS
@@ -162,6 +165,23 @@ def test_any_suffix_after_a_scheduler_state_is_refused(scheduler, suffix):
         restore_scheduler(serialize_scheduler(scheduler) + suffix)
 
 
+def _flip(data: bytes, bit: int) -> bytes:
+    out = bytearray(data)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+@PROPERTY
+@given(schedulers)
+def test_every_bit_flip_in_a_scheduler_state_restores_or_is_refused(scheduler):
+    blob = serialize_scheduler(scheduler)
+    for bit in range(8 * len(blob)):
+        try:
+            restore_scheduler(_flip(blob, bit))
+        except StateDecodeError:
+            pass
+
+
 # -- config text -----------------------------------------------------------------
 
 
@@ -203,7 +223,8 @@ def checkpoints(draw):
         opt = replace(opt, t=draw(st.integers(0, 2**40)))
     state = RunState(epoch=draw(st.integers(0, 2**32 - 1)),
                      global_step=draw(st.integers(0, 2**64 - 1)), params=params, opt=opt,
-                     scheduler_bytes=serialize_scheduler(scheduler) if scheduler else b"")
+                     scheduler_bytes=serialize_scheduler(scheduler) if scheduler else b"",
+                     test_errors=tuple(draw(st.lists(st.floats(0, 1), max_size=40))))
     return config, state
 
 
@@ -239,3 +260,33 @@ def test_any_suffix_after_a_checkpoint_is_refused(tmp_path, checkpoint, suffix):
     bad.write_bytes(_saved(tmp_path, *checkpoint) + suffix)
     with pytest.raises(CheckpointError):
         load_checkpoint(bad)
+
+
+@PROPERTY
+@given(checkpoints(), st.data())
+def test_every_single_bit_flip_of_a_checkpoint_is_refused(tmp_path, checkpoint, data):
+    raw = _saved(tmp_path, *checkpoint)
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_flip(raw, bit))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(bad)
+
+
+@PROPERTY
+@given(st.binary(max_size=256))
+def test_a_version_1_checkpoint_is_refused(tmp_path, rest):
+    bad = tmp_path / "v1.ckpt"
+    bad.write_bytes(b"ABCK" + struct.pack("<H", 1) + rest)
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        load_checkpoint(bad)
+
+
+def test_resume_from_a_version_1_checkpoint_exits_2(tmp_path, capsys):
+    text = format_config(ExperimentConfig(epochs=2, base_lr=0.1, log_dir=str(tmp_path / "run"),
+                                          dataset=BlobsSpec())).encode()
+    v1 = tmp_path / "v1.ckpt"  # a v1 header: magic, version, config length and text
+    v1.write_bytes(b"ABCK" + struct.pack("<HI", 1, len(text)) + text)
+    assert cli_main(["resume", str(v1), "--log-dir", str(tmp_path / "resumed")]) == 2
+    assert "unsupported checkpoint version 1" in capsys.readouterr().err
+    assert not (tmp_path / "resumed").exists()

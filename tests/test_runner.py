@@ -1,3 +1,4 @@
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from abel_sched import (
 from abel_sched.checkpoint import CheckpointError, ResumeRefusedError
 from abel_sched.cli import main as cli_main
 from abel_sched.runner import RunState, _should_auto_stop
-from abel_sched.schedules import STATELESS_KINDS
+from abel_sched.schedules import STATELESS_KINDS, LrEvent
 
 from helpers import (STANDARD_LR, reference_log_rows, run_cached, standard_config,
                      strip_wall_ms)
@@ -167,34 +168,30 @@ def test_plateau_schedule_drives_lr_from_train_loss(tmp_path):
 # -- auto-stop ------------------------------------------------------------------
 
 
-def fabricated_records(errors):
-    from abel_sched.runner import EpochRecord
-    return [EpochRecord(epoch=i + 1, lr=0.1, train_loss=0.0, train_error=0.0,
-                        test_error=e, wsq_total=1.0, wsq_l2_only=1.0,
-                        per_layer_wsq={}) for i, e in enumerate(errors)]
+# a bounce decay at epoch 5, and a final decay there that auto-stop ignores
+DECAYS_AT_5 = [LrEvent(epoch=5, old_lr=0.1, new_lr=0.01, trigger="bounce"),
+               LrEvent(epoch=5, old_lr=0.01, new_lr=0.001, trigger="final_decay")]
 
 
 def test_auto_stop_triggers_on_small_improvement():
     cfg = tiny_config("unused", auto_stop_min_improvement=0.005)
     # decay at epoch 5; best before = 0.20, best in the 3 epochs after = 0.199
     errors = [0.30, 0.25, 0.22, 0.21, 0.20, 0.199, 0.23, 0.22]
-    records = fabricated_records(errors)
-    assert not _should_auto_stop(cfg, records[:7], [5], 7)
-    assert _should_auto_stop(cfg, records, [5], 8)
+    assert not _should_auto_stop(cfg, errors[:7], DECAYS_AT_5, 7)
+    assert _should_auto_stop(cfg, errors, DECAYS_AT_5, 8)
+    assert not _should_auto_stop(cfg, errors, DECAYS_AT_5[1:], 8)
 
 
 def test_auto_stop_continues_on_large_improvement():
     cfg = tiny_config("unused", auto_stop_min_improvement=0.005)
     errors = [0.30, 0.25, 0.22, 0.21, 0.20, 0.15, 0.14, 0.14]
-    records = fabricated_records(errors)
-    assert not _should_auto_stop(cfg, records, [5], 8)
+    assert not _should_auto_stop(cfg, errors, DECAYS_AT_5, 8)
 
 
 def test_auto_stop_threshold_zero_never_stops():
     cfg = tiny_config("unused", auto_stop_min_improvement=0.0)
     errors = [0.30, 0.25, 0.22, 0.21, 0.20, 0.30, 0.30, 0.30]  # error got worse
-    records = fabricated_records(errors)
-    assert not _should_auto_stop(cfg, records, [5], 8)
+    assert not _should_auto_stop(cfg, errors, DECAYS_AT_5, 8)
 
 
 # -- checkpoint / resume ---------------------------------------------------------
@@ -289,9 +286,14 @@ def saved_states(tmp_path_factory):
     ("constant", lambda blobs: blobs["abel"]),
     ("abel", lambda blobs: blobs["plateau"]),
     ("plateau", lambda blobs: blobs["abel"]),
+    # base_lr sits after the magic, u16 version and u8 kind; min_history after
+    # four f64 fields, u32 total_epochs, u32 epoch and u16 smoothing_window
+    ("abel", lambda blobs: blobs["abel"][:7] + struct.pack("<d", -1.0) + blobs["abel"][15:]),
+    ("abel", lambda blobs: blobs["abel"][:49] + struct.pack("<H", 2) + blobs["abel"][51:]),
 ], ids=["abel-bad-magic", "abel-truncated", "abel-trailing", "plateau-bad-magic",
         "plateau-truncated", "plateau-trailing", "abel-empty", "plateau-empty",
-        "constant-non-empty", "abel-plateau-state", "plateau-abel-state"])
+        "constant-non-empty", "abel-plateau-state", "plateau-abel-state",
+        "abel-negative-base-lr", "abel-min-history-2"])
 def test_checkpoint_with_bad_scheduler_state_is_rejected(tmp_path, saved_states, kind,
                                                          corrupt):
     config, state = saved_states[kind]
@@ -302,6 +304,35 @@ def test_checkpoint_with_bad_scheduler_state_is_rejected(tmp_path, saved_states,
         load_checkpoint(bad)
     assert cli_main(["resume", str(bad), "--log-dir", str(tmp_path / "resumed")]) == 2
     assert not (tmp_path / "resumed").exists()
+
+
+def test_resume_refuses_a_state_whose_test_errors_miss_epochs(tmp_path):
+    cfg = tiny_config(tmp_path / "run", epochs=4, checkpoint_every=2)
+    run_experiment(cfg)
+    config, state = load_checkpoint(tmp_path / "run" / "epoch_0002.ckpt")
+    assert len(state.test_errors) == 2
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, config, replace(state, test_errors=state.test_errors[1:]))
+    config, state = prepare_resume(bad, log_dir=str(tmp_path / "resumed"))
+    with pytest.raises(ResumeRefusedError):
+        run_experiment(config, resume_state=state)
+    assert cli_main(["resume", str(bad), "--log-dir", str(tmp_path / "resumed")]) == 4
+
+
+def test_resume_auto_stops_where_the_uninterrupted_run_does(tmp_path):
+    # the standard ABEL run: a bounce decay at 140 that gains less than 0.5
+    cfg = replace(standard_config("abel", log_dir=str(tmp_path / "full")),
+                  auto_stop_min_improvement=0.5, checkpoint_every=1)
+    full = run_experiment(cfg)
+    assert [(ev.epoch, ev.trigger) for ev in full.events] == [(140, "bounce")]
+    assert (full.meta["status"], full.records[-1].epoch) == ("auto_stopped", 143)
+    for epoch in (140, 141, 142):
+        config, state = prepare_resume(tmp_path / "full" / f"epoch_{epoch:04d}.ckpt",
+                                       log_dir=str(tmp_path / f"resumed-{epoch}"))
+        resumed = run_experiment(config, resume_state=state)
+        assert (resumed.meta["status"], resumed.records[-1].epoch) == ("auto_stopped", 143)
+        assert [r.test_error for r in resumed.records] == \
+            [r.test_error for r in full.records[epoch:]]
 
 
 def test_checkpoint_preserves_adam_state(tmp_path):

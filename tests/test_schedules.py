@@ -34,13 +34,13 @@ def test_stepwise_empty_milestones_is_constant():
 
 def test_cosine_quarter_crosses_tenth_at_936_of_training():
     spec = ScheduleSpec(kind="cosine", base_lr=1.0, total_epochs=1, cosine_form="quarter")
-    crossing = bisect_crossing(lambda x: lr_at(spec, x, 1) - 0.1, 0.0, 1.0)
+    crossing = bisect_crossing(lambda x: lr_at(spec, x) - 0.1, 0.0, 1.0)
     assert abs(crossing - 0.936) < 1e-3
 
 
 def test_cosine_half_crosses_tenth_at_795_of_training():
     spec = ScheduleSpec(kind="cosine", base_lr=1.0, total_epochs=1, cosine_form="half")
-    crossing = bisect_crossing(lambda x: lr_at(spec, x, 1) - 0.1, 0.0, 1.0)
+    crossing = bisect_crossing(lambda x: lr_at(spec, x) - 0.1, 0.0, 1.0)
     assert abs(crossing - 0.795) < 1e-3
 
 
@@ -67,9 +67,9 @@ def test_linear_interpolates_to_final_lr():
 def test_domain_errors():
     spec = ScheduleSpec(kind="cosine", base_lr=1.0, total_epochs=10)
     with pytest.raises(ValueError):
-        lr_at(spec, -1, 10)
+        lr_at(spec, -1)
     with pytest.raises(ValueError):
-        lr_at(spec, 11, 10)
+        lr_at(spec, 11)
     with pytest.raises(ValueError):
         lr_at(ScheduleSpec(kind="abel", base_lr=1.0, total_epochs=10), 5)
 
@@ -84,7 +84,7 @@ def test_stateless_schedules_monotone_non_increasing():
     ]
     ts = np.linspace(0, 50, 201)
     for spec in specs:
-        values = [lr_at(spec, float(t), 50) for t in ts]
+        values = [lr_at(spec, float(t)) for t in ts]
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:])), spec.kind
 
 
