@@ -153,7 +153,7 @@ class PlateauScheduler:
             raise ValueError("factor must lie in (0, 1)")
         if patience < 0:
             raise ValueError("patience must be >= 0")
-        if threshold < 0:
+        if not threshold >= 0:
             raise ValueError("threshold must be >= 0")
         if mode not in ("min", "max"):
             raise ValueError("mode must be 'min' or 'max'")

@@ -35,6 +35,7 @@ Keys (defaults in parentheses):
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 from .datasets import BlobsSpec, DatasetSpec, IdxSpec, SpiralsSpec
@@ -92,11 +93,11 @@ class ExperimentConfig:
             raise ConfigError("batch_size must be >= 1")
         if not self.base_lr > 0:
             raise ConfigError("base_lr must be > 0")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ConfigError("weight_decay must be >= 0")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError("label_smoothing must lie in [0, 1)")
-        if self.clip_norm < 0:
+        if not self.clip_norm >= 0:
             raise ConfigError("clip_norm must be >= 0 (0 disables clipping)")
         if self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be >= 0")
@@ -118,6 +119,15 @@ class ExperimentConfig:
 
 # -- schema -------------------------------------------------------------------
 
+def _parse_float(text: str) -> float:
+    """A finite float: ``nan`` and ``inf`` (or a literal that overflows to it)
+    would slip past range checks such as ``clip_norm > 0``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_bool(text: str) -> bool:
     if text.lower() in ("true", "1", "yes"):
         return True
@@ -137,7 +147,7 @@ def _parse_milestones(text: str) -> tuple[tuple[int, float], ...]:
         if not part:
             continue
         epoch, _, factor = part.partition(":")
-        out.append((int(epoch), float(factor)))
+        out.append((int(epoch), _parse_float(factor)))
     return tuple(out)
 
 
@@ -153,7 +163,7 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-_INT, _FLOAT, _BOOL, _STR = int, float, _parse_bool, str
+_INT, _FLOAT, _BOOL, _STR = int, _parse_float, _parse_bool, str
 
 # key -> (parser, default); None default means required
 _SCHEMA: dict[str, tuple] = {

@@ -29,7 +29,11 @@ stops where the uninterrupted run does.
 
 Resume: a run resumed into a log directory that already holds logs cuts
 each log back to the checkpoint epoch and appends to it, so the directory
-ends up with the logs of an uninterrupted run. Logs that lack a row at or
+ends up with the logs of an uninterrupted run. A resumed run's
+``meta.json`` summarizes the whole run: its best and final test errors come
+from the checkpoint's test errors plus the new epochs, and its decay events
+include those before the checkpoint; only ``start_epoch`` tells it apart
+from the uninterrupted run's. Logs that lack a row at or
 before the checkpoint epoch (or a whole file) refuse the resume with
 :class:`ResumeRefusedError`. ``meta.json``, ``config.txt`` and checkpoints
 are written through a temp file and ``os.replace``, so a crash never
@@ -54,7 +58,7 @@ from .datasets import dataset_meta, make_dataset
 from .models import Model, ModelArch, NumericError
 from .optim import AdamState, MomentumState, clip_global_norm, step_adam, step_sgd
 from .params import ParamSet, inner_gw, weight_norm_sq
-from .schedules import LrEvent, has_discrete_milestones, lr_at, warmup_scale
+from .schedules import LrEvent, ScheduleSpec, has_discrete_milestones, lr_at, warmup_scale
 from .state_io import restore_scheduler, serialize_scheduler
 
 AUTO_STOP_SETTLE_EPOCHS = 3
@@ -105,18 +109,25 @@ class RunState:
 
 @dataclass
 class RunResult:
+    """What a run returns. ``records`` and ``events`` cover the epochs this
+    call trained; ``meta`` and the error properties cover the whole run, from
+    epoch 1. ``pre_decay_state`` is the state at the last epoch boundary
+    before the run's first lr change, for runs that started from scratch and
+    changed their lr after epoch 1 or later; otherwise None."""
+
     records: list[EpochRecord]
     events: list[LrEvent]
     meta: dict
     log_dir: Path
+    pre_decay_state: RunState | None = None
 
     @property
     def best_test_error(self) -> float:
-        return min(r.test_error for r in self.records)
+        return self.meta["best_test_error"]
 
     @property
     def final_test_error(self) -> float:
-        return self.records[-1].test_error
+        return self.meta["final_test_error"]
 
 
 def build_model(config: ExperimentConfig) -> tuple[Model, dict]:
@@ -136,6 +147,27 @@ def _init_opt(config: ExperimentConfig, params: ParamSet):
         return MomentumState.init(params, mu=config.optimizer.momentum)
     return AdamState.init(params, beta1=config.optimizer.beta1,
                           beta2=config.optimizer.beta2, eps=config.optimizer.eps)
+
+
+def observe(scheduler: AbelScheduler | PlateauScheduler, rec: EpochRecord) -> list[LrEvent]:
+    """Feed one epoch's record to an adaptive scheduler; returns its decay events.
+
+    The bounce scheduler watches the squared weight norm, the plateau
+    scheduler the epoch's mean training loss.
+    """
+    if isinstance(scheduler, AbelScheduler):
+        return scheduler.observe_epoch(rec.wsq_total)[1]
+    return scheduler.observe_epoch(rec.train_loss)[1]
+
+
+def _milestone_events(spec: ScheduleSpec, epoch: int, total_epochs: int) -> list[LrEvent]:
+    """The milestone lr change at the end of ``epoch`` of a step-wise or simple schedule."""
+    if not has_discrete_milestones(spec) or epoch >= total_epochs:
+        return []
+    old_lr, new_lr = lr_at(spec, epoch - 1), lr_at(spec, epoch)
+    if new_lr == old_lr:
+        return []
+    return [LrEvent(epoch=epoch, old_lr=old_lr, new_lr=new_lr, trigger="milestone")]
 
 
 def _fmt(value: float) -> str:
@@ -261,6 +293,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
         start_epoch = 0
         global_step = 0
         test_errors: list[float] = []
+        run_events: list[LrEvent] = []
     else:
         params = resume_state.params
         opt = resume_state.opt
@@ -275,6 +308,9 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
             raise ResumeRefusedError(
                 f"the resume state holds {len(test_errors)} test errors for "
                 f"{start_epoch} epochs")
+        run_events = (list(scheduler.decay_log) if scheduler else
+                      [ev for e in range(1, start_epoch + 1)
+                       for ev in _milestone_events(spec, e, config.epochs)])
 
     history = (_log_history(Path(config.log_dir), start_epoch)
                if resume_state is not None else None)
@@ -291,6 +327,10 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     records: list[EpochRecord] = []
     all_events: list[LrEvent] = []
     status = "completed"
+    # (global_step, params, opt) at the last epoch boundary, held until the
+    # first lr change of a run from scratch, for its pre-decay state
+    held = (global_step, params, opt) if resume_state is None else None
+    pre_decay_state = None
     probe = slice(0, min(config.batch_size, n))
     optimizer_step = step_sgd if isinstance(opt, MomentumState) else step_adam
 
@@ -338,22 +378,19 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
                 gw_total, _ = inner_gw(params, grads)
             test_error = model.error_rate(params, xte, yte, batch_size=config.eval_batch)
 
-            events: list[LrEvent] = []
-            if isinstance(scheduler, AbelScheduler):
-                _, events = scheduler.observe_epoch(wsq_total)
-            elif isinstance(scheduler, PlateauScheduler):
-                _, events = scheduler.observe_epoch(train_loss)
-            elif has_discrete_milestones(spec) and epoch < config.epochs:
-                next_lr = lr_at(spec, epoch)
-                if next_lr != lr_epoch:
-                    events = [LrEvent(epoch=epoch, old_lr=lr_epoch, new_lr=next_lr,
-                                      trigger="milestone")]
-
             rec = EpochRecord(
                 epoch=epoch, lr=eff_lr, train_loss=train_loss, train_error=train_error,
                 test_error=test_error, wsq_total=wsq_total, wsq_l2_only=wsq_l2,
                 per_layer_wsq=per_layer, gw_total=gw_total,
                 wall_ms=int((time.perf_counter() - t0) * 1000))
+            events = (observe(scheduler, rec) if scheduler is not None
+                      else _milestone_events(spec, epoch, config.epochs))
+            if held is not None and not events:
+                held = (global_step, params, opt)
+            elif held is not None:
+                if epoch > 1:
+                    pre_decay_state = _pre_decay_state(spec, records, held, test_errors)
+                held = None
             records.append(rec)
             test_errors.append(test_error)
             all_events.extend(events)
@@ -378,22 +415,39 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
         log.close()
         raise DivergenceError(str(exc)) from exc
 
-    best = min(records, key=lambda r: r.test_error) if records else None
+    # the whole run's summary: test errors and lr events from epoch 1 on
+    best = min(range(len(test_errors)), key=test_errors.__getitem__, default=None)
     meta.update(
         status=status,
         epochs_run=start_epoch + len(records),
-        best_test_error=best.test_error if best else None,
-        best_epoch=best.epoch if best else None,
-        final_test_error=records[-1].test_error if records else None,
+        best_test_error=None if best is None else test_errors[best],
+        best_epoch=None if best is None else best + 1,
+        final_test_error=test_errors[-1] if test_errors else None,
         decay_events=[{"epoch": ev.epoch, "old_lr": ev.old_lr, "new_lr": ev.new_lr,
-                       "trigger": ev.trigger} for ev in all_events],
+                       "trigger": ev.trigger} for ev in run_events + all_events],
     )
     log.write_meta(meta)
     log.close()
     if not quiet:
         print(f"run {log.dir}: {meta['status']}, best test error "
               f"{meta['best_test_error']} at epoch {meta['best_epoch']}")
-    return RunResult(records=records, events=all_events, meta=meta, log_dir=log.dir)
+    return RunResult(records=records, events=all_events, meta=meta, log_dir=log.dir,
+                     pre_decay_state=pre_decay_state)
+
+
+def _pre_decay_state(spec: ScheduleSpec, records: list[EpochRecord], held: tuple,
+                     test_errors: list[float]) -> RunState:
+    """The state after ``records`` of a run from scratch, with ``held`` the
+    (global_step, params, opt) at that boundary. The scheduler's state is
+    rebuilt by replaying the records through a fresh scheduler of ``spec``."""
+    scheduler = make_scheduler(spec)
+    if scheduler is not None:
+        for rec in records:
+            observe(scheduler, rec)
+    global_step, params, opt = held
+    return RunState(epoch=len(records), global_step=global_step, params=params, opt=opt,
+                    scheduler_bytes=serialize_scheduler(scheduler) if scheduler else b"",
+                    test_errors=tuple(test_errors[:len(records)]))
 
 
 def _should_auto_stop(config: ExperimentConfig, test_errors: list[float],

@@ -94,7 +94,7 @@ class ScheduleSpec:
             raise ValueError(f"{self.kind} schedule needs total_epochs >= 1")
         if self.kind == "cosine" and self.cosine_form not in COSINE_FORMS:
             raise ValueError(f"cosine_form must be one of {COSINE_FORMS}")
-        if self.kind == "linear" and self.final_lr < 0:
+        if self.kind == "linear" and not self.final_lr >= 0:
             raise ValueError("final_lr must be >= 0")
         if self.kind == "simple":
             if not 0.0 < self.decay_fraction <= 1.0:
@@ -115,7 +115,7 @@ class ScheduleSpec:
                 raise ValueError("factor must lie in (0, 1)")
             if self.patience < 0:
                 raise ValueError("patience must be >= 0")
-            if self.threshold < 0:
+            if not self.threshold >= 0:
                 raise ValueError("threshold must be >= 0")
             if self.mode not in PLATEAU_MODES:
                 raise ValueError(f"mode must be one of {PLATEAU_MODES}")

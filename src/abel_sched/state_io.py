@@ -93,6 +93,21 @@ def _unpack_events(r: Reader) -> list[LrEvent]:
     return events
 
 
+def _check_lr_chain(base_lr: float, factor: float, current_lr: float,
+                    events: list[LrEvent]) -> None:
+    """``current_lr`` must be ``base_lr`` carried through the decay log: each
+    event starts from the previous event's lr and multiplies it by ``factor``,
+    exactly as the schedulers compute it."""
+    lr = base_lr
+    for ev in events:
+        if ev.old_lr != lr or ev.new_lr != ev.old_lr * factor:
+            raise StateDecodeError(f"decay event at epoch {ev.epoch} does not continue "
+                                   f"the lr {lr!r} by the factor {factor!r}")
+        lr = ev.new_lr
+    if current_lr != lr:
+        raise StateDecodeError(f"current lr {current_lr!r} is not the decay log's lr {lr!r}")
+
+
 def serialize_scheduler(scheduler: AbelScheduler | PlateauScheduler) -> bytes:
     """Encode a scheduler's full state as bytes."""
     if isinstance(scheduler, AbelScheduler):
@@ -129,8 +144,9 @@ def serialize_scheduler(scheduler: AbelScheduler | PlateauScheduler) -> bytes:
 def restore_scheduler(data: bytes) -> AbelScheduler | PlateauScheduler:
     """Decode scheduler state bytes, exactly as they were saved.
 
-    Bytes that do not decode, or decode to values the scheduler's
-    constructor refuses, raise :class:`StateDecodeError`. A bounce scheduler
+    Bytes that do not decode, decode to values the scheduler's constructor
+    refuses, or hold a current lr that is not the base lr carried through
+    the decay log, raise :class:`StateDecodeError`. A bounce scheduler
     keeps its stored budget; a resume with a new one calls
     :meth:`AbelScheduler.retarget` on the result.
     """
@@ -156,6 +172,7 @@ def restore_scheduler(data: bytes) -> AbelScheduler | PlateauScheduler:
                               smoothing_window=window, min_history=min_history)
         except ValueError as exc:
             raise StateDecodeError(f"invalid bounce-scheduler state: {exc}") from None
+        _check_lr_chain(base_lr, decay_factor, current_lr, events)
         s.current_lr = current_lr
         s.epoch = epoch
         s.reached_minimum = bool(reached)
@@ -178,6 +195,7 @@ def restore_scheduler(data: bytes) -> AbelScheduler | PlateauScheduler:
                                  threshold=threshold, mode=_MODES[mode_code])
         except ValueError as exc:
             raise StateDecodeError(f"invalid plateau-scheduler state: {exc}") from None
+        _check_lr_chain(base_lr, factor, current_lr, events)
         p.current_lr = current_lr
         p.epochs_since_improvement = since
         p.epoch = epoch

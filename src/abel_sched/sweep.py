@@ -5,8 +5,24 @@ A grid specification is ``name=v1,v2,...`` groups joined by semicolons, e.g.
 ``decay_factor`` (the decay multiplier of whichever schedule is configured),
 ``init_scale`` and ``weight_decay``. Each grid point trains in its own
 subdirectory of the sweep directory; failures are recorded in the summary
-and do not stop the sweep. Points are independent, so they may run in
-parallel worker processes, each of which runs its BLAS calls on one thread.
+and do not stop the sweep. Points may run in parallel worker processes,
+each of which runs its BLAS calls on one thread.
+
+Families: grid points whose values agree on every axis except
+``decay_factor`` train identically until their first lr change, at some
+epoch E. The first point of such a family in grid order, its leader, trains
+from scratch; each other point, a follower, is submitted once the leader
+has returned, and resumes from the leader's state at the end of epoch
+E - 1 (``RunResult.pre_decay_state``). Its log directory first receives the
+leader's log rows of epochs 1..E-1, so those ``metrics.csv`` rows carry the
+leader's ``wall_ms``, and its ``meta.json`` reports ``start_epoch = E - 1``;
+every other byte of its logs equals that of an independent run of the
+point. The fork is checked, not assumed: a fresh scheduler of the
+follower's own spec replays the leader's records of epochs 1..E-1, and the
+follower resumes only if its lr for epochs 1..E equals the leader's logged
+lr and the replay decays nowhere. Otherwise, and when the leader diverged,
+failed or never changed its lr, the follower trains from scratch. A grid
+without a ``decay_factor`` axis has one-point families, all of them leaders.
 """
 
 from __future__ import annotations
@@ -16,8 +32,12 @@ from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 
+from .adaptive import make_scheduler
 from .config import ConfigError, ExperimentConfig, format_config
-from .runner import DivergenceError, run_experiment
+from .runner import (DivergenceError, ResumeRefusedError, RunState, _log_history, _RunLog,
+                     observe, read_metrics, run_experiment)
+from .schedules import lr_at, warmup_scale
+from .state_io import serialize_scheduler
 
 SWEEPABLE = ("base_lr", "decay_factor", "init_scale", "weight_decay")
 
@@ -120,28 +140,67 @@ def _one_blas_thread() -> None:
         setter(1)
 
 
-def _run_point(args: tuple[int, ExperimentConfig, dict[str, float]]) -> SweepPoint:
-    index, config, values = args
+# (leader's log_dir, leader's pre-decay state)
+Fork = tuple[str, RunState]
+
+
+def _follow(config: ExperimentConfig, fork: Fork) -> RunState | None:
+    """A follower's resume state, or None when the fork's premise fails.
+
+    On success the follower's log directory holds the leader's rows up to
+    the fork and the state carries the follower's replayed scheduler.
+    """
+    leader_dir, state = fork
+    last = state.epoch + 1  # the epoch after which the leader's lr first changed
+    try:
+        rows = _log_history(Path(leader_dir), state.epoch)
+    except ResumeRefusedError:
+        return None
+    records = read_metrics(leader_dir)[:last] if rows else []
+    if [r.epoch for r in records] != list(range(1, last + 1)):
+        return None
+    spec = config.schedule
+    steps_per_epoch = state.global_step // state.epoch
+    scheduler = make_scheduler(spec)
+    for rec in records:
+        lr = scheduler.current_lr if scheduler else lr_at(spec, rec.epoch - 1)
+        scale = warmup_scale(rec.epoch * steps_per_epoch - 1, steps_per_epoch,
+                             spec.warmup_epochs)
+        if lr * scale != rec.lr:
+            return None
+        if scheduler and rec.epoch < last and observe(scheduler, rec):
+            return None
+    _RunLog(Path(config.log_dir), config, rows).close()
+    return replace(state, scheduler_bytes=serialize_scheduler(scheduler) if scheduler else b"")
+
+
+def _run_point(task: tuple[int, ExperimentConfig, dict[str, float], Fork | None]
+               ) -> tuple[SweepPoint, Fork | None]:
+    """Train one point, as a follower of ``fork`` when it holds; returns its
+    summary row and the fork it offers its own followers, if any."""
+    index, config, values, fork = task
     point = SweepPoint(index=index, values=values, status="ok", log_dir=config.log_dir)
     try:
-        result = run_experiment(config)
+        state = _follow(config, fork) if fork else None
+        result = run_experiment(config, resume_state=state)
     except DivergenceError:
         point.status = "diverged"
-        return point
+        return point, None
     except Exception as exc:  # individual failures must not kill the sweep
         point.status = f"error: {exc}"
-        return point
-    decays = [ev.epoch for ev in result.events]
-    best = min(result.records, key=lambda r: r.test_error)
-    point.best_test_error = best.test_error
-    point.best_epoch = best.epoch
-    point.final_test_error = result.final_test_error
+        return point, None
+    meta = result.meta
+    decays = [ev["epoch"] for ev in meta["decay_events"]]
+    point.best_test_error = meta["best_test_error"]
+    point.best_epoch = meta["best_epoch"]
+    point.final_test_error = meta["final_test_error"]
     point.first_decay_epoch = decays[0] if decays else None
     point.n_decays = len(decays)
     point.decay_epochs = tuple(decays)
-    if result.meta["status"] == "auto_stopped":
+    if meta["status"] == "auto_stopped":
         point.status = "auto_stopped"
-    return point
+    offered = result.pre_decay_state
+    return point, (config.log_dir, offered) if offered is not None else None
 
 
 def run_sweep(template: ExperimentConfig, grid: dict[str, list[float]],
@@ -152,21 +211,42 @@ def run_sweep(template: ExperimentConfig, grid: dict[str, list[float]],
     (sweep_dir / "template.txt").write_text(format_config(template))
 
     names = list(grid)
-    tasks = []
+    ready = []  # tasks to submit: leaders in grid order, then followers as forks arrive
+    leaders: dict[tuple, int] = {}
+    followers: dict[int, list] = {}
     for index, combo in enumerate(product(*(grid[name] for name in names))):
         values = dict(zip(names, combo))
         config = apply_point(template, values)
         config = replace(config, log_dir=str(sweep_dir / _point_dir_name(index, values)))
-        tasks.append((index, config, values))
+        family = tuple(v for name, v in values.items() if name != "decay_factor")
+        leader = leaders.setdefault(family, index)
+        if leader == index:
+            ready.append((index, config, values, None))
+        else:
+            followers.setdefault(leader, []).append((index, config, values))
+
+    by_index: dict[int, SweepPoint] = {}
+
+    def finish(point: SweepPoint, fork: Fork | None) -> list:
+        by_index[point.index] = point
+        return [(*task, fork) for task in followers.pop(point.index, ())]
 
     if jobs > 1:
         # Imported here: the pool's modules cost about 25 ms at import time.
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
         with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
-            points = list(pool.map(_run_point, tasks))
+            running = set()
+            while ready or running:
+                running |= {pool.submit(_run_point, task) for task in ready}
+                ready = []
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    ready += finish(*future.result())
     else:
-        points = [_run_point(task) for task in tasks]
+        while ready:
+            ready += finish(*_run_point(ready.pop(0)))
+    points = [by_index[index] for index in sorted(by_index)]
 
     header = ["point", *names, "status", "best_test_error", "best_epoch",
               "final_test_error", "first_decay_epoch", "n_decays", "decay_epochs"]

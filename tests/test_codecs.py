@@ -182,6 +182,44 @@ def test_every_bit_flip_in_a_scheduler_state_restores_or_is_refused(scheduler):
             pass
 
 
+@PROPERTY
+@given(schedulers, st.floats())
+def test_a_current_lr_off_the_decay_log_is_refused(scheduler, lr):
+    if lr == scheduler.current_lr:
+        reject()
+    blob = serialize_scheduler(scheduler)  # current_lr follows magic, version, kind, base_lr
+    with pytest.raises(StateDecodeError, match="current lr"):
+        restore_scheduler(blob[:15] + struct.pack("<d", lr) + blob[23:])
+
+
+@st.composite
+def decayed_schedulers(draw):
+    """A scheduler with at least one decay: a plateau scheduler of patience 0
+    fed a constant metric, or a bounce scheduler fed a zigzag."""
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        s = PlateauScheduler(base_lr=draw(positive), factor=draw(unit), patience=0)
+        trace = [1.0] * (n + 1)
+    else:
+        s = AbelScheduler(base_lr=draw(positive), decay_factor=draw(unit), total_epochs=400)
+        trace = [3.0, 2.0] + [1.0, 2.0] * n + [1.0]
+    for v in trace:
+        s.observe_epoch(v)
+    return s
+
+
+@PROPERTY
+@given(decayed_schedulers(), st.data())
+def test_a_decay_event_that_breaks_the_lr_chain_is_refused(scheduler, data):
+    i = data.draw(st.integers(0, len(scheduler.decay_log) - 1))
+    ev = scheduler.decay_log[i]
+    field = data.draw(st.sampled_from(("old_lr", "new_lr")))
+    value = data.draw(st.floats().filter(lambda v: v != getattr(ev, field)))
+    scheduler.decay_log[i] = replace(ev, **{field: value})
+    with pytest.raises(StateDecodeError, match="does not continue"):
+        restore_scheduler(serialize_scheduler(scheduler))
+
+
 # -- config text -----------------------------------------------------------------
 
 

@@ -142,3 +142,28 @@ def test_default_schedule_round_trips():
     config = ExperimentConfig(epochs=7, base_lr=0.3, log_dir="runs/x", dataset=BlobsSpec())
     assert config.schedule.total_epochs == 7
     assert parse_config(format_config(config)) == config
+
+
+FLOAT_KEYS = ("base_lr", "weight_decay", "label_smoothing", "clip_norm",
+              "auto_stop.min_improvement", "dataset.label_noise", "dataset.separation",
+              "dataset.turns", "dataset.jitter", "model.init_scale", "optimizer.momentum",
+              "optimizer.beta1", "optimizer.beta2", "optimizer.eps", "schedule.final_lr",
+              "schedule.decay_fraction", "schedule.factor", "schedule.decay_factor",
+              "schedule.last_decay_fraction", "schedule.threshold")
+
+
+def test_float_keys_are_every_float_in_the_schema():
+    from abel_sched.config import _FLOAT, _SCHEMA
+
+    assert set(FLOAT_KEYS) == {key for key, (parser, _) in _SCHEMA.items() if parser is _FLOAT}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("key", FLOAT_KEYS + ("schedule.milestones",))
+def test_non_finite_floats_are_refused(key, value):
+    # clip_norm = nan would turn clipping off, schedule.threshold = nan would
+    # make a plateau run decay while its metric improves
+    base = "\n".join(line for line in MINIMAL.splitlines() if not line.startswith(key + " "))
+    text = f"{key} = 60:{value}" if key == "schedule.milestones" else f"{key} = {value}"
+    with pytest.raises(ConfigError, match=key):
+        parse_config(base + "\n" + text + "\n")

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from abel_sched import PlateauScheduler, restore_scheduler, serialize_scheduler
+from abel_sched import PlateauScheduler, ScheduleSpec, restore_scheduler, serialize_scheduler
 
 
 def test_constant_stream_first_decay_on_observation_12():
@@ -75,3 +75,13 @@ def test_serialization_round_trip():
         lr_b, ev_b = b.observe_epoch(v)
         assert lr_a == lr_b and ev_a == ev_b
     assert a.decay_log == b.decay_log
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), -1e-4])
+def test_threshold_must_be_a_nonnegative_number(threshold):
+    # a NaN threshold made every epoch a non-improvement: with patience 2 a
+    # strictly falling metric decayed at epochs 4, 7 and 10
+    with pytest.raises(ValueError, match="threshold"):
+        PlateauScheduler(base_lr=0.1, factor=0.5, patience=2, threshold=threshold)
+    with pytest.raises(ValueError, match="threshold"):
+        ScheduleSpec(kind="plateau", base_lr=0.1, threshold=threshold)

@@ -1,3 +1,4 @@
+import json
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -290,10 +291,15 @@ def saved_states(tmp_path_factory):
     # four f64 fields, u32 total_epochs, u32 epoch and u16 smoothing_window
     ("abel", lambda blobs: blobs["abel"][:7] + struct.pack("<d", -1.0) + blobs["abel"][15:]),
     ("abel", lambda blobs: blobs["abel"][:49] + struct.pack("<H", 2) + blobs["abel"][51:]),
+    # current_lr follows base_lr; a plateau blob's threshold follows current_lr and factor
+    ("abel", lambda blobs: blobs["abel"][:15] + struct.pack("<d", -5.0) + blobs["abel"][23:]),
+    ("plateau", lambda blobs: blobs["plateau"][:31] + struct.pack("<d", float("nan"))
+     + blobs["plateau"][39:]),
 ], ids=["abel-bad-magic", "abel-truncated", "abel-trailing", "plateau-bad-magic",
         "plateau-truncated", "plateau-trailing", "abel-empty", "plateau-empty",
         "constant-non-empty", "abel-plateau-state", "plateau-abel-state",
-        "abel-negative-base-lr", "abel-min-history-2"])
+        "abel-negative-base-lr", "abel-min-history-2", "abel-negative-current-lr",
+        "plateau-nan-threshold"])
 def test_checkpoint_with_bad_scheduler_state_is_rejected(tmp_path, saved_states, kind,
                                                          corrupt):
     config, state = saved_states[kind]
@@ -333,6 +339,28 @@ def test_resume_auto_stops_where_the_uninterrupted_run_does(tmp_path):
         assert (resumed.meta["status"], resumed.records[-1].epoch) == ("auto_stopped", 143)
         assert [r.test_error for r in resumed.records] == \
             [r.test_error for r in full.records[epoch:]]
+
+
+@pytest.mark.parametrize("kind,resumes", [("abel", (100, 150)), ("stepwise", (100,))])
+def test_a_resumed_run_reports_the_whole_run_in_its_meta(tmp_path, kind, resumes):
+    # the standard ABEL run: best test error at epoch 11, a bounce decay at 140;
+    # the step-wise run: milestones at 60, 120 and 160
+    cfg = replace(standard_config(kind, log_dir=str(tmp_path / "run")), checkpoint_every=50)
+    full = run_experiment(cfg)
+    expected = json.loads((tmp_path / "run" / "meta.json").read_text())
+    assert expected.pop("start_epoch") == 0
+    assert expected["best_epoch"] == 11
+    assert [ev["epoch"] for ev in expected["decay_events"]] == \
+        ([140, 170] if kind == "abel" else [60, 120, 160])
+    for epoch in resumes:
+        config, state = prepare_resume(tmp_path / "run" / f"epoch_{epoch:04d}.ckpt",
+                                       log_dir=str(tmp_path / "run"))
+        resumed = run_experiment(config, resume_state=state)
+        meta = json.loads((tmp_path / "run" / "meta.json").read_text())
+        assert meta.pop("start_epoch") == epoch
+        assert meta == expected
+        assert (resumed.best_test_error, resumed.final_test_error) == \
+            (full.best_test_error, full.final_test_error)
 
 
 def test_checkpoint_preserves_adam_state(tmp_path):

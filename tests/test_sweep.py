@@ -1,9 +1,14 @@
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from abel_sched import ConfigError, apply_point, parse_grid, run_sweep
+from abel_sched import (ConfigError, DivergenceError, OptimizerSpec, ScheduleSpec, apply_point, parse_grid,
+                        run_experiment, run_sweep)
+from abel_sched.config import config_hash
 
+from helpers import strip_wall_ms
 from test_runner import tiny_config
 
 
@@ -85,8 +90,9 @@ def test_sweep_workers_run_blas_on_one_thread(tmp_path, monkeypatch):
         (tmp_path / f"{Path(config.log_dir).name}.threads").write_text(str(get()))
         record = EpochRecord(epoch=1, lr=0.1, train_loss=1.0, train_error=0.5,
                              test_error=0.5, wsq_total=1.0, wsq_l2_only=1.0, per_layer_wsq={})
-        return RunResult(records=[record], events=[], meta={"status": "completed"},
-                         log_dir=Path(config.log_dir))
+        meta = {"status": "completed", "best_test_error": 0.5, "best_epoch": 1,
+                "final_test_error": 0.5, "decay_events": []}
+        return RunResult(records=[record], events=[], meta=meta, log_dir=Path(config.log_dir))
 
     monkeypatch.setattr(sweep, "run_experiment", record_threads)
     before = get()
@@ -115,3 +121,139 @@ def test_importing_the_package_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+# -- decay-factor families ----------------------------------------------------------
+
+
+def _family_template(tmp_path, kind, optimizer):
+    template = tiny_config(tmp_path / "unused", schedule_kind=kind)
+    if kind == "plateau":  # a relative threshold of 0.5 makes it decay within 12 epochs
+        template = replace(template, schedule=ScheduleSpec(
+            kind="plateau", base_lr=0.5, total_epochs=12, patience=1, threshold=0.5))
+    if optimizer == "momentum-0":
+        template = replace(template, optimizer=OptimizerSpec(kind="momentum", momentum=0.0))
+    elif optimizer == "adam":
+        template = replace(template, optimizer=OptimizerSpec(kind="adam"))
+    return template
+
+
+def _logs(log_dir: Path) -> dict:
+    """The three logs (wall_ms stripped) and meta.json without start_epoch."""
+    meta = json.loads((log_dir / "meta.json").read_text())
+    del meta["start_epoch"]
+    return {"metrics.csv": strip_wall_ms((log_dir / "metrics.csv").read_text()),
+            "layers.csv": (log_dir / "layers.csv").read_text(),
+            "events.csv": (log_dir / "events.csv").read_text(), "meta.json": meta}
+
+
+def _assert_points_match_independent_runs(tmp_path, template, points) -> list[int]:
+    """Each point's logs and summary equal a serial run of that point from scratch;
+    returns each point's start_epoch."""
+    starts = []
+    for p in points:
+        config = replace(apply_point(template, p.values), log_dir=p.log_dir)
+        alone = tmp_path / "alone" / Path(p.log_dir).name
+        if not alone.exists():  # one independent run per point, for every sweep
+            try:
+                run_experiment(replace(config, log_dir=str(alone)))
+            except DivergenceError:
+                pass
+        expected = _logs(alone)
+        meta = expected["meta.json"]
+        meta["config_hash"] = config_hash(config)
+        assert _logs(Path(p.log_dir)) == expected, p
+        decays = tuple(ev["epoch"] for ev in meta.get("decay_events", ()))
+        assert (p.best_test_error, p.best_epoch, p.final_test_error, p.decay_epochs) == (
+            meta.get("best_test_error"), meta.get("best_epoch"),
+            meta.get("final_test_error"), decays)
+        assert p.status == {"completed": "ok"}.get(meta["status"], meta["status"])
+        starts.append(json.loads((Path(p.log_dir) / "meta.json").read_text())["start_epoch"])
+    return starts
+
+
+@pytest.mark.parametrize("optimizer", ["momentum-0", "momentum-0.9", "adam"])
+@pytest.mark.parametrize("kind", ["abel", "stepwise", "simple", "plateau"])
+def test_every_family_point_equals_an_independent_run(tmp_path, kind, optimizer):
+    template = _family_template(tmp_path, kind, optimizer)
+    lrs = [0.01, 0.02] if optimizer == "adam" else [0.5, 1.0]
+    grid = {"base_lr": lrs, "decay_factor": [0.5, 0.2]}
+    for jobs in (1, 2):
+        points = run_sweep(template, grid, tmp_path / f"jobs-{jobs}", jobs=jobs)
+        starts = _assert_points_match_independent_runs(tmp_path, template, points)
+        # the leaders (decay_factor 0.5) start at 0; each follower forked before
+        # its leader's first lr change
+        leaders = [p for p in points if p.values["decay_factor"] == 0.5]
+        assert starts[::2] == [0, 0]
+        assert starts[1::2] == [p.decay_epochs[0] - 1 for p in leaders]
+        assert all(start > 0 for start in starts[1::2])
+
+
+def _recording(monkeypatch, tamper=None):
+    """Replace sweep.run_experiment with a wrapper that records each call's
+    resume_state and passes each result through ``tamper``."""
+    import abel_sched.sweep as sweep
+
+    inner = sweep.run_experiment
+    calls = {}
+
+    def run(config, *args, **kwargs):
+        leader = not calls  # a one-family grid run with jobs = 1 starts with its leader
+        calls[Path(config.log_dir).name] = kwargs.get("resume_state")
+        result = inner(config, *args, **kwargs)
+        return tamper(result) if tamper and leader else result
+
+    monkeypatch.setattr(sweep, "run_experiment", run)
+    return calls
+
+
+def _tamper_logged_lr(result):
+    path = result.log_dir / "metrics.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    parts = lines[1].split(",")
+    lines[1] = ",".join([parts[0], repr(float(parts[1]) * 2), *parts[2:]])
+    path.write_text("".join(lines))
+    return result
+
+
+def _shift_the_fork_past_the_decay(result):
+    state = result.pre_decay_state
+    if state is not None:  # a replay up to the leader's decay epoch decays
+        result.pre_decay_state = replace(state, epoch=state.epoch + 1)
+    return result
+
+
+@pytest.mark.parametrize("case", ["leader-diverges", "lr-never-changes", "logged-lr-differs",
+                                  "replay-decays"])
+def test_followers_train_from_scratch_when_the_fork_fails(tmp_path, monkeypatch, case):
+    template = tiny_config(tmp_path / "unused", schedule_kind="abel")
+    lrs = [0.5]
+    tamper = None
+    if case == "leader-diverges":
+        lrs = [1e160]
+    elif case == "lr-never-changes":
+        template = replace(template, schedule=ScheduleSpec(
+            kind="plateau", base_lr=0.5, total_epochs=12, patience=100))
+    elif case == "logged-lr-differs":
+        tamper = _tamper_logged_lr
+    else:
+        tamper = _shift_the_fork_past_the_decay
+    calls = _recording(monkeypatch, tamper)
+    points = run_sweep(template, {"base_lr": lrs, "decay_factor": [0.5, 0.2, 0.1]},
+                       tmp_path / "sweep")
+    assert len(calls) == 3 and all(state is None for state in calls.values())
+    expected = ["diverged"] * 3 if case == "leader-diverges" else ["ok"] * 3
+    assert [p.status for p in points] == expected
+    if case in ("leader-diverges", "lr-never-changes"):
+        _assert_points_match_independent_runs(tmp_path, template, points)
+    else:  # the followers' logs equal independent runs; the leader's was tampered with
+        _assert_points_match_independent_runs(tmp_path, template, points[1:])
+
+
+def test_a_grid_without_a_decay_factor_axis_resumes_nothing(tmp_path, monkeypatch):
+    calls = _recording(monkeypatch)
+    template = tiny_config(tmp_path / "unused", schedule_kind="abel")
+    points = run_sweep(template, {"base_lr": [0.5, 1.0], "init_scale": [0.5, 1.0]},
+                       tmp_path / "sweep")
+    assert len(calls) == 4 and all(state is None for state in calls.values())
+    assert all(p.decay_epochs for p in points)
