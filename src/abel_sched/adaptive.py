@@ -10,8 +10,10 @@ Two observers are provided:
 * :class:`PlateauScheduler` watches a scalar metric and decays when it has
   not improved for more than ``patience`` epochs.
 
-Both must be fed exactly once per epoch, in order. Their byte serialization
-lives in :mod:`abel_sched.state_io`.
+Both must be fed exactly once per epoch, in order. Each keeps what it was
+fed (and the bounce scheduler its budgets), so its whole state is a
+function of those; :mod:`abel_sched.state_io` serializes just that and
+restores by replay.
 """
 
 from __future__ import annotations
@@ -57,15 +59,24 @@ class AbelScheduler:
         self.base_lr = base_lr
         self.current_lr = base_lr
         self.decay_factor = decay_factor
-        self.total_epochs = total_epochs
         self.last_decay_fraction = last_decay_fraction
         self.smoothing_window = smoothing_window
         self.min_history = min_history
-        self.epoch = 0
         self.reached_minimum = False
         self.norm_history: list[float] = []
         self.smoothed_history: list[float] = []
         self.decay_log: list[LrEvent] = []
+        # (epoch, total_epochs) per budget: the constructor's at epoch 0, then
+        # one per retarget, in the order they were set
+        self.budgets: list[tuple[int, int]] = [(0, total_epochs)]
+
+    @property
+    def epoch(self) -> int:
+        return len(self.norm_history)
+
+    @property
+    def total_epochs(self) -> int:
+        return self.budgets[-1][1]
 
     @property
     def last_decay_epoch(self) -> int:
@@ -85,16 +96,16 @@ class AbelScheduler:
         )
 
     def retarget(self, total_epochs: int) -> None:
-        """Re-derive the final-decay epoch for a new training budget."""
+        """Re-derive the final-decay epoch for a new training budget, from the
+        next observation on."""
         if total_epochs < 1:
             raise ValueError("total_epochs must be >= 1")
-        self.total_epochs = total_epochs
+        self.budgets.append((self.epoch, total_epochs))
 
     def observe_epoch(self, weight_norm_sq: float) -> tuple[float, list[LrEvent]]:
         """Feed one end-of-epoch squared weight norm; returns (lr, decay events)."""
         if not (math.isfinite(weight_norm_sq) and weight_norm_sq > 0):
             raise ValueError(f"weight_norm_sq must be positive and finite, got {weight_norm_sq!r}")
-        self.epoch += 1
         self.norm_history.append(float(weight_norm_sq))
         emitted = len(self.norm_history) % self.smoothing_window == 0
         if emitted:
@@ -165,8 +176,12 @@ class PlateauScheduler:
         self.mode = mode
         self.best_metric: float | None = None
         self.epochs_since_improvement = 0
-        self.epoch = 0
+        self.history: list[float] = []
         self.decay_log: list[LrEvent] = []
+
+    @property
+    def epoch(self) -> int:
+        return len(self.history)
 
     @classmethod
     def from_spec(cls, spec: ScheduleSpec) -> "PlateauScheduler":
@@ -191,7 +206,7 @@ class PlateauScheduler:
         """Feed one end-of-epoch metric value; returns (lr, decay events)."""
         if not math.isfinite(metric):
             raise ValueError(f"metric must be finite, got {metric!r}")
-        self.epoch += 1
+        self.history.append(float(metric))
         events: list[LrEvent] = []
         if self._improved(metric):
             self.best_metric = float(metric)

@@ -34,8 +34,10 @@ errors let a resumed run decide auto-stop as the uninterrupted run would.
 Resume with a changed epoch budget is allowed only for schedules whose
 learning rate at an epoch does not depend on the budget (constant,
 step-wise, plateau, and the bounce scheduler, whose final decay is
-re-derived from its stored fraction). Cosine, linear and simple decay
-refuse a changed budget: their entire profile depends on it.
+re-derived from its fraction of the new budget; its state records each
+budget change with its epoch, so a final decay taken under an earlier
+budget survives any later resume). Cosine, linear and simple decay refuse
+a changed budget: their entire profile depends on it.
 """
 
 from __future__ import annotations

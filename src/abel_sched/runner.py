@@ -33,11 +33,12 @@ ends up with the logs of an uninterrupted run. A resumed run's
 ``meta.json`` summarizes the whole run: its best and final test errors come
 from the checkpoint's test errors plus the new epochs, and its decay events
 include those before the checkpoint; only ``start_epoch`` tells it apart
-from the uninterrupted run's. Logs that lack a row at or
-before the checkpoint epoch (or a whole file) refuse the resume with
-:class:`ResumeRefusedError`. ``meta.json``, ``config.txt`` and checkpoints
-are written through a temp file and ``os.replace``, so a crash never
-leaves a torn file.
+from the uninterrupted run's. Logs that lack a row at or before the
+checkpoint epoch (or a whole file) refuse the resume with
+:class:`ResumeRefusedError`, as does a resume state whose test errors or
+scheduler cover another number of epochs than the checkpoint.
+``meta.json``, ``config.txt`` and checkpoints are written through a temp
+file and ``os.replace``, so a crash never leaves a torn file.
 """
 
 from __future__ import annotations
@@ -308,6 +309,10 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
             raise ResumeRefusedError(
                 f"the resume state holds {len(test_errors)} test errors for "
                 f"{start_epoch} epochs")
+        if scheduler is not None and scheduler.epoch != start_epoch:
+            raise ResumeRefusedError(
+                f"the resume state's scheduler has seen {scheduler.epoch} epochs, "
+                f"the checkpoint {start_epoch}")
         run_events = (list(scheduler.decay_log) if scheduler else
                       [ev for e in range(1, start_epoch + 1)
                        for ev in _milestone_events(spec, e, config.epochs)])

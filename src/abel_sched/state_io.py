@@ -1,43 +1,45 @@
 """Byte-exact serialization of scheduler state, and the one binary reader
 (:class:`Reader`) that scheduler state and checkpoints both decode through.
 
-Scheduler state format (all integers and reals little-endian):
+A scheduler's state is a function of its spec, its budget changes and the
+values it observed, so a blob holds only those. :func:`restore_scheduler`
+builds a fresh scheduler and replays the observations through
+``observe_epoch``; the current lr, epoch, arming flag, smoothed history,
+decay log and best metric are rebuilt, so they agree by construction.
 
-    offset  field
-    0       magic ``b"LRS1"``
-    4       version: u16 (currently 1)
-    6       kind: u8 (1 = bounce scheduler, 2 = plateau scheduler)
-    7...    kind-specific payload
+Scheduler state format, version 2 (all integers and reals little-endian):
+magic ``b"LRS1"``; version u16; kind u8 (1 = bounce, 2 = plateau); the
+kind's spec; the observations as a u32 count + f64 values (squared weight
+norms for the bounce scheduler, metric values for the plateau scheduler).
 
-Bounce-scheduler payload, in order: base_lr, current_lr, decay_factor,
-last_decay_fraction (f64 each); total_epochs, epoch (u32 each);
-smoothing_window, min_history (u16 each); reached_minimum (u8);
-raw norm history (u32 count + f64 values); smoothed history (same);
-decay log (u32 count + per event: epoch u32, trigger u8, old_lr f64,
-new_lr f64).
+Bounce spec: base_lr, decay_factor, last_decay_fraction (f64 each);
+smoothing_window, min_history (u16 each); the budgets as a u32 count +
+(epoch u32, total_epochs u32) each, the first at epoch 0, the others in
+the order they were set: epochs never decrease nor pass the observation
+count.
 
-Plateau payload: base_lr, current_lr, factor, threshold (f64 each);
-patience, epochs_since_improvement, epoch (u32 each); mode u8
-(0 = min, 1 = max); has_best u8 + best_metric f64; decay log as above.
+Plateau spec: base_lr, factor, threshold (f64 each); patience u32; mode u8
+(0 = min, 1 = max).
 
-Round-trip identity: a restored scheduler behaves identically to the
-original on any subsequent observation sequence.
+A blob that does not decode, has another version, or holds a value that the
+constructor, ``retarget`` or ``observe_epoch`` refuses raises
+:class:`StateDecodeError`. Every blob that restores re-serializes to the
+same bytes.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import partial
 
 from .adaptive import AbelScheduler, PlateauScheduler
-from .schedules import LrEvent
 
 MAGIC = b"LRS1"
-VERSION = 1
+VERSION = 2
 
 _KIND_ABEL = 1
 _KIND_PLATEAU = 2
 
-_TRIGGERS = ("milestone", "bounce", "final_decay", "plateau")
 _MODES = ("min", "max")
 
 
@@ -75,79 +77,32 @@ class Reader:
             raise StateDecodeError(f"{len(self.data) - self.pos} trailing bytes")
 
 
-def _pack_events(events: list[LrEvent]) -> bytes:
-    out = [struct.pack("<I", len(events))]
-    for ev in events:
-        out.append(struct.pack("<IBdd", ev.epoch, _TRIGGERS.index(ev.trigger), ev.old_lr, ev.new_lr))
-    return b"".join(out)
-
-
-def _unpack_events(r: Reader) -> list[LrEvent]:
-    (count,) = r.take("<I")
-    events = []
-    for _ in range(count):
-        epoch, trig, old_lr, new_lr = r.take("<IBdd")
-        if trig >= len(_TRIGGERS):
-            raise StateDecodeError(f"unknown event trigger code {trig}")
-        events.append(LrEvent(epoch=epoch, old_lr=old_lr, new_lr=new_lr, trigger=_TRIGGERS[trig]))
-    return events
-
-
-def _check_lr_chain(base_lr: float, factor: float, current_lr: float,
-                    events: list[LrEvent]) -> None:
-    """``current_lr`` must be ``base_lr`` carried through the decay log: each
-    event starts from the previous event's lr and multiplies it by ``factor``,
-    exactly as the schedulers compute it."""
-    lr = base_lr
-    for ev in events:
-        if ev.old_lr != lr or ev.new_lr != ev.old_lr * factor:
-            raise StateDecodeError(f"decay event at epoch {ev.epoch} does not continue "
-                                   f"the lr {lr!r} by the factor {factor!r}")
-        lr = ev.new_lr
-    if current_lr != lr:
-        raise StateDecodeError(f"current lr {current_lr!r} is not the decay log's lr {lr!r}")
-
-
 def serialize_scheduler(scheduler: AbelScheduler | PlateauScheduler) -> bytes:
-    """Encode a scheduler's full state as bytes."""
+    """Encode a scheduler's spec, budgets and observations as bytes."""
     if isinstance(scheduler, AbelScheduler):
         s = scheduler
-        parts = [
-            MAGIC,
-            struct.pack("<HB", VERSION, _KIND_ABEL),
-            struct.pack("<dddd", s.base_lr, s.current_lr, s.decay_factor, s.last_decay_fraction),
-            struct.pack("<IIHHB", s.total_epochs, s.epoch, s.smoothing_window, s.min_history,
-                        int(s.reached_minimum)),
-            struct.pack("<I", len(s.norm_history)),
-            struct.pack(f"<{len(s.norm_history)}d", *s.norm_history),
-            struct.pack("<I", len(s.smoothed_history)),
-            struct.pack(f"<{len(s.smoothed_history)}d", *s.smoothed_history),
-            _pack_events(s.decay_log),
-        ]
-        return b"".join(parts)
-    if isinstance(scheduler, PlateauScheduler):
+        budgets = [n for budget in s.budgets for n in budget]
+        spec = struct.pack(f"<BdddHHI{len(budgets)}I", _KIND_ABEL, s.base_lr, s.decay_factor,
+                           s.last_decay_fraction, s.smoothing_window, s.min_history,
+                           len(s.budgets), *budgets)
+        observed = s.norm_history
+    elif isinstance(scheduler, PlateauScheduler):
         p = scheduler
-        parts = [
-            MAGIC,
-            struct.pack("<HB", VERSION, _KIND_PLATEAU),
-            struct.pack("<dddd", p.base_lr, p.current_lr, p.factor, p.threshold),
-            struct.pack("<III", p.patience, p.epochs_since_improvement, p.epoch),
-            struct.pack("<B", _MODES.index(p.mode)),
-            struct.pack("<Bd", int(p.best_metric is not None),
-                        0.0 if p.best_metric is None else p.best_metric),
-            _pack_events(p.decay_log),
-        ]
-        return b"".join(parts)
-    raise TypeError(f"cannot serialize {type(scheduler).__name__}")
+        spec = struct.pack("<BdddIB", _KIND_PLATEAU, p.base_lr, p.factor, p.threshold,
+                           p.patience, _MODES.index(p.mode))
+        observed = p.history
+    else:
+        raise TypeError(f"cannot serialize {type(scheduler).__name__}")
+    return b"".join([MAGIC, struct.pack("<H", VERSION), spec,
+                     struct.pack(f"<I{len(observed)}d", len(observed), *observed)])
 
 
 def restore_scheduler(data: bytes) -> AbelScheduler | PlateauScheduler:
-    """Decode scheduler state bytes, exactly as they were saved.
+    """Decode scheduler state bytes and replay them into a fresh scheduler.
 
-    Bytes that do not decode, decode to values the scheduler's constructor
-    refuses, or hold a current lr that is not the base lr carried through
-    the decay log, raise :class:`StateDecodeError`. A bounce scheduler
-    keeps its stored budget; a resume with a new one calls
+    A bounce scheduler is retargeted to each recorded budget once it has
+    seen that budget's epoch of observations, so it ends on the budget it
+    was saved with; a resume with a new one calls
     :meth:`AbelScheduler.retarget` on the result.
     """
     r = Reader(data)
@@ -156,51 +111,44 @@ def restore_scheduler(data: bytes) -> AbelScheduler | PlateauScheduler:
     version, kind = r.take("<HB")
     if version != VERSION:
         raise StateDecodeError(f"unsupported scheduler state version {version}")
-
     if kind == _KIND_ABEL:
-        base_lr, current_lr, decay_factor, last_decay_fraction = r.take("<dddd")
-        total, epoch, window, min_history, reached = r.take("<IIHHB")
-        (n_raw,) = r.take("<I")
-        raw = r.take_floats(n_raw)
-        (n_smooth,) = r.take("<I")
-        smooth = r.take_floats(n_smooth)
-        events = _unpack_events(r)
-        r.done()
-        try:
-            s = AbelScheduler(base_lr=base_lr, decay_factor=decay_factor, total_epochs=total,
-                              last_decay_fraction=last_decay_fraction,
-                              smoothing_window=window, min_history=min_history)
-        except ValueError as exc:
-            raise StateDecodeError(f"invalid bounce-scheduler state: {exc}") from None
-        _check_lr_chain(base_lr, decay_factor, current_lr, events)
-        s.current_lr = current_lr
-        s.epoch = epoch
-        s.reached_minimum = bool(reached)
-        s.norm_history = raw
-        s.smoothed_history = smooth
-        s.decay_log = events
-        return s
-
-    if kind == _KIND_PLATEAU:
-        base_lr, current_lr, factor, threshold = r.take("<dddd")
-        patience, since, epoch = r.take("<III")
-        (mode_code,) = r.take("<B")
+        base_lr, decay_factor, last_decay_fraction, window, min_history, n_budgets = \
+            r.take("<dddHHI")
+        flat = r.take(f"<{2 * n_budgets}I")
+        budgets = list(zip(flat[::2], flat[1::2]))
+        if not budgets or budgets[0][0] != 0:
+            raise StateDecodeError("the first budget must start at epoch 0")
+        fresh = partial(AbelScheduler, base_lr=base_lr, decay_factor=decay_factor,
+                        total_epochs=budgets[0][1], last_decay_fraction=last_decay_fraction,
+                        smoothing_window=window, min_history=min_history)
+        changes = budgets[1:]
+    elif kind == _KIND_PLATEAU:
+        base_lr, factor, threshold, patience, mode_code = r.take("<dddIB")
         if mode_code >= len(_MODES):
             raise StateDecodeError(f"unknown plateau mode code {mode_code}")
-        has_best, best = r.take("<Bd")
-        events = _unpack_events(r)
-        r.done()
-        try:
-            p = PlateauScheduler(base_lr=base_lr, factor=factor, patience=patience,
-                                 threshold=threshold, mode=_MODES[mode_code])
-        except ValueError as exc:
-            raise StateDecodeError(f"invalid plateau-scheduler state: {exc}") from None
-        _check_lr_chain(base_lr, factor, current_lr, events)
-        p.current_lr = current_lr
-        p.epochs_since_improvement = since
-        p.epoch = epoch
-        p.best_metric = best if has_best else None
-        p.decay_log = events
-        return p
+        fresh = partial(PlateauScheduler, base_lr=base_lr, factor=factor, patience=patience,
+                        threshold=threshold, mode=_MODES[mode_code])
+        changes = []
+    else:
+        raise StateDecodeError(f"unknown scheduler kind code {kind}")
+    (count,) = r.take("<I")
+    observed = r.take_floats(count)
+    r.done()
+    epochs = [0, *(epoch for epoch, _ in changes)]
+    if epochs != sorted(epochs) or epochs[-1] > count:
+        raise StateDecodeError(f"budget changes at epochs {epochs[1:]} are out of order "
+                               f"or past the {count} observations")
 
-    raise StateDecodeError(f"unknown scheduler kind code {kind}")
+    try:
+        scheduler = fresh()
+        start = 0
+        for epoch, total in changes:
+            for value in observed[start:epoch]:
+                scheduler.observe_epoch(value)
+            scheduler.retarget(total)
+            start = epoch
+        for value in observed[start:]:
+            scheduler.observe_epoch(value)
+    except ValueError as exc:
+        raise StateDecodeError(f"invalid scheduler state: {exc}") from None
+    return scheduler

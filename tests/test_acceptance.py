@@ -4,8 +4,12 @@ Criteria 6-8 run the standard hard synthetic task (see helpers.py): blobs
 with 20% train label noise, a row-normalized tanh MLP, plain SGD with
 clipping, label smoothing and warmup, 200 epochs. The largest stable
 learning rate on the documented grid is 4.0; runs are cached per config so
-shared grid points train once. Error comparisons use the best-epoch test
-error.
+shared grid points train once. Criteria 7 and 8 compare both the best-epoch
+and the final test error, under the same bounds. On this task every
+schedule reaches its best test error at epoch 11, 11 and 16 for seeds 0-2,
+before any schedule first lowers the lr (epoch 60), so the best-error
+clauses measure that shared early point; the final-error clauses measure the
+end of training, the quantity the paper reports.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS lines.
 """
@@ -241,30 +245,44 @@ def test_criterion_06_bounce_phenomenology(run_root):
            f"lr/10: {cls_small}")
 
 
-def _best_errors(kind, run_root, weight_decay=STANDARD_WEIGHT_DECAY, seeds=(0, 1, 2),
-                 **kwargs):
-    out = []
-    for seed in seeds:
-        result = run_cached(standard_config(kind, seed=seed, weight_decay=weight_decay,
-                                            **kwargs), run_root)
-        out.append(result.best_test_error)
-    return float(np.mean(out))
+def _errors(kind, run_root, weight_decay=STANDARD_WEIGHT_DECAY, seeds=(0, 1, 2), **kwargs):
+    """The 3-seed means of the best and the final test error, and each seed's best epoch."""
+    results = [run_cached(standard_config(kind, seed=seed, weight_decay=weight_decay,
+                                          **kwargs), run_root) for seed in seeds]
+    return (float(np.mean([r.best_test_error for r in results])),
+            float(np.mean([r.final_test_error for r in results])),
+            [r.meta["best_epoch"] for r in results])
 
 
 def test_criterion_07_schedule_comparison(run_root):
     t0 = time.perf_counter()
-    abel = _best_errors("abel", run_root)
-    simple = _best_errors("simple", run_root)
-    step = _best_errors("stepwise", run_root)
+    abel, abel_final, abel_epochs = _errors("abel", run_root)
+    simple, simple_final, simple_epochs = _errors("simple", run_root)
+    step, step_final, step_epochs = _errors("stepwise", run_root)
     assert abel <= simple + 0.0025, (abel, simple)
     assert abs(abel - step) <= 0.01, (abel, step)
+    assert abel_final <= simple_final + 0.0025, (abel_final, simple_final)
+    assert abs(abel_final - step_final) <= 0.01, (abel_final, step_final)
 
-    cosine0 = _best_errors("cosine", run_root, weight_decay=0.0)
-    simple0 = _best_errors("simple", run_root, weight_decay=0.0)
+    cosine0, cosine0_final, _ = _errors("cosine", run_root, weight_decay=0.0)
+    simple0, simple0_final, _ = _errors("simple", run_root, weight_decay=0.0)
     assert abs(cosine0 - simple0) <= 0.005, (cosine0, simple0)
     report(7, time.perf_counter() - t0, 900.0,
-           f"best test error over 3 seeds: ABEL {abel:.4f}, simple {simple:.4f}, "
-           f"step-wise {step:.4f}; lambda=0: cosine {cosine0:.4f} vs simple {simple0:.4f}")
+           f"3-seed best / final test error: ABEL {abel:.4f} / {abel_final:.4f}, "
+           f"simple {simple:.4f} / {simple_final:.4f}, step-wise {step:.4f} / "
+           f"{step_final:.4f}; best epochs ABEL {abel_epochs}, simple {simple_epochs}, "
+           f"step-wise {step_epochs}; lambda=0 best: cosine {cosine0:.4f} vs simple "
+           f"{simple0:.4f} (final {cosine0_final:.4f} vs {simple0_final:.4f}, see the "
+           f"xfail below)")
+
+
+@pytest.mark.xfail(strict=True, reason="measured: at lambda = 0 the 3-seed final test error "
+                   "is 0.1247 with cosine and 0.1319 with simple decay, a gap of 0.0072 "
+                   "against the bound 0.005")
+def test_criterion_07_lambda0_final_error(run_root):
+    cosine0 = _errors("cosine", run_root, weight_decay=0.0)[1]
+    simple0 = _errors("simple", run_root, weight_decay=0.0)[1]
+    assert abs(cosine0 - simple0) <= 0.005, (cosine0, simple0)
 
 
 def test_criterion_08_robustness_sweep(run_root):
@@ -277,17 +295,25 @@ def test_criterion_08_robustness_sweep(run_root):
     assert all(e is not None for e in first_decays)
     assert all(a >= b for a, b in zip(first_decays, first_decays[1:])), first_decays
 
-    # decay-factor robustness: spread of best errors, ABEL vs fixed milestones
-    abel_errs = [_best_errors("abel", run_root, decay_factor=df)
-                 for df in (0.5, 0.2, 0.1)]
-    step_errs = [_best_errors("stepwise", run_root, decay_factor=df)
-                 for df in (0.5, 0.2, 0.1)]
-    abel_spread = max(abel_errs) - min(abel_errs)
-    step_spread = max(step_errs) - min(step_errs)
+    # decay-factor robustness: spread of best and of final errors, ABEL vs fixed milestones
+    factors = (0.5, 0.2, 0.1)
+    abel_errs = [_errors("abel", run_root, decay_factor=df) for df in factors]
+    step_errs = [_errors("stepwise", run_root, decay_factor=df) for df in factors]
+
+    def spread(errs, k):
+        return max(e[k] for e in errs) - min(e[k] for e in errs)
+
+    abel_spread, step_spread = spread(abel_errs, 0), spread(step_errs, 0)
+    abel_final_spread, step_final_spread = spread(abel_errs, 1), spread(step_errs, 1)
     assert abel_spread <= step_spread + 1e-12, (abel_spread, step_spread)
+    assert abel_final_spread <= step_final_spread + 1e-12, \
+        (abel_final_spread, step_final_spread)
+    epochs = sorted({tuple(e[2]) for e in abel_errs + step_errs})
     report(8, time.perf_counter() - t0, 1800.0,
            f"first decay epochs {first_decays} non-increasing in lr; decay-factor "
-           f"spread ABEL {abel_spread:.4f} <= step-wise {step_spread:.4f}")
+           f"spread of best / final test error: ABEL {abel_spread:.4f} / "
+           f"{abel_final_spread:.4f} <= step-wise {step_spread:.4f} / "
+           f"{step_final_spread:.4f}; best epochs {epochs}")
 
 
 def test_criterion_09_resume_determinism(run_root, tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from abel_sched import (
+    AbelScheduler,
     BlobsSpec,
     DivergenceError,
     ExperimentConfig,
@@ -18,8 +19,10 @@ from abel_sched import (
     prepare_resume,
     read_events,
     read_metrics,
+    restore_scheduler,
     run_experiment,
     save_checkpoint,
+    serialize_scheduler,
 )
 from abel_sched.checkpoint import CheckpointError, ResumeRefusedError
 from abel_sched.cli import main as cli_main
@@ -287,19 +290,28 @@ def saved_states(tmp_path_factory):
     ("constant", lambda blobs: blobs["abel"]),
     ("abel", lambda blobs: blobs["plateau"]),
     ("plateau", lambda blobs: blobs["abel"]),
-    # base_lr sits after the magic, u16 version and u8 kind; min_history after
-    # four f64 fields, u32 total_epochs, u32 epoch and u16 smoothing_window
+    # blob v2: base_lr sits after the magic, u16 version and u8 kind; min_history
+    # after three f64 fields and u16 smoothing_window; then the u32 budget count
+    # and one (epoch, total) u32 pair per budget; the last 8 bytes are the last
+    # observation (of two, after a u32 count)
     ("abel", lambda blobs: blobs["abel"][:7] + struct.pack("<d", -1.0) + blobs["abel"][15:]),
-    ("abel", lambda blobs: blobs["abel"][:49] + struct.pack("<H", 2) + blobs["abel"][51:]),
-    # current_lr follows base_lr; a plateau blob's threshold follows current_lr and factor
-    ("abel", lambda blobs: blobs["abel"][:15] + struct.pack("<d", -5.0) + blobs["abel"][23:]),
-    ("plateau", lambda blobs: blobs["plateau"][:31] + struct.pack("<d", float("nan"))
-     + blobs["plateau"][39:]),
+    ("abel", lambda blobs: blobs["abel"][:33] + struct.pack("<H", 2) + blobs["abel"][35:]),
+    ("abel", lambda blobs: blobs["abel"][:-8] + struct.pack("<d", -1.0)),
+    ("abel", lambda blobs: blobs["abel"][:-8] + struct.pack("<d", float("nan"))),
+    ("abel", lambda blobs: blobs["abel"][:35] + struct.pack("<7I", 3, 0, 2, 2, 4, 1, 3)
+     + blobs["abel"][47:]),
+    ("abel", lambda blobs: blobs["abel"][:35] + struct.pack("<5I", 2, 0, 2, 3, 4)
+     + blobs["abel"][47:]),
+    ("abel", lambda blobs: blobs["abel"][:4] + struct.pack("<H", 1) + blobs["abel"][6:]),
+    # a plateau blob's threshold follows base_lr and factor
+    ("plateau", lambda blobs: blobs["plateau"][:23] + struct.pack("<d", float("nan"))
+     + blobs["plateau"][31:]),
 ], ids=["abel-bad-magic", "abel-truncated", "abel-trailing", "plateau-bad-magic",
         "plateau-truncated", "plateau-trailing", "abel-empty", "plateau-empty",
         "constant-non-empty", "abel-plateau-state", "plateau-abel-state",
-        "abel-negative-base-lr", "abel-min-history-2", "abel-negative-current-lr",
-        "plateau-nan-threshold"])
+        "abel-negative-base-lr", "abel-min-history-2", "abel-negative-observation",
+        "abel-nan-observation", "abel-budget-out-of-order",
+        "abel-budget-past-observations", "abel-version-1", "plateau-nan-threshold"])
 def test_checkpoint_with_bad_scheduler_state_is_rejected(tmp_path, saved_states, kind,
                                                          corrupt):
     config, state = saved_states[kind]
@@ -323,6 +335,41 @@ def test_resume_refuses_a_state_whose_test_errors_miss_epochs(tmp_path):
     with pytest.raises(ResumeRefusedError):
         run_experiment(config, resume_state=state)
     assert cli_main(["resume", str(bad), "--log-dir", str(tmp_path / "resumed")]) == 4
+
+
+def test_resume_refuses_a_scheduler_that_saw_other_epochs(tmp_path):
+    # the uninterrupted run bounces at 10 and 13 and takes its final decay at 17
+    cfg = tiny_config(tmp_path / "run", epochs=20, schedule_kind="abel", checkpoint_every=10)
+    run_experiment(cfg)
+    config, state = load_checkpoint(tmp_path / "run" / "epoch_0010.ckpt")
+    scheduler = AbelScheduler.from_spec(config.schedule)
+    for wsq in (3.0, 2.0, 1.0):
+        scheduler.observe_epoch(wsq)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, config, replace(state, scheduler_bytes=serialize_scheduler(scheduler)))
+    config, state = prepare_resume(bad, log_dir=str(tmp_path / "resumed"))
+    with pytest.raises(ResumeRefusedError, match="seen 3 epochs"):
+        run_experiment(config, resume_state=state)
+    assert cli_main(["resume", str(bad), "--log-dir", str(tmp_path / "resumed-cli")]) == 4
+
+
+def test_a_final_decay_survives_a_second_resume_at_a_new_budget(tmp_path):
+    # checkpoint at 18, after the final decay at round(0.85 * 20) = 17; resume
+    # to 40 epochs, checkpoint at 30 and resume again: the blob at 30 must keep
+    # the budget change at 18, or its replay would drop the decay at 17
+    cfg = tiny_config(tmp_path / "run", epochs=20, schedule_kind="abel", checkpoint_every=6)
+    run_experiment(cfg)
+    config, state = prepare_resume(tmp_path / "run" / "epoch_0018.ckpt", epochs=40,
+                                   log_dir=str(tmp_path / "run"))
+    run_experiment(config, resume_state=state)
+    _, state = load_checkpoint(tmp_path / "run" / "epoch_0030.ckpt")
+    assert restore_scheduler(state.scheduler_bytes).budgets == [(0, 20), (18, 40)]
+    config, state = prepare_resume(tmp_path / "run" / "epoch_0030.ckpt",
+                                   log_dir=str(tmp_path / "run"))
+    resumed = run_experiment(config, resume_state=state)
+    assert [(ev["epoch"], ev["trigger"]) for ev in resumed.meta["decay_events"]] == \
+        [(10, "bounce"), (13, "bounce"), (17, "final_decay"), (34, "final_decay")]
+    assert [ev.epoch for ev in read_events(tmp_path / "run")] == [10, 13, 17, 34]
 
 
 def test_resume_auto_stops_where_the_uninterrupted_run_does(tmp_path):
