@@ -216,6 +216,55 @@ def test_every_restored_scheduler_is_its_observations_replayed(scheduler):
         assert serialize_scheduler(restored) == data
 
 
+@PROPERTY
+@given(schedulers, st.floats())
+def test_a_current_lr_off_the_decay_log_is_refused(scheduler, lr):
+    """The blob has no field for the current lr: an lr set off the decay log
+    leaves the bytes unchanged, and restore gives back the replayed lr."""
+    if lr == scheduler.current_lr:
+        reject()
+    blob, replayed_lr = serialize_scheduler(scheduler), scheduler.current_lr
+    scheduler.current_lr = lr
+    assert serialize_scheduler(scheduler) == blob
+    restored = restore_scheduler(blob)
+    _assert_replayed(restored)
+    assert restored.current_lr == replayed_lr
+
+
+@st.composite
+def decayed_schedulers(draw):
+    """A scheduler with at least one decay: a plateau scheduler of patience 0
+    fed a constant metric, or a bounce scheduler fed a zigzag."""
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        s = PlateauScheduler(base_lr=draw(positive), factor=draw(unit), patience=0)
+        trace = [1.0] * (n + 1)
+    else:
+        s = AbelScheduler(base_lr=draw(positive), decay_factor=draw(unit), total_epochs=400)
+        trace = [3.0, 2.0] + [1.0, 2.0] * n + [1.0]
+    for v in trace:
+        s.observe_epoch(v)
+    return s
+
+
+@PROPERTY
+@given(decayed_schedulers(), st.data())
+def test_a_decay_event_that_breaks_the_lr_chain_is_refused(scheduler, data):
+    """The blob has no field for the decay log: an event edited to break the
+    lr chain leaves the bytes unchanged, and restore gives back the replayed
+    log."""
+    blob, replayed_log = serialize_scheduler(scheduler), list(scheduler.decay_log)
+    i = data.draw(st.integers(0, len(scheduler.decay_log) - 1))
+    ev = scheduler.decay_log[i]
+    field = data.draw(st.sampled_from(("old_lr", "new_lr")))
+    value = data.draw(st.floats().filter(lambda v: v != getattr(ev, field)))
+    scheduler.decay_log[i] = replace(ev, **{field: value})
+    assert serialize_scheduler(scheduler) == blob
+    restored = restore_scheduler(blob)
+    _assert_replayed(restored)
+    assert restored.decay_log == replayed_log
+
+
 # -- config text -----------------------------------------------------------------
 
 
