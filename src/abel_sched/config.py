@@ -348,8 +348,25 @@ def _build_schedule(values: dict) -> ScheduleSpec:
     )
 
 
+# The last (config, text) pair format_config produced. A run formats one
+# unchanged config for its logs, its hash and every checkpoint. The memo is
+# keyed by identity, never by ==: 0.0 == -0.0 and 4 == 4.0, yet each pair
+# formats differently. It holds the config itself, so its id is not reused.
+_last_formatted: tuple[ExperimentConfig, str] | None = None
+
+
 def format_config(config: ExperimentConfig) -> str:
     """Canonical text form; parse_config round-trips it."""
+    global _last_formatted
+    last = _last_formatted
+    if last is not None and last[0] is config:
+        return last[1]
+    text = _format_config(config)
+    _last_formatted = (config, text)
+    return text
+
+
+def _format_config(config: ExperimentConfig) -> str:
     values: dict[str, object] = {
         "seed": config.seed,
         "epochs": config.epochs,

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import GradSet, Layer, ParamSet
+from .params import GradSet, Layer, Layout, ParamSet
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -123,10 +123,16 @@ def _loss_and_dlogits(
 
 
 class Model:
-    """Stateless network: parameters travel separately as a ParamSet."""
+    """Stateless network: parameters travel separately as a ParamSet.
+
+    An MLP keeps one derived table, where its dense tensors sit in the flat
+    vector of the last layout it saw (see ``_slots``).
+    """
 
     def __init__(self, arch: ModelArch):
         self.arch = arch
+        self._slot_layout: Layout | None = None
+        self._slot_table: tuple = ()
         if arch.kind == "mlp":
             self._dense = tuple(f"fc{i + 1}" for i in range(len(arch.hidden))) + ("out",)
             parts = (".w",) if arch.normalize else (".w", ".b")
@@ -205,17 +211,34 @@ class Model:
             return self._forward_mlp(prepared, x, bufs)
         return self._forward_conv(prepared, x)
 
+    def _slots(self, layout: Layout) -> tuple:
+        """Per dense layer: the flat slice and shape of its weight, and the
+        slice of its bias (None when normalized).
+
+        Built once per layout object and reused while ``params.layout`` is
+        that same object; the table holds a reference to its layout, so the
+        identity check cannot match a new layout at a reused id.
+        """
+        if layout is not self._slot_layout:
+            shapes = dict(zip(layout.names, layout.shapes))
+            self._slot_table = tuple(
+                (layout.slice_of[f"{name}.w"], shapes[f"{name}.w"],
+                 None if self.arch.normalize else layout.slice_of[f"{name}.b"])
+                for name in self._dense)
+            self._slot_layout = layout
+        return self._slot_table
+
     def _dense_weights(self, params: ParamSet) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per dense layer: (w / |w_row|, |w_row| as a column) when normalized, else (w, b)."""
-        views = dict(zip(params.layout.names, params.layout.views(params.flat)))
+        flat = params.flat
         out = []
-        for name in self._dense:
-            w = views[f"{name}.w"]
+        for w_slice, w_shape, b_slice in self._slots(params.layout):
+            w = flat[w_slice].reshape(w_shape)
             if self.arch.normalize:
-                rn = np.sqrt((w * w).sum(axis=1))[:, None]
+                rn = np.sqrt((w * w).sum(axis=1, keepdims=True))
                 out.append((w / rn, rn))
             else:
-                out.append((w, views[f"{name}.b"]))
+                out.append((w, flat[b_slice]))
         return out
 
     def _forward_mlp(self, weights, x: np.ndarray, bufs: list[np.ndarray] | None = None):
@@ -274,21 +297,22 @@ class Model:
         loss, dlogits = _loss_and_dlogits(logits, y, label_smoothing)
         layout = params.layout
         flat = np.empty(layout.size)
-        views = dict(zip(layout.names, layout.views(flat)))
         if self.arch.kind == "mlp":
-            self._backward_mlp(prepared, cache, dlogits, views)
+            self._backward_mlp(prepared, cache, dlogits, flat, self._slots(layout))
         else:
-            self._backward_conv(params, cache, dlogits, views)
-        error = np.count_nonzero(logits.argmax(axis=1) != y) / y.shape[0]
+            self._backward_conv(params, cache, dlogits,
+                                dict(zip(layout.names, layout.views(flat))))
+        error = int(np.count_nonzero(logits.argmax(axis=1) != y)) / y.shape[0]
         return loss, GradSet(layout, flat, self._grad_names), error
 
     def _backward_mlp(self, weights, acts: list[np.ndarray], dlogits: np.ndarray,
-                      grads: dict[str, np.ndarray]) -> None:
-        """Write the gradients into ``grads``, reusing the forward pass's activations."""
+                      flat: np.ndarray, slots: tuple) -> None:
+        """Write the gradients into ``flat`` at ``slots`` (see ``_slots``), reusing
+        the forward pass's activations."""
         arch = self.arch
         dh = dlogits
         for i in reversed(range(len(weights))):
-            name = self._dense[i]
+            w_slice, w_shape, b_slice = slots[i]
             w, extra = weights[i]
             h = acts[i]
             dz = dh if i == len(weights) - 1 else dh * _act_grad(acts[i + 1], arch.activation)
@@ -296,10 +320,10 @@ class Model:
                 # w is w/|w_row| and extra is |w_row|; pull the normalization back onto w
                 dw_hat = dz.T @ h
                 proj = (dw_hat * w).sum(axis=1, keepdims=True)
-                np.divide(dw_hat - proj * w, extra, out=grads[f"{name}.w"])
+                np.divide(dw_hat - proj * w, extra, out=flat[w_slice].reshape(w_shape))
             else:
-                np.matmul(dz.T, h, out=grads[f"{name}.w"])
-                dz.sum(axis=0, out=grads[f"{name}.b"])
+                np.matmul(dz.T, h, out=flat[w_slice].reshape(w_shape))
+                dz.sum(axis=0, out=flat[b_slice])
             if i:  # no gradient is needed for the input itself
                 dh = dz @ w
 
@@ -336,7 +360,7 @@ class Model:
         wrong = 0
         for start in range(0, x.shape[0], batch_size):
             logits, _ = self._forward(prepared, x[start:start + batch_size], bufs)
-            wrong += np.count_nonzero(logits.argmax(axis=1) != y[start:start + batch_size])
+            wrong += int(np.count_nonzero(logits.argmax(axis=1) != y[start:start + batch_size]))
         return wrong / x.shape[0]
 
 

@@ -45,3 +45,13 @@ def test_per_layer_times_are_divided_by_the_host_slowdown():
     run = {"slowdown": 2.0, "metrics": {"a_ms": 4.0, "b_us": 6.0, "calls": 16.0},
            "units": {"a_ms": "ms", "b_us": "us", "calls": "1/epoch"}}
     assert bench_record.per_host_speed(run) == {"a_ms": 2.0, "b_us": 3.0}
+
+
+def test_the_environment_records_whether_bytecode_is_written(monkeypatch):
+    reported = {"numpy": "2.4.6"}
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_record.environment(reported) == {"numpy": "2.4.6",
+                                                  "PYTHONDONTWRITEBYTECODE": "1"}
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench_record.environment(None) == {"PYTHONDONTWRITEBYTECODE": None}
+    assert reported == {"numpy": "2.4.6"}

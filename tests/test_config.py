@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from abel_sched import (BlobsSpec, ConfigError, ExperimentConfig, IdxSpec, ScheduleSpec,
@@ -109,6 +111,21 @@ def test_config_hash_tracks_content():
     c = parse_config(MINIMAL.replace("epochs = 100", "epochs = 101"))
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
+
+
+def test_equal_configs_that_format_differently_each_get_their_own_text():
+    """format_config remembers its last text by identity: 0.0 == -0.0 and
+    4 == 4.0, but each pair formats differently."""
+    negative = parse_config(MINIMAL + "weight_decay = -0.0\n")
+    positive = parse_config(MINIMAL + "weight_decay = 0.0\n")
+    as_int = replace(positive, clip_norm=4)
+    as_float = replace(positive, clip_norm=4.0)
+    assert negative == positive and as_int == as_float
+    for _ in range(2):
+        assert "weight_decay = -0.0\n" in format_config(negative)
+        assert "weight_decay = 0.0\n" in format_config(positive)
+        assert format_config(as_int) != format_config(as_float)
+    assert config_hash(negative) != config_hash(positive)
 
 
 def test_comments_and_blank_lines_ignored():

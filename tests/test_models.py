@@ -7,15 +7,19 @@ from abel_sched import (
     Layer,
     Model,
     ModelArch,
+    MomentumState,
     NumericError,
     ParamSet,
     angle_cos_sin,
     inner_gw,
+    load_checkpoint,
     loss_ce,
+    save_checkpoint,
     weight_norm_sq,
 )
+from abel_sched.runner import RunState, build_model
 
-from helpers import gradcheck_worst_rel_err
+from helpers import gradcheck_worst_rel_err, standard_config
 
 MLP_RELU = ModelArch(input_dim=10, hidden=(16, 8), classes=4)
 MLP_NORM = ModelArch(input_dim=10, hidden=(16, 8), classes=4, activation="tanh",
@@ -339,3 +343,62 @@ def test_lazy_layer_views_alias_the_flat_vector():
     lazy["out.w"].value[0, 0] = 123.0
     assert params["out.w"].value[0, 0] == 123.0  # in-place edits reach every view
     assert [l.name for l in lazy.layers] == lazy.names()
+
+
+# -- the slot table ----------------------------------------------------------------
+
+
+def _step_outputs(model, params, x, y):
+    loss, grads, error = model.train_step_stats(params, x, y, 0.1)
+    return loss, {name: grads[name].copy() for name in grads}, error, model.error_rate(params, x, y)
+
+
+def _assert_bit_identical(got, want):
+    assert got[0] == want[0] and got[2] == want[2] and got[3] == want[3]
+    assert list(got[1]) == list(want[1])
+    for name in want[1]:
+        assert np.array_equal(got[1][name], want[1][name]), name
+
+
+def test_the_slot_table_follows_the_layout_object(tmp_path):
+    """One model alternating between the equal layouts of an init and of a
+    checkpoint load computes what a fresh model computes for each."""
+    config = standard_config("constant", epochs=1, log_dir=str(tmp_path / "run"))
+    model, data = build_model(config)
+    init = model.init_params(config.seed)
+    state = RunState(epoch=0, global_step=0, params=init.scaled(0.5),
+                     opt=MomentumState.init(init, mu=0.0), scheduler_bytes=b"",
+                     test_errors=())
+    save_checkpoint(tmp_path / "saved.ckpt", config, state)
+    loaded = load_checkpoint(tmp_path / "saved.ckpt")[1].params
+    assert loaded.layout == init.layout and loaded.layout is not init.layout
+    x, y = data["train"][0][:128], data["train"][1][:128]
+    for params in (init, loaded, init, loaded):
+        _assert_bit_identical(_step_outputs(model, params, x, y),
+                              _step_outputs(Model(model.arch), params, x, y))
+
+
+@pytest.mark.parametrize("arch", [MLP_NORM, MLP_RELU], ids=["normalized", "with-biases"])
+def test_the_slot_table_is_rebuilt_for_a_reordered_layout(arch):
+    """The same tensors in another layer order sit at other slices; a model
+    that served the first layout's slots would read the wrong weights."""
+    model = Model(arch)
+    params = model.init_params(5)
+    reordered = ParamSet(list(reversed(params.layers)))
+    assert reordered.layout.slices != params.layout.slices
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(32, arch.input_dim))
+    y = rng.integers(0, arch.classes, 32)
+    want = _step_outputs(Model(arch), params, x, y)
+    for p in (params, reordered, params, reordered):
+        _assert_bit_identical(_step_outputs(model, p, x, y), want)
+
+
+def test_error_rates_are_python_floats():
+    model = Model(MLP_NORM)
+    params = model.init_params(0)
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(64, 10))
+    y = rng.integers(0, 4, 64)
+    assert type(model.train_step_stats(params, x, y)[2]) is float
+    assert type(model.error_rate(params, x, y)) is float

@@ -16,6 +16,7 @@ from abel_sched import (
     step_sgd,
     weight_norm_sq,
 )
+from abel_sched.optim import _l2_grad
 
 from helpers import measured_delta_wsq, ref_clip_global_norm, ref_step_adam, ref_step_sgd
 
@@ -295,3 +296,39 @@ def test_plain_mappings_are_checked_and_packed():
     with pytest.raises(ValueError):
         step_sgd(params, MomentumState(mu=0.5, velocity={"w": np.zeros(2)}),
                  {"b": np.zeros(1), "w": np.zeros(2)}, lr=0.1)
+
+
+# -- the L2 term -------------------------------------------------------------------
+
+
+def _l2_by_runs(layout, g, w, weight_decay):
+    """The L2 term added run by run onto a copy, as for any layout."""
+    out = g.copy()
+    for sl in layout.l2_runs:
+        out[sl] += weight_decay * w[sl]
+    return out
+
+
+@pytest.mark.parametrize("weight_decay", [5e-4, 5e-3, 0.37])
+def test_the_whole_vector_l2_term_equals_the_per_run_one(weight_decay):
+    params = Model(NORMALIZED).init_params(3)
+    layout = params.layout
+    assert layout.l2_runs == (slice(0, layout.size),)  # every tensor is L2-enabled
+    g = np.random.default_rng(4).normal(size=layout.size)
+    saved = g.copy()
+    out = _l2_grad(layout, g, params.flat, weight_decay)
+    assert np.array_equal(out, _l2_by_runs(layout, g, params.flat, weight_decay))
+    assert out is not g and np.array_equal(g, saved)
+
+
+def test_an_mlp_with_biases_adds_l2_run_by_run():
+    params = Model(WITH_BIASES).init_params(3)
+    layout = params.layout
+    assert len(layout.l2_runs) == 3  # the biases split the weights' runs
+    g = np.random.default_rng(4).normal(size=layout.size)
+    out = _l2_grad(layout, g, params.flat, 5e-3)
+    assert np.array_equal(out, _l2_by_runs(layout, g, params.flat, 5e-3))
+    for name, l2 in zip(layout.names, layout.l2):
+        sl = layout.slice_of[name]
+        if not l2:
+            assert np.array_equal(out[sl], g[sl]), name  # biases get no L2 term

@@ -58,6 +58,20 @@ def test_sweep_runs_grid_and_records_failures(tmp_path):
     assert (tmp_path / "sweep" / "point_000__base_lr=0.5" / "metrics.csv").exists()
 
 
+def test_summary_error_columns_are_plain_numbers(tmp_path):
+    template = tiny_config(tmp_path / "unused", epochs=3, schedule_kind="abel")
+    points = run_sweep(template, {"decay_factor": [0.5, 0.2]}, tmp_path / "sweep")
+    for p in points:
+        assert type(p.best_test_error) is float and type(p.final_test_error) is float
+    lines = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    columns = [header.index(name) for name in ("best_test_error", "final_test_error")]
+    for line in lines[1:]:
+        row = line.split(",")
+        for column in columns:
+            assert type(float(row[column])) is float, row[column]
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     template = tiny_config(tmp_path / "unused", epochs=3)
     grid = {"base_lr": [0.25, 0.5]}

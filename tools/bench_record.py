@@ -16,16 +16,17 @@ Pair i of a workload runs seed ``--first-seed + i`` on both sides, the
 parent first in even pairs and the change first in odd ones. For each
 end-to-end metric the file gives each side's median, q1 and q3 and the
 change's wins k/n (ties count for neither side), and it records the SHAs,
-numpy and its BLAS, each run's host slowdown, the failed-check counts and
-the seed-0 log digests. With ``--traced-pairs n`` the first n seeds also
-run traced on both sides; their per-layer times are given as measured and
-divided by the same run's host slowdown.
+numpy and its BLAS, ``PYTHONDONTWRITEBYTECODE``, each run's host slowdown,
+the failed-check counts and the seed-0 log digests. With ``--traced-pairs n``
+the first n seeds also run traced on both sides; their per-layer times are
+given as measured and divided by the same run's host slowdown.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -83,6 +84,14 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: 
     if proc.returncode not in (0, 1):
         out["stderr_tail"] = proc.stderr.splitlines()[-5:]
     return out
+
+
+def environment(reported: dict | None) -> dict:
+    """The environment a run reported, plus PYTHONDONTWRITEBYTECODE as this
+    process (and so every run) sees it (null when unset): when it is set,
+    every fresh interpreter compiles the package, and ``setup_s`` includes that."""
+    return {**(reported or {}),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -188,7 +197,7 @@ def main(argv=None) -> int:
                 if seed0:
                     entry["seed0_digests"] = {"parent": seed0[0][0]["digests"],
                                               "change": seed0[0][1]["digests"]}
-                record.setdefault("environment", pairs[0][0]["environment"])
+                record.setdefault("environment", environment(pairs[0][0]["environment"]))
             record["workloads"].setdefault(workload, {})[
                 "traced" if traced else "end_to_end"] = entry
 
