@@ -26,7 +26,7 @@ from pathlib import Path
 from .analysis import NormTrace, analyze_trace
 from .checkpoint import CheckpointError, ResumeRefusedError, prepare_resume
 from .config import ConfigError, parse_config
-from .runner import DivergenceError, read_events, read_metrics, run_experiment
+from .runner import DivergenceError, read_events, read_metrics, run_experiment, write_atomic
 from .sweep import parse_grid, run_sweep
 
 EXIT_OK = 0
@@ -127,8 +127,8 @@ def _cmd_analyze(args) -> int:
 
     text = "\n".join(lines) + "\n"
     out_dir = Path(args.out_dir or args.log_dir)
-    (out_dir / "report.txt").write_text(text)
-    (out_dir / "report.csv").write_text("\n".join(csv) + "\n")
+    write_atomic(out_dir / "report.txt", text.encode())
+    write_atomic(out_dir / "report.csv", ("\n".join(csv) + "\n").encode())
     sys.stdout.write(text)
     return EXIT_OK
 

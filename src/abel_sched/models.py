@@ -13,6 +13,50 @@ Gradients are of the bare loss only: the L2 term is applied by the
 optimizer, never folded into these gradients. They are written straight
 into one flat vector in the parameters' layout (a GradSet), listed in the
 order the backward pass produces them.
+
+Screened evaluation
+-------------------
+A test error depends only on each row's argmax, so ``Model.error_rate``
+of a tanh MLP (normalized or with biases) first runs every row in float32
+and keeps the float32 class of each row whose class it can prove equal to
+the float64 one. Let "exact" mean exact arithmetic on the float64 inputs
+and prepared weights (``w/|w_row|``, or ``w`` and ``b``). One scalar bound
+E on |computed - exact| for every logit follows from the standard
+dot-product bound (Higham, *Accuracy and Stability of Numerical
+Algorithms*, section 3.1): a length-n dot product plus a bias, summed in any
+order, errs by at most ``gamma_{n+1}`` times the sum of the magnitudes of
+its terms, with ``gamma_k = k u / (1 - k u)`` and unit roundoff ``u``
+(2**-24 for float32, 2**-53 for float64). For a dense layer whose input
+errs by at most ``e`` around an exact input of magnitude at most ``h``,
+whose float64 weight has largest row 1-norm ``L`` and largest |bias|
+``beta`` (0 when normalized), and whose weights and bias are rounded to the
+working precision (error ``u`` relative; nothing for float64), the output
+errs by at most
+
+    e' = e L (1+u) + (gamma_{n+1} + u) ((h + e) L + beta) (1+u)
+
+plus an absolute term for underflow, ``(n + 2) tiny (1 + h + e)`` with
+``tiny`` the smallest normal number. tanh is 1-Lipschitz and its exact
+values lie in [-1, 1], so after a tanh ``e`` grows by ``4 (u + tiny)`` and
+``h`` is 1. The recursion starts from ``h = max|x|`` and ``e = u max|x| +
+tiny`` in float32 (the cast of the input) or ``e = 0`` in float64; its last
+value is E32 or E64. A row whose float32 top class leads the runner-up by
+more than ``2 (E32 + E64)`` has that class as its unique float64 argmax.
+The assumptions are: any summation order (so any BLAS kernel); no overflow,
+which a magnitude bound checks before anything is cast; and numpy's
+``tanh`` within 4 ulp in both dtypes (numpy's own validation set,
+``umath-validation-set-tanh.csv``, allows 2). The computed ``L`` is
+inflated for its own rounding, and every threshold by ``1 + 2**-20`` for the
+rounding of the margins and of the bound itself.
+
+The rows left unproven run again in float64, as one gathered batch. Their
+float64 bits may differ from the chunked loop's, since BLAS may sum in
+another order for another row count; both err by at most E64 from exact,
+so a float64 margin above ``4 E64`` settles the class. A row still
+unsettled takes its class from its whole chunk, computed exactly as the
+unscreened loop computes it. The whole call runs the unscreened loop when
+more than 1/8 of the rows are unproven, when float32 could overflow, and
+for relu MLPs and convnets.
 """
 
 from __future__ import annotations
@@ -25,6 +69,14 @@ import numpy as np
 from .params import GradSet, Layer, Layout, ParamSet
 
 ACTIVATIONS = ("relu", "tanh")
+
+# unit roundoff and smallest normal number of the screen's two precisions
+_U32, _U64 = 2.0 ** -24, 2.0 ** -53
+_TINY32, _TINY64 = 2.0 ** -126, 2.0 ** -1022
+# the largest magnitude the float32 screen may meet, with room for a margin
+_SCREEN_LIMIT = float(np.finfo(np.float32).max) / 4
+# headroom on every screen threshold, for rounded margins and bounds
+_SLACK = 1.0 + 2.0 ** -20
 
 
 class NumericError(ArithmeticError):
@@ -348,20 +400,130 @@ class Model:
                    batch_size: int = 1024) -> float:
         """Fraction of misclassified samples, evaluated in chunks.
 
-        An MLP's weight rows are normalized once per call, not once per chunk,
-        and its layers write every chunk's outputs into one buffer each.
+        Equal to the share of rows whose argmax over the float64 logits of
+        their ``batch_size``-row chunk differs from ``y``; a tanh MLP gets
+        there through the float32 screen of the module docstring. An MLP's weight rows are normalized
+        once per call, not once per chunk, and its layers write every
+        chunk's outputs into one buffer each.
         """
         x = self._check_input(x)
+        y = np.asarray(y)
+        n = x.shape[0]
+        if y.shape != (n,) or not np.issubdtype(y.dtype, np.integer):
+            raise ValueError(f"expected {n} integer labels, got shape {y.shape} of {y.dtype}")
+        if n and (y.min() < 0 or y.max() >= self.arch.classes):
+            raise ValueError("labels out of range")
         prepared = self._prepared(params)
         bufs = None
         if self.arch.kind == "mlp":
-            rows = min(batch_size, x.shape[0])
-            bufs = [np.empty((rows, w.shape[0])) for w, _ in prepared]
-        wrong = 0
-        for start in range(0, x.shape[0], batch_size):
+            bufs = [np.empty((min(batch_size, n), w.shape[0])) for w, _ in prepared]
+
+        def exact_classes(start: int) -> np.ndarray:
+            """The argmax of chunk ``start``, as the unscreened loop computes it."""
             logits, _ = self._forward(prepared, x[start:start + batch_size], bufs)
-            wrong += int(np.count_nonzero(logits.argmax(axis=1) != y[start:start + batch_size]))
-        return wrong / x.shape[0]
+            return logits.argmax(axis=1)
+
+        classes = None
+        if self.arch.kind == "mlp" and self.arch.activation == "tanh" and n:
+            classes = self._screened_classes(prepared, x, batch_size, exact_classes)
+        if classes is None:
+            wrong = sum(int(np.count_nonzero(exact_classes(start) != y[start:start + batch_size]))
+                        for start in range(0, n, batch_size))
+        else:
+            wrong = int(np.count_nonzero(classes != y))
+        return wrong / n
+
+    def _screened_classes(self, prepared, x: np.ndarray, batch_size: int,
+                          exact_classes) -> np.ndarray | None:
+        """Every row's float64 argmax, through the float32 screen of the module
+        docstring; None when the unscreened loop must run instead."""
+        bounds = _screen_bounds(prepared, x, self.arch.normalize)
+        if bounds is None:
+            return None
+        e32, e64 = bounds
+        n = x.shape[0]
+        # tier 1: float32 in chunks (one 8192-row sgemm is slower, as BLAS
+        # then threads it), every chunk's logits in one array
+        weights = [(w.astype(np.float32), extra if self.arch.normalize
+                    else extra.astype(np.float32)) for w, extra in prepared]
+        x32 = x.astype(np.float32)
+        logits = np.empty((n, self.arch.classes), dtype=np.float32)
+        bufs = [np.empty((min(batch_size, n), w.shape[0]), dtype=np.float32)
+                for w, _ in weights[:-1]] + [logits]
+        for start in range(0, n, batch_size):
+            bufs[-1] = logits[start:start + batch_size]
+            self._forward_mlp(weights, x32[start:start + batch_size], bufs)
+        classes, margin = _top_two(logits)
+        unproven = np.flatnonzero(~(margin > np.float32(2.0 * (e32 + e64) * _SLACK)))
+        if len(unproven) * 8 > n:
+            return None
+        if len(unproven):
+            # tier 2: the unproven rows in float64, as one batch
+            logits64, _ = self._forward_mlp(prepared, x[unproven])
+            classes[unproven], margin64 = _top_two(logits64)
+            # tier 3: a row still unsettled takes its class from its exact chunk
+            chunks: dict[int, np.ndarray] = {}
+            for row in unproven[~(margin64 > 4.0 * e64 * _SLACK)]:
+                start = row - row % batch_size
+                if start not in chunks:
+                    chunks[start] = exact_classes(start)
+                classes[row] = chunks[start][row - start]
+        return classes
+
+
+def _top_two(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first largest class, and its lead over the runner-up (0 on a tie).
+
+    One pass over a class-major copy: for few classes this is several times
+    faster than ``argmax(axis=1)`` over the rows. The classes are held in the
+    narrowest unsigned type, where the masked update is an arithmetic one
+    (a masked assignment to an intp array costs 7 times as much).
+    """
+    cols = np.ascontiguousarray(logits.T)
+    top = cols[0].copy()
+    second = np.full_like(top, -np.inf)
+    classes = np.zeros(len(top), dtype=np.min_scalar_type(len(cols) - 1))
+    for c in range(1, len(cols)):
+        v = cols[c]
+        np.maximum(second, np.minimum(v, top), out=second)
+        classes += (v > top) * (c - classes)  # c where v leads; c > classes, so no wrap
+        np.maximum(top, v, out=top)
+    return classes, top - second
+
+
+def _screen_bounds(weights, x: np.ndarray, normalize: bool) -> tuple[float, float] | None:
+    """(E32, E64): bounds on |computed - exact| of every logit of a tanh MLP
+    computed in float32 and in float64 (see the module docstring); None when
+    a float32 pass could overflow or a magnitude is not finite."""
+    mx = max(float(x.max()), -float(x.min()))
+    layers = []
+    for w, extra in weights:
+        fan_in = w.shape[1]
+        # the computed row sums may fall short of the exact ones by gamma_n
+        l1 = float(np.abs(w).sum(axis=1).max()) * (1.0 + 2.0 * _gamma(fan_in, _U64))
+        beta = 0.0 if normalize else float(np.abs(extra).max())
+        layers.append((fan_in, l1, beta))
+    bounds = []
+    for u, tiny, e in ((_U32, _TINY32, _U32 * mx + _TINY32), (_U64, _TINY64, 0.0)):
+        h = mx
+        for i, (fan_in, l1, beta) in enumerate(layers):
+            magnitude = (h + e) * l1 * 2.0 + beta * 2.0
+            if not all(v <= _SCREEN_LIMIT for v in (mx, l1, beta, magnitude)):  # NaN fails
+                return None
+            e = (e * l1 * (1.0 + u)
+                 + (_gamma(fan_in + 1, u) + u) * ((h + e) * l1 + beta) * (1.0 + u)
+                 + (fan_in + 2) * tiny * (1.0 + h + e))
+            if i < len(layers) - 1:  # tanh
+                e += 4.0 * (u + tiny)
+                h = 1.0
+        if not e <= _SCREEN_LIMIT / 4:  # so that the float32 threshold is finite
+            return None
+        bounds.append(e)
+    return bounds[0], bounds[1]
+
+
+def _gamma(k: int, u: float) -> float:
+    return k * u / (1.0 - k * u)
 
 
 def _conv_valid(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from pathlib import Path
 from .adaptive import make_scheduler
 from .config import ConfigError, ExperimentConfig, format_config
 from .runner import (DivergenceError, ResumeRefusedError, RunState, _log_history, _RunLog,
-                     observe, read_metrics, run_experiment)
+                     observe, read_metrics, run_experiment, write_atomic)
 from .schedules import lr_at, warmup_scale
 from .state_io import serialize_scheduler
 
@@ -208,7 +208,7 @@ def run_sweep(template: ExperimentConfig, grid: dict[str, list[float]],
     """One run per grid point; returns summary rows and writes summary.csv."""
     sweep_dir = Path(sweep_dir)
     sweep_dir.mkdir(parents=True, exist_ok=True)
-    (sweep_dir / "template.txt").write_text(format_config(template))
+    write_atomic(sweep_dir / "template.txt", format_config(template).encode())
 
     names = list(grid)
     ready = []  # tasks to submit: leaders in grid order, then followers as forks arrive
@@ -260,5 +260,5 @@ def run_sweep(template: ExperimentConfig, grid: dict[str, list[float]],
                str(p.n_decays),
                ";".join(str(e) for e in p.decay_epochs)]
         lines.append(",".join(row))
-    (sweep_dir / "summary.csv").write_text("\n".join(lines) + "\n")
+    write_atomic(sweep_dir / "summary.csv", ("\n".join(lines) + "\n").encode())
     return points

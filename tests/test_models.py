@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from abel_sched import (
     Layer,
@@ -17,7 +20,7 @@ from abel_sched import (
     save_checkpoint,
     weight_norm_sq,
 )
-from abel_sched.runner import RunState, build_model
+from abel_sched.runner import RunState, build_model, run_experiment
 
 from helpers import gradcheck_worst_rel_err, standard_config
 
@@ -247,6 +250,15 @@ def test_avgpool_matches_hand_computation():
 # -- evaluation ------------------------------------------------------------------
 
 
+def _chunked_error(model, params, x, y, batch_size):
+    """The unscreened reference: argmax of every chunk's float64 forward pass."""
+    wrong = 0
+    for start in range(0, x.shape[0], batch_size):
+        logits = model.forward(params, x[start:start + batch_size])
+        wrong += int(np.count_nonzero(logits.argmax(axis=1) != y[start:start + batch_size]))
+    return wrong / x.shape[0]
+
+
 @pytest.mark.parametrize("arch", [
     MLP_NORM, MLP_RELU, CONV,
     ModelArch(input_dim=10, hidden=(16, 8), classes=4, activation="relu", normalize=True),
@@ -261,12 +273,9 @@ def test_error_rate_equals_chunked_forward_count(arch, batch_size):
     n = 8192
     x = rng.normal(size=(n, arch.input_dim))
     y = rng.integers(0, arch.classes, n)
-    wrong = 0
-    for start in range(0, n, batch_size):
-        logits = model.forward(params, x[start:start + batch_size])
-        wrong += int((logits.argmax(axis=1) != y[start:start + batch_size]).sum())
-    assert 0 < wrong < n
-    assert model.error_rate(params, x, y, batch_size=batch_size) == wrong / n
+    want = _chunked_error(model, params, x, y, batch_size)
+    assert 0 < want < 1
+    assert model.error_rate(params, x, y, batch_size=batch_size) == want
 
 
 # -- the flat layout ---------------------------------------------------------------
@@ -402,3 +411,186 @@ def test_error_rates_are_python_floats():
     y = rng.integers(0, 4, 64)
     assert type(model.train_step_stats(params, x, y)[2]) is float
     assert type(model.error_rate(params, x, y)) is float
+
+
+# -- the screened evaluation ---------------------------------------------------------
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """(dtype, rows) of every MLP forward pass, in call order."""
+    calls = []
+    forward_mlp = Model._forward_mlp
+
+    def recorded(self, weights, x, bufs=None):
+        calls.append((x.dtype, x.shape[0]))
+        return forward_mlp(self, weights, x, bufs)
+
+    monkeypatch.setattr(Model, "_forward_mlp", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("labels", [
+    np.zeros((100, 1), dtype=int),   # broadcast to an "error rate" above 1
+    np.zeros(1, dtype=int),          # one label for every row
+    np.full(100, 4),                 # one past the last class
+    np.full(100, -1),
+    np.zeros(99, dtype=int),
+    np.zeros(100),                   # float labels
+], ids=["column", "single", "too-large", "negative", "short", "float"])
+@pytest.mark.parametrize("arch", [MLP_NORM, MLP_RELU], ids=["screened", "unscreened"])
+def test_error_rate_refuses_bad_labels(arch, labels):
+    model = Model(arch)
+    x = np.random.default_rng(0).normal(size=(100, 10))
+    with pytest.raises(ValueError):
+        model.error_rate(model.init_params(0), x, labels)
+
+
+@given(normalize=st.booleans(), hidden=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+       classes=st.integers(2, 5), n=st.integers(1, 300), batch_size=st.integers(1, 70),
+       log_scales=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+@example(normalize=True, hidden=[16, 8], classes=4, n=7, batch_size=3,
+         log_scales=[0.0] * 8, seed=0)
+@example(normalize=False, hidden=[16, 8], classes=4, n=250, batch_size=64,
+         log_scales=[1.0] * 8, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_screened_error_rate_equals_the_chunked_loop(normalize, hidden, classes, n, batch_size,
+                                                     log_scales, seed):
+    """Random tanh MLPs, normalized or with biases, with scaled tensors,
+    chunks that do and do not divide n, and n below 8."""
+    arch = ModelArch(input_dim=6, hidden=tuple(hidden), classes=classes, activation="tanh",
+                     normalize=normalize)
+    model = Model(arch)
+    rng = np.random.default_rng(seed)
+    params = model.init_params(seed % 1000)
+    for layer, log_scale in zip(params, log_scales):
+        layer.value[...] = rng.normal(size=layer.value.shape) * 10.0 ** log_scale
+    x = rng.normal(size=(n, 6)) * 10.0 ** log_scales[-1]
+    y = rng.integers(0, classes, n)
+    assert model.error_rate(params, x, y, batch_size) == _chunked_error(model, params, x, y,
+                                                                        batch_size)
+
+
+def test_tied_rows_reach_the_float64_tiers(forward_calls):
+    """All-zero inputs tie every class of a normalized net, in float32 and in
+    float64, so they pass through tiers 2 and 3 to their exact chunks."""
+    model = Model(MLP_NORM)
+    params = model.init_params(1)
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(100, 10))
+    x[[3, 40, 41]] = 0.0  # in chunks 0 and 1 of 32 rows
+    y = rng.integers(0, 4, 100)
+    want = _chunked_error(model, params, x, y, 32)
+    forward_calls.clear()
+    assert model.error_rate(params, x, y, batch_size=32) == want
+    f64 = [rows for dtype, rows in forward_calls if dtype == np.float64]
+    f32 = [rows for dtype, rows in forward_calls if dtype == np.float32]
+    assert f32 == [32, 32, 32, 4]
+    assert f64[0] == 3            # tier 2: the unproven rows as one batch
+    assert f64[1:] == [32, 32]    # tier 3: each of their chunks once
+    assert model.forward(params, x[[3]]).argmax() == 0  # a tie goes to the first class
+
+
+def test_rows_whose_float32_class_is_wrong_are_not_taken_from_float32(forward_calls):
+    """Two nearly equal output rows flip the float32 argmax of some inputs;
+    those rows must get their float64 class (from tier 2)."""
+    model = Model(MLP_NORM)
+    params = model.init_params(1)
+    rng = np.random.default_rng(7)
+    out = params["out.w"].value
+    out[1] = out[0] + 1e-6 * rng.normal(size=out.shape[1])
+    pool = rng.normal(size=(20000, 10))
+    prepared = model._dense_weights(params)
+    logits64 = model._forward_mlp(prepared, pool)[0]
+    logits32 = model._forward_mlp([(w.astype(np.float32), rn) for w, rn in prepared],
+                                  pool.astype(np.float32))[0]
+    flipped = np.flatnonzero(logits32.argmax(axis=1) != logits64.argmax(axis=1))
+    clear = np.flatnonzero(np.sort(logits64, axis=1)[:, -1] - np.sort(logits64, axis=1)[:, -2]
+                           > 1e-2)
+    assert len(flipped) >= 8 and len(clear) >= 92
+    x = pool[np.concatenate([flipped[:8], clear[:92]])]
+    y = model.forward(params, x).argmax(axis=1)  # a float32 class counts as an error
+    want = _chunked_error(model, params, x, y, 64)
+    assert want == 0.0
+    forward_calls.clear()
+    assert model.error_rate(params, x, y, batch_size=64) == want
+    assert (np.float64, 8) in forward_calls  # tier 2 settled the flipped rows
+
+
+def test_a_net_with_duplicated_output_rows_falls_back(forward_calls):
+    """Identical output rows tie every row, far more than 1/8 of them."""
+    model = Model(MLP_NORM)
+    params = model.init_params(1)
+    params["out.w"].value[1:] = params["out.w"].value[0]
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(100, 10))
+    y = rng.integers(0, 4, 100)
+    want = _chunked_error(model, params, x, y, 32)
+    forward_calls.clear()
+    assert model.error_rate(params, x, y, batch_size=32) == want
+    f64 = [rows for dtype, rows in forward_calls if dtype == np.float64]
+    assert f64 == [32, 32, 32, 4]  # the whole unscreened loop, and no tier 2
+
+
+@pytest.mark.parametrize("arch", [
+    MLP_RELU, CONV,
+    ModelArch(input_dim=10, hidden=(16, 8), classes=4, activation="relu", normalize=True),
+], ids=["mlp-relu", "convnet", "mlp-relu-normalized"])
+def test_relu_and_conv_evaluation_is_not_screened(arch, forward_calls):
+    model = Model(arch)
+    params = model.init_params(3)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(300, arch.input_dim))
+    y = rng.integers(0, arch.classes, 300)
+    assert model.error_rate(params, x, y, batch_size=128) == _chunked_error(model, params, x, y,
+                                                                            128)
+    assert all(dtype == np.float64 for dtype, _ in forward_calls)
+
+
+def test_overflowing_weights_skip_the_float32_screen(forward_calls):
+    model = Model(ModelArch(input_dim=10, hidden=(16, 8), classes=4, activation="tanh"))
+    params = model.init_params(0)
+    params["fc1.w"].value[0, 0] = 1e300  # would overflow a float32 cast
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(64, 10))
+    y = rng.integers(0, 4, 64)
+    assert model.error_rate(params, x, y) == _chunked_error(model, params, x, y, 1024)
+    assert all(dtype == np.float64 for dtype, _ in forward_calls)
+
+
+def test_the_logit_bound_holds_on_a_trained_model(tmp_path):
+    from abel_sched.models import _screen_bounds
+
+    config = replace(standard_config("constant", epochs=20, log_dir=str(tmp_path / "run")),
+                     checkpoint_every=20)
+    run_experiment(config)
+    params = load_checkpoint(tmp_path / "run" / "epoch_0020.ckpt")[1].params
+    model, data = build_model(config)
+    x = data["test"][0]
+    prepared = model._dense_weights(params)
+    e32, e64 = _screen_bounds(prepared, x, normalize=True)
+    as32 = [(w.astype(np.float32), rn) for w, rn in prepared]
+    logits32, _ = model._forward_mlp(as32, x.astype(np.float32))
+    logits64, _ = model._forward_mlp(prepared, x)
+    gap = float(np.abs(logits32.astype(np.float64) - logits64).max())
+    assert 0 < gap <= e32 + e64
+    assert e32 + e64 < 1e-3  # loose enough to hold, tight enough to prove most rows
+
+
+@pytest.mark.parametrize("dtype, wide, ulp", [
+    (np.float32, np.float64, 2.0 ** -24), (np.float64, np.longdouble, 2.0 ** -53)])
+def test_tanh_is_within_four_ulp(dtype, wide, ulp):
+    """The screen's bound assumes numpy's tanh errs by at most 4 units in the
+    last place, that is 4u absolute below magnitude 1."""
+    if np.finfo(wide).eps >= np.finfo(dtype).eps / 4:
+        pytest.skip("no wider float type to check against")
+    rng = np.random.default_rng(0)
+    z = np.concatenate([rng.uniform(-20, 20, 200_000),
+                        rng.choice([-1, 1], 200_000) * 10.0 ** rng.uniform(-30, 1.5, 200_000)])
+    z = z.astype(dtype)
+    exact = np.tanh(z.astype(wide))
+    err = np.abs(np.tanh(z).astype(wide) - exact)
+    # one ulp of a magnitude below 1 is at most u, and 2u|t| below that
+    tiny = np.finfo(dtype).smallest_subnormal
+    assert np.all(err <= 4 * np.minimum(ulp, 2 * ulp * np.abs(exact)) + tiny)

@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,6 +57,25 @@ def test_sweep_runs_grid_and_records_failures(tmp_path):
     assert (tmp_path / "sweep" / "template.txt").exists()
     # each point trained in its own directory
     assert (tmp_path / "sweep" / "point_000__base_lr=0.5" / "metrics.csv").exists()
+
+
+def test_a_failed_summary_write_leaves_the_previous_summary(tmp_path, monkeypatch):
+    sweep_dir = tmp_path / "sweep"
+    sweep_dir.mkdir()
+    (sweep_dir / "summary.csv").write_text("previous\n")
+    replace_file = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst).name == "summary.csv":
+            raise OSError("disk full")
+        replace_file(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        run_sweep(tiny_config(tmp_path / "unused", epochs=2), {"base_lr": [0.5]}, sweep_dir)
+    assert (sweep_dir / "summary.csv").read_text() == "previous\n"
+    assert (sweep_dir / "template.txt").exists()
+    assert not list(sweep_dir.glob(".*.tmp"))
 
 
 def test_summary_error_columns_are_plain_numbers(tmp_path):
