@@ -12,8 +12,8 @@ Verbs:
   report.txt and report.csv next to the logs.
 * ``plotdata <log_dir> --what lr|error|wsq`` -- two-column CSV on stdout.
 
-Exit codes: 0 success, 2 configuration error or unreadable/corrupt
-checkpoint, 3 numeric divergence, 4 resume refusal.
+Exit codes: 0 success, 2 configuration or dataset error or
+unreadable/corrupt checkpoint, 3 numeric divergence, 4 resume refusal.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from pathlib import Path
 from .analysis import NormTrace, analyze_trace
 from .checkpoint import CheckpointError, ResumeRefusedError, prepare_resume
 from .config import ConfigError, parse_config
+from .datasets import DatasetError
 from .runner import DivergenceError, read_events, read_metrics, run_experiment, write_atomic
 from .sweep import parse_grid, run_sweep
 
@@ -192,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError, FileNotFoundError) as exc:
+    except (ConfigError, CheckpointError, DatasetError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:

@@ -75,7 +75,8 @@ class IdxSpec:
     ``path`` is a directory holding ``train-images-idx3-ubyte``,
     ``train-labels-idx1-ubyte``, ``t10k-images-idx3-ubyte`` and
     ``t10k-labels-idx1-ubyte`` (optionally ``.gz``). ``subsample`` keeps the
-    first n examples of each split (0 keeps everything).
+    first n examples of each split (0 keeps everything). Loading refuses a
+    test label above every training label.
     """
 
     path: str = ""
@@ -237,6 +238,14 @@ def _load_idx_dataset(spec: IdxSpec) -> tuple[Split, Split]:
 
     train = load("train-images-idx3-ubyte", "train-labels-idx1-ubyte")
     test = load("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
+    # the class count is read off the training labels (dataset_meta), so a
+    # test label above them would have no output to land on
+    top = int(train[1].max()) if train[1].size else -1
+    if test[1].size and int(test[1].max()) > top:
+        raise DatasetError(
+            f"test labels reach class {int(test[1].max())} but the "
+            f"{train[1].size} training labels stop at {top}; raise dataset.subsample "
+            "or use a training set that holds every class")
     return train, test
 
 

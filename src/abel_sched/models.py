@@ -55,8 +55,8 @@ another order for another row count; both err by at most E64 from exact,
 so a float64 margin above ``4 E64`` settles the class. A row still
 unsettled takes its class from its whole chunk, computed exactly as the
 unscreened loop computes it. The whole call runs the unscreened loop when
-more than 1/8 of the rows are unproven, when float32 could overflow, and
-for relu MLPs and convnets.
+more than 1/8 of the rows are unproven, when float32 could overflow, for
+nets of more than 16 classes, and for relu MLPs and convnets.
 """
 
 from __future__ import annotations
@@ -77,6 +77,11 @@ _TINY32, _TINY64 = 2.0 ** -126, 2.0 ** -1022
 _SCREEN_LIMIT = float(np.finfo(np.float32).max) / 4
 # headroom on every screen threshold, for rounded margins and bounds
 _SLACK = 1.0 + 2.0 ** -20
+# the most classes the screen serves: its class-major top-two pass costs a
+# few numpy calls per class, and on 8192 rows of a 20-32-16 tanh net the
+# screened eval took 1.4-1.8 ms against the loop's 2.1-2.6 ms at 16 classes,
+# but 2.4-3.9 against 2.4-2.6 ms at 32 and 7.1 against 2.9 ms at 64
+_SCREEN_MAX_CLASSES = 16
 
 
 class NumericError(ArithmeticError):
@@ -402,9 +407,9 @@ class Model:
 
         Equal to the share of rows whose argmax over the float64 logits of
         their ``batch_size``-row chunk differs from ``y``; a tanh MLP gets
-        there through the float32 screen of the module docstring. An MLP's weight rows are normalized
-        once per call, not once per chunk, and its layers write every
-        chunk's outputs into one buffer each.
+        there through the float32 screen of the module docstring. An MLP's
+        weight rows are normalized once per call, not once per chunk, and its
+        layers write every chunk's outputs into one buffer each.
         """
         x = self._check_input(x)
         y = np.asarray(y)
@@ -424,7 +429,8 @@ class Model:
             return logits.argmax(axis=1)
 
         classes = None
-        if self.arch.kind == "mlp" and self.arch.activation == "tanh" and n:
+        if (self.arch.kind == "mlp" and self.arch.activation == "tanh"
+                and self.arch.classes <= _SCREEN_MAX_CLASSES and n):
             classes = self._screened_classes(prepared, x, batch_size, exact_classes)
         if classes is None:
             wrong = sum(int(np.count_nonzero(exact_classes(start) != y[start:start + batch_size]))
@@ -455,6 +461,10 @@ class Model:
             self._forward_mlp(weights, x32[start:start + batch_size], bufs)
         classes, margin = _top_two(logits)
         unproven = np.flatnonzero(~(margin > np.float32(2.0 * (e32 + e64) * _SLACK)))
+        # On 8192 rows of the standard 20-32-16-4 net the tiers below took
+        # 1.37 ms with 1/8 of the rows unproven and 1.72 ms with 1/4, against
+        # the loop's 1.77 ms, and 13.7 ms when every row is a tie that tier 3
+        # settles row by row; past 1/8 the loop runs instead.
         if len(unproven) * 8 > n:
             return None
         if len(unproven):

@@ -13,6 +13,7 @@ from abel_sched import (
     read_idx_images,
     read_idx_labels,
 )
+from abel_sched.cli import main as cli_main
 from abel_sched.datasets import dataset_meta, write_idx_images, write_idx_labels
 
 
@@ -133,6 +134,27 @@ def test_idx_dataset_loading_and_subsample(tmp_path):
     np.testing.assert_array_equal(xtr2, xtr[:3])
     meta = dataset_meta(IdxSpec(path=str(tmp_path)), (xtr, ytr))
     assert meta["input_dim"] == 64
+
+
+def test_idx_test_labels_past_the_training_classes_are_refused(tmp_path, capsys):
+    """The class count is one past the largest training label, so a subsample
+    whose training rows miss the top class its test rows hold is refused at
+    load, before any training, and the CLI reports it with exit code 2."""
+    images = np.random.default_rng(0).integers(0, 256, size=(6, 8, 8)).astype(np.uint8)
+    write_idx_images(tmp_path / "train-images-idx3-ubyte", images)
+    write_idx_labels(tmp_path / "train-labels-idx1-ubyte", np.array([0, 1, 0, 2, 1, 0]))
+    write_idx_images(tmp_path / "t10k-images-idx3-ubyte", images[:4])
+    write_idx_labels(tmp_path / "t10k-labels-idx1-ubyte", np.array([1, 2, 0, 1]))
+    make_dataset(IdxSpec(path=str(tmp_path)))  # both whole splits hold classes 0-2
+    with pytest.raises(DatasetError, match="test labels reach class 2"):
+        make_dataset(IdxSpec(path=str(tmp_path), subsample=3))
+    config = tmp_path / "c.txt"
+    config.write_text(f"epochs = 1\nbase_lr = 0.1\nbatch_size = 3\nlog_dir = {tmp_path / 'run'}\n"
+                      f"dataset.kind = idx\ndataset.path = {tmp_path}\n"
+                      "dataset.subsample = 3\nmodel.hidden = 4\n")
+    assert cli_main(["run", str(config)]) == 2
+    assert "test labels reach class 2" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_idx_dataset_missing_directory():

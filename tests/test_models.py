@@ -533,6 +533,41 @@ def test_a_net_with_duplicated_output_rows_falls_back(forward_calls):
     assert f64 == [32, 32, 32, 4]  # the whole unscreened loop, and no tier 2
 
 
+@pytest.mark.parametrize("ties, tier2_rows", [(8, 8), (9, None)])
+def test_the_screen_falls_back_past_one_eighth_of_the_rows_unproven(forward_calls, ties,
+                                                                   tier2_rows):
+    """8 tied rows of 64 are exactly 1/8 and go to tier 2; 9 take the loop."""
+    model = Model(MLP_NORM)
+    params = model.init_params(1)
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(64, 10))
+    x[rng.choice(64, ties, replace=False)] = 0.0
+    y = rng.integers(0, 4, 64)
+    want = _chunked_error(model, params, x, y, 32)
+    forward_calls.clear()
+    assert model.error_rate(params, x, y, batch_size=32) == want
+    f64 = [rows for dtype, rows in forward_calls if dtype == np.float64]
+    if tier2_rows is None:
+        assert f64 == [32, 32]  # the unscreened loop
+    else:
+        assert f64[0] == tier2_rows and f64[1:] == [32, 32]  # tiers 2 and 3
+
+
+@pytest.mark.parametrize("classes, screened", [(16, True), (17, False)])
+def test_nets_of_many_classes_are_not_screened(forward_calls, classes, screened):
+    """The screen's top-two pass costs a few numpy calls per class, so it
+    serves at most 16 classes."""
+    model = Model(ModelArch(input_dim=10, hidden=(16, 8), classes=classes, activation="tanh",
+                            normalize=True))
+    params = model.init_params(3)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(300, 10))
+    y = rng.integers(0, classes, 300)
+    assert model.error_rate(params, x, y, batch_size=128) == _chunked_error(model, params, x, y,
+                                                                            128)
+    assert any(dtype == np.float32 for dtype, _ in forward_calls) == screened
+
+
 @pytest.mark.parametrize("arch", [
     MLP_RELU, CONV,
     ModelArch(input_dim=10, hidden=(16, 8), classes=4, activation="relu", normalize=True),

@@ -2,19 +2,20 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_trajectory.py --scratch /tmp/trajectory --seeds 3 \\
+    python3 tools/bench_trajectory.py --scratch /tmp/trajectory \\
         first=<rev> middle=<rev> head=HEAD now=worktree
 
 Each ``label=rev`` is extracted with ``git archive`` into its own directory
 under ``--scratch`` (``worktree`` is the staged working tree, as for
 ``bench_record.py``), and this checkout's ``perfbench/`` and
 ``BENCHMARK.json`` are copied over it, so every commit runs the same
-benchmark code, including commits that predate it. For each seed, each
-workload runs once on every commit, the commit order rotating from seed to
-seed. The file gives each commit's median, q1 and q3 of every end-to-end
-metric, each run's metrics and host slowdown, and the seed-0 log digests. A
-commit whose runs do not finish, or fail their correctness checks, is listed
-under ``cannot_run`` with its exit codes and the tail of its error output.
+benchmark code, including commits that predate it. For each of seeds 0-2,
+each workload of BENCHMARK.json runs once on every commit, the commit order
+rotating from seed to seed. The file gives each commit's median, q1 and q3
+of every end-to-end metric, each run's metrics and host slowdown, and the
+seed-0 log digests. A commit whose runs do not finish, or fail their
+correctness checks, is listed under ``cannot_run`` with its exit codes and
+the tail of its error output.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_record import ROOT, environment, extract, quartiles, resolve, run_once  # noqa: E402
 
+SEEDS = 3
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("revs", nargs="+", help="label=rev, oldest first")
     parser.add_argument("--scratch", required=True, type=Path,
                         help="an empty or missing directory for the trees")
-    parser.add_argument("--seeds", type=int, default=3)
-    parser.add_argument("--workloads", default="abel-standard,sweep-grid,ckpt-resume")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_trajectory.json")
     args = parser.parse_args(argv)
 
@@ -55,8 +56,8 @@ def main(argv=None) -> int:
     labels = list(shas)
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     runs: dict[str, dict[str, list[dict]]] = {label: {} for label in labels}
-    for seed in range(args.seeds):
-        for workload in args.workloads.split(","):
+    for seed in range(SEEDS):
+        for workload in (w["name"] for w in bench["workloads"]):
             for k in range(len(labels)):
                 label = labels[(k + seed) % len(labels)]
                 run = run_once(args.scratch / label, command, workload, seed,
@@ -66,7 +67,7 @@ def main(argv=None) -> int:
                       f"correct={run['correct']} slowdown={run['slowdown']}", flush=True)
 
     record = {"command": bench["command"], "run_seconds": bench["run_seconds"],
-              "seeds": list(range(args.seeds)), "started": started,
+              "seeds": list(range(SEEDS)), "started": started,
               "commits": {label: {"rev": commits[label], "sha": shas[label]}
                           for label in labels},
               "workloads": {}, "cannot_run": {}}
