@@ -21,8 +21,10 @@ Loading reads the magic and version first, so a version-1 file (per-layer
 framing, only the config text hashed) is refused by its version; then it
 checks the sha256, which refuses any flipped bit, truncation or appended
 byte; then it decodes through the bounds-checked ``state_io.Reader``. The
-scheduler blob must fit the config's schedule kind (none for stateless
-kinds). Any fault raises :class:`CheckpointError`.
+scheduler blob is restored once, into the scheduler that the loaded
+``RunState`` carries, and must fit the config's schedule kind (no blob for
+stateless kinds). Saving serializes the state's scheduler. Any fault raises
+:class:`CheckpointError`.
 
 Checkpoints are written through a temp file and ``os.replace``, so a
 crash leaves the previous file or the new one, never a torn one.
@@ -49,12 +51,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import AbelScheduler, PlateauScheduler
+from .adaptive import make_scheduler
 from .config import ConfigError, ExperimentConfig, format_config, parse_config
 from .optim import AdamState, MomentumState
 from .params import GradSet, Layout, ParamSet
 from .runner import ResumeRefusedError, RunState, write_atomic
-from .state_io import Reader, StateDecodeError, restore_scheduler
+from .state_io import Reader, StateDecodeError, restore_scheduler, serialize_scheduler
 
 MAGIC = b"ABCK"
 VERSION = 2
@@ -87,7 +89,8 @@ def save_checkpoint(path: str | Path, config: ExperimentConfig, state: RunState)
         flags = (1 if l2 else 0) | (2 if invariant else 0)
         parts.append(struct.pack(f"<H{len(encoded)}sBB{len(shape)}I", len(encoded), encoded,
                                  flags, len(shape), *shape))
-    parts += [opt_head, struct.pack("<I", len(state.scheduler_bytes)), state.scheduler_bytes,
+    blob = serialize_scheduler(state.scheduler) if state.scheduler is not None else b""
+    parts += [opt_head, struct.pack("<I", len(blob)), blob,
               state.params.flat.tobytes(), *(b.tobytes() for b in buffers),
               struct.pack(f"<{len(errors)}d", *errors)]
     body = b"".join(parts)
@@ -138,12 +141,19 @@ def _decode(data: bytes) -> tuple[ExperimentConfig, RunState]:
     else:
         raise CheckpointError(f"unknown optimizer kind {opt_kind}")
     (sched_len,) = r.take("<I")
-    scheduler_bytes = r.take_bytes(sched_len)
+    blob = r.take_bytes(sched_len)
     size = layout.size
     end = (1 + n_buffers) * size
     floats = np.frombuffer(r.take_bytes(8 * (end + n_errors)), dtype=np.float64).copy()
     r.done()
-    _check_scheduler(scheduler_bytes, config.schedule.kind)
+    try:
+        scheduler = restore_scheduler(blob) if blob else None
+    except StateDecodeError as exc:
+        raise CheckpointError(f"scheduler state: {exc}") from None
+    # the scheduler a run of this config keeps, or None for a stateless kind
+    if not isinstance(scheduler, type(make_scheduler(config.schedule))):
+        kind = config.schedule.kind
+        raise CheckpointError(f"{len(blob)}-byte scheduler state does not fit a {kind!r} schedule")
 
     buffers = [GradSet(layout, floats[k * size:(k + 1) * size]) for k in range(1, 1 + n_buffers)]
     if opt_kind == 1:
@@ -153,21 +163,7 @@ def _decode(data: bytes) -> tuple[ExperimentConfig, RunState]:
         opt = AdamState(m=buffers[0], v=buffers[1], t=t, beta1=beta1, beta2=beta2, eps=eps)
     return config, RunState(epoch=epoch, global_step=global_step,
                             params=ParamSet.from_flat(layout, floats[:size]), opt=opt,
-                            scheduler_bytes=scheduler_bytes,
-                            test_errors=tuple(floats[end:].tolist()))
-
-
-def _check_scheduler(blob: bytes, kind: str) -> None:
-    """The blob must hold the state of the scheduler a ``kind`` schedule runs, if any."""
-    expected = {"abel": AbelScheduler, "plateau": PlateauScheduler}.get(kind)
-    if expected is None and not blob:
-        return
-    try:
-        fits = expected is not None and isinstance(restore_scheduler(blob), expected)
-    except StateDecodeError as exc:
-        raise CheckpointError(f"scheduler state: {exc}") from None
-    if not fits:
-        raise CheckpointError(f"{len(blob)}-byte scheduler state does not fit a {kind!r} schedule")
+                            scheduler=scheduler, test_errors=tuple(floats[end:].tolist()))
 
 
 def prepare_resume(path: str | Path, epochs: int | None = None,

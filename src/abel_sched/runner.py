@@ -43,6 +43,7 @@ file and ``os.replace``, so a crash never leaves a torn file.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -54,13 +55,12 @@ import numpy as np
 
 from ._version import __version__ as _version
 from .adaptive import AbelScheduler, PlateauScheduler, make_scheduler
-from .config import ExperimentConfig, config_hash, format_config
+from .config import ConfigError, ExperimentConfig, config_hash, format_config
 from .datasets import dataset_meta, make_dataset
 from .models import Model, ModelArch, NumericError
 from .optim import AdamState, MomentumState, clip_global_norm, step_adam, step_sgd
 from .params import ParamSet, inner_gw, weight_norm_sq
 from .schedules import LrEvent, ScheduleSpec, has_discrete_milestones, lr_at, warmup_scale
-from .state_io import restore_scheduler, serialize_scheduler
 
 AUTO_STOP_SETTLE_EPOCHS = 3
 
@@ -75,7 +75,7 @@ LOG_HEADERS = {
 
 
 class DivergenceError(RuntimeError):
-    """Raised when training produces a non-finite loss."""
+    """Raised when training produces a non-finite loss or squared weight norm."""
 
 
 class ResumeRefusedError(RuntimeError):
@@ -98,13 +98,16 @@ class EpochRecord:
 
 @dataclass
 class RunState:
-    """Everything needed to continue a run from an epoch boundary."""
+    """Everything needed to continue a run from an epoch boundary.
+
+    ``scheduler`` is the live scheduler after ``epoch`` observations, or None
+    for a stateless schedule; a resumed run works on a copy of it."""
 
     epoch: int
     global_step: int
     params: ParamSet
     opt: MomentumState | AdamState
-    scheduler_bytes: bytes
+    scheduler: AbelScheduler | PlateauScheduler | None
     test_errors: tuple[float, ...]  # of epochs 1..epoch, for auto-stop
 
 
@@ -132,14 +135,19 @@ class RunResult:
 
 
 def build_model(config: ExperimentConfig) -> tuple[Model, dict]:
-    """Model plus dataset metadata; the arch takes input_dim/classes from the data."""
+    """Model plus dataset metadata; the arch takes input_dim/classes from the data.
+
+    Model settings that ``ModelArch`` refuses raise :class:`ConfigError`."""
     train, test = make_dataset(config.dataset)
     meta = dataset_meta(config.dataset, train)
     m = config.model
-    arch = ModelArch(
-        input_dim=meta["input_dim"], hidden=m.hidden, classes=meta["classes"],
-        kind=m.kind, activation=m.activation, normalize=m.normalize,
-        init_scale=m.init_scale, input_shape=m.input_shape)
+    try:
+        arch = ModelArch(
+            input_dim=meta["input_dim"], hidden=m.hidden, classes=meta["classes"],
+            kind=m.kind, activation=m.activation, normalize=m.normalize,
+            init_scale=m.init_scale, input_shape=m.input_shape)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return Model(arch), {"train": train, "test": test, **meta}
 
 
@@ -277,8 +285,9 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
 
     ``resume_state`` continues a checkpointed run; only epochs after
     ``resume_state.epoch`` are executed, and they are appended to any logs
-    already in ``config.log_dir`` (see the module docstring). Raises
-    :class:`DivergenceError` on a non-finite training loss.
+    already in ``config.log_dir`` (see the module docstring); the run leaves
+    ``resume_state`` as it was. Raises :class:`DivergenceError` on a
+    non-finite training loss or squared weight norm.
     """
     model, data = build_model(config)
     xtr, ytr = data["train"]
@@ -298,8 +307,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     else:
         params = resume_state.params
         opt = resume_state.opt
-        scheduler = (restore_scheduler(resume_state.scheduler_bytes)
-                     if resume_state.scheduler_bytes else None)
+        scheduler = copy.deepcopy(resume_state.scheduler)
         if isinstance(scheduler, AbelScheduler) and scheduler.total_epochs != config.epochs:
             scheduler.retarget(config.epochs)
         start_epoch = resume_state.epoch
@@ -375,6 +383,8 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
             train_loss = loss_sum / n
             train_error = err_sum / n
             wsq_total, per_layer = weight_norm_sq(params)
+            if not math.isfinite(wsq_total):
+                raise NumericError(f"non-finite squared weight norm at epoch {epoch}")
             wsq_l2, _ = weight_norm_sq(params, include="l2_only")
             gw_total = None
             if config.log_gw:
@@ -404,10 +414,8 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
 
             if config.checkpoint_every > 0 and epoch % config.checkpoint_every == 0:
                 from .checkpoint import save_checkpoint
-                state = RunState(
-                    epoch=epoch, global_step=global_step, params=params, opt=opt,
-                    scheduler_bytes=serialize_scheduler(scheduler) if scheduler else b"",
-                    test_errors=tuple(test_errors))
+                state = RunState(epoch=epoch, global_step=global_step, params=params, opt=opt,
+                                 scheduler=scheduler, test_errors=tuple(test_errors))
                 save_checkpoint(log.dir / f"epoch_{epoch:04d}.ckpt", config, state)
 
             if _should_auto_stop(config, test_errors,
@@ -443,16 +451,15 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
 def _pre_decay_state(spec: ScheduleSpec, records: list[EpochRecord], held: tuple,
                      test_errors: list[float]) -> RunState:
     """The state after ``records`` of a run from scratch, with ``held`` the
-    (global_step, params, opt) at that boundary. The scheduler's state is
-    rebuilt by replaying the records through a fresh scheduler of ``spec``."""
+    (global_step, params, opt) at that boundary. The scheduler is rebuilt by
+    replaying the records through a fresh scheduler of ``spec``."""
     scheduler = make_scheduler(spec)
     if scheduler is not None:
         for rec in records:
             observe(scheduler, rec)
     global_step, params, opt = held
     return RunState(epoch=len(records), global_step=global_step, params=params, opt=opt,
-                    scheduler_bytes=serialize_scheduler(scheduler) if scheduler else b"",
-                    test_errors=tuple(test_errors[:len(records)]))
+                    scheduler=scheduler, test_errors=tuple(test_errors[:len(records)]))
 
 
 def _should_auto_stop(config: ExperimentConfig, test_errors: list[float],

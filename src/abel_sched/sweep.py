@@ -20,14 +20,18 @@ every other byte of its logs equals that of an independent run of the
 point. The fork is checked, not assumed: a fresh scheduler of the
 follower's own spec replays the leader's records of epochs 1..E-1, and the
 follower resumes only if its lr for epochs 1..E equals the leader's logged
-lr and the replay decays nowhere. Otherwise, and when the leader diverged,
-failed or never changed its lr, the follower trains from scratch. A grid
-without a ``decay_factor`` axis has one-point families, all of them leaders.
+lr and the replay decays nowhere; that replayed scheduler then takes the
+place of the leader's in the follower's resume state. Otherwise, and when
+the leader diverged, failed or never changed its lr, the follower trains
+from scratch. A grid without a ``decay_factor`` axis has one-point
+families, all of them leaders.
 """
 
 from __future__ import annotations
 
+import csv
 import ctypes
+import io
 from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -37,7 +41,6 @@ from .config import ConfigError, ExperimentConfig, format_config
 from .runner import (DivergenceError, ResumeRefusedError, RunState, _log_history, _RunLog,
                      observe, read_metrics, run_experiment, write_atomic)
 from .schedules import lr_at, warmup_scale
-from .state_io import serialize_scheduler
 
 SWEEPABLE = ("base_lr", "decay_factor", "init_scale", "weight_decay")
 
@@ -171,7 +174,7 @@ def _follow(config: ExperimentConfig, fork: Fork) -> RunState | None:
         if scheduler and rec.epoch < last and observe(scheduler, rec):
             return None
     _RunLog(Path(config.log_dir), config, rows).close()
-    return replace(state, scheduler_bytes=serialize_scheduler(scheduler) if scheduler else b"")
+    return replace(state, scheduler=scheduler)
 
 
 def _run_point(task: tuple[int, ExperimentConfig, dict[str, float], Fork | None]
@@ -248,17 +251,16 @@ def run_sweep(template: ExperimentConfig, grid: dict[str, list[float]],
             ready += finish(*_run_point(ready.pop(0)))
     points = [by_index[index] for index in sorted(by_index)]
 
-    header = ["point", *names, "status", "best_test_error", "best_epoch",
-              "final_test_error", "first_decay_epoch", "n_decays", "decay_epochs"]
-    lines = [",".join(header)]
+    # csv quotes only a field that needs it, such as an error status with a
+    # comma; it writes None as an empty field and a float as its repr
+    out = io.StringIO()
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(["point", *names, "status", "best_test_error", "best_epoch",
+                   "final_test_error", "first_decay_epoch", "n_decays", "decay_epochs"])
     for p in points:
-        row = [str(p.index), *(repr(p.values[name]) for name in names), p.status,
-               "" if p.best_test_error is None else repr(p.best_test_error),
-               "" if p.best_epoch is None else str(p.best_epoch),
-               "" if p.final_test_error is None else repr(p.final_test_error),
-               "" if p.first_decay_epoch is None else str(p.first_decay_epoch),
-               str(p.n_decays),
-               ";".join(str(e) for e in p.decay_epochs)]
-        lines.append(",".join(row))
-    write_atomic(sweep_dir / "summary.csv", ("\n".join(lines) + "\n").encode())
+        rows.writerow([p.index, *(p.values[name] for name in names), p.status,
+                       p.best_test_error, p.best_epoch, p.final_test_error,
+                       p.first_decay_epoch, p.n_decays,
+                       ";".join(str(e) for e in p.decay_epochs)])
+    write_atomic(sweep_dir / "summary.csv", out.getvalue().encode())
     return points

@@ -1,5 +1,3 @@
-from itertools import product
-
 import numpy as np
 import pytest
 
@@ -12,8 +10,6 @@ from abel_sched import (
     top_layer_contribution,
 )
 from abel_sched.analysis import analyze_trace, growth_rate_deciles
-
-from helpers import brute_force_bounces
 
 
 def trace_of(values, decays=(), per_layer=None):
@@ -72,17 +68,6 @@ def test_classify_trace_labels():
     assert classify_trace(trace_of([1, 1, 1, 1, 1, 1])) == "flat"
     # non-monotone wiggles without a tolerance-visible bounce stay flat
     assert classify_trace(trace_of([1, 1.001, 0.999, 1.0005, 1, 1.0002])) == "flat"
-
-
-def test_brute_force_equivalence_on_grid_traces():
-    grid = (1.0, 2.0, 3.0)
-    length = 12
-    # all 3^11 traces of length 12 with the first value pinned
-    for tail in product(grid, repeat=length - 1):
-        values = (2.0,) + tail
-        fast = detect_bounce(NormTrace.from_values(values), 0.0)
-        slow = [m + 1 for m in brute_force_bounces(values, 0.0)]
-        assert fast == slow, values
 
 
 def test_decay_alignment_verdicts():

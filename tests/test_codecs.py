@@ -306,7 +306,7 @@ def checkpoints(draw):
         opt = replace(opt, t=draw(st.integers(0, 2**40)))
     state = RunState(epoch=draw(st.integers(0, 2**32 - 1)),
                      global_step=draw(st.integers(0, 2**64 - 1)), params=params, opt=opt,
-                     scheduler_bytes=serialize_scheduler(scheduler) if scheduler else b"",
+                     scheduler=scheduler,
                      test_errors=tuple(draw(st.lists(st.floats(0, 1), max_size=40))))
     return config, state
 

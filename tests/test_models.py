@@ -376,7 +376,7 @@ def test_the_slot_table_follows_the_layout_object(tmp_path):
     model, data = build_model(config)
     init = model.init_params(config.seed)
     state = RunState(epoch=0, global_step=0, params=init.scaled(0.5),
-                     opt=MomentumState.init(init, mu=0.0), scheduler_bytes=b"",
+                     opt=MomentumState.init(init, mu=0.0), scheduler=None,
                      test_errors=())
     save_checkpoint(tmp_path / "saved.ckpt", config, state)
     loaded = load_checkpoint(tmp_path / "saved.ckpt")[1].params

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import struct
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,13 +11,16 @@ import pytest
 from abel_sched import (
     AbelScheduler,
     BlobsSpec,
+    ConfigError,
     DivergenceError,
     ExperimentConfig,
     ModelSpec,
     OptimizerSpec,
     ScheduleSpec,
+    format_config,
     load_checkpoint,
     lr_at,
+    parse_config,
     prepare_resume,
     read_events,
     read_metrics,
@@ -24,6 +29,7 @@ from abel_sched import (
     save_checkpoint,
     serialize_scheduler,
 )
+from abel_sched import checkpoint
 from abel_sched.checkpoint import CheckpointError, ResumeRefusedError
 from abel_sched.cli import main as cli_main
 from abel_sched.runner import RunState, _should_auto_stop
@@ -142,13 +148,39 @@ def test_standard_runs_log_only_their_milestones(tmp_path_factory, kind, epochs)
                                           lr_at(cfg.schedule, ev.epoch))
 
 
-def test_divergence_aborts_with_status(tmp_path):
-    cfg = tiny_config(tmp_path / "run", base_lr=1e18, clip_norm=0.0,
-                      weight_decay=0.0)
-    with pytest.raises(DivergenceError):
-        run_experiment(cfg)
-    meta = (tmp_path / "run" / "meta.json").read_text()
-    assert '"diverged"' in meta
+@pytest.mark.parametrize("case", ["loss", "weight-norm-abel", "weight-norm-constant"])
+def test_divergence_aborts_with_status(tmp_path, case):
+    if case == "loss":
+        cfg = tiny_config(tmp_path / "run", base_lr=1e18, clip_norm=0.0,
+                          weight_decay=0.0)
+        overflow = contextlib.nullcontext()
+    else:
+        # a normalized net keeps its loss finite while |w|^2 overflows to inf
+        cfg = standard_config(case.rsplit("-", 1)[1], epochs=3, log_dir=str(tmp_path / "run"))
+        cfg = replace(cfg, model=replace(cfg.model, init_scale=1e160))
+        overflow = pytest.warns(RuntimeWarning, match="overflow")
+    (tmp_path / "run.txt").write_text(format_config(cfg))
+    with overflow:
+        with pytest.raises(DivergenceError):
+            run_experiment(cfg)
+        assert cli_main(["run", str(tmp_path / "run.txt"), "--log-dir", str(tmp_path / "cli")]) == 3
+    for run in ("run", "cli"):
+        assert json.loads((tmp_path / run / "meta.json").read_text())["status"] == "diverged"
+
+
+@pytest.mark.parametrize("key,value", [("model.activation", "sigmoid"), ("model.kind", "conv")],
+                         ids=["activation-sigmoid", "conv-without-input-shape"])
+def test_invalid_model_settings_exit_2_without_a_log_dir(tmp_path, capsys, key, value):
+    rows = format_config(tiny_config(tmp_path / "run")).splitlines()
+    assert sum(row.startswith(f"{key} = ") for row in rows) == 1
+    path = tmp_path / "bad.txt"
+    path.write_text("".join(f"{key} = {value}\n" if row.startswith(f"{key} = ") else row + "\n"
+                            for row in rows))
+    with pytest.raises(ConfigError):
+        run_experiment(parse_config(path.read_text()))
+    assert cli_main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
 
 
 def test_gw_logging_optional_column(tmp_path):
@@ -312,16 +344,53 @@ def saved_states(tmp_path_factory):
         "abel-negative-base-lr", "abel-min-history-2", "abel-negative-observation",
         "abel-nan-observation", "abel-budget-out-of-order",
         "abel-budget-past-observations", "abel-version-1", "plateau-nan-threshold"])
-def test_checkpoint_with_bad_scheduler_state_is_rejected(tmp_path, saved_states, kind,
-                                                         corrupt):
+def test_checkpoint_with_bad_scheduler_state_is_rejected(tmp_path, monkeypatch, saved_states,
+                                                         kind, corrupt):
     config, state = saved_states[kind]
-    blobs = {k: saved_states[k][1].scheduler_bytes for k in ("abel", "plateau")}
+    schedulers = {k: saved_states[k][1].scheduler for k in ("abel", "plateau")}
+    blob = corrupt({k: serialize_scheduler(s) for k, s in schedulers.items()})
     bad = tmp_path / "bad.ckpt"
-    save_checkpoint(bad, config, replace(state, scheduler_bytes=corrupt(blobs)))
+    # the save writes ``blob`` as the state of whatever scheduler the state carries
+    monkeypatch.setattr(checkpoint, "serialize_scheduler", lambda scheduler: blob)
+    save_checkpoint(bad, config, replace(state, scheduler=schedulers["abel"]))
+    monkeypatch.undo()
     with pytest.raises(CheckpointError):
         load_checkpoint(bad)
     assert cli_main(["resume", str(bad), "--log-dir", str(tmp_path / "resumed")]) == 2
     assert not (tmp_path / "resumed").exists()
+
+
+@pytest.mark.parametrize("epochs", [None, 24], ids=["same-budget", "retarget"])
+def test_one_resume_state_serves_two_resumes(tmp_path, epochs):
+    run_experiment(tiny_config(tmp_path / "run", schedule_kind="abel", checkpoint_every=6))
+    config, state = prepare_resume(tmp_path / "run" / "epoch_0006.ckpt", epochs=epochs)
+    blob = serialize_scheduler(state.scheduler)
+    logs = []
+    for name in ("first", "second"):
+        run_experiment(replace(config, log_dir=str(tmp_path / name)), resume_state=state)
+        logs.append([strip_wall_ms((tmp_path / name / "metrics.csv").read_text()),
+                     *((tmp_path / name / f).read_bytes() for f in ("layers.csv", "events.csv"))])
+    assert logs[0] == logs[1]
+    assert serialize_scheduler(state.scheduler) == blob
+
+
+def test_a_load_restores_the_scheduler_once_and_a_resume_never(tmp_path, monkeypatch):
+    run_experiment(tiny_config(tmp_path / "run", epochs=4, schedule_kind="abel",
+                               checkpoint_every=2))
+    blobs = []
+
+    def counting_restore(blob):
+        blobs.append(blob)
+        return restore_scheduler(blob)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("abel_sched")]:
+        if getattr(module, "restore_scheduler", None) is restore_scheduler:
+            monkeypatch.setattr(module, "restore_scheduler", counting_restore)
+    config, state = prepare_resume(tmp_path / "run" / "epoch_0002.ckpt",
+                                   log_dir=str(tmp_path / "resumed"))
+    assert len(blobs) == 1
+    run_experiment(config, resume_state=state)
+    assert len(blobs) == 1
 
 
 def test_resume_refuses_a_state_whose_test_errors_miss_epochs(tmp_path):
@@ -346,7 +415,7 @@ def test_resume_refuses_a_scheduler_that_saw_other_epochs(tmp_path):
     for wsq in (3.0, 2.0, 1.0):
         scheduler.observe_epoch(wsq)
     bad = tmp_path / "bad.ckpt"
-    save_checkpoint(bad, config, replace(state, scheduler_bytes=serialize_scheduler(scheduler)))
+    save_checkpoint(bad, config, replace(state, scheduler=scheduler))
     config, state = prepare_resume(bad, log_dir=str(tmp_path / "resumed"))
     with pytest.raises(ResumeRefusedError, match="seen 3 epochs"):
         run_experiment(config, resume_state=state)
@@ -363,7 +432,7 @@ def test_a_final_decay_survives_a_second_resume_at_a_new_budget(tmp_path):
                                    log_dir=str(tmp_path / "run"))
     run_experiment(config, resume_state=state)
     _, state = load_checkpoint(tmp_path / "run" / "epoch_0030.ckpt")
-    assert restore_scheduler(state.scheduler_bytes).budgets == [(0, 20), (18, 40)]
+    assert state.scheduler.budgets == [(0, 20), (18, 40)]
     config, state = prepare_resume(tmp_path / "run" / "epoch_0030.ckpt",
                                    log_dir=str(tmp_path / "run"))
     resumed = run_experiment(config, resume_state=state)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from dataclasses import replace
@@ -9,7 +10,7 @@ from abel_sched import (ConfigError, DivergenceError, OptimizerSpec, ScheduleSpe
                         run_experiment, run_sweep)
 from abel_sched.config import config_hash
 
-from helpers import strip_wall_ms
+from helpers import standard_config, strip_wall_ms
 from test_runner import tiny_config
 
 
@@ -57,6 +58,25 @@ def test_sweep_runs_grid_and_records_failures(tmp_path):
     assert (tmp_path / "sweep" / "template.txt").exists()
     # each point trained in its own directory
     assert (tmp_path / "sweep" / "point_000__base_lr=0.5" / "metrics.csv").exists()
+
+
+def test_a_point_whose_weight_norm_overflows_reads_diverged(tmp_path):
+    template = standard_config("abel", epochs=3)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        points = run_sweep(template, {"init_scale": [1e160]}, tmp_path / "sweep")
+    assert [p.status for p in points] == ["diverged"]
+
+
+def test_summary_rows_keep_an_error_status_with_a_comma(tmp_path):
+    template = tiny_config(tmp_path / "unused", epochs=2)
+    template = replace(template, model=replace(template.model, kind="conv", hidden=(2, 2)))
+    points = run_sweep(template, {"base_lr": [0.5, 1.0]}, tmp_path / "sweep")
+    status = "error: conv models need input_shape=(channels, height, width)"
+    assert [p.status for p in points] == [status, status]
+    with open(tmp_path / "sweep" / "summary.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert [len(row) for row in rows] == [9, 9, 9]
+    assert [row[2] for row in rows[1:]] == [status, status]
 
 
 def test_a_failed_summary_write_leaves_the_previous_summary(tmp_path, monkeypatch):
