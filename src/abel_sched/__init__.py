@@ -41,7 +41,7 @@ from .datasets import (
     read_idx_images,
     read_idx_labels,
 )
-from .models import Model, ModelArch, NumericError, loss_ce
+from .models import EvalSet, Model, ModelArch, NumericError, loss_ce
 from .optim import (
     AdamState,
     MomentumState,
@@ -77,6 +77,7 @@ __all__ = [
     "DatasetError",
     "DivergenceError",
     "EpochRecord",
+    "EvalSet",
     "ExperimentConfig",
     "GradSet",
     "IdxSpec",

@@ -101,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError("clip_norm must be >= 0 (0 disables clipping)")
         if self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be >= 0")
+        if self.eval_batch < 1:
+            raise ConfigError("eval_batch must be >= 1")
         for key, text in (("log_dir", self.log_dir),
                           ("dataset.path", getattr(self.dataset, "path", ""))):
             if text != text.strip() or "#" in text or len(text.splitlines()) > 1:
@@ -292,8 +294,11 @@ def config_from_values(raw: dict[str, object]) -> ExperimentConfig:
         )
         if optimizer.kind not in ("momentum", "adam"):
             raise ConfigError("optimizer.kind must be 'momentum' or 'adam'")
-        if not 0.0 <= optimizer.momentum < 1.0:
-            raise ConfigError("optimizer.momentum must lie in [0, 1)")
+        for key in ("momentum", "beta1", "beta2"):
+            if not 0.0 <= getattr(optimizer, key) < 1.0:
+                raise ConfigError(f"optimizer.{key} must lie in [0, 1)")
+        if not optimizer.eps >= 0:
+            raise ConfigError("optimizer.eps must be >= 0")
         schedule = _build_schedule(values)
         return ExperimentConfig(
             epochs=values["epochs"],

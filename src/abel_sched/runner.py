@@ -291,7 +291,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     """
     model, data = build_model(config)
     xtr, ytr = data["train"]
-    xte, yte = data["test"]
+    test = model.eval_set(*data["test"])
     n = xtr.shape[0]
     steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
     spec = config.schedule
@@ -391,7 +391,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
                 _, grads, _ = model.train_step_stats(
                     params, xtr[probe], ytr[probe], config.label_smoothing)
                 gw_total, _ = inner_gw(params, grads)
-            test_error = model.error_rate(params, xte, yte, batch_size=config.eval_batch)
+            test_error = model.error_rate(params, test, batch_size=config.eval_batch)
 
             rec = EpochRecord(
                 epoch=epoch, lr=eff_lr, train_loss=train_loss, train_error=train_error,

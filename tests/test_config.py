@@ -184,3 +184,23 @@ def test_non_finite_floats_are_refused(key, value):
     text = f"{key} = 60:{value}" if key == "schedule.milestones" else f"{key} = {value}"
     with pytest.raises(ConfigError, match=key):
         parse_config(base + "\n" + text + "\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("optimizer.beta1", "1.0"), ("optimizer.beta1", "-0.1"), ("optimizer.beta2", "1.0"),
+    ("optimizer.beta2", "1.5"), ("optimizer.eps", "-1e-8"), ("eval_batch", "0"),
+    ("eval_batch", "-1"),
+])
+def test_out_of_range_adam_and_eval_settings_are_refused(key, value):
+    # beta2 = 1 zeroes Adam's bias correction, which a run reported as a
+    # divergence; eval_batch < 1 failed or logged test error 0 after the
+    # run had made its log dir
+    with pytest.raises(ConfigError, match=key.split(".")[-1]):
+        parse_config(MINIMAL + f"optimizer.kind = adam\n{key} = {value}\n")
+
+
+def test_adam_settings_at_their_bounds_are_accepted():
+    config = parse_config(MINIMAL + "optimizer.kind = adam\noptimizer.beta1 = 0.0\n"
+                          "optimizer.beta2 = 0.0\noptimizer.eps = 0.0\neval_batch = 1\n")
+    assert (config.optimizer.beta1, config.optimizer.beta2, config.optimizer.eps) == (0, 0, 0)
+    assert config.eval_batch == 1

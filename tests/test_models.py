@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from abel_sched import (
 )
 from abel_sched.runner import RunState, build_model, run_experiment
 
-from helpers import gradcheck_worst_rel_err, standard_config
+from helpers import gradcheck_worst_rel_err, standard_config, strip_wall_ms
 
 MLP_RELU = ModelArch(input_dim=10, hidden=(16, 8), classes=4)
 MLP_NORM = ModelArch(input_dim=10, hidden=(16, 8), classes=4, activation="tanh",
@@ -275,7 +276,7 @@ def test_error_rate_equals_chunked_forward_count(arch, batch_size):
     y = rng.integers(0, arch.classes, n)
     want = _chunked_error(model, params, x, y, batch_size)
     assert 0 < want < 1
-    assert model.error_rate(params, x, y, batch_size=batch_size) == want
+    assert model.error_rate(params, model.eval_set(x, y), batch_size=batch_size) == want
 
 
 # -- the flat layout ---------------------------------------------------------------
@@ -359,7 +360,8 @@ def test_lazy_layer_views_alias_the_flat_vector():
 
 def _step_outputs(model, params, x, y):
     loss, grads, error = model.train_step_stats(params, x, y, 0.1)
-    return loss, {name: grads[name].copy() for name in grads}, error, model.error_rate(params, x, y)
+    return (loss, {name: grads[name].copy() for name in grads}, error,
+            model.error_rate(params, model.eval_set(x, y)))
 
 
 def _assert_bit_identical(got, want):
@@ -410,7 +412,7 @@ def test_error_rates_are_python_floats():
     x = rng.normal(size=(64, 10))
     y = rng.integers(0, 4, 64)
     assert type(model.train_step_stats(params, x, y)[2]) is float
-    assert type(model.error_rate(params, x, y)) is float
+    assert type(model.error_rate(params, model.eval_set(x, y))) is float
 
 
 # -- the screened evaluation ---------------------------------------------------------
@@ -443,7 +445,7 @@ def test_error_rate_refuses_bad_labels(arch, labels):
     model = Model(arch)
     x = np.random.default_rng(0).normal(size=(100, 10))
     with pytest.raises(ValueError):
-        model.error_rate(model.init_params(0), x, labels)
+        model.error_rate(model.init_params(0), model.eval_set(x, labels))
 
 
 @given(normalize=st.booleans(), hidden=st.lists(st.integers(1, 12), min_size=1, max_size=3),
@@ -468,8 +470,8 @@ def test_screened_error_rate_equals_the_chunked_loop(normalize, hidden, classes,
         layer.value[...] = rng.normal(size=layer.value.shape) * 10.0 ** log_scale
     x = rng.normal(size=(n, 6)) * 10.0 ** log_scales[-1]
     y = rng.integers(0, classes, n)
-    assert model.error_rate(params, x, y, batch_size) == _chunked_error(model, params, x, y,
-                                                                        batch_size)
+    assert model.error_rate(params, model.eval_set(x, y), batch_size) == _chunked_error(
+        model, params, x, y, batch_size)
 
 
 def test_tied_rows_reach_the_float64_tiers(forward_calls):
@@ -483,7 +485,7 @@ def test_tied_rows_reach_the_float64_tiers(forward_calls):
     y = rng.integers(0, 4, 100)
     want = _chunked_error(model, params, x, y, 32)
     forward_calls.clear()
-    assert model.error_rate(params, x, y, batch_size=32) == want
+    assert model.error_rate(params, model.eval_set(x, y), batch_size=32) == want
     f64 = [rows for dtype, rows in forward_calls if dtype == np.float64]
     f32 = [rows for dtype, rows in forward_calls if dtype == np.float32]
     assert f32 == [32, 32, 32, 4]
@@ -514,7 +516,7 @@ def test_rows_whose_float32_class_is_wrong_are_not_taken_from_float32(forward_ca
     want = _chunked_error(model, params, x, y, 64)
     assert want == 0.0
     forward_calls.clear()
-    assert model.error_rate(params, x, y, batch_size=64) == want
+    assert model.error_rate(params, model.eval_set(x, y), batch_size=64) == want
     assert (np.float64, 8) in forward_calls  # tier 2 settled the flipped rows
 
 
@@ -528,7 +530,7 @@ def test_a_net_with_duplicated_output_rows_falls_back(forward_calls):
     y = rng.integers(0, 4, 100)
     want = _chunked_error(model, params, x, y, 32)
     forward_calls.clear()
-    assert model.error_rate(params, x, y, batch_size=32) == want
+    assert model.error_rate(params, model.eval_set(x, y), batch_size=32) == want
     f64 = [rows for dtype, rows in forward_calls if dtype == np.float64]
     assert f64 == [32, 32, 32, 4]  # the whole unscreened loop, and no tier 2
 
@@ -545,7 +547,7 @@ def test_the_screen_falls_back_past_one_eighth_of_the_rows_unproven(forward_call
     y = rng.integers(0, 4, 64)
     want = _chunked_error(model, params, x, y, 32)
     forward_calls.clear()
-    assert model.error_rate(params, x, y, batch_size=32) == want
+    assert model.error_rate(params, model.eval_set(x, y), batch_size=32) == want
     f64 = [rows for dtype, rows in forward_calls if dtype == np.float64]
     if tier2_rows is None:
         assert f64 == [32, 32]  # the unscreened loop
@@ -563,8 +565,8 @@ def test_nets_of_many_classes_are_not_screened(forward_calls, classes, screened)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(300, 10))
     y = rng.integers(0, classes, 300)
-    assert model.error_rate(params, x, y, batch_size=128) == _chunked_error(model, params, x, y,
-                                                                            128)
+    assert model.error_rate(params, model.eval_set(x, y), batch_size=128) == _chunked_error(
+        model, params, x, y, 128)
     assert any(dtype == np.float32 for dtype, _ in forward_calls) == screened
 
 
@@ -578,8 +580,8 @@ def test_relu_and_conv_evaluation_is_not_screened(arch, forward_calls):
     rng = np.random.default_rng(4)
     x = rng.normal(size=(300, arch.input_dim))
     y = rng.integers(0, arch.classes, 300)
-    assert model.error_rate(params, x, y, batch_size=128) == _chunked_error(model, params, x, y,
-                                                                            128)
+    assert model.error_rate(params, model.eval_set(x, y), batch_size=128) == _chunked_error(
+        model, params, x, y, 128)
     assert all(dtype == np.float64 for dtype, _ in forward_calls)
 
 
@@ -590,27 +592,79 @@ def test_overflowing_weights_skip_the_float32_screen(forward_calls):
     rng = np.random.default_rng(5)
     x = rng.normal(size=(64, 10))
     y = rng.integers(0, 4, 64)
-    assert model.error_rate(params, x, y) == _chunked_error(model, params, x, y, 1024)
+    assert model.error_rate(params, model.eval_set(x, y)) == _chunked_error(model, params, x, y,
+                                                                            1024)
     assert all(dtype == np.float64 for dtype, _ in forward_calls)
 
 
 def test_the_logit_bound_holds_on_a_trained_model(tmp_path):
-    from abel_sched.models import _screen_bounds
+    from abel_sched.models import _screen_bounds, _screen_weights
 
     config = replace(standard_config("constant", epochs=20, log_dir=str(tmp_path / "run")),
                      checkpoint_every=20)
     run_experiment(config)
     params = load_checkpoint(tmp_path / "run" / "epoch_0020.ckpt")[1].params
     model, data = build_model(config)
-    x = data["test"][0]
+    test = model.eval_set(*data["test"])
     prepared = model._dense_weights(params)
-    e32, e64 = _screen_bounds(prepared, x, normalize=True)
-    as32 = [(w.astype(np.float32), rn) for w, rn in prepared]
-    logits32, _ = model._forward_mlp(as32, x.astype(np.float32))
-    logits64, _ = model._forward_mlp(prepared, x)
+    e32, e64 = _screen_bounds(prepared, test.max_abs, normalize=True)
+    as32 = _screen_weights(prepared, normalize=True)
+    # the screen's weights: transposed views of contiguous float32 transposes
+    assert all(w.dtype == np.float32 and w.T.flags.c_contiguous for w, _ in as32)
+    logits32, _ = model._forward_mlp(as32, test.x32)
+    logits64, _ = model._forward_mlp(prepared, test.x)
     gap = float(np.abs(logits32.astype(np.float64) - logits64).max())
     assert 0 < gap <= e32 + e64
     assert e32 + e64 < 1e-3  # loose enough to hold, tight enough to prove most rows
+
+
+@pytest.mark.parametrize("arch", [MLP_NORM, MLP_RELU], ids=["screened", "unscreened"])
+def test_an_in_place_edit_of_the_callers_arrays_does_not_reach_a_prepared_set(arch):
+    model = Model(arch)
+    params = model.init_params(1)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(300, 10))
+    y = rng.integers(0, 4, 300)
+    test = model.eval_set(x, y)
+    assert (test.x32 is not None) == (arch is MLP_NORM)
+    want = model.error_rate(params, test, batch_size=128)
+    assert want == _chunked_error(model, params, x, y, 128)
+    x *= -1.0
+    y[:] = (y + 1) % 4
+    assert _chunked_error(model, params, x, y, 128) != want
+    assert model.error_rate(params, test, batch_size=128) == want
+    with pytest.raises(ValueError):
+        test.x[0, 0] = 0.0  # the set's own arrays are read-only
+
+
+def test_the_screen_leaves_the_standard_logs_byte_identical(tmp_path, monkeypatch):
+    """30 epochs of the shipped ABEL config log the same bytes (wall_ms
+    aside) with the float32 screen and with the float64 loop alone."""
+    from abel_sched import models, parse_config
+
+    text = (Path(__file__).resolve().parent.parent / "configs" / "blobs_abel.txt").read_text()
+    assert "\nepochs = 200\n" in text
+    config = parse_config(text.replace("\nepochs = 200\n", "\nepochs = 30\n"))
+    screened = []  # per call of the screen: whether it settled the classes
+    screened_classes = Model._screened_classes
+
+    def recorded(self, *args):
+        classes = screened_classes(self, *args)
+        screened.append(classes is not None)
+        return classes
+
+    monkeypatch.setattr(Model, "_screened_classes", recorded)
+    logs = {}
+    for screen in (True, False):
+        if not screen:
+            monkeypatch.setattr(models, "_SCREEN_MAX_CLASSES", 0)
+        run_dir = tmp_path / ("screened" if screen else "loop")
+        result = run_experiment(replace(config, log_dir=str(run_dir)))
+        assert result.meta["status"] == "completed" and len(result.records) == 30
+        logs[screen] = [strip_wall_ms((run_dir / name).read_text())
+                        for name in ("metrics.csv", "layers.csv", "events.csv")]
+        assert screened == [True] * 30  # every epoch of the first run, none of the second
+    assert logs[True] == logs[False]
 
 
 @pytest.mark.parametrize("dtype, wide, ulp", [

@@ -183,6 +183,29 @@ def test_invalid_model_settings_exit_2_without_a_log_dir(tmp_path, capsys, key, 
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("arch", ["mlp", "conv"])
+@pytest.mark.parametrize("lines", ["eval_batch = 0", "eval_batch = -1",
+                                   "optimizer.kind = adam\noptimizer.beta2 = 1.0"],
+                         ids=["eval-batch-0", "eval-batch-negative", "adam-beta2-1"])
+def test_out_of_range_settings_exit_2_without_a_log_dir(tmp_path, capsys, arch, lines):
+    """Each of these made its log dir and then died with a traceback, logged
+    test error 0 (a convnet at eval_batch -1), or was reported as diverged."""
+    conv = dict(dataset=BlobsSpec(classes=3, dim=64, samples=256, test_samples=256,
+                                  label_noise=0.1, separation=3.0, seed=1),
+                model=ModelSpec(kind="conv", hidden=(4, 6), activation="tanh",
+                                input_shape=(1, 8, 8)))
+    cfg = tiny_config(tmp_path / "run", epochs=2, **(conv if arch == "conv" else {}))
+    keys = {line.split(" = ")[0] for line in lines.splitlines()}
+    rows = [row for row in format_config(cfg).splitlines() if row.split(" = ")[0] not in keys]
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(rows + lines.splitlines()) + "\n")
+    with pytest.raises(ConfigError):
+        parse_config(path.read_text())
+    assert cli_main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
 def test_gw_logging_optional_column(tmp_path):
     cfg = tiny_config(tmp_path / "run", log_gw=True, epochs=3)
     result = run_experiment(cfg)
