@@ -146,6 +146,17 @@ def _cmd_plotdata(args) -> int:
     return EXIT_OK
 
 
+def _at_least(kind, minimum):
+    """An argparse type: ``kind`` of the text, refused below ``minimum`` (a usage error)."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= minimum:  # NaN fails
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: ..."
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abel-sched",
@@ -175,9 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="bounce/decay analysis of a run's logs")
     p.add_argument("log_dir")
-    p.add_argument("--noise-tol", type=float, default=0.005)
-    p.add_argument("--top-k", type=int, default=3)
-    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--noise-tol", type=_at_least(float, 0.0), default=0.005)
+    p.add_argument("--top-k", type=_at_least(int, 1), default=3)
+    p.add_argument("--window", type=_at_least(int, 1), default=5)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=_cmd_analyze)
 

@@ -89,6 +89,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if not self.base_lr > 0:

@@ -44,6 +44,8 @@ class BlobsSpec:
     def __post_init__(self) -> None:
         if self.classes < 2 or self.dim < 1 or self.samples < 1 or self.test_samples < 1:
             raise DatasetError("blobs need classes >= 2, dim >= 1 and positive sample counts")
+        if self.seed < 0:
+            raise DatasetError("dataset seed must be >= 0")
         if not 0.0 <= self.label_noise < 1.0:
             raise DatasetError("label_noise must lie in [0, 1)")
         if not self.separation > 0:
@@ -64,6 +66,8 @@ class SpiralsSpec:
     def __post_init__(self) -> None:
         if self.samples < 1 or self.test_samples < 1:
             raise DatasetError("spirals need positive sample counts")
+        if self.seed < 0:
+            raise DatasetError("dataset seed must be >= 0")
         if not 0.0 <= self.label_noise < 1.0:
             raise DatasetError("label_noise must lie in [0, 1)")
 
@@ -231,6 +235,8 @@ def _load_idx_dataset(spec: IdxSpec) -> tuple[Split, Split]:
         labels = read_idx_labels(_find_idx_file(directory, labels_stem))
         if images.shape[0] != labels.shape[0]:
             raise DatasetError("image and label counts differ")
+        if not images.shape[0]:
+            raise DatasetError(f"{images_stem} holds no images")
         if spec.subsample > 0:
             images = images[:spec.subsample]
             labels = labels[:spec.subsample]

@@ -14,6 +14,19 @@ optimizer, never folded into these gradients. They are written straight
 into one flat vector in the parameters' layout (a GradSet), listed in the
 order the backward pass produces them.
 
+A normalized MLP's parameters are its dense weights only, so their rows
+tile the flat vector, and its step works on the whole vector. Beside the
+slot table of each layout, ``Model._slots`` keeps a row table: per layer,
+the slice of its rows in one vector of every row in layout order, and each
+row's fan-in, the repeat count that spreads a row's value over its entries.
+The forward pass squares the flat vector once, sums each layer's rows (one
+reduction per layer), takes one square root and divides once by the
+repeated norms; each layer's ``w/|w_row|`` is a view of the quotient. The
+backward pass writes dL/dŵ into the flat gradient, then pulls it back onto
+w once over the whole vector, ``(dŵ - (dŵ.ŵ) ŵ) / |w_row|``, with one
+row-sum reduction per layer. Every float equals that of the same formulas
+applied layer by layer.
+
 Screened evaluation
 -------------------
 A test error depends only on each row's argmax, so ``Model.error_rate``
@@ -154,9 +167,14 @@ def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(z, 0.0, out=out) if kind == "relu" else np.tanh(z, out=out)
 
 
-def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
-    """Derivative at the pre-activation, from the activation a: relu's z > 0 is a > 0."""
-    return (a > 0).astype(a.dtype) if kind == "relu" else 1.0 - a * a
+def _times_act_grad(d: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+    """``d`` times the derivative at the pre-activation, in place in ``d``, from
+    the activation a: relu's z > 0 is a > 0, tanh's derivative is 1 - a²."""
+    if kind == "relu":
+        return np.multiply(d, a > 0, out=d)
+    g = np.multiply(a, a)
+    np.subtract(1.0, g, out=g)
+    return np.multiply(d, g, out=d)
 
 
 @lru_cache(maxsize=16)
@@ -186,17 +204,19 @@ def _loss_and_dlogits(
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ValueError("logits must be (batch, classes) and labels (batch,)")
     n, c = logits.shape
-    if labels.min() < 0 or labels.max() >= c:
+    # The reductions call their ufuncs directly, skipping the ndarray
+    # methods' wrappers; the floats are the same.
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= c:
         raise ValueError("labels out of range")
     # The row max, reduced over a class-major copy: for few classes this is
     # several times faster than max(axis=1), and max is exact either way.
-    m = np.ascontiguousarray(logits.T).max(axis=0)[:, None]
+    m = np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)[:, None]
     shifted = logits - m
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + m
+    lse = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True)) + m
     logp = logits - lse
 
     q = _smoothed_targets(c, label_smoothing).take(labels, axis=0)
-    loss = float(-(q * logp).sum() / n)
+    loss = float(-np.add.reduce(q * logp, axis=None) / n)
     dlogits = (np.exp(logp) - q) / n
     return loss, dlogits
 
@@ -205,13 +225,14 @@ class Model:
     """Stateless network: parameters travel separately as a ParamSet.
 
     An MLP keeps one derived table, where its dense tensors sit in the flat
-    vector of the last layout it saw (see ``_slots``).
+    vector of the last layout it saw, and where a normalized MLP's weight
+    rows sit in it (see ``_slots``).
     """
 
     def __init__(self, arch: ModelArch):
         self.arch = arch
         self._slot_layout: Layout | None = None
-        self._slot_table: tuple = ()
+        self._slot_table: tuple = ((), None)
         if arch.kind == "mlp":
             self._dense = tuple(f"fc{i + 1}" for i in range(len(arch.hidden))) + ("out",)
             parts = (".w",) if arch.normalize else (".w", ".b")
@@ -291,34 +312,59 @@ class Model:
         return self._forward_conv(prepared, x)
 
     def _slots(self, layout: Layout) -> tuple:
-        """Per dense layer: the flat slice and shape of its weight, and the
-        slice of its bias (None when normalized).
+        """(slots, rows) for ``layout``. ``slots`` holds per dense layer the
+        flat slice and shape of its weight, and the slice of its bias (None
+        when normalized). ``rows``, the row table of a normalized MLP (None
+        otherwise), holds per dense layer the slice of its rows in a vector
+        of every weight row in layout order, and then every row's fan-in in
+        that order: the repeat counts that spread one value per row over the
+        flat vector.
 
         Built once per layout object and reused while ``params.layout`` is
         that same object; the table holds a reference to its layout, so the
         identity check cannot match a new layout at a reused id.
         """
         if layout is not self._slot_layout:
+            self._check_layers(layout)
             shapes = dict(zip(layout.names, layout.shapes))
-            self._slot_table = tuple(
+            slots = tuple(
                 (layout.slice_of[f"{name}.w"], shapes[f"{name}.w"],
                  None if self.arch.normalize else layout.slice_of[f"{name}.b"])
                 for name in self._dense)
+            self._slot_table = (slots, _row_table(slots) if self.arch.normalize else None)
             self._slot_layout = layout
         return self._slot_table
 
-    def _dense_weights(self, params: ParamSet) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per dense layer: (w / |w_row|, |w_row| as a column) when normalized, else (w, b)."""
+    def _check_layers(self, layout: Layout) -> None:
+        """Refuse a layout with layers beyond the model's: the backward pass
+        would leave their gradient entries unwritten."""
+        if len(layout.names) != len(self._grad_names):
+            extra = sorted(set(layout.names) - set(self._grad_names))
+            raise ValueError(f"parameters hold layers the model does not have: {extra}")
+
+    def _normalized(self, params: ParamSet) -> tuple[np.ndarray, np.ndarray]:
+        """A normalized MLP's w / |w_row| over the whole flat vector, and
+        |w_row| repeated to each row's fan-in, both in layout order."""
         flat = params.flat
-        out = []
-        for w_slice, w_shape, b_slice in self._slots(params.layout):
-            w = flat[w_slice].reshape(w_shape)
-            if self.arch.normalize:
-                rn = np.sqrt((w * w).sum(axis=1, keepdims=True))
-                out.append((w / rn, rn))
-            else:
-                out.append((w, flat[b_slice]))
-        return out
+        slots, rows = self._slots(params.layout)
+        sq = flat * flat
+        norms = _row_sums(sq, slots, rows)
+        _, fan_ins = rows
+        norms = np.sqrt(norms, out=norms).repeat(fan_ins)
+        return np.divide(flat, norms, out=sq), norms
+
+    def _dense_weights(self, params: ParamSet,
+                       normalized: tuple[np.ndarray, np.ndarray] | None = None
+                       ) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        """Per dense layer: (w / |w_row|, None) when normalized, each a view of
+        ``_normalized``'s vector (computed here unless given), else (w, b)."""
+        slots, _ = self._slots(params.layout)
+        if self.arch.normalize:
+            w_hat = (normalized or self._normalized(params))[0]
+            return [(w_hat[w_slice].reshape(w_shape), None) for w_slice, w_shape, _ in slots]
+        flat = params.flat
+        return [(flat[w_slice].reshape(w_shape), flat[b_slice])
+                for w_slice, w_shape, b_slice in slots]
 
     def _forward_mlp(self, weights, x: np.ndarray, bufs: list[np.ndarray] | None = None):
         """Logits, and as cache the input of every dense layer followed by the logits.
@@ -366,45 +412,54 @@ class Model:
     ) -> tuple[float, GradSet, float]:
         """Loss, gradients, and batch error rate from a single forward/backward."""
         x = self._check_input(x)
+        mlp = self.arch.kind == "mlp"
         # overflow here is handled: non-finite logits raise NumericError below
         with np.errstate(over="ignore", invalid="ignore"):
-            prepared = self._prepared(params)
+            normalized = self._normalized(params) if mlp and self.arch.normalize else None
+            prepared = self._dense_weights(params, normalized) if mlp else params
             logits, cache = self._forward(prepared, x)
-        if not np.isfinite(logits).all():
+        if not np.logical_and.reduce(np.isfinite(logits), axis=None):
             raise NumericError("non-finite activations in forward pass")
         y = np.asarray(y)
         loss, dlogits = _loss_and_dlogits(logits, y, label_smoothing)
         layout = params.layout
         flat = np.empty(layout.size)
-        if self.arch.kind == "mlp":
-            self._backward_mlp(prepared, cache, dlogits, flat, self._slots(layout))
+        if mlp:
+            self._backward_mlp(prepared, cache, dlogits, flat, self._slots(layout), normalized)
         else:
+            self._check_layers(layout)
             self._backward_conv(params, cache, dlogits,
                                 dict(zip(layout.names, layout.views(flat))))
         error = int(np.count_nonzero(logits.argmax(axis=1) != y)) / y.shape[0]
         return loss, GradSet(layout, flat, self._grad_names), error
 
     def _backward_mlp(self, weights, acts: list[np.ndarray], dlogits: np.ndarray,
-                      flat: np.ndarray, slots: tuple) -> None:
-        """Write the gradients into ``flat`` at ``slots`` (see ``_slots``), reusing
-        the forward pass's activations."""
-        arch = self.arch
+                      flat: np.ndarray, table: tuple,
+                      normalized: tuple[np.ndarray, np.ndarray] | None) -> None:
+        """Write the gradients into ``flat`` by ``table`` (see ``_slots``), reusing
+        the forward pass's activations and, when normalized, the vectors of
+        ``_normalized``."""
+        slots, rows = table
         dh = dlogits
+        last = len(weights) - 1
         for i in reversed(range(len(weights))):
             w_slice, w_shape, b_slice = slots[i]
-            w, extra = weights[i]
-            h = acts[i]
-            dz = dh if i == len(weights) - 1 else dh * _act_grad(acts[i + 1], arch.activation)
-            if arch.normalize:
-                # w is w/|w_row| and extra is |w_row|; pull the normalization back onto w
-                dw_hat = dz.T @ h
-                proj = (dw_hat * w).sum(axis=1, keepdims=True)
-                np.divide(dw_hat - proj * w, extra, out=flat[w_slice].reshape(w_shape))
-            else:
-                np.matmul(dz.T, h, out=flat[w_slice].reshape(w_shape))
-                dz.sum(axis=0, out=flat[b_slice])
+            dz = dh if i == last else _times_act_grad(dh, acts[i + 1], self.arch.activation)
+            # dL/dw, or dL/dw_hat when normalized
+            np.matmul(dz.T, acts[i], out=flat[w_slice].reshape(w_shape))
+            if b_slice is not None:
+                np.add.reduce(dz, axis=0, out=flat[b_slice])
             if i:  # no gradient is needed for the input itself
-                dh = dz @ w
+                dh = dz @ weights[i][0]
+        if normalized is not None:
+            # pull the normalization back onto w: (dw_hat - (dw_hat.w_hat) w_hat) / |w_row|
+            w_hat, norms = normalized
+            _, fan_ins = rows
+            proj = flat * w_hat
+            dots = _row_sums(proj, slots, rows)
+            np.multiply(dots.repeat(fan_ins), w_hat, out=proj)
+            np.subtract(flat, proj, out=flat)
+            np.divide(flat, norms, out=flat)
 
     def _backward_conv(self, params: ParamSet, cache, dlogits: np.ndarray,
                        grads: dict[str, np.ndarray]) -> None:
@@ -414,10 +469,10 @@ class Model:
         grads["out.b"][...] = dlogits.sum(axis=0)
         dpool = (dlogits @ params["out.w"].value).reshape(pooled_shape)
         da2 = _avgpool2_backward(dpool, a2.shape)
-        dz2 = da2 * _act_grad(a2, arch.activation)
+        dz2 = _times_act_grad(da2, a2, arch.activation)
         grads["conv2.w"][...], grads["conv2.b"][...], da1 = _conv_valid_backward(
             a1, params["conv2.w"].value, dz2)
-        dz1 = da1 * _act_grad(a1, arch.activation)
+        dz1 = _times_act_grad(da1, a1, arch.activation)
         grads["conv1.w"][...], grads["conv1.b"][...], _ = _conv_valid_backward(
             imgs, params["conv1.w"].value, dz1)
 
@@ -519,6 +574,28 @@ class Model:
                     chunks[start] = exact_classes(start)
                 classes[row] = chunks[start][row - start]
         return classes
+
+
+def _row_table(slots: tuple) -> tuple[tuple[slice, ...], np.ndarray]:
+    """The row table of ``Model._slots`` for normalized weights at ``slots``,
+    which tile the flat vector."""
+    row_slices: list[slice] = [slice(0)] * len(slots)
+    fan_ins: list[int] = []
+    for i in sorted(range(len(slots)), key=lambda i: slots[i][0].start):
+        d_out, d_in = slots[i][1]
+        row_slices[i] = slice(len(fan_ins), len(fan_ins) + d_out)
+        fan_ins += [d_in] * d_out
+    return tuple(row_slices), np.array(fan_ins)
+
+
+def _row_sums(v: np.ndarray, slots: tuple, rows: tuple) -> np.ndarray:
+    """The sum of each weight row of the flat vector ``v``, one reduction per
+    layer, into a vector in layout order (see ``Model._slots``)."""
+    row_slices, fan_ins = rows
+    out = np.empty(len(fan_ins))
+    for (w_slice, w_shape, _), r_slice in zip(slots, row_slices):
+        np.add.reduce(v[w_slice].reshape(w_shape), axis=1, out=out[r_slice])
+    return out
 
 
 def _top_two(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

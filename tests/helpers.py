@@ -282,6 +282,62 @@ def ref_step_adam(params, m: dict, v: dict, t: int, grads: dict, lr: float,
     return values, new_m, new_v, t
 
 
+# -- per-layer reference MLP step --------------------------------------------------
+#
+# An MLP's loss and gradients as they were written before the normalized
+# net moved to whole-vector passes: every layer's row norms, division and
+# pull-back computed on its own, by name. The model's step must match this
+# bit for bit, since the logs are pinned to it.
+
+
+def ref_mlp_loss_and_grads(arch, params, x, y, label_smoothing: float = 0.0):
+    """(loss, gradients by layer name, batch error) of an MLP ``arch`` on (x, y)."""
+    names = [f"fc{i + 1}" for i in range(len(arch.hidden))] + ["out"]
+    weights = []
+    for name in names:
+        w = params[f"{name}.w"].value
+        if arch.normalize:
+            rn = np.sqrt((w * w).sum(axis=1, keepdims=True))
+            weights.append((w / rn, rn))
+        else:
+            weights.append((w, params[f"{name}.b"].value))
+    acts = [x]
+    for i, (w, extra) in enumerate(weights):
+        z = acts[-1] @ w.T
+        if not arch.normalize:
+            z = z + extra
+        if i < len(weights) - 1:
+            z = np.maximum(z, 0.0) if arch.activation == "relu" else np.tanh(z)
+        acts.append(z)
+    logits = acts[-1]
+    n, c = logits.shape
+    m = logits.max(axis=1, keepdims=True)
+    logp = logits - (np.log(np.exp(logits - m).sum(axis=1, keepdims=True)) + m)
+    q = np.full((c, c), label_smoothing / (c - 1))
+    np.fill_diagonal(q, 1.0 - label_smoothing)
+    q = q[y]
+    loss = float(-(q * logp).sum() / n)
+    dh = (np.exp(logp) - q) / n
+    grads = {}
+    for i in reversed(range(len(weights))):
+        w, extra = weights[i]
+        if i == len(weights) - 1:
+            dz = dh
+        else:
+            a = acts[i + 1]
+            dz = dh * ((a > 0).astype(a.dtype) if arch.activation == "relu" else 1.0 - a * a)
+        dw = dz.T @ acts[i]
+        if arch.normalize:
+            proj = (dw * w).sum(axis=1, keepdims=True)
+            grads[f"{names[i]}.w"] = (dw - proj * w) / extra
+        else:
+            grads[f"{names[i]}.w"] = dw
+            grads[f"{names[i]}.b"] = dz.sum(axis=0)
+        dh = dz @ w
+    error = int(np.count_nonzero(logits.argmax(axis=1) != y)) / n
+    return loss, grads, error
+
+
 # -- reference training loop ------------------------------------------------------
 #
 # The runner's epoch loop rebuilt from public pieces, the slow plain way: a

@@ -204,3 +204,18 @@ def test_adam_settings_at_their_bounds_are_accepted():
                           "optimizer.beta2 = 0.0\noptimizer.eps = 0.0\neval_batch = 1\n")
     assert (config.optimizer.beta1, config.optimizer.beta2, config.optimizer.eps) == (0, 0, 0)
     assert config.eval_batch == 1
+
+
+@pytest.mark.parametrize("key", ["seed", "dataset.seed"])
+def test_a_negative_seed_is_refused(key):
+    # numpy's generators refuse a negative seed with a bare ValueError
+    # traceback, after the run has made its log dir
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        parse_config(MINIMAL + f"{key} = -1\n")
+    assert parse_config(MINIMAL + f"{key} = 0\n")
+
+
+def test_a_negative_seed_is_refused_on_replace():
+    config = parse_config(MINIMAL)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        replace(config, seed=-1)

@@ -157,6 +157,35 @@ def test_idx_test_labels_past_the_training_classes_are_refused(tmp_path, capsys)
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("empty", ["t10k", "train"])
+def test_an_idx_split_of_zero_images_is_refused(tmp_path, capsys, empty):
+    """A valid header with a count of 0 used to end in a bare reshape
+    ValueError (exit 1); it is a DatasetError, exit 2, before any log dir."""
+    images = np.random.default_rng(0).integers(0, 256, size=(6, 8, 8)).astype(np.uint8)
+    labels = np.array([0, 1, 0, 2, 1, 0])
+    for split in ("train", "t10k"):
+        n = 0 if split == empty else 6
+        write_idx_images(tmp_path / f"{split}-images-idx3-ubyte", images[:n])
+        write_idx_labels(tmp_path / f"{split}-labels-idx1-ubyte", labels[:n])
+    with pytest.raises(DatasetError, match=f"{empty}-images-idx3-ubyte holds no images"):
+        make_dataset(IdxSpec(path=str(tmp_path)))
+    config = tmp_path / "c.txt"
+    config.write_text(f"epochs = 1\nbase_lr = 0.1\nbatch_size = 3\nlog_dir = {tmp_path / 'run'}\n"
+                      f"dataset.kind = idx\ndataset.path = {tmp_path}\nmodel.hidden = 4\n")
+    assert cli_main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "holds no images" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("spec", [BlobsSpec, SpiralsSpec])
+def test_a_negative_generator_seed_is_refused(spec):
+    with pytest.raises(DatasetError, match="seed must be >= 0"):
+        spec(seed=-1)
+    spec(seed=0)
+
+
 def test_idx_dataset_missing_directory():
     with pytest.raises(DatasetError):
         make_dataset(IdxSpec(path="/nonexistent/dir"))

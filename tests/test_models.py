@@ -23,7 +23,7 @@ from abel_sched import (
 )
 from abel_sched.runner import RunState, build_model, run_experiment
 
-from helpers import gradcheck_worst_rel_err, standard_config, strip_wall_ms
+from helpers import gradcheck_worst_rel_err, ref_mlp_loss_and_grads, standard_config, strip_wall_ms
 
 MLP_RELU = ModelArch(input_dim=10, hidden=(16, 8), classes=4)
 MLP_NORM = ModelArch(input_dim=10, hidden=(16, 8), classes=4, activation="tanh",
@@ -403,6 +403,46 @@ def test_the_slot_table_is_rebuilt_for_a_reordered_layout(arch):
     want = _step_outputs(Model(arch), params, x, y)
     for p in (params, reordered, params, reordered):
         _assert_bit_identical(_step_outputs(model, p, x, y), want)
+
+
+@pytest.mark.parametrize("reordered", [False, True], ids=["layout", "reordered"])
+@pytest.mark.parametrize("smoothing", [0.0, 0.1])
+@pytest.mark.parametrize("batch", [1, 7, 128])
+@pytest.mark.parametrize("hidden", [(32, 16), (7,), (64, 32, 16)], ids=str)
+@pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "with-biases"])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_the_step_matches_the_per_layer_reference_bit_for_bit(
+        activation, normalize, hidden, batch, smoothing, reordered):
+    """The whole-vector normalize and pull-back, the in-place activation
+    derivative and the direct ufunc reductions change no float of the step."""
+    arch = ModelArch(input_dim=20, hidden=hidden, classes=4, activation=activation,
+                     normalize=normalize, init_scale=4.0 if normalize else 1.0)
+    model = Model(arch)
+    params = model.init_params(3)
+    if reordered:
+        params = ParamSet(list(reversed(params.layers)))
+    rng = np.random.default_rng(batch)
+    x = rng.normal(size=(batch, 20))
+    y = rng.integers(0, 4, batch)
+    loss, grads, error = model.train_step_stats(params, x, y, smoothing)
+    want_loss, want_grads, want_error = ref_mlp_loss_and_grads(arch, params, x, y, smoothing)
+    assert loss == want_loss and error == want_error
+    assert set(grads) == set(want_grads) == set(params.names())
+    for name in want_grads:
+        assert np.array_equal(grads[name], want_grads[name]), name
+
+
+@pytest.mark.parametrize("arch", [MLP_NORM, MLP_RELU, CONV],
+                         ids=["normalized", "with-biases", "conv"])
+def test_a_layer_beyond_the_models_is_refused(arch):
+    """The backward pass writes only the model's own layers, so a stray
+    layer's gradient entries were left as uninitialized memory."""
+    model = Model(arch)
+    params = model.init_params(0)
+    extra = ParamSet(params.layers + [Layer("stray", np.zeros(3), l2_enabled=False)])
+    x = np.zeros((2, arch.input_dim))
+    with pytest.raises(ValueError, match=r"layers the model does not have: \['stray'\]"):
+        model.train_step_stats(extra, x, np.array([0, 1]))
 
 
 def test_error_rates_are_python_floats():

@@ -579,6 +579,32 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert cli_main(["run", str(div)]) == 3
 
 
+@pytest.mark.parametrize("lines, flag", [("seed = -1", None), ("dataset.seed = -1", None),
+                                         ("", "-1")],
+                         ids=["config-seed", "config-dataset-seed", "cli-seed"])
+def test_a_negative_seed_exits_2_without_a_log_dir(tmp_path, capsys, lines, flag):
+    rows = [row for row in format_config(tiny_config(tmp_path / "run")).splitlines()
+            if not (lines and row.startswith(lines.split(" = ")[0] + " = "))]
+    path = tmp_path / "c.txt"
+    path.write_text("\n".join(rows + lines.splitlines()) + "\n")
+    assert cli_main(["run", str(path)] + (["--seed", flag] if flag else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be >= 0" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("args", [["--window", "0"], ["--top-k", "0"], ["--noise-tol", "-1"]],
+                         ids=["window-0", "top-k-0", "noise-tol-negative"])
+def test_cli_analyze_refuses_out_of_range_options(tmp_path, capsys, args):
+    """Each of these crashed the analysis with a ValueError traceback (exit 1);
+    argparse now refuses it as a usage error, before the logs are read."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["analyze", str(tmp_path / "no-run"), *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {args[0]}: must be >= " in err and "Traceback" not in err
+
+
 def test_cli_plotdata_and_analyze(tmp_path, capsys):
     cfg_text = tmp_path / "c.txt"
     cfg_text.write_text(
