@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("template")
     p.add_argument("--grid", required=True,
                    help="e.g. 'base_lr=0.5,1,2;decay_factor=0.5,0.2,0.1'")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(int, 1), default=1)
     p.add_argument("--sweep-dir", default=None)
     p.set_defaults(func=_cmd_sweep)
 

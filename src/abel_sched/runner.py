@@ -48,7 +48,8 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -115,15 +116,14 @@ class RunState:
 class RunResult:
     """What a run returns. ``records`` and ``events`` cover the epochs this
     call trained; ``meta`` and the error properties cover the whole run, from
-    epoch 1. ``pre_decay_state`` is the state at the last epoch boundary
-    before the run's first lr change, for runs that started from scratch and
-    changed their lr after epoch 1 or later; otherwise None."""
+    epoch 1. ``forks`` holds one entry per watched config (see
+    :func:`run_experiment`): the state to resume it from, or None."""
 
     records: list[EpochRecord]
     events: list[LrEvent]
     meta: dict
     log_dir: Path
-    pre_decay_state: RunState | None = None
+    forks: list[RunState | None] = field(default_factory=list)
 
     @property
     def best_test_error(self) -> float:
@@ -158,15 +158,25 @@ def _init_opt(config: ExperimentConfig, params: ParamSet):
                           beta2=config.optimizer.beta2, eps=config.optimizer.eps)
 
 
-def observe(scheduler: AbelScheduler | PlateauScheduler, rec: EpochRecord) -> list[LrEvent]:
-    """Feed one epoch's record to an adaptive scheduler; returns its decay events.
+def _schedule_lr(scheduler: AbelScheduler | PlateauScheduler | None, spec: ScheduleSpec,
+                 epoch: int) -> float:
+    """The schedule's lr for the 1-based ``epoch``, before warmup: the
+    scheduler's current lr, or the stateless schedule's value at t = epoch - 1."""
+    if scheduler is not None:
+        return scheduler.current_lr
+    return lr_at(spec, epoch - 1)
 
-    The bounce scheduler watches the squared weight norm, the plateau
-    scheduler the epoch's mean training loss.
-    """
+
+def _lr_events(scheduler: AbelScheduler | PlateauScheduler | None, spec: ScheduleSpec,
+               rec: EpochRecord, total_epochs: int) -> list[LrEvent]:
+    """The schedule's lr changes at the end of ``rec``'s epoch: the bounce
+    scheduler observes the squared weight norm, the plateau scheduler the mean
+    training loss, and a stateless schedule may pass a milestone."""
     if isinstance(scheduler, AbelScheduler):
         return scheduler.observe_epoch(rec.wsq_total)[1]
-    return scheduler.observe_epoch(rec.train_loss)[1]
+    if scheduler is not None:
+        return scheduler.observe_epoch(rec.train_loss)[1]
+    return _milestone_events(spec, rec.epoch, total_epochs)
 
 
 def _milestone_events(spec: ScheduleSpec, epoch: int, total_epochs: int) -> list[LrEvent]:
@@ -280,7 +290,7 @@ class _RunLog:
 
 
 def run_experiment(config: ExperimentConfig, resume_state: RunState | None = None,
-                   quiet: bool = True) -> RunResult:
+                   quiet: bool = True, watch: Sequence[ExperimentConfig] = ()) -> RunResult:
     """Train per the config, logging one record per epoch.
 
     ``resume_state`` continues a checkpointed run; only epochs after
@@ -288,7 +298,23 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     already in ``config.log_dir`` (see the module docstring); the run leaves
     ``resume_state`` as it was. Raises :class:`DivergenceError` on a
     non-finite training loss or squared weight norm.
+
+    ``watch`` holds configs that equal ``config`` but for ``schedule`` and
+    ``log_dir`` (others, or ``watch`` with ``resume_state``, raise
+    ``ValueError``); each has its own scheduler fed this run's records. At
+    the first epoch boundary E >= 1 after which a watched run's lr or
+    ``warmup_epochs`` differs from this run's, its log directory receives the
+    rows of epochs 1..E and its own lr events, and ``forks[i]`` the state at
+    E, from which ``run_experiment(watch[i], resume_state=forks[i])`` logs
+    what an independent run would. Otherwise ``forks[i]`` is None.
     """
+    shared = [f.name for f in fields(config) if f.name not in ("schedule", "log_dir")]
+    for other in watch:
+        if any(getattr(other, name) != getattr(config, name) for name in shared):
+            raise ValueError(f"a watched config differs from the run's beyond its "
+                             f"schedule and log_dir: {other.log_dir}")
+    if watch and resume_state is not None:
+        raise ValueError("a resumed run cannot watch other runs")
     model, data = build_model(config)
     xtr, ytr = data["train"]
     test = model.eval_set(*data["test"])
@@ -340,23 +366,28 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     records: list[EpochRecord] = []
     all_events: list[LrEvent] = []
     status = "completed"
-    # (global_step, params, opt) at the last epoch boundary, held until the
-    # first lr change of a run from scratch, for its pre-decay state
-    held = (global_step, params, opt) if resume_state is None else None
-    pre_decay_state = None
+    forks: list[RunState | None] = [None] * len(watch)
+    # (index, config, scheduler, lr events) of each watched run yet to depart
+    watched = [(i, other, make_scheduler(other.schedule), [])
+               for i, other in enumerate(watch)]
     probe = slice(0, min(config.batch_size, n))
     optimizer_step = step_sgd if isinstance(opt, MomentumState) else step_adam
 
-    def schedule_lr(epoch: int) -> float:
-        # epoch is 1-based; the lr for epoch e is the schedule value at t = e - 1
-        if scheduler is not None:
-            return scheduler.current_lr
-        return lr_at(spec, epoch - 1)
-
     try:
         for epoch in range(start_epoch + 1, config.epochs + 1):
+            lr_epoch = _schedule_lr(scheduler, spec, epoch)
+            for track in list(watched):
+                i, other, other_scheduler, other_events = track
+                if (_schedule_lr(other_scheduler, other.schedule, epoch),
+                        other.schedule.warmup_epochs) == (lr_epoch, spec.warmup_epochs):
+                    continue
+                watched.remove(track)
+                if epoch > 1:
+                    _write_fork_logs(other, records, other_events)
+                    forks[i] = RunState(epoch=epoch - 1, global_step=global_step,
+                                        params=params, opt=opt, scheduler=other_scheduler,
+                                        test_errors=tuple(test_errors))
             t0 = time.perf_counter()
-            lr_epoch = schedule_lr(epoch)
             # One gather per epoch; each minibatch is then a contiguous slice.
             # take copies the same rows as fancy indexing, in less time.
             order = np.random.default_rng([config.seed, epoch]).permutation(n)
@@ -399,14 +430,9 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
                 test_error=test_error, wsq_total=wsq_total, wsq_l2_only=wsq_l2,
                 per_layer_wsq=per_layer, gw_total=gw_total,
                 wall_ms=int((time.perf_counter() - t0) * 1000))
-            events = (observe(scheduler, rec) if scheduler is not None
-                      else _milestone_events(spec, epoch, config.epochs))
-            if held is not None and not events:
-                held = (global_step, params, opt)
-            elif held is not None:
-                if epoch > 1:
-                    pre_decay_state = _pre_decay_state(spec, records, held, test_errors)
-                held = None
+            events = _lr_events(scheduler, spec, rec, config.epochs)
+            for _, other, other_scheduler, other_events in watched:
+                other_events += _lr_events(other_scheduler, other.schedule, rec, config.epochs)
             records.append(rec)
             test_errors.append(test_error)
             all_events.extend(events)
@@ -446,21 +472,17 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
         print(f"run {log.dir}: {meta['status']}, best test error "
               f"{meta['best_test_error']} at epoch {meta['best_epoch']}")
     return RunResult(records=records, events=all_events, meta=meta, log_dir=log.dir,
-                     pre_decay_state=pre_decay_state)
+                     forks=forks)
 
 
-def _pre_decay_state(spec: ScheduleSpec, records: list[EpochRecord], held: tuple,
-                     test_errors: list[float]) -> RunState:
-    """The state after ``records`` of a run from scratch, with ``held`` the
-    (global_step, params, opt) at that boundary. The scheduler is rebuilt by
-    replaying the records through a fresh scheduler of ``spec``."""
-    scheduler = make_scheduler(spec)
-    if scheduler is not None:
-        for rec in records:
-            observe(scheduler, rec)
-    global_step, params, opt = held
-    return RunState(epoch=len(records), global_step=global_step, params=params, opt=opt,
-                    scheduler=scheduler, test_errors=tuple(test_errors[:len(records)]))
+def _write_fork_logs(config: ExperimentConfig, records: list[EpochRecord],
+                     events: list[LrEvent]) -> None:
+    """Start ``config``'s logs with ``records`` and its own lr ``events``."""
+    log = _RunLog(Path(config.log_dir), config)
+    for rec in records:
+        log.write_record(rec)
+    log.write_events(events)
+    log.close()
 
 
 def _should_auto_stop(config: ExperimentConfig, test_errors: list[float],
@@ -481,37 +503,41 @@ def _should_auto_stop(config: ExperimentConfig, test_errors: list[float],
 # -- reading logs back --------------------------------------------------------
 
 
+def _read_rows(path: Path, parse) -> list:
+    """``parse(*fields)`` of each row after ``path``'s header."""
+    lines = path.read_text().splitlines()
+    if lines and lines[0] != LOG_HEADERS[path.name]:
+        raise ConfigError(f"unexpected header in {path}")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            rows.append(parse(*line.split(",")))
+        except (TypeError, ValueError):  # a wrong field count or a field that does not parse
+            raise ConfigError(f"unreadable row at line {number} of {path}") from None
+    return rows
+
+
 def read_metrics(log_dir: str | Path) -> list[EpochRecord]:
-    """Parse metrics.csv and layers.csv back into records."""
+    """Parse metrics.csv and layers.csv back into records. A damaged log, such
+    as a layers.csv that lacks the last epoch's rows, raises ConfigError."""
     log_dir = Path(log_dir)
     per_layer: dict[int, dict[str, float]] = {}
-    layers_file = log_dir / "layers.csv"
-    if layers_file.exists():
-        for line in layers_file.read_text().splitlines()[1:]:
-            epoch_s, name, wsq_s = line.split(",")
-            per_layer.setdefault(int(epoch_s), {})[name] = float(wsq_s)
-    records = []
-    lines = (log_dir / "metrics.csv").read_text().splitlines()
-    if lines and lines[0] != LOG_HEADERS["metrics.csv"]:
-        raise ValueError(f"unexpected metrics header in {log_dir}")
-    for line in lines[1:]:
-        parts = line.split(",")
-        epoch = int(parts[0])
-        records.append(EpochRecord(
-            epoch=epoch, lr=float(parts[1]), train_loss=float(parts[2]),
-            train_error=float(parts[3]), test_error=float(parts[4]),
-            wsq_total=float(parts[5]), wsq_l2_only=float(parts[6]),
-            per_layer_wsq=per_layer.get(epoch, {}),
-            gw_total=float(parts[7]) if parts[7] else None,
-            wall_ms=int(parts[8])))
+    if (log_dir / "layers.csv").exists():
+        for epoch, name, wsq in _read_rows(log_dir / "layers.csv",
+                                           lambda e, name, w: (int(e), name, float(w))):
+            per_layer.setdefault(epoch, {})[name] = wsq
+    records = _read_rows(log_dir / "metrics.csv", lambda e, lr, loss, err, test, wsq, l2, gw, ms:
+                         EpochRecord(int(e), float(lr), float(loss), float(err), float(test),
+                                     float(wsq), float(l2), {}, float(gw) if gw else None,
+                                     int(ms)))
+    for rec in records:
+        rec.per_layer_wsq = per_layer.get(rec.epoch, {})
+        if rec.per_layer_wsq.keys() != records[0].per_layer_wsq.keys():
+            raise ConfigError(f"{log_dir / 'layers.csv'} holds other layers for epoch "
+                              f"{rec.epoch} than for epoch {records[0].epoch}")
     return records
 
 
 def read_events(log_dir: str | Path) -> list[LrEvent]:
-    path = Path(log_dir) / "events.csv"
-    events = []
-    for line in path.read_text().splitlines()[1:]:
-        epoch_s, old_s, new_s, trigger = line.split(",")
-        events.append(LrEvent(epoch=int(epoch_s), old_lr=float(old_s),
-                              new_lr=float(new_s), trigger=trigger))
-    return events
+    return _read_rows(Path(log_dir) / "events.csv", lambda e, old, new, trigger: LrEvent(
+        int(e), float(old), float(new), trigger))

@@ -9,21 +9,17 @@ and do not stop the sweep. Points may run in parallel worker processes,
 each of which runs its BLAS calls on one thread.
 
 Families: grid points whose values agree on every axis except
-``decay_factor`` train identically until their first lr change, at some
-epoch E. The first point of such a family in grid order, its leader, trains
-from scratch; each other point, a follower, is submitted once the leader
-has returned, and resumes from the leader's state at the end of epoch
-E - 1 (``RunResult.pre_decay_state``). Its log directory first receives the
-leader's log rows of epochs 1..E-1, so those ``metrics.csv`` rows carry the
-leader's ``wall_ms``, and its ``meta.json`` reports ``start_epoch = E - 1``;
-every other byte of its logs equals that of an independent run of the
-point. The fork is checked, not assumed: a fresh scheduler of the
-follower's own spec replays the leader's records of epochs 1..E-1, and the
-follower resumes only if its lr for epochs 1..E equals the leader's logged
-lr and the replay decays nowhere; that replayed scheduler then takes the
-place of the leader's in the follower's resume state. Otherwise, and when
-the leader diverged, failed or never changed its lr, the follower trains
-from scratch. A grid without a ``decay_factor`` axis has one-point
+``decay_factor`` train identically until their lrs first differ. The first
+point of such a family in grid order, its leader, trains from scratch and
+watches the others, its followers (``run_experiment(watch=...)``). Each
+follower is submitted once the leader has returned and resumes from the
+fork the leader took for it, at the end of the last epoch E both trained
+alike; the leader has already written the follower's rows of epochs 1..E,
+so those ``metrics.csv`` rows carry the leader's ``wall_ms``, and the
+follower's ``meta.json`` reports ``start_epoch = E``. Every other byte of
+its logs equals that of an independent run of the point. A follower without
+a fork (its lr differs from epoch 1 on or never does, or the leader failed)
+trains from scratch. A grid without a ``decay_factor`` axis has one-point
 families, all of them leaders.
 """
 
@@ -36,11 +32,8 @@ from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 
-from .adaptive import make_scheduler
 from .config import ConfigError, ExperimentConfig, format_config
-from .runner import (DivergenceError, ResumeRefusedError, RunState, _log_history, _RunLog,
-                     observe, read_metrics, run_experiment, write_atomic)
-from .schedules import lr_at, warmup_scale
+from .runner import DivergenceError, RunState, run_experiment, write_atomic
 
 SWEEPABLE = ("base_lr", "decay_factor", "init_scale", "weight_decay")
 
@@ -75,6 +68,8 @@ def parse_grid(spec: str) -> dict[str, list[float]]:
             raise ConfigError(f"bad grid values for {name!r}: {rest!r}") from None
         if not values:
             raise ConfigError(f"empty grid for {name!r}")
+        if name in grid:
+            raise ConfigError(f"grid axis {name!r} is given twice")
         grid[name] = values
     if not grid:
         raise ConfigError("empty grid specification")
@@ -143,55 +138,23 @@ def _one_blas_thread() -> None:
         setter(1)
 
 
-# (leader's log_dir, leader's pre-decay state)
-Fork = tuple[str, RunState]
+# (index, config, grid values, configs it watches, state it resumes from)
+Task = tuple[int, ExperimentConfig, dict[str, float], list[ExperimentConfig], RunState | None]
 
 
-def _follow(config: ExperimentConfig, fork: Fork) -> RunState | None:
-    """A follower's resume state, or None when the fork's premise fails.
-
-    On success the follower's log directory holds the leader's rows up to
-    the fork and the state carries the follower's replayed scheduler.
-    """
-    leader_dir, state = fork
-    last = state.epoch + 1  # the epoch after which the leader's lr first changed
-    try:
-        rows = _log_history(Path(leader_dir), state.epoch)
-    except ResumeRefusedError:
-        return None
-    records = read_metrics(leader_dir)[:last] if rows else []
-    if [r.epoch for r in records] != list(range(1, last + 1)):
-        return None
-    spec = config.schedule
-    steps_per_epoch = state.global_step // state.epoch
-    scheduler = make_scheduler(spec)
-    for rec in records:
-        lr = scheduler.current_lr if scheduler else lr_at(spec, rec.epoch - 1)
-        scale = warmup_scale(rec.epoch * steps_per_epoch - 1, steps_per_epoch,
-                             spec.warmup_epochs)
-        if lr * scale != rec.lr:
-            return None
-        if scheduler and rec.epoch < last and observe(scheduler, rec):
-            return None
-    _RunLog(Path(config.log_dir), config, rows).close()
-    return replace(state, scheduler=scheduler)
-
-
-def _run_point(task: tuple[int, ExperimentConfig, dict[str, float], Fork | None]
-               ) -> tuple[SweepPoint, Fork | None]:
-    """Train one point, as a follower of ``fork`` when it holds; returns its
-    summary row and the fork it offers its own followers, if any."""
-    index, config, values, fork = task
+def _run_point(task: Task) -> tuple[SweepPoint, list[RunState | None]]:
+    """Train one point; returns its summary row and a fork (or None) for
+    each config it watched."""
+    index, config, values, watch, state = task
     point = SweepPoint(index=index, values=values, status="ok", log_dir=config.log_dir)
     try:
-        state = _follow(config, fork) if fork else None
-        result = run_experiment(config, resume_state=state)
+        result = run_experiment(config, resume_state=state, watch=watch)
     except DivergenceError:
         point.status = "diverged"
-        return point, None
+        return point, [None] * len(watch)
     except Exception as exc:  # individual failures must not kill the sweep
         point.status = f"error: {exc}"
-        return point, None
+        return point, [None] * len(watch)
     meta = result.meta
     decays = [ev["epoch"] for ev in meta["decay_events"]]
     point.best_test_error = meta["best_test_error"]
@@ -202,37 +165,37 @@ def _run_point(task: tuple[int, ExperimentConfig, dict[str, float], Fork | None]
     point.decay_epochs = tuple(decays)
     if meta["status"] == "auto_stopped":
         point.status = "auto_stopped"
-    offered = result.pre_decay_state
-    return point, (config.log_dir, offered) if offered is not None else None
+    return point, result.forks
 
 
 def run_sweep(template: ExperimentConfig, grid: dict[str, list[float]],
               sweep_dir: str | Path, jobs: int = 1) -> list[SweepPoint]:
     """One run per grid point; returns summary rows and writes summary.csv."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     sweep_dir = Path(sweep_dir)
     sweep_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(sweep_dir / "template.txt", format_config(template).encode())
 
     names = list(grid)
-    ready = []  # tasks to submit: leaders in grid order, then followers as forks arrive
-    leaders: dict[tuple, int] = {}
-    followers: dict[int, list] = {}
+    families: dict[tuple, list] = {}
     for index, combo in enumerate(product(*(grid[name] for name in names))):
         values = dict(zip(names, combo))
         config = apply_point(template, values)
         config = replace(config, log_dir=str(sweep_dir / _point_dir_name(index, values)))
         family = tuple(v for name, v in values.items() if name != "decay_factor")
-        leader = leaders.setdefault(family, index)
-        if leader == index:
-            ready.append((index, config, values, None))
-        else:
-            followers.setdefault(leader, []).append((index, config, values))
+        families.setdefault(family, []).append((index, config, values))
+    # tasks to submit: leaders in grid order, then followers as their forks arrive
+    ready: list[Task] = [(*leader, [f[1] for f in rest], None)
+                         for leader, *rest in families.values()]
+    followers = {leader[0]: rest for leader, *rest in families.values()}
 
     by_index: dict[int, SweepPoint] = {}
 
-    def finish(point: SweepPoint, fork: Fork | None) -> list:
+    def finish(point: SweepPoint, forks: list[RunState | None]) -> list[Task]:
         by_index[point.index] = point
-        return [(*task, fork) for task in followers.pop(point.index, ())]
+        return [(*task, [], fork)
+                for task, fork in zip(followers.pop(point.index, ()), forks, strict=True)]
 
     if jobs > 1:
         # Imported here: the pool's modules cost about 25 ms at import time.

@@ -7,6 +7,9 @@ two routes to the same answer.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from abel_sched import (
@@ -229,6 +232,16 @@ def strip_wall_ms(csv_text: str) -> str:
     """Drop the trailing wall-clock column, the one non-deterministic field."""
     lines = csv_text.splitlines()
     return "\n".join(line.rsplit(",", 1)[0] for line in lines)
+
+
+def run_logs(log_dir: Path) -> dict:
+    """A run's three logs (wall_ms stripped) and its meta.json without start_epoch,
+    the parts a forked or resumed run shares byte for byte with an independent one."""
+    meta = json.loads((log_dir / "meta.json").read_text())
+    del meta["start_epoch"]
+    return {"metrics.csv": strip_wall_ms((log_dir / "metrics.csv").read_text()),
+            "layers.csv": (log_dir / "layers.csv").read_text(),
+            "events.csv": (log_dir / "events.csv").read_text(), "meta.json": meta}
 
 
 # -- per-layer reference optimizer ----------------------------------------------

@@ -31,11 +31,12 @@ from abel_sched import (
 )
 from abel_sched import checkpoint
 from abel_sched.checkpoint import CheckpointError, ResumeRefusedError
+from abel_sched.config import config_hash
 from abel_sched.cli import main as cli_main
 from abel_sched.runner import RunState, _should_auto_stop
 from abel_sched.schedules import STATELESS_KINDS, LrEvent
 
-from helpers import (STANDARD_LR, reference_log_rows, run_cached, standard_config,
+from helpers import (STANDARD_LR, reference_log_rows, run_cached, run_logs, standard_config,
                      strip_wall_ms)
 
 
@@ -502,6 +503,71 @@ def test_a_resumed_run_reports_the_whole_run_in_its_meta(tmp_path, kind, resumes
             (full.best_test_error, full.final_test_error)
 
 
+# -- watched runs ------------------------------------------------------------------
+
+WATCH_WEIGHT_DECAY = 5e-3  # lets the bounce scheduler of window 1 fire at epoch 7
+
+
+def _watched(tmp_path, name, kind, **schedule_changes):
+    """The watch tests' constant-schedule leader config, with another schedule and log_dir."""
+    config = tiny_config(tmp_path / name, schedule_kind=kind, weight_decay=WATCH_WEIGHT_DECAY)
+    return replace(config, schedule=replace(config.schedule, **schedule_changes))
+
+
+def test_a_resumed_fork_logs_what_an_independent_run_logs(tmp_path):
+    leader = tiny_config(tmp_path / "leader", weight_decay=WATCH_WEIGHT_DECAY)
+    watch = [_watched(tmp_path, "abel", "abel", smoothing_window=2),
+             _watched(tmp_path, "stepwise", "stepwise"),
+             _watched(tmp_path, "simple", "simple"),
+             _watched(tmp_path, "abel-early", "abel", smoothing_window=1)]
+    result = run_experiment(leader, watch=watch)
+    first_changes = []
+    for config, fork in zip(watch, result.forks, strict=True):
+        alone = replace(config, log_dir=str(tmp_path / "alone" / Path(config.log_dir).name))
+        first_changes.append(run_experiment(alone).events[0].epoch)
+        # the fork is the end of the last epoch the two lrs agreed on
+        assert fork.epoch == first_changes[-1]
+        run_experiment(config, resume_state=fork)
+        expected = run_logs(Path(alone.log_dir))
+        expected["meta.json"]["config_hash"] = config_hash(config)
+        assert run_logs(Path(config.log_dir)) == expected, config.log_dir
+        meta = json.loads((Path(config.log_dir) / "meta.json").read_text())
+        assert meta["start_epoch"] == fork.epoch
+    # the other smoothing window departs first: the watched runs fork apart
+    assert first_changes[3] < first_changes[0]
+    # watching leaves the leader's own logs as they are
+    run_experiment(replace(leader, log_dir=str(tmp_path / "alone" / "leader")))
+    logs = [run_logs(Path(d)) for d in (leader.log_dir, tmp_path / "alone" / "leader")]
+    for run in logs:
+        del run["meta.json"]["config_hash"]
+    assert logs[0] == logs[1]
+
+
+def test_runs_that_depart_before_epoch_1_or_never_get_no_fork(tmp_path):
+    leader = tiny_config(tmp_path / "leader", weight_decay=WATCH_WEIGHT_DECAY)
+    watch = [_watched(tmp_path, "milestone-at-0", "stepwise", milestones=((0, 0.5),)),
+             # its lr would depart at epoch 4, but its warmup ramp does from epoch 1 on
+             _watched(tmp_path, "warmup", "stepwise", warmup_epochs=2),
+             _watched(tmp_path, "never", "stepwise", milestones=((20, 0.5),))]
+    result = run_experiment(leader, watch=watch)
+    assert result.forks == [None, None, None]
+    assert not any(Path(config.log_dir).exists() for config in watch)
+
+
+def test_watch_refuses_another_config_and_a_resume(tmp_path):
+    leader = tiny_config(tmp_path / "leader", epochs=6)
+    other = replace(leader, log_dir=str(tmp_path / "other"), weight_decay=1e-3)
+    with pytest.raises(ValueError, match="beyond its schedule and log_dir"):
+        run_experiment(leader, watch=[other])
+    stepwise = tiny_config(tmp_path / "stepwise", epochs=6, schedule_kind="stepwise")
+    fork = run_experiment(replace(leader, log_dir=str(tmp_path / "first")),
+                          watch=[stepwise]).forks[0]
+    assert fork.epoch == 4
+    with pytest.raises(ValueError, match="a resumed run cannot watch"):
+        run_experiment(stepwise, resume_state=fork, watch=[leader])
+    assert not (tmp_path / "leader").exists()
+
+
 def test_checkpoint_preserves_adam_state(tmp_path):
     cfg = tiny_config(tmp_path / "run", epochs=8, checkpoint_every=4,
                       optimizer=OptimizerSpec(kind="adam"))
@@ -620,6 +686,28 @@ def test_cli_plotdata_and_analyze(tmp_path, capsys):
     assert cli_main(["analyze", str(tmp_path / "run")]) == 0
     assert (tmp_path / "run" / "report.txt").exists()
     assert (tmp_path / "run" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("damage", ["garbled-metrics-row", "layers-lack-the-last-epoch"])
+def test_cli_refuses_damaged_logs_with_exit_2(tmp_path, capsys, damage):
+    """The first crashed both verbs, the second analyze, with a traceback (exit 1);
+    both verbs now refuse both. The second is what a run killed between its
+    metrics and layers writes leaves."""
+    run = tmp_path / "run"
+    run_experiment(tiny_config(run, epochs=3))
+    if damage == "garbled-metrics-row":
+        name = "metrics.csv"
+        lines = (run / name).read_text().splitlines(keepends=True)
+        lines[2] = lines[2].replace(",", ",x", 1)
+    else:
+        name = "layers.csv"
+        lines = [line for line in (run / name).read_text().splitlines(keepends=True)
+                 if not line.startswith("3,")]
+    (run / name).write_text("".join(lines))
+    for verb in ("analyze", "plotdata"):
+        assert cli_main([verb, str(run), *(["--what", "lr"] if verb == "plotdata" else [])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(run / name) in err, (verb, err)
 
 
 # -- calls per epoch -------------------------------------------------------------

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from abel_sched import (ConfigError, DivergenceError, OptimizerSpec, ScheduleSpec, apply_point, parse_grid,
-                        run_experiment, run_sweep)
+from abel_sched import (ConfigError, DivergenceError, OptimizerSpec, ScheduleSpec, apply_point,
+                        format_config, parse_grid, run_experiment, run_sweep)
+from abel_sched.cli import main as cli_main
 from abel_sched.config import config_hash
 
-from helpers import standard_config, strip_wall_ms
+from helpers import run_logs, standard_config
 from test_runner import tiny_config
 
 
@@ -23,6 +24,28 @@ def test_parse_grid():
         parse_grid("base_lr=one,two")
     with pytest.raises(ConfigError):
         parse_grid("")
+
+
+def test_parse_grid_refuses_a_repeated_axis():
+    """The second group used to replace the first without a word."""
+    with pytest.raises(ConfigError, match="'base_lr' is given twice"):
+        parse_grid("base_lr=0.5;base_lr=1")
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_a_sweep_refuses_fewer_than_one_job(tmp_path, capsys, jobs):
+    """Both used to run the sweep serially without a word."""
+    template = tiny_config(tmp_path / "unused")
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_sweep(template, {"base_lr": [0.5]}, tmp_path / "sweep", jobs=jobs)
+    path = tmp_path / "template.txt"
+    path.write_text(format_config(template))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", str(path), "--grid", "base_lr=0.5", "--jobs", str(jobs),
+                  "--sweep-dir", str(tmp_path / "sweep")])
+    assert exc.value.code == 2
+    assert "argument --jobs: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_apply_point_touches_the_right_knobs(tmp_path):
@@ -192,15 +215,6 @@ def _family_template(tmp_path, kind, optimizer):
     return template
 
 
-def _logs(log_dir: Path) -> dict:
-    """The three logs (wall_ms stripped) and meta.json without start_epoch."""
-    meta = json.loads((log_dir / "meta.json").read_text())
-    del meta["start_epoch"]
-    return {"metrics.csv": strip_wall_ms((log_dir / "metrics.csv").read_text()),
-            "layers.csv": (log_dir / "layers.csv").read_text(),
-            "events.csv": (log_dir / "events.csv").read_text(), "meta.json": meta}
-
-
 def _assert_points_match_independent_runs(tmp_path, template, points) -> list[int]:
     """Each point's logs and summary equal a serial run of that point from scratch;
     returns each point's start_epoch."""
@@ -213,10 +227,10 @@ def _assert_points_match_independent_runs(tmp_path, template, points) -> list[in
                 run_experiment(replace(config, log_dir=str(alone)))
             except DivergenceError:
                 pass
-        expected = _logs(alone)
+        expected = run_logs(alone)
         meta = expected["meta.json"]
         meta["config_hash"] = config_hash(config)
-        assert _logs(Path(p.log_dir)) == expected, p
+        assert run_logs(Path(p.log_dir)) == expected, p
         decays = tuple(ev["epoch"] for ev in meta.get("decay_events", ()))
         assert (p.best_test_error, p.best_epoch, p.final_test_error, p.decay_epochs) == (
             meta.get("best_test_error"), meta.get("best_epoch"),
@@ -235,11 +249,12 @@ def test_every_family_point_equals_an_independent_run(tmp_path, kind, optimizer)
     for jobs in (1, 2):
         points = run_sweep(template, grid, tmp_path / f"jobs-{jobs}", jobs=jobs)
         starts = _assert_points_match_independent_runs(tmp_path, template, points)
-        # the leaders (decay_factor 0.5) start at 0; each follower forked before
-        # its leader's first lr change
+        # the leaders (decay_factor 0.5) start at 0; each follower forked at
+        # the end of its leader's first lr change epoch, the last epoch both
+        # trained alike
         leaders = [p for p in points if p.values["decay_factor"] == 0.5]
         assert starts[::2] == [0, 0]
-        assert starts[1::2] == [p.decay_epochs[0] - 1 for p in leaders]
+        assert starts[1::2] == [p.decay_epochs[0] for p in leaders]
         assert all(start > 0 for start in starts[1::2])
 
 
@@ -270,38 +285,36 @@ def _tamper_logged_lr(result):
     return result
 
 
-def _shift_the_fork_past_the_decay(result):
-    state = result.pre_decay_state
-    if state is not None:  # a replay up to the leader's decay epoch decays
-        result.pre_decay_state = replace(state, epoch=state.epoch + 1)
-    return result
-
-
-@pytest.mark.parametrize("case", ["leader-diverges", "lr-never-changes", "logged-lr-differs",
-                                  "replay-decays"])
+@pytest.mark.parametrize("case", ["leader-diverges", "lr-never-changes"])
 def test_followers_train_from_scratch_when_the_fork_fails(tmp_path, monkeypatch, case):
     template = tiny_config(tmp_path / "unused", schedule_kind="abel")
     lrs = [0.5]
-    tamper = None
     if case == "leader-diverges":
         lrs = [1e160]
-    elif case == "lr-never-changes":
+    else:
         template = replace(template, schedule=ScheduleSpec(
             kind="plateau", base_lr=0.5, total_epochs=12, patience=100))
-    elif case == "logged-lr-differs":
-        tamper = _tamper_logged_lr
-    else:
-        tamper = _shift_the_fork_past_the_decay
-    calls = _recording(monkeypatch, tamper)
+    calls = _recording(monkeypatch)
     points = run_sweep(template, {"base_lr": lrs, "decay_factor": [0.5, 0.2, 0.1]},
                        tmp_path / "sweep")
     assert len(calls) == 3 and all(state is None for state in calls.values())
     expected = ["diverged"] * 3 if case == "leader-diverges" else ["ok"] * 3
     assert [p.status for p in points] == expected
-    if case in ("leader-diverges", "lr-never-changes"):
-        _assert_points_match_independent_runs(tmp_path, template, points)
-    else:  # the followers' logs equal independent runs; the leader's was tampered with
-        _assert_points_match_independent_runs(tmp_path, template, points[1:])
+    _assert_points_match_independent_runs(tmp_path, template, points)
+
+
+def test_a_tampered_leader_log_does_not_reach_its_followers(tmp_path, monkeypatch):
+    """The leader writes its followers' shared rows from memory while it trains,
+    so a leader metrics.csv edited after it returns changes no follower."""
+    template = tiny_config(tmp_path / "unused", schedule_kind="abel")
+    calls = _recording(monkeypatch, _tamper_logged_lr)
+    points = run_sweep(template, {"base_lr": [0.5], "decay_factor": [0.5, 0.2, 0.1]},
+                       tmp_path / "sweep")
+    states = list(calls.values())
+    assert states[0] is None and all(state is not None for state in states[1:])
+    assert [p.status for p in points] == ["ok"] * 3
+    # the followers' logs equal independent runs; the leader's was tampered with
+    _assert_points_match_independent_runs(tmp_path, template, points[1:])
 
 
 def test_a_grid_without_a_decay_factor_axis_resumes_nothing(tmp_path, monkeypatch):
