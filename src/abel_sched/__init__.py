@@ -41,7 +41,7 @@ from .datasets import (
     read_idx_images,
     read_idx_labels,
 )
-from .models import EvalSet, Model, ModelArch, NumericError, loss_ce
+from .models import EvalSet, Model, ModelArch, NumericError, TrainSet, loss_ce
 from .optim import (
     AdamState,
     MomentumState,
@@ -99,6 +99,7 @@ __all__ = [
     "SpiralsSpec",
     "StateDecodeError",
     "SweepPoint",
+    "TrainSet",
     "angle_cos_sin",
     "apply_point",
     "classify_trace",

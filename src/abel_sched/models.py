@@ -27,6 +27,17 @@ w once over the whole vector, ``(dŵ - (dŵ.ŵ) ŵ) / |w_row|``, with one
 row-sum reduction per layer. Every float equals that of the same formulas
 applied layer by layer.
 
+Fixed training and test sets
+----------------------------
+Everything a run's data needs checked or derived is done once per run.
+``Model.train_set`` checks the training rows' width, the labels against
+``classes`` and the label smoothing against [0, 1), and keeps every row's
+smoothed target row beside its label (a :class:`TrainSet`). The runner
+gathers the epoch's shuffle of rows, labels and targets with one
+``TrainSet.take`` and steps on slices of it, which are views checked no
+further; ``Model.train_step_stats`` is the arithmetic alone. The test set
+is prepared by ``Model.eval_set`` (below).
+
 Screened evaluation
 -------------------
 A test error depends only on each row's argmax, so ``Model.error_rate``
@@ -123,6 +134,38 @@ class EvalSet:
     label_range: tuple[int, int] | None
 
 
+@dataclass(eq=False, slots=True)  # not frozen: a frozen init costs 3x, once per minibatch
+class TrainSet:
+    """Training rows with their labels and smoothed targets, checked once by
+    ``Model.train_set``.
+
+    ``x`` (float64 rows), ``y`` (integer labels) and ``targets`` (row i is
+    the label-smoothed target of ``y[i]``) are read-only. ``take(order)``
+    gathers the rows in ``order`` into a new set, and a slice ``batch[a:b]``
+    is a set of views; neither checks anything again.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    targets: np.ndarray
+
+    def __len__(self) -> int:
+        return self.y.shape[0]
+
+    def __getitem__(self, rows: slice) -> "TrainSet":
+        return TrainSet(self.x[rows], self.y[rows], self.targets[rows])
+
+    def take(self, order: np.ndarray) -> "TrainSet":
+        # take copies the same rows as fancy indexing, in less time
+        return TrainSet(*(_read_only(a.take(order, axis=0))
+                          for a in (self.x, self.y, self.targets)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ModelArch:
     """Shape and flavour of a classifier network."""
@@ -187,27 +230,34 @@ def _smoothed_targets(classes: int, label_smoothing: float) -> np.ndarray:
     return table
 
 
+def _targets(labels: np.ndarray, classes: int, label_smoothing: float) -> np.ndarray:
+    """The smoothed target row of each label, once the smoothing and the
+    labels' range are checked."""
+    if not 0.0 <= label_smoothing < 1.0:
+        raise ValueError("label_smoothing must lie in [0, 1)")
+    if len(labels) and (labels.min() < 0 or labels.max() >= classes):
+        raise ValueError("labels out of range")
+    return _smoothed_targets(classes, label_smoothing).take(labels, axis=0)
+
+
 def loss_ce(logits: np.ndarray, labels: np.ndarray, label_smoothing: float = 0.0) -> float:
     """Mean cross-entropy against label-smoothed targets.
 
     Smoothed target puts 1 - s on the true class and s/(C-1) on each other.
     """
-    loss, _ = _loss_and_dlogits(logits, labels, label_smoothing)
+    labels = np.asarray(labels)
+    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
+        raise ValueError("logits must be (batch, classes) and labels (batch,)")
+    loss, _ = _loss_and_dlogits(logits, _targets(labels, logits.shape[1], label_smoothing))
     return loss
 
 
-def _loss_and_dlogits(
-    logits: np.ndarray, labels: np.ndarray, label_smoothing: float
-) -> tuple[float, np.ndarray]:
-    if not 0.0 <= label_smoothing < 1.0:
-        raise ValueError("label_smoothing must lie in [0, 1)")
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise ValueError("logits must be (batch, classes) and labels (batch,)")
-    n, c = logits.shape
-    # The reductions call their ufuncs directly, skipping the ndarray
-    # methods' wrappers; the floats are the same.
-    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= c:
-        raise ValueError("labels out of range")
+def _loss_and_dlogits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """The mean cross-entropy of (batch, classes) ``logits`` against the
+    target rows ``targets``, and its gradient in the logits. The reductions
+    call their ufuncs directly, skipping the ndarray methods' wrappers; the
+    floats are the same."""
+    n = logits.shape[0]
     # The row max, reduced over a class-major copy: for few classes this is
     # several times faster than max(axis=1), and max is exact either way.
     m = np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)[:, None]
@@ -215,9 +265,8 @@ def _loss_and_dlogits(
     lse = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True)) + m
     logp = logits - lse
 
-    q = _smoothed_targets(c, label_smoothing).take(labels, axis=0)
-    loss = float(-np.add.reduce(q * logp, axis=None) / n)
-    dlogits = (np.exp(logp) - q) / n
+    loss = float(-np.add.reduce(targets * logp, axis=None) / n)
+    dlogits = (np.exp(logp) - targets) / n
     return loss, dlogits
 
 
@@ -396,22 +445,31 @@ class Model:
 
     # -- loss and gradients ---------------------------------------------------
 
+    def train_set(self, x: np.ndarray, y: np.ndarray, label_smoothing: float = 0.0) -> TrainSet:
+        """The training set ``(x, y)`` at ``label_smoothing``, checked once for
+        every ``train_step_stats`` call on it or on its gathers and slices (see
+        :class:`TrainSet`). Refuses rows of another width, labels outside
+        [0, classes) and smoothing outside [0, 1)."""
+        x, y = self._checked_rows(x, y)
+        return TrainSet(x, y, _read_only(_targets(y, self.arch.classes, label_smoothing)))
+
     def loss(self, params: ParamSet, x: np.ndarray, y: np.ndarray,
              label_smoothing: float = 0.0) -> float:
-        return loss_ce(self.forward(params, x), y, label_smoothing)
+        batch = self.train_set(x, y, label_smoothing)
+        loss, _ = _loss_and_dlogits(self.forward(params, batch.x), batch.targets)
+        return loss
 
     def loss_and_grad(
         self, params: ParamSet, x: np.ndarray, y: np.ndarray, label_smoothing: float = 0.0
     ) -> tuple[float, GradSet]:
         """Loss and exact gradients of the bare loss w.r.t. every tensor."""
-        loss, grads, _ = self.train_step_stats(params, x, y, label_smoothing)
+        loss, grads, _ = self.train_step_stats(params, self.train_set(x, y, label_smoothing))
         return loss, grads
 
-    def train_step_stats(
-        self, params: ParamSet, x: np.ndarray, y: np.ndarray, label_smoothing: float = 0.0
-    ) -> tuple[float, GradSet, float]:
-        """Loss, gradients, and batch error rate from a single forward/backward."""
-        x = self._check_input(x)
+    def train_step_stats(self, params: ParamSet, batch: TrainSet) -> tuple[float, GradSet, float]:
+        """Loss, gradients, and error rate of ``batch`` (a ``train_set`` or a
+        gather or slice of one) from a single forward/backward."""
+        x, y = batch.x, batch.y
         mlp = self.arch.kind == "mlp"
         # overflow here is handled: non-finite logits raise NumericError below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -420,8 +478,7 @@ class Model:
             logits, cache = self._forward(prepared, x)
         if not np.logical_and.reduce(np.isfinite(logits), axis=None):
             raise NumericError("non-finite activations in forward pass")
-        y = np.asarray(y)
-        loss, dlogits = _loss_and_dlogits(logits, y, label_smoothing)
+        loss, dlogits = _loss_and_dlogits(logits, batch.targets)
         layout = params.layout
         flat = np.empty(layout.size)
         if mlp:
@@ -481,18 +538,24 @@ class Model:
     def eval_set(self, x: np.ndarray, y: np.ndarray) -> EvalSet:
         """The fixed evaluation set ``(x, y)``, checked and prepared once for
         every ``error_rate`` call on it (see :class:`EvalSet`)."""
-        x = np.array(self._check_input(x))
-        y = np.array(y)
+        x, y = self._checked_rows(x, y)
         n = x.shape[0]
-        if y.shape != (n,) or not np.issubdtype(y.dtype, np.integer):
-            raise ValueError(f"expected {n} integer labels, got shape {y.shape} of {y.dtype}")
-        x.flags.writeable = y.flags.writeable = False
         max_abs = max(float(x.max()), -float(x.min())) if n else 0.0
         x32 = None
         if self._screens() and n and max_abs <= _SCREEN_LIMIT:  # NaN fails
             x32 = x.astype(np.float32)
             x32.flags.writeable = False
         return EvalSet(x, y, x32, max_abs, (int(y.min()), int(y.max())) if n else None)
+
+    def _checked_rows(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only copies of the rows ``x`` (float64, of the input width) and
+        of their integer labels ``y``."""
+        x = np.array(self._check_input(x))
+        y = np.array(y)
+        n = x.shape[0]
+        if y.shape != (n,) or not np.issubdtype(y.dtype, np.integer):
+            raise ValueError(f"expected {n} integer labels, got shape {y.shape} of {y.dtype}")
+        return _read_only(x), _read_only(y)
 
     def _screens(self) -> bool:
         """Whether ``error_rate`` runs the float32 screen of the module docstring."""

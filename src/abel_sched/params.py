@@ -40,7 +40,8 @@ class Layer:
 class Layout:
     """Names, shapes and flags of a set's layers, and where each sits in the flat vector."""
 
-    __slots__ = ("specs", "names", "shapes", "l2", "slices", "slice_of", "size", "l2_runs")
+    __slots__ = ("specs", "names", "shapes", "l2", "slices", "slice_of", "size", "l2_runs",
+                 "_orders")
 
     def __init__(self, specs: tuple[tuple[str, tuple[int, ...], bool, bool], ...]):
         """``specs`` holds (name, shape, l2_enabled, scale_invariant) per layer, in order."""
@@ -64,9 +65,18 @@ class Layout:
             else:
                 runs.append(sl)
         self.l2_runs = tuple(runs)
+        self._orders: dict[tuple[str, ...], tuple[slice, ...]] = {}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Layout) and self.specs == other.specs
+
+    def slices_in(self, names: tuple[str, ...]) -> tuple[slice, ...]:
+        """The slices of the layers ``names``, in that order; resolved once per
+        names tuple (a GradSet's summation order) and then reused."""
+        slices = self._orders.get(names)
+        if slices is None:
+            slices = self._orders[names] = tuple(self.slice_of[name] for name in names)
+        return slices
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Each layer's reshaped view into ``flat``, in layout order."""
@@ -221,19 +231,6 @@ def inner_gw(params: ParamSet, grads: Mapping[str, np.ndarray]) -> tuple[float, 
     g = layout.flat_of(grads, "gradient")
     per_layer = {name: float(g[sl].dot(w[sl])) for name, sl in zip(layout.names, layout.slices)}
     return sum(per_layer.values()), per_layer
-
-
-def grad_norm_sq(grads: Mapping[str, np.ndarray]) -> float:
-    """Squared global norm, one dot per layer summed in the mapping's order."""
-    if isinstance(grads, GradSet):
-        flat, slice_of = grads.flat, grads.layout.slice_of
-        parts = [flat[slice_of[name]] for name in grads.names]
-    else:
-        parts = [g.ravel() for g in grads.values()]
-    total = 0.0
-    for g in parts:
-        total += g.dot(g)
-    return float(total)
 
 
 def angle_cos_sin(w_prev: ParamSet, w_next: ParamSet) -> tuple[float, float]:

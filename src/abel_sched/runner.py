@@ -59,7 +59,7 @@ from .adaptive import AbelScheduler, PlateauScheduler, make_scheduler
 from .config import ConfigError, ExperimentConfig, config_hash, format_config
 from .datasets import dataset_meta, make_dataset
 from .models import Model, ModelArch, NumericError
-from .optim import AdamState, MomentumState, clip_global_norm, step_adam, step_sgd
+from .optim import AdamState, MomentumState, clip_flat
 from .params import ParamSet, inner_gw, weight_norm_sq
 from .schedules import LrEvent, ScheduleSpec, has_discrete_milestones, lr_at, warmup_scale
 
@@ -156,6 +156,30 @@ def _init_opt(config: ExperimentConfig, params: ParamSet):
         return MomentumState.init(params, mu=config.optimizer.momentum)
     return AdamState.init(params, beta1=config.optimizer.beta1,
                           beta2=config.optimizer.beta2, eps=config.optimizer.eps)
+
+
+def _check_resume_fits(config: ExperimentConfig, model: Model, state: RunState) -> None:
+    """Refuse a resume state that ``config`` could not have produced: another
+    optimizer or hyperparameters, another parameter layout, or an epoch past
+    the budget. The loop trains the state's own layout and optimizer, so
+    either would silently replace the config's."""
+    o = config.optimizer
+    wanted = (("momentum", o.momentum) if o.kind == "momentum"
+              else ("adam", o.beta1, o.beta2, o.eps))
+    opt = state.opt
+    found = (("momentum", opt.mu) if isinstance(opt, MomentumState)
+             else ("adam", opt.beta1, opt.beta2, opt.eps))
+    if found != wanted:
+        raise ResumeRefusedError(f"the resume state's optimizer {found} does not fit the "
+                                 f"config's {wanted}")
+    layout = state.params.layout
+    if layout != model.init_params(config.seed).layout:
+        shapes = dict(zip(layout.names, layout.shapes))
+        raise ResumeRefusedError(f"the resume state's layers {shapes} do not fit the "
+                                 f"config's model")
+    if state.epoch > config.epochs:
+        raise ResumeRefusedError(f"the resume state is at epoch {state.epoch}, past the "
+                                 f"config's {config.epochs} epochs")
 
 
 def _schedule_lr(scheduler: AbelScheduler | PlateauScheduler | None, spec: ScheduleSpec,
@@ -316,9 +340,10 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     if watch and resume_state is not None:
         raise ValueError("a resumed run cannot watch other runs")
     model, data = build_model(config)
-    xtr, ytr = data["train"]
-    test = model.eval_set(*data["test"])
-    n = xtr.shape[0]
+    # the sets hold their own copies; popping the dataset's arrays frees them
+    train = model.train_set(*data.pop("train"), config.label_smoothing)
+    test = model.eval_set(*data.pop("test"))
+    n = len(train)
     steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
     spec = config.schedule
 
@@ -331,6 +356,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
         test_errors: list[float] = []
         run_events: list[LrEvent] = []
     else:
+        _check_resume_fits(config, model, resume_state)
         params = resume_state.params
         opt = resume_state.opt
         scheduler = copy.deepcopy(resume_state.scheduler)
@@ -371,7 +397,13 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     watched = [(i, other, make_scheduler(other.schedule), [])
                for i, other in enumerate(watch)]
     probe = slice(0, min(config.batch_size, n))
-    optimizer_step = step_sgd if isinstance(opt, MomentumState) else step_adam
+    # The steps run on flat vectors: w, the optimizer's flat state and its
+    # update kernel. The ParamSet and optimizer state objects that forks,
+    # checkpoints and the per-epoch measurements read are built at epoch ends.
+    layout = params.layout
+    w = params.flat
+    update = opt.update()
+    opt_state = opt.flat_state(layout)
 
     try:
         for epoch in range(start_epoch + 1, config.epochs + 1):
@@ -389,29 +421,29 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
                                         test_errors=tuple(test_errors))
             t0 = time.perf_counter()
             # One gather per epoch; each minibatch is then a contiguous slice.
-            # take copies the same rows as fancy indexing, in less time.
             order = np.random.default_rng([config.seed, epoch]).permutation(n)
-            x_epoch, y_epoch = xtr.take(order, axis=0), ytr.take(order)
+            epoch_set = train.take(order)
             loss_sum = 0.0
             err_sum = 0.0
             eff_lr = lr_epoch
             for start in range(0, n, config.batch_size):
-                xb = x_epoch[start:start + config.batch_size]
-                yb = y_epoch[start:start + config.batch_size]
-                loss, grads, err = model.train_step_stats(
-                    params, xb, yb, config.label_smoothing)
+                batch = epoch_set[start:start + config.batch_size]
+                loss, grads, err = model.train_step_stats(ParamSet.from_flat(layout, w), batch)
                 if not math.isfinite(loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
+                g = grads.flat
                 if config.clip_norm > 0:
-                    grads = clip_global_norm(grads, config.clip_norm)
+                    g = clip_flat(g, layout.slices_in(grads.names), config.clip_norm)
                 eff_lr = lr_epoch * warmup_scale(global_step, steps_per_epoch,
                                                  spec.warmup_epochs)
-                params, opt = optimizer_step(params, opt, grads, eff_lr, config.weight_decay)
+                w, opt_state = update(layout, w, g, opt_state, eff_lr, config.weight_decay)
                 global_step += 1
-                rows = len(yb)
+                rows = len(batch)
                 loss_sum += loss * rows
                 err_sum += err * rows
 
+            params = ParamSet.from_flat(layout, w)
+            opt = opt.with_flat_state(layout, opt_state)
             train_loss = loss_sum / n
             train_error = err_sum / n
             wsq_total, per_layer = weight_norm_sq(params)
@@ -420,8 +452,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
             wsq_l2, _ = weight_norm_sq(params, include="l2_only")
             gw_total = None
             if config.log_gw:
-                _, grads, _ = model.train_step_stats(
-                    params, xtr[probe], ytr[probe], config.label_smoothing)
+                _, grads, _ = model.train_step_stats(params, train[probe])
                 gw_total, _ = inner_gw(params, grads)
             test_error = model.error_rate(params, test, batch_size=config.eval_batch)
 

@@ -354,9 +354,9 @@ def ref_mlp_loss_and_grads(arch, params, x, y, label_smoothing: float = 0.0):
 # -- reference training loop ------------------------------------------------------
 #
 # The runner's epoch loop rebuilt from public pieces, the slow plain way: a
-# gather per minibatch, the optimizer and clipping as separate calls, and the
-# test error from a chunked forward pass and argmax. The runner's logs must
-# match it bit for bit.
+# gather and a checked training set per minibatch, the object-level clipping
+# and optimizer calls, and the test error from a chunked forward pass and
+# argmax. The runner's logs must match it bit for bit.
 
 
 def reference_log_rows(config: ExperimentConfig) -> tuple[list[str], list[str]]:
@@ -381,8 +381,8 @@ def reference_log_rows(config: ExperimentConfig) -> tuple[list[str], list[str]]:
         loss_sum = err_sum = 0.0
         for start in range(0, n, batch):
             idx = order[start:start + batch]
-            loss, grads, err = model.train_step_stats(params, xtr[idx], ytr[idx],
-                                                      config.label_smoothing)
+            loss, grads, err = model.train_step_stats(
+                params, model.train_set(xtr[idx], ytr[idx], config.label_smoothing))
             if config.clip_norm > 0:
                 grads = clip_global_norm(grads, config.clip_norm)
             lr = lr_epoch * warmup_scale(step, steps_per_epoch,

@@ -1,0 +1,59 @@
+"""The comparison of tools/log_identity.py, which checks two revisions' logs."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "log_identity.py"
+_spec = importlib.util.spec_from_file_location("log_identity", _PATH)
+log_identity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(log_identity)
+
+METRICS = "epoch,lr,train_loss,wall_ms\n1,0.5,1.25,{}\n2,0.5,1.125,{}\n"
+
+
+def _run_dir(path: Path, wall=(3, 4), layers="epoch,layer,wsq\n1,fc1.w,2.0\n",
+             ckpts: dict[str, bytes] | None = None) -> Path:
+    path.mkdir()
+    (path / "metrics.csv").write_text(METRICS.format(*wall))
+    (path / "layers.csv").write_text(layers)
+    (path / "events.csv").write_text("epoch,old_lr,new_lr,trigger\n")
+    for name, data in (ckpts or {}).items():
+        (path / name).write_bytes(data)
+    return path
+
+
+def test_runs_that_differ_only_in_wall_ms_match(tmp_path):
+    ckpts = {"epoch_0001.ckpt": b"\x01\x02"}
+    parent = _run_dir(tmp_path / "parent", ckpts=ckpts)
+    change = _run_dir(tmp_path / "change", wall=(7, 1), ckpts=ckpts)
+    assert log_identity.compare_runs(parent, change) == []
+
+
+def test_every_log_and_checkpoint_is_compared(tmp_path):
+    parent = _run_dir(tmp_path / "parent", ckpts={"epoch_0001.ckpt": b"\x01",
+                                                   "epoch_0002.ckpt": b"\x02"})
+    change = _run_dir(tmp_path / "change", layers="epoch,layer,wsq\n1,fc1.w,2.5\n",
+                      ckpts={"epoch_0001.ckpt": b"\x09"})
+    (change / "metrics.csv").write_text(METRICS.format(3, 4).replace("1.125", "1.0"))
+    (change / "events.csv").unlink()
+    assert log_identity.compare_runs(parent, change) == [
+        "metrics.csv: differs from line 3 (wall_ms left out)",
+        "layers.csv: bytes differ",
+        "events.csv: only in parent",
+        "epoch_0001.ckpt: bytes differ",
+        "epoch_0002.ckpt: only in parent",
+    ]
+
+
+def test_a_metrics_file_cut_short_differs_after_its_last_row(tmp_path):
+    parent = _run_dir(tmp_path / "parent")
+    change = _run_dir(tmp_path / "change")
+    (change / "metrics.csv").write_text(METRICS.format(3, 4).rsplit("2,", 1)[0])
+    assert log_identity.compare_runs(parent, change) == [
+        "metrics.csv: differs from line 3 (wall_ms left out)"]
+
+
+def test_overrides_replace_keys_and_add_new_ones():
+    text = "# comment\nepochs = 200\nbase_lr = 4.0\n"
+    assert log_identity.with_overrides(text, {"epochs": "10", "log_gw": "true"}) == (
+        "# comment\nbase_lr = 4.0\nepochs = 10\nlog_gw = true\n")

@@ -324,7 +324,7 @@ def _loss_with_row_max_along_rows(logits, labels, label_smoothing):
 
 @pytest.mark.parametrize("classes", [2, 4, 10, 100])
 def test_loss_is_bit_equal_to_the_row_max_formula(classes):
-    from abel_sched.models import _loss_and_dlogits
+    from abel_sched.models import _loss_and_dlogits, _targets
 
     rng = np.random.default_rng(classes)
     logits = rng.normal(scale=3.0, size=(128, classes))
@@ -335,7 +335,7 @@ def test_loss_is_bit_equal_to_the_row_max_formula(classes):
     logits[16:24, 2:] = -1e3                  # far below: exp underflows to 0
     labels = rng.integers(0, classes, 128)
     for smoothing in (0.0, 0.1):
-        loss, dlogits = _loss_and_dlogits(logits, labels, smoothing)
+        loss, dlogits = _loss_and_dlogits(logits, _targets(labels, classes, smoothing))
         ref_loss, ref_dlogits = _loss_with_row_max_along_rows(logits, labels, smoothing)
         assert loss == ref_loss
         assert np.array_equal(dlogits, ref_dlogits)
@@ -359,7 +359,7 @@ def test_lazy_layer_views_alias_the_flat_vector():
 
 
 def _step_outputs(model, params, x, y):
-    loss, grads, error = model.train_step_stats(params, x, y, 0.1)
+    loss, grads, error = model.train_step_stats(params, model.train_set(x, y, 0.1))
     return (loss, {name: grads[name].copy() for name in grads}, error,
             model.error_rate(params, model.eval_set(x, y)))
 
@@ -424,7 +424,7 @@ def test_the_step_matches_the_per_layer_reference_bit_for_bit(
     rng = np.random.default_rng(batch)
     x = rng.normal(size=(batch, 20))
     y = rng.integers(0, 4, batch)
-    loss, grads, error = model.train_step_stats(params, x, y, smoothing)
+    loss, grads, error = model.train_step_stats(params, model.train_set(x, y, smoothing))
     want_loss, want_grads, want_error = ref_mlp_loss_and_grads(arch, params, x, y, smoothing)
     assert loss == want_loss and error == want_error
     assert set(grads) == set(want_grads) == set(params.names())
@@ -442,7 +442,38 @@ def test_a_layer_beyond_the_models_is_refused(arch):
     extra = ParamSet(params.layers + [Layer("stray", np.zeros(3), l2_enabled=False)])
     x = np.zeros((2, arch.input_dim))
     with pytest.raises(ValueError, match=r"layers the model does not have: \['stray'\]"):
-        model.train_step_stats(extra, x, np.array([0, 1]))
+        model.train_step_stats(extra, model.train_set(x, np.array([0, 1])))
+
+
+@pytest.mark.parametrize("x_dim, labels, smoothing", [
+    (10, [0, 4], 0.0), (10, [-1, 0], 0.0), (9, [0, 1], 0.0), (10, [0, 1], 1.0),
+    (10, [0, 1], -0.1), (10, [0.0, 1.0], 0.0)],
+    ids=["label-at-classes", "negative-label", "wrong-width", "smoothing-1",
+         "negative-smoothing", "float-labels"])
+def test_train_set_refuses_what_the_step_used_to(x_dim, labels, smoothing):
+    """The step checks nothing, so the training set is checked once, up front."""
+    with pytest.raises(ValueError):
+        Model(MLP_NORM).train_set(np.zeros((2, x_dim)), np.array(labels), smoothing)
+
+
+def test_a_train_set_owns_read_only_rows_and_gathers_them_whole():
+    model = Model(MLP_NORM)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(9, 10))
+    y = rng.integers(0, 4, 9)
+    train = model.train_set(x, y, 0.1)
+    x[0, 0] = 99.0  # an edit of the caller's rows does not reach the set
+    assert train.x[0, 0] != 99.0
+    order = rng.permutation(9)
+    gathered = train.take(order)
+    assert np.array_equal(gathered.x, train.x[order])
+    assert np.array_equal(gathered.y, y[order])
+    assert np.array_equal(gathered.targets, np.where(np.eye(4)[y[order]] == 1, 0.9, 0.1 / 3))
+    batch = gathered[2:7]
+    assert len(batch) == 5 and np.shares_memory(batch.x, gathered.x)
+    for part in (train, gathered, batch):
+        for a in (part.x, part.y, part.targets):
+            assert not a.flags.writeable
 
 
 def test_error_rates_are_python_floats():
@@ -451,7 +482,7 @@ def test_error_rates_are_python_floats():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(64, 10))
     y = rng.integers(0, 4, 64)
-    assert type(model.train_step_stats(params, x, y)[2]) is float
+    assert type(model.train_step_stats(params, model.train_set(x, y))[2]) is float
     assert type(model.error_rate(params, model.eval_set(x, y))) is float
 
 

@@ -446,6 +446,36 @@ def test_resume_refuses_a_scheduler_that_saw_other_epochs(tmp_path):
     assert cli_main(["resume", str(bad), "--log-dir", str(tmp_path / "resumed-cli")]) == 4
 
 
+_UNFIT_RESUMES = {
+    "sgd-state-under-adam": lambda cfg: replace(cfg, optimizer=OptimizerSpec(kind="adam")),
+    "mu-0-state-under-momentum-0.9": lambda cfg: replace(
+        cfg, optimizer=OptimizerSpec(kind="momentum", momentum=0.9)),
+    "32,16-state-under-16,32": lambda cfg: replace(
+        cfg, model=replace(cfg.model, hidden=(16, 32))),
+    "epoch-6-state-under-4-epochs": lambda cfg: replace(
+        cfg, epochs=4, schedule=replace(cfg.schedule, total_epochs=4)),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNFIT_RESUMES))
+def test_resume_refuses_a_state_that_does_not_fit_its_config(tmp_path, case):
+    """The loop trains the resume state's layout with the update kernel of its
+    optimizer, so a config that disagrees with the state would be ignored."""
+    cfg = tiny_config(tmp_path / "run", epochs=6, checkpoint_every=6,
+                      model=ModelSpec(kind="mlp", hidden=(32, 16), activation="relu"),
+                      optimizer=OptimizerSpec(kind="momentum", momentum=0.0))
+    run_experiment(cfg)
+    _, state = load_checkpoint(tmp_path / "run" / "epoch_0006.ckpt")
+    unfit = replace(_UNFIT_RESUMES[case](cfg), log_dir=str(tmp_path / "resumed"))
+    with pytest.raises(ResumeRefusedError, match="resume state"):
+        run_experiment(unfit, resume_state=state)
+    assert not (tmp_path / "resumed").exists()
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, unfit, state)
+    assert cli_main(["resume", str(bad), "--log-dir", str(tmp_path / "resumed-cli")]) == 4
+    assert not (tmp_path / "resumed-cli").exists()
+
+
 def test_a_final_decay_survives_a_second_resume_at_a_new_budget(tmp_path):
     # checkpoint at 18, after the final decay at round(0.85 * 20) = 17; resume
     # to 40 epochs, checkpoint at 30 and resume again: the blob at 30 must keep
@@ -715,15 +745,20 @@ def test_cli_refuses_damaged_logs_with_exit_2(tmp_path, capsys, damage):
 
 @pytest.mark.parametrize("log_gw", [False, True])
 def test_model_calls_per_epoch(tmp_path, monkeypatch, log_gw):
-    """ceil(n / batch) training steps (plus the g.w probe) and one evaluation per epoch."""
-    from abel_sched import Model
+    """ceil(n / batch) training steps (plus the g.w probe) and one evaluation
+    per epoch. perfbench's epoch clock opens a run's first epoch at its first
+    ``train_step_stats`` call and closes each epoch at ``error_rate``."""
+    from abel_sched import Model, TrainSet
 
     calls = []
+    rows = []
     train_step, error_rate = Model.train_step_stats, Model.error_rate
 
-    def counted_train_step(*args, **kwargs):
+    def counted_train_step(self, params, batch):
+        assert isinstance(batch, TrainSet)
         calls.append("train_step")
-        return train_step(*args, **kwargs)
+        rows.append(len(batch))
+        return train_step(self, params, batch)
 
     def counted_error_rate(*args, **kwargs):
         calls.append("error_rate")
@@ -736,26 +771,39 @@ def test_model_calls_per_epoch(tmp_path, monkeypatch, log_gw):
     assert per_epoch[-1] == ""
     steps = 3 + (1 if log_gw else 0)  # 256 samples in batches of 100
     assert [part.split() for part in per_epoch[:-1]] == [["train_step"] * steps] * 3
+    assert rows == ([100, 100, 56] + ([100] if log_gw else [])) * 3
 
 
 # -- the epoch loop against a plain reference ------------------------------------
 
 
-def _hot_loop_config(log_dir, optimizer: str) -> ExperimentConfig:
-    """Five epochs with a partial last minibatch, a partial last eval chunk and a warmup."""
-    cfg = {
-        "momentum-0": tiny_config(
-            log_dir, model=ModelSpec(kind="mlp", hidden=(8, 6), activation="tanh",
-                                     normalize=True),
-            optimizer=OptimizerSpec(kind="momentum", momentum=0.0), label_smoothing=0.1),
-        "momentum-0.9": tiny_config(log_dir),
-        "adam": tiny_config(log_dir, base_lr=0.01, optimizer=OptimizerSpec(kind="adam")),
-    }[optimizer]
+_SGD = OptimizerSpec(kind="momentum", momentum=0.0)
+_HOT_LOOP_CASES = {
+    "momentum-0": dict(model=ModelSpec(kind="mlp", hidden=(8, 6), activation="tanh",
+                                       normalize=True),
+                       optimizer=_SGD, label_smoothing=0.1),
+    "momentum-0.9": {},
+    "adam": dict(base_lr=0.01, optimizer=OptimizerSpec(kind="adam")),
+    "conv": dict(dataset=BlobsSpec(classes=3, dim=36, samples=256, test_samples=256,
+                                   label_noise=0.1, separation=3.0, seed=1),
+                 model=ModelSpec(kind="conv", hidden=(3, 4), activation="tanh",
+                                 input_shape=(1, 6, 6))),
+    "clip-off": dict(clip_norm=0.0),
+    "no-weight-decay": dict(weight_decay=0.0),
+    # biases split the L2 runs: the L2 term is added run by run
+    "relu-biases-momentum-0": dict(optimizer=_SGD),
+}
+
+
+def _hot_loop_config(log_dir, case: str) -> ExperimentConfig:
+    """Five epochs with a partial last minibatch, a partial last eval chunk, a
+    warmup, and (but for clip-off) a clip norm that some steps' gradients exceed."""
+    cfg = tiny_config(log_dir, **{"clip_norm": 0.5, **_HOT_LOOP_CASES[case]})
     return replace(cfg, epochs=5, batch_size=60, eval_batch=100,
                    schedule=replace(cfg.schedule, total_epochs=5, warmup_epochs=2))
 
 
-@pytest.mark.parametrize("optimizer", ["momentum-0", "momentum-0.9", "adam"])
+@pytest.mark.parametrize("optimizer", list(_HOT_LOOP_CASES))
 def test_runner_logs_match_the_reference_loop_bit_for_bit(tmp_path, optimizer):
     cfg = _hot_loop_config(tmp_path / "run", optimizer)
     run_experiment(cfg)

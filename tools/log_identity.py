@@ -1,0 +1,130 @@
+"""Check that two revisions write byte-identical logs and checkpoints.
+
+Usage, from the root of a checkout:
+
+    python3 tools/log_identity.py --parent HEAD --change worktree
+
+Each side is extracted as ``tools/bench_record.py`` extracts it
+(``--change worktree`` is the working tree with every change staged, so run
+``git add -A`` first). Both sides train the same runs, from the parent's
+config files: each shipped ``configs/*.txt``, and a 10-epoch Adam variant of
+``configs/blobs_abel.txt`` with the g.w probe and a checkpoint every epoch.
+Every run writes into the same ``log_dir`` path on both sides, because
+checkpoint bytes embed the config's ``log_dir``, and is moved aside after.
+
+The tool compares ``metrics.csv`` (without ``wall_ms``), ``layers.csv``,
+``events.csv`` and every checkpoint, prints each difference, and exits 1
+on any difference or failed run, 0 when everything matches.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_record import extract, resolve  # noqa: E402
+
+LOGS = ("metrics.csv", "layers.csv", "events.csv")
+ADAM_VARIANT = {"optimizer.kind": "adam", "base_lr": "0.01", "epochs": "10",
+                "log_gw": "true", "checkpoint_every": "1"}
+
+
+def with_overrides(text: str, overrides: dict[str, str]) -> str:
+    """Config ``text`` with each key of ``overrides`` set to its value."""
+    kept = [line for line in text.splitlines()
+            if line.split("=", 1)[0].strip() not in overrides]
+    return "\n".join(kept + [f"{key} = {value}" for key, value in overrides.items()]) + "\n"
+
+
+def _without_wall_ms(text: str) -> list[str]:
+    return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+
+def compare_runs(parent: Path, change: Path) -> list[str]:
+    """The differences between two log directories of the same run: in the
+    three logs (``wall_ms`` left out of metrics.csv) and in every checkpoint,
+    including a file that only one side has."""
+    names = list(LOGS) + sorted({p.name for side in (parent, change)
+                                 for p in side.glob("*.ckpt")})
+    diffs = []
+    for name in names:
+        a, b = parent / name, change / name
+        if not (a.exists() and b.exists()):
+            diffs.append(f"{name}: only in {'parent' if a.exists() else 'change'}"
+                         if a.exists() or b.exists() else f"{name}: missing on both sides")
+            continue
+        if name == "metrics.csv":
+            rows_a, rows_b = _without_wall_ms(a.read_text()), _without_wall_ms(b.read_text())
+            if rows_a != rows_b:
+                line = next((i for i, (x, y) in enumerate(zip(rows_a, rows_b), 1) if x != y),
+                            min(len(rows_a), len(rows_b)) + 1)
+                diffs.append(f"{name}: differs from line {line} (wall_ms left out)")
+        elif a.read_bytes() != b.read_bytes():
+            diffs.append(f"{name}: bytes differ")
+    return diffs
+
+
+def run_config(tree: Path, config: Path, log_dir: Path) -> subprocess.CompletedProcess:
+    """``abel-sched run config`` with ``tree``'s library, logging into ``log_dir``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    return subprocess.run([sys.executable, "-m", "abel_sched.cli", "run", str(config),
+                           "--log-dir", str(log_dir)],
+                          cwd=tree, env=env, capture_output=True, text=True)
+
+
+def check(parent_rev: str, change_rev: str, scratch: Path) -> int:
+    trees = {"parent": scratch / "parent", "change": scratch / "change"}
+    for side, rev in (("parent", parent_rev), ("change", change_rev)):
+        extract(resolve(rev), trees[side])
+    configs = scratch / "configs"
+    configs.mkdir()
+    for path in sorted((trees["parent"] / "configs").glob("*.txt")):
+        shutil.copy(path, configs / path.name)
+    abel = (configs / "blobs_abel.txt").read_text()
+    (configs / "blobs_abel_adam.txt").write_text(with_overrides(abel, ADAM_VARIANT))
+
+    shared = scratch / "run"  # the one log_dir path both sides log into
+    failed = False
+    for config in sorted(configs.glob("*.txt")):
+        outputs = {}
+        for side, tree in trees.items():
+            proc = run_config(tree, config, shared)
+            outputs[side] = scratch / "logs" / side / config.stem
+            outputs[side].parent.mkdir(parents=True, exist_ok=True)
+            if shared.exists():
+                shutil.move(str(shared), outputs[side])
+            if proc.returncode != 0:
+                print(f"{config.name} on {side}: exit {proc.returncode}: "
+                      f"{proc.stderr.strip().splitlines()[-1:]}")
+                failed = True
+        diffs = compare_runs(outputs["parent"], outputs["change"])
+        for diff in diffs:
+            print(f"{config.name}: {diff}")
+        if not diffs:
+            print(f"{config.name}: identical")
+        failed = failed or bool(diffs)
+    return 1 if failed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", default="HEAD~1")
+    parser.add_argument("--change", default="HEAD", help="a revision, or 'worktree'")
+    parser.add_argument("--scratch", type=Path, default=None,
+                        help="an empty or missing directory to keep the trees and logs in "
+                             "(default: a temporary directory, removed at the end)")
+    args = parser.parse_args(argv)
+    if args.scratch is not None:
+        return check(args.parent, args.change, args.scratch)
+    with tempfile.TemporaryDirectory(prefix="log_identity-") as tmp:
+        return check(args.parent, args.change, Path(tmp))
+
+
+if __name__ == "__main__":
+    sys.exit(main())
