@@ -16,16 +16,25 @@ order the backward pass produces them.
 
 A normalized MLP's parameters are its dense weights only, so their rows
 tile the flat vector, and its step works on the whole vector. Beside the
-slot table of each layout, ``Model._slots`` keeps a row table: per layer,
-the slice of its rows in one vector of every row in layout order, and each
-row's fan-in, the repeat count that spreads a row's value over its entries.
-The forward pass squares the flat vector once, sums each layer's rows (one
-reduction per layer), takes one square root and divides once by the
-repeated norms; each layer's ``w/|w_row|`` is a view of the quotient. The
-backward pass writes dL/dŵ into the flat gradient, then pulls it back onto
-w once over the whole vector, ``(dŵ - (dŵ.ŵ) ŵ) / |w_row|``, with one
-row-sum reduction per layer. Every float equals that of the same formulas
-applied layer by layer.
+slot table of each layout, ``Model._slots`` keeps a row table, built once
+per layout: every weight row's start in the flat vector and its fan-in,
+in layout order. The forward pass squares the flat vector once, sums every
+row with one ``np.add.reduceat`` over the row starts, takes one square root
+and divides once by the norms repeated to each row's fan-in; each layer's
+``w/|w_row|`` is a view of the quotient. The backward pass writes dL/dŵ
+into the flat gradient, then pulls it back onto w once over the whole
+vector, ``(dŵ - (dŵ.ŵ) ŵ) / |w_row|``, with one more reduceat for the row
+dot products. A row's sum is reduceat's sum of its segment, which groups
+the additions differently from a per-layer ``sum(axis=1)``: the two differ
+in the last bits. Every float equals that of the same formulas applied
+layer by layer with each row summed as a reduceat segment. Widths are at
+least 1 (``ModelArch`` refuses less), so no segment is empty; reduceat
+would return the entry at an empty segment's start, not 0.
+
+The loss computes one exp per logit: with ``e = exp(logits - max)`` and
+``s`` its row sums, log p is ``logits - (log s + max)`` and the softmax in
+the gradient is ``e / s``, not a second ``exp(log p)``, which rounds
+differently in the last bits.
 
 Fixed training and test sets
 ----------------------------
@@ -186,6 +195,10 @@ class ModelArch:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if len(self.hidden) < 1:
             raise ValueError("need at least one hidden layer")
+        if any(width < 1 for width in self.hidden):
+            # a layer of no units would give the next one weight rows of no entries
+            raise ValueError(f"hidden widths (conv: channel counts) must be >= 1, "
+                             f"got {self.hidden}")
         if self.classes < 2:
             raise ValueError("need at least two classes")
         if not self.init_scale > 0:
@@ -254,28 +267,31 @@ def loss_ce(logits: np.ndarray, labels: np.ndarray, label_smoothing: float = 0.0
 
 def _loss_and_dlogits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """The mean cross-entropy of (batch, classes) ``logits`` against the
-    target rows ``targets``, and its gradient in the logits. The reductions
-    call their ufuncs directly, skipping the ndarray methods' wrappers; the
-    floats are the same."""
+    target rows ``targets``, and its gradient in the logits, from one exp
+    (see the module docstring). The reductions call their ufuncs directly,
+    skipping the ndarray methods' wrappers; the floats are the same."""
     n = logits.shape[0]
     # The row max, reduced over a class-major copy: for few classes this is
     # several times faster than max(axis=1), and max is exact either way.
     m = np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)[:, None]
-    shifted = logits - m
-    lse = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True)) + m
-    logp = logits - lse
+    e = np.subtract(logits, m)
+    np.exp(e, out=e)
+    s = np.add.reduce(e, axis=1, keepdims=True)
+    logp = logits - (np.log(s) + m)
 
     loss = float(-np.add.reduce(targets * logp, axis=None) / n)
-    dlogits = (np.exp(logp) - targets) / n
-    return loss, dlogits
+    np.divide(e, s, out=e)
+    np.subtract(e, targets, out=e)
+    return loss, np.divide(e, n, out=e)
 
 
 class Model:
     """Stateless network: parameters travel separately as a ParamSet.
 
-    An MLP keeps one derived table, where its dense tensors sit in the flat
-    vector of the last layout it saw, and where a normalized MLP's weight
-    rows sit in it (see ``_slots``).
+    A model keeps one derived table for the last layout it saw, once that
+    layout's layer names and shapes are checked against the model's own:
+    where an MLP's dense tensors sit in the flat vector, and where a
+    normalized MLP's weight rows start (see ``_slots``).
     """
 
     def __init__(self, arch: ModelArch):
@@ -289,6 +305,27 @@ class Model:
                                      for part in parts)
         else:
             self._grad_names = ("out.w", "out.b", "conv2.w", "conv2.b", "conv1.w", "conv1.b")
+        self._layers = self._layer_specs()
+        self._shapes = {name: shape for name, shape, _ in self._layers}
+
+    def _layer_specs(self) -> tuple[tuple[str, tuple[int, ...], int | None], ...]:
+        """(name, shape, fan-in) of each parameter tensor in init order; a
+        bias has fan-in None."""
+        arch = self.arch
+        if arch.kind == "mlp":
+            dims = (arch.input_dim, *arch.hidden, arch.classes)
+            specs = []
+            for name, d_in, d_out in zip(self._dense, dims[:-1], dims[1:]):
+                specs.append((f"{name}.w", (d_out, d_in), d_in))
+                if not arch.normalize:
+                    specs.append((f"{name}.b", (d_out,), None))
+            return tuple(specs)
+        c_in, h, w = arch.input_shape
+        c1, c2 = arch.hidden
+        d_flat = c2 * ((h - 4) // 2) * ((w - 4) // 2)  # after two valid 3x3 convs and the pool
+        return (("conv1.w", (c1, c_in, 3, 3), c_in * 9), ("conv1.b", (c1,), None),
+                ("conv2.w", (c2, c1, 3, 3), c1 * 9), ("conv2.b", (c2,), None),
+                ("out.w", (arch.classes, d_flat), d_flat), ("out.b", (arch.classes,), None))
 
     # -- initialization -----------------------------------------------------
 
@@ -304,38 +341,16 @@ class Model:
             raise ValueError("init_scale must be > 0")
         rng = np.random.default_rng(seed)
         layers: list[Layer] = []
-
-        def weight(name: str, shape: tuple[int, ...], fan_in: int, invariant: bool) -> None:
-            a = np.sqrt(3.0 / fan_in)
-            w = rng.uniform(-a, a, size=shape) * scale
-            layers.append(Layer(name, w, l2_enabled=True, scale_invariant=invariant))
-
-        def bias(name: str, n: int) -> None:
-            layers.append(Layer(name, np.zeros(n), l2_enabled=False, scale_invariant=False))
-
-        arch = self.arch
-        if arch.kind == "mlp":
-            dims = (arch.input_dim, *arch.hidden, arch.classes)
-            for name, d_in, d_out in zip(self._dense, dims[:-1], dims[1:]):
-                weight(f"{name}.w", (d_out, d_in), d_in, invariant=arch.normalize)
-                if not arch.normalize:
-                    bias(f"{name}.b", d_out)
-        else:
-            c_in = arch.input_shape[0]
-            c1, c2 = arch.hidden
-            weight("conv1.w", (c1, c_in, 3, 3), c_in * 9, invariant=False)
-            bias("conv1.b", c1)
-            weight("conv2.w", (c2, c1, 3, 3), c1 * 9, invariant=False)
-            bias("conv2.b", c2)
-            d_flat = self._conv_flat_dim()
-            weight("out.w", (arch.classes, d_flat), d_flat, invariant=False)
-            bias("out.b", arch.classes)
+        for name, shape, fan_in in self._layers:
+            if fan_in is None:
+                layers.append(Layer(name, np.zeros(shape), l2_enabled=False,
+                                    scale_invariant=False))
+            else:
+                a = np.sqrt(3.0 / fan_in)
+                w = rng.uniform(-a, a, size=shape) * scale
+                layers.append(Layer(name, w, l2_enabled=True,
+                                    scale_invariant=self.arch.normalize))
         return ParamSet(layers)
-
-    def _conv_flat_dim(self) -> int:
-        _, h, w = self.arch.input_shape
-        h2, w2 = (h - 4) // 2, (w - 4) // 2
-        return self.arch.hidden[1] * h2 * w2
 
     # -- forward ------------------------------------------------------------
 
@@ -351,8 +366,12 @@ class Model:
         return x
 
     def _prepared(self, params: ParamSet):
-        """What the forward pass reads: an MLP's dense weights, or a convnet's ParamSet."""
-        return self._dense_weights(params) if self.arch.kind == "mlp" else params
+        """What the forward pass reads: an MLP's dense weights, or a convnet's
+        ParamSet once its layers are checked."""
+        if self.arch.kind == "mlp":
+            return self._dense_weights(params)
+        self._slots(params.layout)
+        return params
 
     def _forward(self, prepared, x: np.ndarray, bufs: list[np.ndarray] | None = None):
         """Logits and the cache the backward pass reads; ``bufs`` as for ``_forward_mlp``."""
@@ -361,13 +380,14 @@ class Model:
         return self._forward_conv(prepared, x)
 
     def _slots(self, layout: Layout) -> tuple:
-        """(slots, rows) for ``layout``. ``slots`` holds per dense layer the
-        flat slice and shape of its weight, and the slice of its bias (None
-        when normalized). ``rows``, the row table of a normalized MLP (None
-        otherwise), holds per dense layer the slice of its rows in a vector
-        of every weight row in layout order, and then every row's fan-in in
-        that order: the repeat counts that spread one value per row over the
-        flat vector.
+        """(slots, rows) for ``layout``, once ``_check_layers`` accepts it.
+        ``slots`` holds per dense layer of an MLP the flat slice and shape of
+        its weight, and the slice of its bias (None when normalized); a
+        convnet has none. ``rows``, the row table of a normalized MLP (None
+        otherwise), holds every weight row's start in the flat vector and
+        then every row's fan-in, both in layout order: the segments of one
+        ``np.add.reduceat`` and the repeat counts that spread one value per
+        row over the flat vector.
 
         Built once per layout object and reused while ``params.layout`` is
         that same object; the table holds a reference to its layout, so the
@@ -375,30 +395,41 @@ class Model:
         """
         if layout is not self._slot_layout:
             self._check_layers(layout)
-            shapes = dict(zip(layout.names, layout.shapes))
-            slots = tuple(
-                (layout.slice_of[f"{name}.w"], shapes[f"{name}.w"],
-                 None if self.arch.normalize else layout.slice_of[f"{name}.b"])
-                for name in self._dense)
-            self._slot_table = (slots, _row_table(slots) if self.arch.normalize else None)
+            slots, rows = (), None
+            if self.arch.kind == "mlp":
+                slots = tuple(
+                    (layout.slice_of[f"{name}.w"], self._shapes[f"{name}.w"],
+                     None if self.arch.normalize else layout.slice_of[f"{name}.b"])
+                    for name in self._dense)
+                rows = _row_table(slots) if self.arch.normalize else None
+            self._slot_table = (slots, rows)
             self._slot_layout = layout
         return self._slot_table
 
     def _check_layers(self, layout: Layout) -> None:
-        """Refuse a layout with layers beyond the model's: the backward pass
-        would leave their gradient entries unwritten."""
-        if len(layout.names) != len(self._grad_names):
-            extra = sorted(set(layout.names) - set(self._grad_names))
+        """Refuse a layout whose layers differ from the model's by name or
+        shape: the passes would compute another net, or leave gradient
+        entries unwritten."""
+        given = dict(zip(layout.names, layout.shapes))
+        if given == self._shapes:
+            return
+        extra = sorted(set(given) - set(self._shapes))
+        if extra:
             raise ValueError(f"parameters hold layers the model does not have: {extra}")
+        missing = sorted(set(self._shapes) - set(given))
+        if missing:
+            raise ValueError(f"parameters lack layers of the model: {missing}")
+        wrong = ", ".join(f"{name} {given[name]} (the model's: {shape})"
+                          for name, shape in self._shapes.items() if given[name] != shape)
+        raise ValueError(f"parameter shapes differ from the model's: {wrong}")
 
     def _normalized(self, params: ParamSet) -> tuple[np.ndarray, np.ndarray]:
         """A normalized MLP's w / |w_row| over the whole flat vector, and
         |w_row| repeated to each row's fan-in, both in layout order."""
         flat = params.flat
-        slots, rows = self._slots(params.layout)
+        _, (starts, fan_ins) = self._slots(params.layout)
         sq = flat * flat
-        norms = _row_sums(sq, slots, rows)
-        _, fan_ins = rows
+        norms = np.add.reduceat(sq, starts)
         norms = np.sqrt(norms, out=norms).repeat(fan_ins)
         return np.divide(flat, norms, out=sq), norms
 
@@ -474,7 +505,7 @@ class Model:
         # overflow here is handled: non-finite logits raise NumericError below
         with np.errstate(over="ignore", invalid="ignore"):
             normalized = self._normalized(params) if mlp and self.arch.normalize else None
-            prepared = self._dense_weights(params, normalized) if mlp else params
+            prepared = self._dense_weights(params, normalized) if mlp else self._prepared(params)
             logits, cache = self._forward(prepared, x)
         if not np.logical_and.reduce(np.isfinite(logits), axis=None):
             raise NumericError("non-finite activations in forward pass")
@@ -484,7 +515,6 @@ class Model:
         if mlp:
             self._backward_mlp(prepared, cache, dlogits, flat, self._slots(layout), normalized)
         else:
-            self._check_layers(layout)
             self._backward_conv(params, cache, dlogits,
                                 dict(zip(layout.names, layout.views(flat))))
         error = int(np.count_nonzero(logits.argmax(axis=1) != y)) / y.shape[0]
@@ -511,9 +541,9 @@ class Model:
         if normalized is not None:
             # pull the normalization back onto w: (dw_hat - (dw_hat.w_hat) w_hat) / |w_row|
             w_hat, norms = normalized
-            _, fan_ins = rows
+            starts, fan_ins = rows
             proj = flat * w_hat
-            dots = _row_sums(proj, slots, rows)
+            dots = np.add.reduceat(proj, starts)
             np.multiply(dots.repeat(fan_ins), w_hat, out=proj)
             np.subtract(flat, proj, out=flat)
             np.divide(flat, norms, out=flat)
@@ -639,26 +669,14 @@ class Model:
         return classes
 
 
-def _row_table(slots: tuple) -> tuple[tuple[slice, ...], np.ndarray]:
+def _row_table(slots: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The row table of ``Model._slots`` for normalized weights at ``slots``,
-    which tile the flat vector."""
-    row_slices: list[slice] = [slice(0)] * len(slots)
-    fan_ins: list[int] = []
-    for i in sorted(range(len(slots)), key=lambda i: slots[i][0].start):
-        d_out, d_in = slots[i][1]
-        row_slices[i] = slice(len(fan_ins), len(fan_ins) + d_out)
-        fan_ins += [d_in] * d_out
-    return tuple(row_slices), np.array(fan_ins)
-
-
-def _row_sums(v: np.ndarray, slots: tuple, rows: tuple) -> np.ndarray:
-    """The sum of each weight row of the flat vector ``v``, one reduction per
-    layer, into a vector in layout order (see ``Model._slots``)."""
-    row_slices, fan_ins = rows
-    out = np.empty(len(fan_ins))
-    for (w_slice, w_shape, _), r_slice in zip(slots, row_slices):
-        np.add.reduce(v[w_slice].reshape(w_shape), axis=1, out=out[r_slice])
-    return out
+    which tile the flat vector: each row's start and fan-in, in layout order."""
+    layers = sorted((w_slice.start, w_shape) for w_slice, w_shape, _ in slots)
+    starts = np.concatenate([start + d_in * np.arange(d_out)
+                             for start, (d_out, d_in) in layers])
+    fan_ins = np.concatenate([np.full(d_out, d_in) for _, (d_out, d_in) in layers])
+    return starts, fan_ins
 
 
 def _top_two(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

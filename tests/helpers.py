@@ -297,10 +297,16 @@ def ref_step_adam(params, m: dict, v: dict, t: int, grads: dict, lr: float,
 
 # -- per-layer reference MLP step --------------------------------------------------
 #
-# An MLP's loss and gradients as they were written before the normalized
-# net moved to whole-vector passes: every layer's row norms, division and
-# pull-back computed on its own, by name. The model's step must match this
+# An MLP's loss and gradients written layer by layer: every layer's row norms,
+# division and pull-back computed on its own, by name. A row sum is one
+# segment of np.add.reduceat over the layer's raveled block, and the softmax
+# is exp(logits - max) over its row sums. The model's step must match this
 # bit for bit, since the logs are pinned to it.
+
+
+def _ref_row_sums(a):
+    """The sum of each row of the 2-d ``a``, as a column."""
+    return np.add.reduceat(a.ravel(), np.arange(0, a.size, a.shape[1]))[:, None]
 
 
 def ref_mlp_loss_and_grads(arch, params, x, y, label_smoothing: float = 0.0):
@@ -310,7 +316,7 @@ def ref_mlp_loss_and_grads(arch, params, x, y, label_smoothing: float = 0.0):
     for name in names:
         w = params[f"{name}.w"].value
         if arch.normalize:
-            rn = np.sqrt((w * w).sum(axis=1, keepdims=True))
+            rn = np.sqrt(_ref_row_sums(w * w))
             weights.append((w / rn, rn))
         else:
             weights.append((w, params[f"{name}.b"].value))
@@ -325,12 +331,14 @@ def ref_mlp_loss_and_grads(arch, params, x, y, label_smoothing: float = 0.0):
     logits = acts[-1]
     n, c = logits.shape
     m = logits.max(axis=1, keepdims=True)
-    logp = logits - (np.log(np.exp(logits - m).sum(axis=1, keepdims=True)) + m)
+    e = np.exp(logits - m)
+    s = e.sum(axis=1, keepdims=True)
+    logp = logits - (np.log(s) + m)
     q = np.full((c, c), label_smoothing / (c - 1))
     np.fill_diagonal(q, 1.0 - label_smoothing)
     q = q[y]
     loss = float(-(q * logp).sum() / n)
-    dh = (np.exp(logp) - q) / n
+    dh = (e / s - q) / n
     grads = {}
     for i in reversed(range(len(weights))):
         w, extra = weights[i]
@@ -341,7 +349,7 @@ def ref_mlp_loss_and_grads(arch, params, x, y, label_smoothing: float = 0.0):
             dz = dh * ((a > 0).astype(a.dtype) if arch.activation == "relu" else 1.0 - a * a)
         dw = dz.T @ acts[i]
         if arch.normalize:
-            proj = (dw * w).sum(axis=1, keepdims=True)
+            proj = _ref_row_sums(dw * w)
             grads[f"{names[i]}.w"] = (dw - proj * w) / extra
         else:
             grads[f"{names[i]}.w"] = dw

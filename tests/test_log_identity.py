@@ -57,3 +57,29 @@ def test_overrides_replace_keys_and_add_new_ones():
     text = "# comment\nepochs = 200\nbase_lr = 4.0\n"
     assert log_identity.with_overrides(text, {"epochs": "10", "log_gw": "true"}) == (
         "# comment\nbase_lr = 4.0\nepochs = 10\nlog_gw = true\n")
+
+
+def test_differing_metrics_are_described_per_column(tmp_path):
+    parent = _run_dir(tmp_path / "parent", layers="epoch,layer,wsq\n1,fc1.w,2.0\n1,out.w,4.0\n")
+    change = _run_dir(tmp_path / "change", wall=(9, 9),
+                      layers="epoch,layer,wsq\n1,fc1.w,2.0\n1,out.w,4.000000000000001\n")
+    (change / "metrics.csv").write_text(METRICS.format(3, 4).replace("1.125", "1.0"))
+    assert log_identity.compare_runs(parent, change) == [
+        "metrics.csv: differs from line 3 (wall_ms left out)", "layers.csv: bytes differ"]
+    assert log_identity.describe_differences(parent, change) == [
+        "metrics.csv: train_loss differs in 1 of 2 rows, largest relative difference 1.1e-01",
+        "layers.csv: wsq differs in 1 of 2 rows, largest relative difference 2.2e-16",
+        "events.csv: matches",
+    ]
+    (change / "events.csv").write_text("epoch,old_lr,new_lr,trigger\n2,0.5,0.1,bounce\n")
+    assert log_identity.describe_differences(parent, change)[-1] == "events.csv: differs"
+
+
+def test_a_non_numeric_difference_has_no_finite_relative_difference():
+    lines = log_identity.column_differences(
+        "layers.csv", ["epoch,layer,wsq", "1,fc1.w,2.0", "2,fc1.w,2.0"],
+        ["epoch,layer,wsq", "1,fc2.w,2.0", "2,fc1.w,nan"])
+    assert lines == [
+        "layers.csv: layer differs in 1 of 2 rows, largest relative difference inf",
+        "layers.csv: wsq differs in 1 of 2 rows, largest relative difference inf",
+    ]

@@ -240,6 +240,16 @@ def test_arch_validation():
                   input_shape=(1, 8, 8), normalize=True)
 
 
+@pytest.mark.parametrize("kind, hidden", [("mlp", (32, 0)), ("mlp", (32, -4)), ("mlp", (0,)),
+                                          ("conv", (4, 0)), ("conv", (-1, 6))], ids=str)
+def test_widths_and_channel_counts_below_1_are_refused(kind, hidden):
+    """A width of 0 failed in init_params with a ZeroDivisionError, a negative
+    one with numpy's "negative dimensions"."""
+    shape = dict(kind="conv", input_dim=64, input_shape=(1, 8, 8)) if kind == "conv" else {}
+    with pytest.raises(ValueError, match="must be >= 1"):
+        ModelArch(**{"input_dim": 4, **shape}, hidden=hidden, classes=2)
+
+
 def test_avgpool_matches_hand_computation():
     from abel_sched.models import _avgpool2
     x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
@@ -315,11 +325,12 @@ def _loss_with_row_max_along_rows(logits, labels, label_smoothing):
     """The loss and logit gradients with the row max taken as logits.max(axis=1)."""
     n, c = logits.shape
     m = logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(logits - m).sum(axis=1, keepdims=True)) + m
-    logp = logits - lse
+    e = np.exp(logits - m)
+    s = e.sum(axis=1, keepdims=True)
+    logp = logits - (np.log(s) + m)
     q = np.full((n, c), label_smoothing / (c - 1))
     q[np.arange(n), labels] = 1.0 - label_smoothing
-    return float(-(q * logp).sum() / n), (np.exp(logp) - q) / n
+    return float(-(q * logp).sum() / n), (e / s - q) / n
 
 
 @pytest.mark.parametrize("classes", [2, 4, 10, 100])
@@ -408,21 +419,24 @@ def test_the_slot_table_is_rebuilt_for_a_reordered_layout(arch):
 @pytest.mark.parametrize("reordered", [False, True], ids=["layout", "reordered"])
 @pytest.mark.parametrize("smoothing", [0.0, 0.1])
 @pytest.mark.parametrize("batch", [1, 7, 128])
-@pytest.mark.parametrize("hidden", [(32, 16), (7,), (64, 32, 16)], ids=str)
+@pytest.mark.parametrize("hidden", [(32, 16), (7,), (64, 32, 16), (1,)], ids=str)
 @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "with-biases"])
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_the_step_matches_the_per_layer_reference_bit_for_bit(
         activation, normalize, hidden, batch, smoothing, reordered):
     """The whole-vector normalize and pull-back, the in-place activation
-    derivative and the direct ufunc reductions change no float of the step."""
-    arch = ModelArch(input_dim=20, hidden=hidden, classes=4, activation=activation,
+    derivative and the direct ufunc reductions change no float of the step.
+    Hidden width 1 runs on inputs of width 1, so every weight row is a
+    reduceat segment of one entry."""
+    input_dim = 1 if hidden == (1,) else 20
+    arch = ModelArch(input_dim=input_dim, hidden=hidden, classes=4, activation=activation,
                      normalize=normalize, init_scale=4.0 if normalize else 1.0)
     model = Model(arch)
     params = model.init_params(3)
     if reordered:
         params = ParamSet(list(reversed(params.layers)))
     rng = np.random.default_rng(batch)
-    x = rng.normal(size=(batch, 20))
+    x = rng.normal(size=(batch, input_dim))
     y = rng.integers(0, 4, batch)
     loss, grads, error = model.train_step_stats(params, model.train_set(x, y, smoothing))
     want_loss, want_grads, want_error = ref_mlp_loss_and_grads(arch, params, x, y, smoothing)
@@ -443,6 +457,34 @@ def test_a_layer_beyond_the_models_is_refused(arch):
     x = np.zeros((2, arch.input_dim))
     with pytest.raises(ValueError, match=r"layers the model does not have: \['stray'\]"):
         model.train_step_stats(extra, model.train_set(x, np.array([0, 1])))
+
+
+@pytest.mark.parametrize("call", ["forward", "error_rate", "train_step_stats"])
+@pytest.mark.parametrize("arch, other, wrong", [
+    (replace(MLP_NORM, hidden=(16, 32)), replace(MLP_NORM, hidden=(32, 16)), r"fc1\.w \(32, 10\)"),
+    (replace(MLP_RELU, hidden=(16, 32)), replace(MLP_RELU, hidden=(32, 16)), r"fc1\.w \(32, 10\)"),
+    (CONV, replace(CONV, hidden=(6, 4)), r"conv1\.w \(6, 1, 3, 3\)"),
+], ids=["normalized", "with-biases", "conv"])
+def test_parameters_of_other_widths_are_refused(arch, other, wrong, call):
+    """The same layer names at other shapes used to run the net the shapes
+    describe, e.g. a (32, 16) ParamSet on a (16, 32) model."""
+    model = Model(arch)
+    params = Model(other).init_params(0)
+    assert params.names() == model.init_params(0).names()
+    x, y = np.zeros((4, arch.input_dim)), np.array([0, 1, 2, 0])
+    calls = {"forward": lambda: model.forward(params, x),
+             "error_rate": lambda: model.error_rate(params, model.eval_set(x, y)),
+             "train_step_stats": lambda: model.train_step_stats(params, model.train_set(x, y))}
+    with pytest.raises(ValueError, match="shapes differ from the model's: " + wrong):
+        calls[call]()
+
+
+def test_a_missing_layer_is_refused():
+    model = Model(MLP_RELU)
+    params = model.init_params(0)
+    short = ParamSet([layer for layer in params.layers if layer.name != "fc1.b"])
+    with pytest.raises(ValueError, match=r"lack layers of the model: \['fc1.b'\]"):
+        model.forward(short, np.zeros((2, MLP_RELU.input_dim)))
 
 
 @pytest.mark.parametrize("x_dim, labels, smoothing", [

@@ -169,8 +169,10 @@ def test_divergence_aborts_with_status(tmp_path, case):
         assert json.loads((tmp_path / run / "meta.json").read_text())["status"] == "diverged"
 
 
-@pytest.mark.parametrize("key,value", [("model.activation", "sigmoid"), ("model.kind", "conv")],
-                         ids=["activation-sigmoid", "conv-without-input-shape"])
+@pytest.mark.parametrize("key,value", [("model.activation", "sigmoid"), ("model.kind", "conv"),
+                                       ("model.hidden", "32,0"), ("model.hidden", "32,-4")],
+                         ids=["activation-sigmoid", "conv-without-input-shape",
+                              "hidden-width-0", "hidden-width-negative"])
 def test_invalid_model_settings_exit_2_without_a_log_dir(tmp_path, capsys, key, value):
     rows = format_config(tiny_config(tmp_path / "run")).splitlines()
     assert sum(row.startswith(f"{key} = ") for row in rows) == 1

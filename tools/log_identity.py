@@ -14,12 +14,17 @@ checkpoint bytes embed the config's ``log_dir``, and is moved aside after.
 
 The tool compares ``metrics.csv`` (without ``wall_ms``), ``layers.csv``,
 ``events.csv`` and every checkpoint, prints each difference, and exits 1
-on any difference or failed run, 0 when everything matches.
+on any difference or failed run, 0 when everything matches. When
+``metrics.csv`` or ``layers.csv`` differs, it also prints, per column that
+differs, how many rows differ and the largest relative difference
+``|a - b| / max(|a|, |b|)``, and whether ``events.csv`` matches, so a
+change that moves the last bits of the logs can be bounded.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shutil
 import subprocess
@@ -42,8 +47,12 @@ def with_overrides(text: str, overrides: dict[str, str]) -> str:
     return "\n".join(kept + [f"{key} = {value}" for key, value in overrides.items()]) + "\n"
 
 
-def _without_wall_ms(text: str) -> list[str]:
-    return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+def _rows(path: Path) -> list[str]:
+    """A log's lines, ``wall_ms`` left out of metrics.csv."""
+    lines = path.read_text().splitlines()
+    if path.name == "metrics.csv":
+        return [line.rsplit(",", 1)[0] for line in lines]
+    return lines
 
 
 def compare_runs(parent: Path, change: Path) -> list[str]:
@@ -60,7 +69,7 @@ def compare_runs(parent: Path, change: Path) -> list[str]:
                          if a.exists() or b.exists() else f"{name}: missing on both sides")
             continue
         if name == "metrics.csv":
-            rows_a, rows_b = _without_wall_ms(a.read_text()), _without_wall_ms(b.read_text())
+            rows_a, rows_b = _rows(a), _rows(b)
             if rows_a != rows_b:
                 line = next((i for i, (x, y) in enumerate(zip(rows_a, rows_b), 1) if x != y),
                             min(len(rows_a), len(rows_b)) + 1)
@@ -68,6 +77,51 @@ def compare_runs(parent: Path, change: Path) -> list[str]:
         elif a.read_bytes() != b.read_bytes():
             diffs.append(f"{name}: bytes differ")
     return diffs
+
+
+def _relative(a: str, b: str) -> float:
+    """|a - b| / max(|a|, |b|) of two numeric fields; inf when they differ and
+    either is not a finite number."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    if x == y:
+        return 0.0
+    diff = abs(x - y)
+    return diff / max(abs(x), abs(y)) if math.isfinite(diff) else math.inf
+
+
+def column_differences(name: str, parent: list[str], change: list[str]) -> list[str]:
+    """Per column of two CSV files' rows (header first) that differs within
+    the rows both have: how many rows differ and the largest relative
+    difference."""
+    header = parent[0].split(",")
+    pairs = [(a.split(","), b.split(",")) for a, b in zip(parent[1:], change[1:])]
+    out = []
+    for j, column in enumerate(header):
+        fields = [(a[j] if j < len(a) else "", b[j] if j < len(b) else "") for a, b in pairs]
+        differ = [(a, b) for a, b in fields if a != b]
+        if differ:
+            worst = max(_relative(a, b) for a, b in differ)
+            out.append(f"{name}: {column} differs in {len(differ)} of {len(pairs)} rows, "
+                       f"largest relative difference {worst:.1e}")
+    return out
+
+
+def describe_differences(parent: Path, change: Path) -> list[str]:
+    """How far two runs' numeric logs lie apart: ``column_differences`` of
+    ``metrics.csv`` (``wall_ms`` left out) and ``layers.csv``, and whether
+    ``events.csv`` matches."""
+    out = []
+    for name in ("metrics.csv", "layers.csv"):
+        a, b = parent / name, change / name
+        if a.exists() and b.exists():
+            out += column_differences(name, _rows(a), _rows(b))
+    a, b = parent / "events.csv", change / "events.csv"
+    same = a.exists() and b.exists() and a.read_bytes() == b.read_bytes()
+    out.append(f"events.csv: {'matches' if same else 'differs'}")
+    return out
 
 
 def run_config(tree: Path, config: Path, log_dir: Path) -> subprocess.CompletedProcess:
@@ -106,6 +160,9 @@ def check(parent_rev: str, change_rev: str, scratch: Path) -> int:
         diffs = compare_runs(outputs["parent"], outputs["change"])
         for diff in diffs:
             print(f"{config.name}: {diff}")
+        if any(diff.startswith(("metrics.csv", "layers.csv")) for diff in diffs):
+            for line in describe_differences(outputs["parent"], outputs["change"]):
+                print(f"{config.name}:   {line}")
         if not diffs:
             print(f"{config.name}: identical")
         failed = failed or bool(diffs)
