@@ -41,7 +41,7 @@ from .datasets import (
     read_idx_images,
     read_idx_labels,
 )
-from .models import EvalSet, Model, ModelArch, NumericError, TrainSet, loss_ce
+from .models import EvalSet, Model, ModelArch, NumericError, StepStats, TrainSet, loss_ce
 from .optim import (
     AdamState,
     MomentumState,
@@ -98,6 +98,7 @@ __all__ = [
     "ScheduleSpec",
     "SpiralsSpec",
     "StateDecodeError",
+    "StepStats",
     "SweepPoint",
     "TrainSet",
     "angle_cos_sin",

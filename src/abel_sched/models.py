@@ -36,6 +36,28 @@ The loss computes one exp per logit: with ``e = exp(logits - max)`` and
 the gradient is ``e / s``, not a second ``exp(log p)``, which rounds
 differently in the last bits.
 
+The step records, the epoch reduces
+-----------------------------------
+The gradient needs only ``e / s``, so ``Model.train_step_stats`` returns
+the gradients alone. It writes the batch's logits, row maxima and row sums
+``s`` into the next rows of a :class:`StepStats`, a per-run sink: the last
+layer's product goes there through ``matmul(out=)``, and the maxima and
+sums through ``out=`` of the reductions the gradient computes anyway.
+``StepStats.reduce`` then makes one pass over every recorded row: log p,
+its product with the targets, one ``np.add.reduce`` per run of equal-sized
+steps over the products reshaped to one row per step, one ``argmax`` for
+the errors and one finiteness test of the logits. A step's sum covers the
+same contiguous block, in the same order, as a sum over that step's
+products alone, so every loss and error is the one a step would have
+computed on its own. The reduction yields each step's ``(loss, error,
+rows)`` in step order and raises :class:`NumericError` on reaching a step
+whose logits are not all finite, so a caller that checks each loss as it
+comes sees the first failing step's error, logits before loss. The step
+itself checks nothing; non-finite values reach the sink, and callers run
+the step under ``np.errstate(over="ignore", invalid="ignore")``.
+``Model.loss``, ``Model.loss_and_grad``, ``Model.batch_stats`` and
+:func:`loss_ce` go through a one-batch sink.
+
 Fixed training and test sets
 ----------------------------
 Everything a run's data needs checked or derived is done once per run.
@@ -44,8 +66,8 @@ Everything a run's data needs checked or derived is done once per run.
 smoothed target row beside its label (a :class:`TrainSet`). The runner
 gathers the epoch's shuffle of rows, labels and targets with one
 ``TrainSet.take`` and steps on slices of it, which are views checked no
-further; ``Model.train_step_stats`` is the arithmetic alone. The test set
-is prepared by ``Model.eval_set`` (below).
+further; ``Model.train_step_stats`` checks neither its input nor its
+output. The test set is prepared by ``Model.eval_set`` (below).
 
 Screened evaluation
 -------------------
@@ -97,8 +119,10 @@ nets of more than 16 classes, and for relu MLPs and convnets.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -257,32 +281,126 @@ def loss_ce(logits: np.ndarray, labels: np.ndarray, label_smoothing: float = 0.0
     """Mean cross-entropy against label-smoothed targets.
 
     Smoothed target puts 1 - s on the true class and s/(C-1) on each other.
+    Raises NumericError when a logit is not finite.
     """
     labels = np.asarray(labels)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ValueError("logits must be (batch, classes) and labels (batch,)")
-    loss, _ = _loss_and_dlogits(logits, _targets(labels, logits.shape[1], label_smoothing))
+    return _mean_loss(logits, _targets(labels, logits.shape[1], label_smoothing), labels)
+
+
+def _mean_loss(logits: np.ndarray, targets: np.ndarray, labels: np.ndarray) -> float:
+    """The mean cross-entropy of ``logits`` against ``targets``, recorded into
+    and reduced by a one-batch StepStats."""
+    n, classes = logits.shape
+    stats = StepStats(n, classes)
+    out, row_max, row_sum = stats.record(n)
+    np.copyto(out, logits)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _softmax_numerators(out, row_max, row_sum)
+    (loss, _, _), = stats.reduce(targets, labels)
     return loss
 
 
-def _loss_and_dlogits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """The mean cross-entropy of (batch, classes) ``logits`` against the
-    target rows ``targets``, and its gradient in the logits, from one exp
-    (see the module docstring). The reductions call their ufuncs directly,
-    skipping the ndarray methods' wrappers; the floats are the same."""
-    n = logits.shape[0]
+def _softmax_numerators(logits: np.ndarray, row_max: np.ndarray,
+                        row_sum: np.ndarray) -> np.ndarray:
+    """``e = exp(logits - max)`` of (batch, classes) ``logits``, with each
+    row's max written into ``row_max`` and the row sums of ``e`` into
+    ``row_sum`` (see the module docstring). The reductions call their ufuncs
+    directly, skipping the ndarray methods' wrappers; the floats are the same."""
     # The row max, reduced over a class-major copy: for few classes this is
     # several times faster than max(axis=1), and max is exact either way.
-    m = np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)[:, None]
-    e = np.subtract(logits, m)
+    np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0, out=row_max)
+    e = np.subtract(logits, row_max[:, None])
     np.exp(e, out=e)
-    s = np.add.reduce(e, axis=1, keepdims=True)
-    logp = logits - (np.log(s) + m)
+    np.add.reduce(e, axis=1, out=row_sum)
+    return e
 
-    loss = float(-np.add.reduce(targets * logp, axis=None) / n)
-    np.divide(e, s, out=e)
+
+def _dlogits(logits: np.ndarray, targets: np.ndarray, row_max: np.ndarray,
+             row_sum: np.ndarray) -> np.ndarray:
+    """The gradient in the logits of the mean cross-entropy of ``logits``
+    against ``targets``, ``(e / s - targets) / n``, recording the row maxima
+    and sums as ``_softmax_numerators`` does."""
+    e = _softmax_numerators(logits, row_max, row_sum)
+    np.divide(e, row_sum[:, None], out=e)
     np.subtract(e, targets, out=e)
-    return loss, np.divide(e, n, out=e)
+    return np.divide(e, logits.shape[0], out=e)
+
+
+class StepStats:
+    """A sink for the training steps' logits, from which ``reduce`` computes
+    every step's loss and error at once (see the module docstring).
+
+    It holds room for ``rows`` rows of ``classes`` logits, with each row's
+    max and sum of ``exp(logits - max)``. ``record`` hands out the next rows
+    to a step, and ``reduce`` empties the sink.
+    """
+
+    __slots__ = ("logits", "row_max", "row_sum", "starts", "sizes", "filled")
+
+    def __init__(self, rows: int, classes: int):
+        self.logits = np.empty((rows, classes))
+        self.row_max = np.empty(rows)
+        self.row_sum = np.empty(rows)
+        # the first row and the row count of each recorded step, in step order
+        self.starts: list[int] = []
+        self.sizes: list[int] = []
+        self.filled = 0
+
+    def record(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views of the next ``rows`` rows of the logits, row maxima and row
+        sums, for one step to write."""
+        start, stop = self.filled, self.filled + rows
+        if not 0 < rows <= len(self.row_max) - start:
+            raise ValueError(f"a step of {rows} rows does not fit the {len(self.row_max)}-row "
+                             f"sink after {start} rows")
+        self.filled = stop
+        self.starts.append(start)
+        self.sizes.append(rows)
+        return self.logits[start:stop], self.row_max[start:stop], self.row_sum[start:stop]
+
+    def reduce(self, targets: np.ndarray, labels: np.ndarray) -> Iterator[tuple[float, float, int]]:
+        """Each recorded step's (mean loss, error rate, rows), in step order.
+
+        ``targets`` and ``labels`` hold the recorded rows' target rows and
+        labels in the order the steps recorded them. Everything is computed
+        here, and the sink is emptied; the iterator raises NumericError on
+        reaching a step whose logits are not all finite.
+        """
+        n, starts, sizes = self.filled, np.array(self.starts), self.sizes
+        if labels.shape != (n,) or targets.shape != (n, self.logits.shape[1]):
+            raise ValueError(f"expected the labels and targets of the {n} recorded rows")
+        self.filled, self.starts, self.sizes = 0, [], []
+        if not n:
+            return iter(())
+        logits = self.logits[:n]
+        classes = logits.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            logp = np.log(self.row_sum[:n])
+            np.add(logp, self.row_max[:n], out=logp)
+            prod = np.subtract(logits, logp[:, None])
+            np.multiply(targets, prod, out=prod)
+            # one sum per step over its contiguous block, as a lone step sums it
+            sums, row = [], 0
+            for size, run in groupby(sizes):
+                k = len(list(run))
+                sums.append(np.add.reduce(prod[row:row + k * size].reshape(k, size * classes),
+                                          axis=1))
+                row += k * size
+            rows = np.array(sizes)
+            losses = np.divide(np.negative(np.concatenate(sums)), rows)
+        wrong = np.add.reduceat(logits.argmax(axis=1) != labels, starts, dtype=np.intp)
+        finite = np.logical_and.reduceat(np.isfinite(logits).ravel(), starts * classes)
+        return _in_step_order(losses.tolist(), (wrong / rows).tolist(), sizes, finite.tolist())
+
+
+def _in_step_order(losses: list[float], errors: list[float], sizes: list[int],
+                   finite: list[bool]) -> Iterator[tuple[float, float, int]]:
+    for loss, error, rows, ok in zip(losses, errors, sizes, finite):
+        if not ok:
+            raise NumericError("non-finite activations in forward pass")
+        yield loss, error, rows
 
 
 class Model:
@@ -373,11 +491,12 @@ class Model:
         self._slots(params.layout)
         return params
 
-    def _forward(self, prepared, x: np.ndarray, bufs: list[np.ndarray] | None = None):
-        """Logits and the cache the backward pass reads; ``bufs`` as for ``_forward_mlp``."""
+    def _forward(self, prepared, x: np.ndarray, bufs: list | None = None):
+        """Logits and the cache the backward pass reads; ``bufs`` as for
+        ``_forward_mlp`` (a convnet reads only its last entry)."""
         if self.arch.kind == "mlp":
             return self._forward_mlp(prepared, x, bufs)
-        return self._forward_conv(prepared, x)
+        return self._forward_conv(prepared, x, None if bufs is None else bufs[-1])
 
     def _slots(self, layout: Layout) -> tuple:
         """(slots, rows) for ``layout``, once ``_check_layers`` accepts it.
@@ -446,22 +565,25 @@ class Model:
         return [(flat[w_slice].reshape(w_shape), flat[b_slice])
                 for w_slice, w_shape, b_slice in slots]
 
-    def _forward_mlp(self, weights, x: np.ndarray, bufs: list[np.ndarray] | None = None):
+    def _forward_mlp(self, weights, x: np.ndarray, bufs: list | None = None):
         """Logits, and as cache the input of every dense layer followed by the logits.
 
-        With ``bufs`` (one array of at least ``len(x)`` rows per dense layer),
-        each layer's output is written into its buffer instead of a new array.
+        With ``bufs`` (per dense layer an array of at least ``len(x)`` rows, or
+        None), each layer's output is written into its buffer instead of a new
+        array.
         """
         acts = [x]
         last = len(weights) - 1
         for i, (w, extra) in enumerate(weights):
-            z = np.matmul(acts[-1], w.T, out=None if bufs is None else bufs[i][:len(x)])
+            buf = None if bufs is None else bufs[i]
+            z = np.matmul(acts[-1], w.T, out=None if buf is None else buf[:len(x)])
             if not self.arch.normalize:
                 z += extra
             acts.append(z if i == last else _act(z, self.arch.activation, out=z))
         return acts[-1], acts
 
-    def _forward_conv(self, params: ParamSet, x: np.ndarray):
+    def _forward_conv(self, params: ParamSet, x: np.ndarray, out: np.ndarray | None = None):
+        """Logits, written into ``out`` when given, and the backward pass's cache."""
         arch = self.arch
         imgs = x.reshape(x.shape[0], *arch.input_shape)
         z1 = _conv_valid(imgs, params["conv1.w"].value, params["conv1.b"].value)
@@ -470,7 +592,8 @@ class Model:
         a2 = _act(z2, arch.activation)
         pooled = _avgpool2(a2)
         flat = pooled.reshape(pooled.shape[0], -1)
-        logits = flat @ params["out.w"].value.T + params["out.b"].value
+        logits = np.matmul(flat, params["out.w"].value.T, out=out)
+        logits += params["out.b"].value
         cache = (imgs, a1, a2, pooled.shape, flat)
         return logits, cache
 
@@ -486,30 +609,46 @@ class Model:
 
     def loss(self, params: ParamSet, x: np.ndarray, y: np.ndarray,
              label_smoothing: float = 0.0) -> float:
+        """The mean loss; raises NumericError when a logit is not finite."""
         batch = self.train_set(x, y, label_smoothing)
-        loss, _ = _loss_and_dlogits(self.forward(params, batch.x), batch.targets)
-        return loss
+        return _mean_loss(self.forward(params, batch.x), batch.targets, batch.y)
 
     def loss_and_grad(
         self, params: ParamSet, x: np.ndarray, y: np.ndarray, label_smoothing: float = 0.0
     ) -> tuple[float, GradSet]:
         """Loss and exact gradients of the bare loss w.r.t. every tensor."""
-        loss, grads, _ = self.train_step_stats(params, self.train_set(x, y, label_smoothing))
+        loss, grads, _ = self.batch_stats(params, self.train_set(x, y, label_smoothing))
         return loss, grads
 
-    def train_step_stats(self, params: ParamSet, batch: TrainSet) -> tuple[float, GradSet, float]:
-        """Loss, gradients, and error rate of ``batch`` (a ``train_set`` or a
-        gather or slice of one) from a single forward/backward."""
-        x, y = batch.x, batch.y
-        mlp = self.arch.kind == "mlp"
-        # overflow here is handled: non-finite logits raise NumericError below
+    def batch_stats(self, params: ParamSet, batch: TrainSet) -> tuple[float, GradSet, float]:
+        """Loss, gradients and error rate of ``batch``: one ``train_step_stats``
+        into a sink of its own, reduced at once. Raises NumericError when a
+        logit is not finite; the loss may still be non-finite."""
+        stats = StepStats(len(batch), self.arch.classes)
         with np.errstate(over="ignore", invalid="ignore"):
-            normalized = self._normalized(params) if mlp and self.arch.normalize else None
-            prepared = self._dense_weights(params, normalized) if mlp else self._prepared(params)
-            logits, cache = self._forward(prepared, x)
-        if not np.logical_and.reduce(np.isfinite(logits), axis=None):
-            raise NumericError("non-finite activations in forward pass")
-        loss, dlogits = _loss_and_dlogits(logits, batch.targets)
+            grads = self.train_step_stats(params, batch, stats)
+        (loss, error, _), = stats.reduce(batch.targets, batch.y)
+        return loss, grads, error
+
+    def train_step_stats(self, params: ParamSet, batch: TrainSet, stats: StepStats) -> GradSet:
+        """Gradients of the loss of ``batch`` (a ``train_set`` or a gather or
+        slice of one) from a single forward/backward.
+
+        The batch's logits, row maxima and row sums go into the next rows of
+        ``stats``, whose ``reduce`` gives the batch's loss and error and
+        refuses non-finite logits (see the module docstring). No value is
+        checked here: run it under ``np.errstate(over="ignore",
+        invalid="ignore")``, since non-finite values are reported by the
+        reduction.
+        """
+        x = batch.x
+        logits_out, row_max, row_sum = stats.record(len(x))
+        mlp = self.arch.kind == "mlp"
+        normalized = self._normalized(params) if mlp and self.arch.normalize else None
+        prepared = self._dense_weights(params, normalized) if mlp else self._prepared(params)
+        bufs = [None] * (len(prepared) - 1) + [logits_out] if mlp else [logits_out]
+        logits, cache = self._forward(prepared, x, bufs)
+        dlogits = _dlogits(logits, batch.targets, row_max, row_sum)
         layout = params.layout
         flat = np.empty(layout.size)
         if mlp:
@@ -517,8 +656,7 @@ class Model:
         else:
             self._backward_conv(params, cache, dlogits,
                                 dict(zip(layout.names, layout.views(flat))))
-        error = int(np.count_nonzero(logits.argmax(axis=1) != y)) / y.shape[0]
-        return loss, GradSet(layout, flat, self._grad_names), error
+        return GradSet(layout, flat, self._grad_names)
 
     def _backward_mlp(self, weights, acts: list[np.ndarray], dlogits: np.ndarray,
                       flat: np.ndarray, table: tuple,
@@ -609,13 +747,14 @@ class Model:
                                  or test.label_range[1] >= self.arch.classes):
             raise ValueError("labels out of range")
         prepared = self._prepared(params)
-        bufs = None
-        if self.arch.kind == "mlp":
-            bufs = [np.empty((min(batch_size, n), w.shape[0])) for w, _ in prepared]
+        # an MLP's chunk buffers, made on first use: the screen mostly needs none
+        bufs: list[np.ndarray] = []
 
         def exact_classes(start: int) -> np.ndarray:
             """The argmax of chunk ``start``, as the unscreened loop computes it."""
-            logits, _ = self._forward(prepared, x[start:start + batch_size], bufs)
+            if not bufs and self.arch.kind == "mlp":
+                bufs.extend(np.empty((min(batch_size, n), w.shape[0])) for w, _ in prepared)
+            logits, _ = self._forward(prepared, x[start:start + batch_size], bufs or None)
             return logits.argmax(axis=1)
 
         classes = None

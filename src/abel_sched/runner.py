@@ -58,7 +58,7 @@ from ._version import __version__ as _version
 from .adaptive import AbelScheduler, PlateauScheduler, make_scheduler
 from .config import ConfigError, ExperimentConfig, config_hash, format_config
 from .datasets import dataset_meta, make_dataset
-from .models import Model, ModelArch, NumericError
+from .models import Model, ModelArch, NumericError, StepStats
 from .optim import AdamState, MomentumState, clip_flat
 from .params import ParamSet, inner_gw, weight_norm_sq
 from .schedules import LrEvent, ScheduleSpec, has_discrete_milestones, lr_at, warmup_scale
@@ -400,6 +400,9 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     # The steps run on flat vectors: w, the optimizer's flat state and its
     # update kernel. The ParamSet and optimizer state objects that forks,
     # checkpoints and the per-epoch measurements read are built at epoch ends.
+    # Each step records its logits into ``stats``, and the epoch's end reduces
+    # them to every step's loss and error.
+    stats = StepStats(n, model.arch.classes)
     layout = params.layout
     w = params.flat
     update = opt.update()
@@ -423,22 +426,24 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
             # One gather per epoch; each minibatch is then a contiguous slice.
             order = np.random.default_rng([config.seed, epoch]).permutation(n)
             epoch_set = train.take(order)
+            eff_lr = lr_epoch
+            # non-finite values are caught by the reduction below, in step order
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, n, config.batch_size):
+                    batch = epoch_set[start:start + config.batch_size]
+                    grads = model.train_step_stats(ParamSet.from_flat(layout, w), batch, stats)
+                    g = grads.flat
+                    if config.clip_norm > 0:
+                        g = clip_flat(g, layout.slices_in(grads.names), config.clip_norm)
+                    eff_lr = lr_epoch * warmup_scale(global_step, steps_per_epoch,
+                                                     spec.warmup_epochs)
+                    w, opt_state = update(layout, w, g, opt_state, eff_lr, config.weight_decay)
+                    global_step += 1
             loss_sum = 0.0
             err_sum = 0.0
-            eff_lr = lr_epoch
-            for start in range(0, n, config.batch_size):
-                batch = epoch_set[start:start + config.batch_size]
-                loss, grads, err = model.train_step_stats(ParamSet.from_flat(layout, w), batch)
+            for loss, err, rows in stats.reduce(epoch_set.targets, epoch_set.y):
                 if not math.isfinite(loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
-                g = grads.flat
-                if config.clip_norm > 0:
-                    g = clip_flat(g, layout.slices_in(grads.names), config.clip_norm)
-                eff_lr = lr_epoch * warmup_scale(global_step, steps_per_epoch,
-                                                 spec.warmup_epochs)
-                w, opt_state = update(layout, w, g, opt_state, eff_lr, config.weight_decay)
-                global_step += 1
-                rows = len(batch)
                 loss_sum += loss * rows
                 err_sum += err * rows
 
@@ -449,10 +454,11 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
             wsq_total, per_layer = weight_norm_sq(params)
             if not math.isfinite(wsq_total):
                 raise NumericError(f"non-finite squared weight norm at epoch {epoch}")
-            wsq_l2, _ = weight_norm_sq(params, include="l2_only")
+            # the same dots as weight_norm_sq(params, include="l2_only"), summed in its order
+            wsq_l2 = sum(v for v, l2 in zip(per_layer.values(), layout.l2) if l2)
             gw_total = None
             if config.log_gw:
-                _, grads, _ = model.train_step_stats(params, train[probe])
+                _, grads, _ = model.batch_stats(params, train[probe])
                 gw_total, _ = inner_gw(params, grads)
             test_error = model.error_rate(params, test, batch_size=config.eval_batch)
 

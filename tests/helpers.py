@@ -8,6 +8,7 @@ two routes to the same answer.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,9 @@ from abel_sched import (
     Model,
     ModelSpec,
     MomentumState,
+    NumericError,
     OptimizerSpec,
+    RunState,
     ScheduleSpec,
     clip_global_norm,
     config_hash,
@@ -362,35 +365,46 @@ def ref_mlp_loss_and_grads(arch, params, x, y, label_smoothing: float = 0.0):
 # -- reference training loop ------------------------------------------------------
 #
 # The runner's epoch loop rebuilt from public pieces, the slow plain way: a
-# gather and a checked training set per minibatch, the object-level clipping
-# and optimizer calls, and the test error from a chunked forward pass and
-# argmax. The runner's logs must match it bit for bit.
+# gather and a checked training set per minibatch, each minibatch's loss and
+# gradients from the one-batch ``loss_and_grad`` and its error from
+# ``forward`` and argmax, the object-level clipping and optimizer calls, and
+# the test error from a chunked forward pass and argmax. Non-finite values
+# are checked step by step. The runner's logs must match it bit for bit.
 
 
-def reference_log_rows(config: ExperimentConfig) -> tuple[list[str], list[str]]:
-    """The metrics rows (``wall_ms`` stripped) and layers rows the runner should
-    log for ``config``, a config with a stateless schedule."""
+def reference_epochs(config: ExperimentConfig, state: RunState | None = None):
+    """Per epoch, the metrics row (``wall_ms`` stripped) and the layers rows the
+    runner should log for ``config``, a config with a stateless schedule,
+    started from scratch or from the epoch-0 ``state``. Raises NumericError
+    with the runner's message where the run should diverge: at the first step
+    whose logits (checked first) or loss are not finite, or at a non-finite
+    squared weight norm."""
     model, data = build_model(config)
     xtr, ytr = data["train"]
     xte, yte = data["test"]
     n, batch = xtr.shape[0], config.batch_size
-    params = model.init_params(config.seed)
     o = config.optimizer
-    if o.kind == "momentum":
-        opt = MomentumState.init(params, mu=o.momentum)
+    if state is not None:
+        params, opt = state.params, state.opt  # the steps never modify their inputs
     else:
-        opt = AdamState.init(params, beta1=o.beta1, beta2=o.beta2, eps=o.eps)
+        params = model.init_params(config.seed)
+        if o.kind == "momentum":
+            opt = MomentumState.init(params, mu=o.momentum)
+        else:
+            opt = AdamState.init(params, beta1=o.beta1, beta2=o.beta2, eps=o.eps)
     steps_per_epoch = -(-n // batch)
     step = 0
-    metrics, layers = [], []
     for epoch in range(1, config.epochs + 1):
         lr_epoch = lr_at(config.schedule, epoch - 1)
         order = np.random.default_rng([config.seed, epoch]).permutation(n)
         loss_sum = err_sum = 0.0
         for start in range(0, n, batch):
             idx = order[start:start + batch]
-            loss, grads, err = model.train_step_stats(
-                params, model.train_set(xtr[idx], ytr[idx], config.label_smoothing))
+            loss, grads = model.loss_and_grad(params, xtr[idx], ytr[idx], config.label_smoothing)
+            if not math.isfinite(loss):
+                raise NumericError(f"non-finite loss at epoch {epoch}")
+            logits = model.forward(params, xtr[idx])
+            err = int(np.count_nonzero(logits.argmax(axis=1) != ytr[idx])) / len(idx)
             if config.clip_norm > 0:
                 grads = clip_global_norm(grads, config.clip_norm)
             lr = lr_epoch * warmup_scale(step, steps_per_epoch,
@@ -402,14 +416,25 @@ def reference_log_rows(config: ExperimentConfig) -> tuple[list[str], list[str]]:
             step += 1
             loss_sum += loss * len(idx)
             err_sum += err * len(idx)
+        wsq, per_layer = weight_norm_sq(params)
+        if not math.isfinite(wsq):
+            raise NumericError(f"non-finite squared weight norm at epoch {epoch}")
         wrong = 0
         for start in range(0, xte.shape[0], config.eval_batch):
             logits = model.forward(params, xte[start:start + config.eval_batch])
             wrong += int(np.count_nonzero(
                 logits.argmax(axis=1) != yte[start:start + config.eval_batch]))
-        wsq, per_layer = weight_norm_sq(params)
         wsq_l2, _ = weight_norm_sq(params, include="l2_only")
         fields = (lr, loss_sum / n, err_sum / n, wrong / xte.shape[0], wsq, wsq_l2)
-        metrics.append(f"{epoch}," + ",".join(repr(float(v)) for v in fields) + ",")
-        layers += [f"{epoch},{name},{value!r}" for name, value in per_layer.items()]
+        yield (f"{epoch}," + ",".join(repr(float(v)) for v in fields) + ",",
+               [f"{epoch},{name},{value!r}" for name, value in per_layer.items()])
+
+
+def reference_log_rows(config: ExperimentConfig) -> tuple[list[str], list[str]]:
+    """The metrics rows (``wall_ms`` stripped) and layers rows the runner should
+    log for ``config``, a config with a stateless schedule."""
+    metrics, layers = [], []
+    for row, layer_rows in reference_epochs(config):
+        metrics.append(row)
+        layers += layer_rows
     return metrics, layers

@@ -67,8 +67,10 @@ def test_differing_metrics_are_described_per_column(tmp_path):
     assert log_identity.compare_runs(parent, change) == [
         "metrics.csv: differs from line 3 (wall_ms left out)", "layers.csv: bytes differ"]
     assert log_identity.describe_differences(parent, change) == [
-        "metrics.csv: train_loss differs in 1 of 2 rows, largest relative difference 1.1e-01",
-        "layers.csv: wsq differs in 1 of 2 rows, largest relative difference 2.2e-16",
+        "metrics.csv: train_loss differs in 1 of 2 rows, largest relative difference 1.1e-01, "
+        "largest difference 1.2e-01 (1.0e-01 of the column's largest magnitude 1.2e+00)",
+        "layers.csv: wsq differs in 1 of 2 rows, largest relative difference 2.2e-16, "
+        "largest difference 8.9e-16 (2.2e-16 of the column's largest magnitude 4.0e+00)",
         "events.csv: matches",
     ]
     (change / "events.csv").write_text("epoch,old_lr,new_lr,trigger\n2,0.5,0.1,bounce\n")
@@ -80,6 +82,20 @@ def test_a_non_numeric_difference_has_no_finite_relative_difference():
         "layers.csv", ["epoch,layer,wsq", "1,fc1.w,2.0", "2,fc1.w,2.0"],
         ["epoch,layer,wsq", "1,fc2.w,2.0", "2,fc1.w,nan"])
     assert lines == [
-        "layers.csv: layer differs in 1 of 2 rows, largest relative difference inf",
-        "layers.csv: wsq differs in 1 of 2 rows, largest relative difference inf",
+        "layers.csv: layer differs in 1 of 2 rows, largest relative difference inf, "
+        "largest difference inf (inf of the column's largest magnitude 0.0e+00)",
+        "layers.csv: wsq differs in 1 of 2 rows, largest relative difference inf, "
+        "largest difference inf (inf of the column's largest magnitude 2.0e+00)",
     ]
+
+
+def test_a_column_whose_exact_value_is_0_is_bounded_by_its_largest_magnitude():
+    """Rounding noise around 0 differs by order 1 relative, which bounds
+    nothing; its largest difference is an absolute bound, also given against
+    the column's largest magnitude."""
+    lines = log_identity.column_differences(
+        "metrics.csv", ["epoch,gw_total", "1,3e-17", "2,-5e-17", "3,0.0"],
+        ["epoch,gw_total", "1,-1e-17", "2,-5e-17", "3,-0.0"])
+    assert lines == [
+        "metrics.csv: gw_total differs in 2 of 3 rows, largest relative difference 1.3e+00, "
+        "largest difference 4.0e-17 (8.0e-01 of the column's largest magnitude 5.0e-17)"]

@@ -14,6 +14,7 @@ from abel_sched import (
     MomentumState,
     NumericError,
     ParamSet,
+    StepStats,
     angle_cos_sin,
     inner_gw,
     load_checkpoint,
@@ -335,7 +336,7 @@ def _loss_with_row_max_along_rows(logits, labels, label_smoothing):
 
 @pytest.mark.parametrize("classes", [2, 4, 10, 100])
 def test_loss_is_bit_equal_to_the_row_max_formula(classes):
-    from abel_sched.models import _loss_and_dlogits, _targets
+    from abel_sched.models import _dlogits, _targets
 
     rng = np.random.default_rng(classes)
     logits = rng.normal(scale=3.0, size=(128, classes))
@@ -346,7 +347,12 @@ def test_loss_is_bit_equal_to_the_row_max_formula(classes):
     logits[16:24, 2:] = -1e3                  # far below: exp underflows to 0
     labels = rng.integers(0, classes, 128)
     for smoothing in (0.0, 0.1):
-        loss, dlogits = _loss_and_dlogits(logits, _targets(labels, classes, smoothing))
+        stats = StepStats(128, classes)
+        recorded, row_max, row_sum = stats.record(128)
+        np.copyto(recorded, logits)
+        targets = _targets(labels, classes, smoothing)
+        dlogits = _dlogits(recorded, targets, row_max, row_sum)
+        (loss, _, _), = stats.reduce(targets, labels)
         ref_loss, ref_dlogits = _loss_with_row_max_along_rows(logits, labels, smoothing)
         assert loss == ref_loss
         assert np.array_equal(dlogits, ref_dlogits)
@@ -370,7 +376,7 @@ def test_lazy_layer_views_alias_the_flat_vector():
 
 
 def _step_outputs(model, params, x, y):
-    loss, grads, error = model.train_step_stats(params, model.train_set(x, y, 0.1))
+    loss, grads, error = model.batch_stats(params, model.train_set(x, y, 0.1))
     return (loss, {name: grads[name].copy() for name in grads}, error,
             model.error_rate(params, model.eval_set(x, y)))
 
@@ -438,12 +444,50 @@ def test_the_step_matches_the_per_layer_reference_bit_for_bit(
     rng = np.random.default_rng(batch)
     x = rng.normal(size=(batch, input_dim))
     y = rng.integers(0, 4, batch)
-    loss, grads, error = model.train_step_stats(params, model.train_set(x, y, smoothing))
+    loss, grads, error = model.batch_stats(params, model.train_set(x, y, smoothing))
     want_loss, want_grads, want_error = ref_mlp_loss_and_grads(arch, params, x, y, smoothing)
     assert loss == want_loss and error == want_error
     assert set(grads) == set(want_grads) == set(params.names())
     for name in want_grads:
         assert np.array_equal(grads[name], want_grads[name]), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(classes=st.integers(2, 20), batch=st.integers(1, 1100), full=st.integers(1, 3),
+       rest=st.integers(0, 1099), smoothing=st.sampled_from([0.0, 0.1]),
+       normalize=st.booleans())
+@example(classes=10, batch=1000, full=2, rest=300, smoothing=0.1, normalize=False)
+@example(classes=20, batch=500, full=1, rest=37, smoothing=0.0, normalize=True)
+@example(classes=2, batch=1, full=3, rest=0, smoothing=0.1, normalize=True)
+def test_the_epoch_reduction_equals_one_batch_sinks_bit_for_bit(
+        classes, batch, full, rest, smoothing, normalize):
+    """One sink over an epoch of ``full`` batches and a partial one of
+    ``rest % batch`` rows gives every step's loss, error and gradients as a
+    sink per step does, and as the per-layer reference computes them; a step
+    of more than 8192 products (``batch * classes``) is summed whole, as
+    alone."""
+    n = full * batch + rest % batch
+    arch = ModelArch(input_dim=5, hidden=(6,), classes=classes, activation="tanh",
+                     normalize=normalize)
+    model = Model(arch)
+    params = model.init_params(classes, init_scale=3.0)
+    rng = np.random.default_rng([classes, batch, n])
+    x = rng.normal(size=(n, 5))
+    y = rng.integers(0, classes, n)
+    epoch = model.train_set(x, y, smoothing)
+    stats = StepStats(n, classes)
+    grads = [model.train_step_stats(params, epoch[a:a + batch], stats).flat
+             for a in range(0, n, batch)]
+    got = list(stats.reduce(epoch.targets, epoch.y))
+    alone = [model.batch_stats(params, epoch[a:a + batch]) for a in range(0, n, batch)]
+    assert [rows for _, _, rows in got] == [len(epoch[a:a + batch]) for a in range(0, n, batch)]
+    assert np.array_equal([loss for loss, _, _ in got], [loss for loss, _, _ in alone])
+    assert np.array_equal([error for _, error, _ in got], [error for _, _, error in alone])
+    assert all(np.array_equal(g, step[1].flat) for g, step in zip(grads, alone))
+    for (loss, error, _), a in zip(got, range(0, n, batch)):
+        want_loss, _, want_error = ref_mlp_loss_and_grads(arch, params, x[a:a + batch],
+                                                          y[a:a + batch], smoothing)
+        assert (loss, error) == (want_loss, want_error)
 
 
 @pytest.mark.parametrize("arch", [MLP_NORM, MLP_RELU, CONV],
@@ -456,7 +500,8 @@ def test_a_layer_beyond_the_models_is_refused(arch):
     extra = ParamSet(params.layers + [Layer("stray", np.zeros(3), l2_enabled=False)])
     x = np.zeros((2, arch.input_dim))
     with pytest.raises(ValueError, match=r"layers the model does not have: \['stray'\]"):
-        model.train_step_stats(extra, model.train_set(x, np.array([0, 1])))
+        model.train_step_stats(extra, model.train_set(x, np.array([0, 1])),
+                               StepStats(2, arch.classes))
 
 
 @pytest.mark.parametrize("call", ["forward", "error_rate", "train_step_stats"])
@@ -474,7 +519,8 @@ def test_parameters_of_other_widths_are_refused(arch, other, wrong, call):
     x, y = np.zeros((4, arch.input_dim)), np.array([0, 1, 2, 0])
     calls = {"forward": lambda: model.forward(params, x),
              "error_rate": lambda: model.error_rate(params, model.eval_set(x, y)),
-             "train_step_stats": lambda: model.train_step_stats(params, model.train_set(x, y))}
+             "train_step_stats": lambda: model.train_step_stats(params, model.train_set(x, y),
+                                                                StepStats(4, arch.classes))}
     with pytest.raises(ValueError, match="shapes differ from the model's: " + wrong):
         calls[call]()
 
@@ -524,7 +570,7 @@ def test_error_rates_are_python_floats():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(64, 10))
     y = rng.integers(0, 4, 64)
-    assert type(model.train_step_stats(params, model.train_set(x, y))[2]) is float
+    assert type(model.batch_stats(params, model.train_set(x, y))[2]) is float
     assert type(model.error_rate(params, model.eval_set(x, y))) is float
 
 

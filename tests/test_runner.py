@@ -14,7 +14,10 @@ from abel_sched import (
     ConfigError,
     DivergenceError,
     ExperimentConfig,
+    GradSet,
     ModelSpec,
+    MomentumState,
+    NumericError,
     OptimizerSpec,
     ScheduleSpec,
     format_config,
@@ -33,11 +36,11 @@ from abel_sched import checkpoint
 from abel_sched.checkpoint import CheckpointError, ResumeRefusedError
 from abel_sched.config import config_hash
 from abel_sched.cli import main as cli_main
-from abel_sched.runner import RunState, _should_auto_stop
+from abel_sched.runner import RunState, _should_auto_stop, build_model
 from abel_sched.schedules import STATELESS_KINDS, LrEvent
 
-from helpers import (STANDARD_LR, reference_log_rows, run_cached, run_logs, standard_config,
-                     strip_wall_ms)
+from helpers import (STANDARD_LR, reference_epochs, reference_log_rows, run_cached, run_logs,
+                     standard_config, strip_wall_ms)
 
 
 def tiny_config(log_dir, *, epochs=12, schedule_kind="constant", base_lr=0.5,
@@ -167,6 +170,56 @@ def test_divergence_aborts_with_status(tmp_path, case):
         assert cli_main(["run", str(tmp_path / "run.txt"), "--log-dir", str(tmp_path / "cli")]) == 3
     for run in ("run", "cli"):
         assert json.loads((tmp_path / run / "meta.json").read_text())["status"] == "diverged"
+
+
+def _state_with_velocity(config: ExperimentConfig, layer: str, entries: dict) -> RunState:
+    """The epoch-0 state of ``config`` with its momentum buffer zero but for
+    ``entries`` (flat index -> value) of ``layer``."""
+    params = build_model(config)[0].init_params(config.seed)
+    velocity = GradSet.zeros(params.layout)
+    for i, value in entries.items():
+        velocity[layer].flat[i] = value
+    return RunState(epoch=0, global_step=0, params=params,
+                    opt=MomentumState(mu=config.optimizer.momentum, velocity=velocity),
+                    scheduler=None, test_errors=())
+
+
+# Each diverges in the middle of an epoch (4 steps of 64 rows per epoch):
+# - lr-1e18, the [loss] case above: the logits of step 2 of epoch 3 overflow,
+#   and so does that step's loss;
+# - nan-weight: a NaN in the momentum buffer makes an out.w entry NaN at
+#   step 1, so every logit of step 2 is NaN;
+# - loss-then-logits: the momentum buffer drives out.b's first two entries
+#   apart; step 2's logits are finite but its loss overflows, and step 4's
+#   logits overflow.
+_DIVERGING = {
+    "lr-1e18": (dict(base_lr=1e18, clip_norm=0.0, weight_decay=0.0), None,
+                "non-finite activations in forward pass", 2),
+    "nan-weight": ({}, ("out.w", {0: np.nan}), "non-finite activations in forward pass", 0),
+    "loss-then-logits": ({}, ("out.b", {0: -1.7e308, 1: 1.7e308}),
+                         "non-finite loss at epoch 1", 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_DIVERGING))
+def test_divergence_in_an_epoch_reads_as_a_check_after_every_step(tmp_path, case):
+    """The steps' losses and logits are checked at the epoch's end, in step
+    order with logits before loss; meta.json reads as if each step were
+    checked as it ran, as the per-step oracle does."""
+    overrides, velocity, error, epochs_run = _DIVERGING[case]
+    cfg = tiny_config(tmp_path / "run", **overrides)
+    state = None if velocity is None else _state_with_velocity(cfg, *velocity)
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = reference_epochs(cfg, state)
+        completed = 0
+        with pytest.raises(NumericError) as exc:
+            for _ in oracle:
+                completed += 1
+    assert (str(exc.value), completed) == (error, epochs_run)
+    with pytest.raises(DivergenceError, match=error):
+        run_experiment(cfg, resume_state=state)
+    meta = json.loads((tmp_path / "run" / "meta.json").read_text())
+    assert (meta["status"], meta["error"], meta["epochs_run"]) == ("diverged", error, epochs_run)
 
 
 @pytest.mark.parametrize("key,value", [("model.activation", "sigmoid"), ("model.kind", "conv"),
@@ -756,11 +809,11 @@ def test_model_calls_per_epoch(tmp_path, monkeypatch, log_gw):
     rows = []
     train_step, error_rate = Model.train_step_stats, Model.error_rate
 
-    def counted_train_step(self, params, batch):
+    def counted_train_step(self, params, batch, stats):
         assert isinstance(batch, TrainSet)
         calls.append("train_step")
         rows.append(len(batch))
-        return train_step(self, params, batch)
+        return train_step(self, params, batch, stats)
 
     def counted_error_rate(*args, **kwargs):
         calls.append("error_rate")

@@ -7,8 +7,11 @@ Usage, from the root of a checkout:
 Each side is extracted as ``tools/bench_record.py`` extracts it
 (``--change worktree`` is the working tree with every change staged, so run
 ``git add -A`` first). Both sides train the same runs, from the parent's
-config files: each shipped ``configs/*.txt``, and a 10-epoch Adam variant of
-``configs/blobs_abel.txt`` with the g.w probe and a checkpoint every epoch.
+config files: each shipped ``configs/*.txt`` and three variants of
+``configs/blobs_abel.txt``: a 10-epoch Adam run with the g.w probe and a
+checkpoint every epoch, a run at ``batch_size = 100`` (2048 rows leave a
+last minibatch of 48, where the shipped configs split them into 16 full
+ones), and a 20-epoch convnet.
 Every run writes into the same ``log_dir`` path on both sides, because
 checkpoint bytes embed the config's ``log_dir``, and is moved aside after.
 
@@ -16,9 +19,13 @@ The tool compares ``metrics.csv`` (without ``wall_ms``), ``layers.csv``,
 ``events.csv`` and every checkpoint, prints each difference, and exits 1
 on any difference or failed run, 0 when everything matches. When
 ``metrics.csv`` or ``layers.csv`` differs, it also prints, per column that
-differs, how many rows differ and the largest relative difference
-``|a - b| / max(|a|, |b|)``, and whether ``events.csv`` matches, so a
-change that moves the last bits of the logs can be bounded.
+differs, how many rows differ, the largest relative difference
+``|a - b| / max(|a|, |b|)``, the largest difference ``|a - b|`` and that
+difference over the largest magnitude the column holds, and whether
+``events.csv`` matches, so a change that moves the last bits of the logs can
+be bounded. The last two bound a column whose exact value is 0, such as
+``gw_total`` of scale-invariant layers, where the relative difference of
+rounding noise is of order 1.
 """
 
 from __future__ import annotations
@@ -36,8 +43,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_record import extract, resolve  # noqa: E402
 
 LOGS = ("metrics.csv", "layers.csv", "events.csv")
-ADAM_VARIANT = {"optimizer.kind": "adam", "base_lr": "0.01", "epochs": "10",
-                "log_gw": "true", "checkpoint_every": "1"}
+# variants of configs/blobs_abel.txt, by the stem of their config file
+VARIANTS = {
+    "blobs_abel_adam": {"optimizer.kind": "adam", "base_lr": "0.01", "epochs": "10",
+                        "log_gw": "true", "checkpoint_every": "1"},
+    "blobs_abel_batch100": {"batch_size": "100"},
+    # 36 inputs seen as one 6x6 channel, the least two valid 3x3 convolutions take
+    "blobs_abel_conv": {"epochs": "20", "dataset.dim": "36", "model.kind": "conv",
+                        "model.hidden": "4,6", "model.normalize": "false",
+                        "model.input_shape": "1,6,6"},
+}
 
 
 def with_overrides(text: str, overrides: dict[str, str]) -> str:
@@ -79,33 +94,47 @@ def compare_runs(parent: Path, change: Path) -> list[str]:
     return diffs
 
 
-def _relative(a: str, b: str) -> float:
-    """|a - b| / max(|a|, |b|) of two numeric fields; inf when they differ and
-    either is not a finite number."""
+def _difference(a: str, b: str) -> tuple[float, float]:
+    """|a - b| and |a - b| / max(|a|, |b|) of two numeric fields; inf for both
+    when they differ and either is not a finite number."""
     try:
         x, y = float(a), float(b)
     except ValueError:
-        return math.inf
+        return math.inf, math.inf
     if x == y:
-        return 0.0
+        return 0.0, 0.0
     diff = abs(x - y)
-    return diff / max(abs(x), abs(y)) if math.isfinite(diff) else math.inf
+    return (diff, diff / max(abs(x), abs(y))) if math.isfinite(diff) else (math.inf, math.inf)
+
+
+def _magnitude(field: str) -> float:
+    """|field| of a finite numeric field, else 0."""
+    try:
+        x = abs(float(field))
+    except ValueError:
+        return 0.0
+    return x if math.isfinite(x) else 0.0
 
 
 def column_differences(name: str, parent: list[str], change: list[str]) -> list[str]:
     """Per column of two CSV files' rows (header first) that differs within
-    the rows both have: how many rows differ and the largest relative
-    difference."""
+    the rows both have: how many rows differ, the largest relative difference,
+    and the largest difference scaled by the largest finite magnitude the
+    column holds on either side."""
     header = parent[0].split(",")
     pairs = [(a.split(","), b.split(",")) for a, b in zip(parent[1:], change[1:])]
     out = []
     for j, column in enumerate(header):
         fields = [(a[j] if j < len(a) else "", b[j] if j < len(b) else "") for a, b in pairs]
-        differ = [(a, b) for a, b in fields if a != b]
+        differ = [_difference(a, b) for a, b in fields if a != b]
         if differ:
-            worst = max(_relative(a, b) for a, b in differ)
+            largest = max(_magnitude(v) for both in fields for v in both)
+            diff = max(d for d, _ in differ)
+            scaled = diff / largest if diff and largest else diff
             out.append(f"{name}: {column} differs in {len(differ)} of {len(pairs)} rows, "
-                       f"largest relative difference {worst:.1e}")
+                       f"largest relative difference {max(r for _, r in differ):.1e}, "
+                       f"largest difference {diff:.1e} ({scaled:.1e} of the column's "
+                       f"largest magnitude {largest:.1e})")
     return out
 
 
@@ -141,7 +170,8 @@ def check(parent_rev: str, change_rev: str, scratch: Path) -> int:
     for path in sorted((trees["parent"] / "configs").glob("*.txt")):
         shutil.copy(path, configs / path.name)
     abel = (configs / "blobs_abel.txt").read_text()
-    (configs / "blobs_abel_adam.txt").write_text(with_overrides(abel, ADAM_VARIANT))
+    for stem, overrides in VARIANTS.items():
+        (configs / f"{stem}.txt").write_text(with_overrides(abel, overrides))
 
     shared = scratch / "run"  # the one log_dir path both sides log into
     failed = False
