@@ -15,10 +15,9 @@ into one flat vector in the parameters' layout (a GradSet), listed in the
 order the backward pass produces them.
 
 A normalized MLP's parameters are its dense weights only, so their rows
-tile the flat vector, and its step works on the whole vector. Beside the
-slot table of each layout, ``Model._slots`` keeps a row table, built once
-per layout: every weight row's start in the flat vector and its fan-in,
-in layout order. The forward pass squares the flat vector once, sums every
+tile the flat vector, and its step works on the whole vector. Each
+layout's buffers (below) hold a row table: every weight row's start in
+the flat vector and its fan-in, in layout order. The forward pass squares the flat vector once, sums every
 row with one ``np.add.reduceat`` over the row starts, takes one square root
 and divides once by the norms repeated to each row's fan-in; each layer's
 ``w/|w_row|`` is a view of the quotient. The backward pass writes dL/dŵ
@@ -31,6 +30,23 @@ layer by layer with each row summed as a reduceat segment. Widths are at
 least 1 (``ModelArch`` refuses less), so no segment is empty; reduceat
 would return the entry at an empty segment's start, not 0.
 
+Buffers built once per layout and batch size
+--------------------------------------------
+An MLP's step rebuilds nothing that stays the same during a run. For the
+last layout it saw, ``Model._prepared`` keeps a :class:`_Buffers`: the row
+table, one flat vector of the weights the passes read (``w/|w_row|``, or a
+copy of ``w``) with each layer's views and transposes, the flat gradient
+with its layer views, and the pull-back's projection vector. Per batch
+size it keeps every hidden output (the backward pass overwrites it with
+its activation's derivative), every layer's dL/dz and the class-major
+logits copy. The step is a flat sequence of ufunc calls that write into
+these with ``out=``; the returned gradient is a new vector (the
+pull-back's last ``divide``, or a copy), so no caller shares a buffer. Products of 2-D operands are
+``np.dot(..., out=)``: numpy sends ``dot`` and ``matmul`` of the same
+float64 or float32 operands to the same BLAS gemm call, with the same
+transpose flags, so the floats are the same, and ``dot`` checks less.
+The buffers are the model's own: a ``Model`` serves one thread.
+
 The loss computes one exp per logit: with ``e = exp(logits - max)`` and
 ``s`` its row sums, log p is ``logits - (log s + max)`` and the softmax in
 the gradient is ``e / s``, not a second ``exp(log p)``, which rounds
@@ -41,12 +57,16 @@ The step records, the epoch reduces
 The gradient needs only ``e / s``, so ``Model.train_step_stats`` returns
 the gradients alone. It writes the batch's logits, row maxima and row sums
 ``s`` into the next rows of a :class:`StepStats`, a per-run sink: the last
-layer's product goes there through ``matmul(out=)``, and the maxima and
-sums through ``out=`` of the reductions the gradient computes anyway.
+layer's product goes there through ``out=``, and so do the maxima and
+sums of the reductions the gradient computes anyway.
 ``StepStats.reduce`` then makes one pass over every recorded row: log p,
 its product with the targets, one ``np.add.reduce`` per run of equal-sized
-steps over the products reshaped to one row per step, one ``argmax`` for
-the errors and one finiteness test of the logits. A step's sum covers the
+steps over the products reshaped to one row per step, one finiteness test
+of the logits, and the errors. A row is right when its label is the first
+class whose logit equals the recorded row max, which is ``argmax``'s class
+for finite logits (+0.0 equals -0.0); one class-major pass counts, per row,
+the leading classes below the max, in a few calls per class where
+``argmax(axis=1)`` runs per row. A step's sum covers the
 same contiguous block, in the same order, as a sum over that step's
 products alone, so every loss and error is the one a step would have
 computed on its own. The reduction yields each step's ``(loss, error,
@@ -247,13 +267,17 @@ def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(z, 0.0, out=out) if kind == "relu" else np.tanh(z, out=out)
 
 
-def _times_act_grad(d: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+def _times_act_grad(d: np.ndarray, a: np.ndarray, kind: str,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """``d`` times the derivative at the pre-activation, in place in ``d``, from
-    the activation a: relu's z > 0 is a > 0, tanh's derivative is 1 - a²."""
+    the activation a: relu's z > 0 is a > 0, tanh's derivative is 1 - a².
+    The derivative goes into ``out`` when given, which may be ``a`` itself
+    (relu's 1.0 or 0.0 multiplies as its bool does)."""
     if kind == "relu":
-        return np.multiply(d, a > 0, out=d)
-    g = np.multiply(a, a)
-    np.subtract(1.0, g, out=g)
+        g = np.greater(a, 0.0, out=out)
+    else:
+        g = np.multiply(a, a, out=out)
+        np.subtract(1.0, g, out=g)
     return np.multiply(d, g, out=d)
 
 
@@ -297,32 +321,34 @@ def _mean_loss(logits: np.ndarray, targets: np.ndarray, labels: np.ndarray) -> f
     out, row_max, row_sum = stats.record(n)
     np.copyto(out, logits)
     with np.errstate(over="ignore", invalid="ignore"):
-        _softmax_numerators(out, row_max, row_sum)
+        _softmax_numerators(out, row_max, row_sum, np.empty((classes, n)), np.empty_like(out))
     (loss, _, _), = stats.reduce(targets, labels)
     return loss
 
 
-def _softmax_numerators(logits: np.ndarray, row_max: np.ndarray,
-                        row_sum: np.ndarray) -> np.ndarray:
-    """``e = exp(logits - max)`` of (batch, classes) ``logits``, with each
-    row's max written into ``row_max`` and the row sums of ``e`` into
-    ``row_sum`` (see the module docstring). The reductions call their ufuncs
-    directly, skipping the ndarray methods' wrappers; the floats are the same."""
+def _softmax_numerators(logits: np.ndarray, row_max: np.ndarray, row_sum: np.ndarray,
+                        cols: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``e = exp(logits - max)`` of (batch, classes) ``logits``, written into
+    ``e``, with each row's max written into ``row_max`` and the row sums of
+    ``e`` into ``row_sum`` (see the module docstring); ``cols`` receives a
+    (classes, batch) copy. The reductions call their ufuncs directly,
+    skipping the ndarray methods' wrappers; the floats are the same."""
     # The row max, reduced over a class-major copy: for few classes this is
     # several times faster than max(axis=1), and max is exact either way.
-    np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0, out=row_max)
-    e = np.subtract(logits, row_max[:, None])
+    np.copyto(cols, logits.T)
+    np.maximum.reduce(cols, axis=0, out=row_max)
+    np.subtract(logits, row_max[:, None], out=e)
     np.exp(e, out=e)
     np.add.reduce(e, axis=1, out=row_sum)
     return e
 
 
 def _dlogits(logits: np.ndarray, targets: np.ndarray, row_max: np.ndarray,
-             row_sum: np.ndarray) -> np.ndarray:
+             row_sum: np.ndarray, cols: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The gradient in the logits of the mean cross-entropy of ``logits``
-    against ``targets``, ``(e / s - targets) / n``, recording the row maxima
-    and sums as ``_softmax_numerators`` does."""
-    e = _softmax_numerators(logits, row_max, row_sum)
+    against ``targets``, ``(e / s - targets) / n``, written into ``e``,
+    recording the row maxima and sums as ``_softmax_numerators`` does."""
+    _softmax_numerators(logits, row_max, row_sum, cols, e)
     np.divide(e, row_sum[:, None], out=e)
     np.subtract(e, targets, out=e)
     return np.divide(e, logits.shape[0], out=e)
@@ -390,9 +416,23 @@ class StepStats:
                 row += k * size
             rows = np.array(sizes)
             losses = np.divide(np.negative(np.concatenate(sums)), rows)
-        wrong = np.add.reduceat(logits.argmax(axis=1) != labels, starts, dtype=np.intp)
+        wrong = np.add.reduceat(_first_max(logits, self.row_max[:n]) != labels, starts,
+                                dtype=np.intp)
         finite = np.logical_and.reduceat(np.isfinite(logits).ravel(), starts * classes)
         return _in_step_order(losses.tolist(), (wrong / rows).tolist(), sizes, finite.tolist())
+
+
+def _first_max(logits: np.ndarray, row_max: np.ndarray) -> np.ndarray:
+    """Each row's first class whose logit equals ``row_max`` (its max): the
+    number of leading classes below it. That is ``argmax``'s class for a row
+    of finite logits; only the last class is left uncompared."""
+    cols = np.ascontiguousarray(logits.T)
+    below = cols[0] != row_max
+    first = below.astype(np.min_scalar_type(len(cols) - 1))
+    for col in cols[1:-1]:
+        below &= col != row_max
+        first += below
+    return first
 
 
 def _in_step_order(losses: list[float], errors: list[float], sizes: list[int],
@@ -403,19 +443,62 @@ def _in_step_order(losses: list[float], errors: list[float], sizes: list[int],
         yield loss, error, rows
 
 
+class _Buffers:
+    """What an MLP's passes read and write for one layout (see the module
+    docstring), built by ``Model._prepared``.
+
+    ``rows``, the row table of a normalized MLP (None otherwise), holds
+    every weight row's start in the flat vector and then every row's
+    fan-in, in layout order: the segments of one ``np.add.reduceat`` and the
+    repeat counts that spread one value per row over the flat vector.
+    ``dense`` holds per dense layer the views of its weight and bias (None
+    when normalized) in ``w``, ``layers`` the same with each weight
+    transposed, and ``grads`` the views in ``grad``.
+    """
+
+    __slots__ = ("rows", "w", "grad", "proj", "norms", "dense", "layers", "grads", "_widths",
+                 "_batches")
+
+    def __init__(self, model: "Model", layout: Layout):
+        def views(flat: np.ndarray) -> list:
+            by_name = dict(zip(layout.names, layout.views(flat)))
+            return [(by_name[f"{name}.w"], by_name.get(f"{name}.b")) for name in model._dense]
+
+        self.rows = _row_table(layout) if model.arch.normalize else None
+        self.w, self.grad, self.proj = (np.empty(layout.size) for _ in range(3))
+        self.norms = None  # |w_row| per entry when normalized, set by Model._normalized
+        self.dense, self.grads = views(self.w), views(self.grad)
+        self.layers = [(w.T, b) for w, b in self.dense]
+        self._widths = (*model.arch.hidden, model.arch.classes)
+        self._batches: dict[int, tuple] = {}
+
+    def batch(self, rows: int) -> tuple:
+        """(hidden, dz, dz_t, cols) for a batch of ``rows`` rows, built on
+        first use and kept for the last few sizes: each hidden layer's
+        output; each layer's dL/dz, the last one dL/dlogits, and their
+        transposes; and the class-major logits copy."""
+        bufs = self._batches.get(rows)
+        if bufs is None:
+            if len(self._batches) == 4:
+                self._batches.clear()
+            dz = [np.empty((rows, width)) for width in self._widths]
+            bufs = self._batches[rows] = ([np.empty(d.shape) for d in dz[:-1]], dz,
+                                          [d.T for d in dz], np.empty(dz[-1].T.shape))
+        return bufs
+
+
 class Model:
     """Stateless network: parameters travel separately as a ParamSet.
 
-    A model keeps one derived table for the last layout it saw, once that
-    layout's layer names and shapes are checked against the model's own:
-    where an MLP's dense tensors sit in the flat vector, and where a
-    normalized MLP's weight rows start (see ``_slots``).
+    A model keeps, for the last layout it saw, once that layout's layer
+    names and shapes are checked against the model's own, an MLP's
+    :class:`_Buffers` (see ``_prepared``).
     """
 
     def __init__(self, arch: ModelArch):
         self.arch = arch
-        self._slot_layout: Layout | None = None
-        self._slot_table: tuple = ((), None)
+        self._bound_layout: Layout | None = None
+        self._buffers: _Buffers | None = None
         if arch.kind == "mlp":
             self._dense = tuple(f"fc{i + 1}" for i in range(len(arch.hidden))) + ("out",)
             parts = (".w",) if arch.normalize else (".w", ".b")
@@ -474,8 +557,7 @@ class Model:
 
     def forward(self, params: ParamSet, x: np.ndarray) -> np.ndarray:
         """Logits for a (batch, input_dim) input."""
-        logits, _ = self._forward(self._prepared(params), self._check_input(x))
-        return logits
+        return self._forward(self._prepared(params), self._check_input(x))
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -484,46 +566,35 @@ class Model:
         return x
 
     def _prepared(self, params: ParamSet):
-        """What the forward pass reads: an MLP's dense weights, or a convnet's
-        ParamSet once its layers are checked."""
-        if self.arch.kind == "mlp":
-            return self._dense_weights(params)
-        self._slots(params.layout)
-        return params
+        """What the passes read: a convnet's ParamSet, or an MLP's
+        :class:`_Buffers` with the weights the passes read written into
+        ``w``: ``w / |w_row|`` when normalized, else a copy of the flat
+        vector. Their views hold until the next call.
 
-    def _forward(self, prepared, x: np.ndarray, bufs: list | None = None):
-        """Logits and the cache the backward pass reads; ``bufs`` as for
-        ``_forward_mlp`` (a convnet reads only its last entry)."""
-        if self.arch.kind == "mlp":
-            return self._forward_mlp(prepared, x, bufs)
-        return self._forward_conv(prepared, x, None if bufs is None else bufs[-1])
-
-    def _slots(self, layout: Layout) -> tuple:
-        """(slots, rows) for ``layout``, once ``_check_layers`` accepts it.
-        ``slots`` holds per dense layer of an MLP the flat slice and shape of
-        its weight, and the slice of its bias (None when normalized); a
-        convnet has none. ``rows``, the row table of a normalized MLP (None
-        otherwise), holds every weight row's start in the flat vector and
-        then every row's fan-in, both in layout order: the segments of one
-        ``np.add.reduceat`` and the repeat counts that spread one value per
-        row over the flat vector.
-
-        Built once per layout object and reused while ``params.layout`` is
-        that same object; the table holds a reference to its layout, so the
-        identity check cannot match a new layout at a reused id.
+        The layers are checked, and an MLP's buffers built, once per layout
+        object, and reused while ``params.layout`` is that same object; the
+        model holds a reference to its layout, so the identity check cannot
+        match a new layout at a reused id.
         """
-        if layout is not self._slot_layout:
+        layout = params.layout
+        if layout is not self._bound_layout:
             self._check_layers(layout)
-            slots, rows = (), None
-            if self.arch.kind == "mlp":
-                slots = tuple(
-                    (layout.slice_of[f"{name}.w"], self._shapes[f"{name}.w"],
-                     None if self.arch.normalize else layout.slice_of[f"{name}.b"])
-                    for name in self._dense)
-                rows = _row_table(slots) if self.arch.normalize else None
-            self._slot_table = (slots, rows)
-            self._slot_layout = layout
-        return self._slot_table
+            self._buffers = _Buffers(self, layout) if self.arch.kind == "mlp" else None
+            self._bound_layout = layout
+        bound = self._buffers
+        if bound is None:
+            return params
+        if bound.rows is None:
+            np.copyto(bound.w, params.flat)
+        else:
+            self._normalized(params.flat, bound)
+        return bound
+
+    def _forward(self, prepared, x: np.ndarray, outs: list | None = None) -> np.ndarray:
+        """The logits of ``x``; ``outs`` as for ``_forward_mlp`` (MLP only)."""
+        if self.arch.kind == "mlp":
+            return self._forward_mlp(prepared.layers, x, outs)
+        return self._forward_conv(prepared, x)[0]
 
     def _check_layers(self, layout: Layout) -> None:
         """Refuse a layout whose layers differ from the model's by name or
@@ -542,45 +613,30 @@ class Model:
                           for name, shape in self._shapes.items() if given[name] != shape)
         raise ValueError(f"parameter shapes differ from the model's: {wrong}")
 
-    def _normalized(self, params: ParamSet) -> tuple[np.ndarray, np.ndarray]:
-        """A normalized MLP's w / |w_row| over the whole flat vector, and
-        |w_row| repeated to each row's fan-in, both in layout order."""
-        flat = params.flat
-        _, (starts, fan_ins) = self._slots(params.layout)
-        sq = flat * flat
+    @staticmethod
+    def _normalized(flat: np.ndarray, bound: _Buffers) -> None:
+        """Write a normalized MLP's w / |w_row| over the whole flat vector
+        into ``bound.w``, and set ``bound.norms`` to |w_row| repeated to each
+        row's fan-in, both in layout order."""
+        starts, fan_ins = bound.rows
+        sq = np.multiply(flat, flat, out=bound.w)
         norms = np.add.reduceat(sq, starts)
-        norms = np.sqrt(norms, out=norms).repeat(fan_ins)
-        return np.divide(flat, norms, out=sq), norms
+        bound.norms = np.sqrt(norms, out=norms).repeat(fan_ins)
+        np.divide(flat, bound.norms, out=sq)
 
-    def _dense_weights(self, params: ParamSet,
-                       normalized: tuple[np.ndarray, np.ndarray] | None = None
-                       ) -> list[tuple[np.ndarray, np.ndarray | None]]:
-        """Per dense layer: (w / |w_row|, None) when normalized, each a view of
-        ``_normalized``'s vector (computed here unless given), else (w, b)."""
-        slots, _ = self._slots(params.layout)
-        if self.arch.normalize:
-            w_hat = (normalized or self._normalized(params))[0]
-            return [(w_hat[w_slice].reshape(w_shape), None) for w_slice, w_shape, _ in slots]
-        flat = params.flat
-        return [(flat[w_slice].reshape(w_shape), flat[b_slice])
-                for w_slice, w_shape, b_slice in slots]
-
-    def _forward_mlp(self, weights, x: np.ndarray, bufs: list | None = None):
-        """Logits, and as cache the input of every dense layer followed by the logits.
-
-        With ``bufs`` (per dense layer an array of at least ``len(x)`` rows, or
-        None), each layer's output is written into its buffer instead of a new
-        array.
-        """
-        acts = [x]
-        last = len(weights) - 1
-        for i, (w, extra) in enumerate(weights):
-            buf = None if bufs is None else bufs[i]
-            z = np.matmul(acts[-1], w.T, out=None if buf is None else buf[:len(x)])
-            if not self.arch.normalize:
-                z += extra
-            acts.append(z if i == last else _act(z, self.arch.activation, out=z))
-        return acts[-1], acts
+    def _forward_mlp(self, layers, x: np.ndarray, outs=None) -> np.ndarray:
+        """The logits of ``x`` through ``layers``, per dense layer its
+        transposed weight and its bias or None. With ``outs`` (per layer an
+        array of ``len(x)`` rows), each layer's output is written into its
+        entry instead of a new array."""
+        last = len(layers) - 1
+        for i, (w_t, b) in enumerate(layers):
+            x = np.dot(x, w_t, out=None if outs is None else outs[i])
+            if b is not None:
+                np.add(x, b, out=x)
+            if i < last:
+                _act(x, self.arch.activation, out=x)
+        return x
 
     def _forward_conv(self, params: ParamSet, x: np.ndarray, out: np.ndarray | None = None):
         """Logits, written into ``out`` when given, and the backward pass's cache."""
@@ -642,49 +698,49 @@ class Model:
         reduction.
         """
         x = batch.x
-        logits_out, row_max, row_sum = stats.record(len(x))
-        mlp = self.arch.kind == "mlp"
-        normalized = self._normalized(params) if mlp and self.arch.normalize else None
-        prepared = self._dense_weights(params, normalized) if mlp else self._prepared(params)
-        bufs = [None] * (len(prepared) - 1) + [logits_out] if mlp else [logits_out]
-        logits, cache = self._forward(prepared, x, bufs)
-        dlogits = _dlogits(logits, batch.targets, row_max, row_sum)
+        logits, row_max, row_sum = stats.record(len(x))
         layout = params.layout
-        flat = np.empty(layout.size)
-        if mlp:
-            self._backward_mlp(prepared, cache, dlogits, flat, self._slots(layout), normalized)
-        else:
+        bound = self._prepared(params)
+        if self.arch.kind == "conv":
+            _, cache = self._forward_conv(params, x, logits)
+            dlogits = _dlogits(logits, batch.targets, row_max, row_sum,
+                               np.empty(logits.shape[::-1]), np.empty_like(logits))
+            flat = np.empty(layout.size)
             self._backward_conv(params, cache, dlogits,
                                 dict(zip(layout.names, layout.views(flat))))
-        return GradSet(layout, flat, self._grad_names)
+            return GradSet(layout, flat, self._grad_names)
+        hidden, dz, dz_t, cols = bound.batch(len(x))
+        self._forward_mlp(bound.layers, x, (*hidden, logits))
+        _dlogits(logits, batch.targets, row_max, row_sum, cols, dz[-1])
+        return GradSet(layout, self._backward_mlp(bound, (x, *hidden), dz, dz_t),
+                       self._grad_names)
 
-    def _backward_mlp(self, weights, acts: list[np.ndarray], dlogits: np.ndarray,
-                      flat: np.ndarray, table: tuple,
-                      normalized: tuple[np.ndarray, np.ndarray] | None) -> None:
-        """Write the gradients into ``flat`` by ``table`` (see ``_slots``), reusing
-        the forward pass's activations and, when normalized, the vectors of
-        ``_normalized``."""
-        slots, rows = table
-        dh = dlogits
-        last = len(weights) - 1
-        for i in reversed(range(len(weights))):
-            w_slice, w_shape, b_slice = slots[i]
-            dz = dh if i == last else _times_act_grad(dh, acts[i + 1], self.arch.activation)
-            # dL/dw, or dL/dw_hat when normalized
-            np.matmul(dz.T, acts[i], out=flat[w_slice].reshape(w_shape))
-            if b_slice is not None:
-                np.add.reduce(dz, axis=0, out=flat[b_slice])
+    def _backward_mlp(self, bound: _Buffers, acts: tuple, dz: list, dz_t: list) -> np.ndarray:
+        """The gradients as a new flat vector, from each dense layer's input
+        ``acts`` (the batch, then the hidden outputs) and ``dz[-1]``,
+        dL/dlogits, with the other buffers of ``bound.batch``. dL/dw, or
+        dL/dŵ when normalized, goes into ``bound.grad`` first; each hidden
+        output is overwritten by its derivative once its layer is done."""
+        kind = self.arch.activation
+        for i in reversed(range(len(dz))):
+            grad_w, grad_b = bound.grads[i]
+            np.dot(dz_t[i], acts[i], out=grad_w)
+            if grad_b is not None:
+                np.add.reduce(dz[i], axis=0, out=grad_b)
             if i:  # no gradient is needed for the input itself
-                dh = dz @ weights[i][0]
-        if normalized is not None:
-            # pull the normalization back onto w: (dw_hat - (dw_hat.w_hat) w_hat) / |w_row|
-            w_hat, norms = normalized
-            starts, fan_ins = rows
-            proj = flat * w_hat
-            dots = np.add.reduceat(proj, starts)
-            np.multiply(dots.repeat(fan_ins), w_hat, out=proj)
-            np.subtract(flat, proj, out=flat)
-            np.divide(flat, norms, out=flat)
+                np.dot(dz[i], bound.dense[i][0], out=dz[i - 1])
+                _times_act_grad(dz[i - 1], acts[i], kind, out=acts[i])
+        grad = bound.grad
+        if bound.rows is None:
+            return grad.copy()
+        # pull the normalization back onto w: (dw_hat - (dw_hat.w_hat) w_hat) / |w_row|
+        starts, fan_ins = bound.rows
+        w_hat, proj = bound.w, bound.proj
+        np.multiply(grad, w_hat, out=proj)
+        dots = np.add.reduceat(proj, starts)
+        np.multiply(dots.repeat(fan_ins), w_hat, out=proj)
+        np.subtract(grad, proj, out=grad)
+        return np.divide(grad, bound.norms)
 
     def _backward_conv(self, params: ParamSet, cache, dlogits: np.ndarray,
                        grads: dict[str, np.ndarray]) -> None:
@@ -753,9 +809,10 @@ class Model:
         def exact_classes(start: int) -> np.ndarray:
             """The argmax of chunk ``start``, as the unscreened loop computes it."""
             if not bufs and self.arch.kind == "mlp":
-                bufs.extend(np.empty((min(batch_size, n), w.shape[0])) for w, _ in prepared)
-            logits, _ = self._forward(prepared, x[start:start + batch_size], bufs or None)
-            return logits.argmax(axis=1)
+                bufs.extend(np.empty((min(batch_size, n), w.shape[0])) for w, _ in prepared.dense)
+            chunk = x[start:start + batch_size]
+            outs = [buf[:len(chunk)] for buf in bufs] or None
+            return self._forward(prepared, chunk, outs).argmax(axis=1)
 
         classes = None
         if test.x32 is not None and self._screens():
@@ -771,7 +828,7 @@ class Model:
                           exact_classes) -> np.ndarray | None:
         """Every row's float64 argmax, through the float32 screen of the module
         docstring; None when the unscreened loop must run instead."""
-        bounds = _screen_bounds(prepared, test.max_abs, self.arch.normalize)
+        bounds = _screen_bounds(prepared.dense, test.max_abs, self.arch.normalize)
         if bounds is None:
             return None
         e32, e64 = bounds
@@ -779,13 +836,14 @@ class Model:
         n = x.shape[0]
         # tier 1: float32 in chunks (one 8192-row sgemm is slower, as BLAS
         # then threads it), every chunk's logits in one array
-        weights = _screen_weights(prepared, self.arch.normalize)
+        layers = _screen_weights(prepared.dense, self.arch.normalize)
         logits = np.empty((n, self.arch.classes), dtype=np.float32)
-        bufs = [np.empty((min(batch_size, n), w.shape[0]), dtype=np.float32)
-                for w, _ in weights[:-1]] + [logits]
+        bufs = [np.empty((min(batch_size, n), w_t.shape[1]), dtype=np.float32)
+                for w_t, _ in layers[:-1]]
         for start in range(0, n, batch_size):
-            bufs[-1] = logits[start:start + batch_size]
-            self._forward_mlp(weights, x32[start:start + batch_size], bufs)
+            chunk = x32[start:start + batch_size]
+            self._forward_mlp(layers, chunk, [buf[:len(chunk)] for buf in bufs]
+                              + [logits[start:start + batch_size]])
         classes, margin = _top_two(logits)
         unproven = np.flatnonzero(~(margin > np.float32(2.0 * (e32 + e64) * _SLACK)))
         # On 8192 rows of the standard 20-32-16-4 net the tiers below took
@@ -796,7 +854,7 @@ class Model:
             return None
         if len(unproven):
             # tier 2: the unproven rows in float64, as one batch
-            logits64, _ = self._forward_mlp(prepared, x[unproven])
+            logits64 = self._forward_mlp(prepared.layers, x[unproven])
             classes[unproven], margin64 = _top_two(logits64)
             # tier 3: a row still unsettled takes its class from its exact chunk
             chunks: dict[int, np.ndarray] = {}
@@ -808,13 +866,12 @@ class Model:
         return classes
 
 
-def _row_table(slots: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The row table of ``Model._slots`` for normalized weights at ``slots``,
+def _row_table(layout: Layout) -> tuple[np.ndarray, np.ndarray]:
+    """The row table of ``_Buffers`` for a layout of weight matrices only,
     which tile the flat vector: each row's start and fan-in, in layout order."""
-    layers = sorted((w_slice.start, w_shape) for w_slice, w_shape, _ in slots)
-    starts = np.concatenate([start + d_in * np.arange(d_out)
-                             for start, (d_out, d_in) in layers])
-    fan_ins = np.concatenate([np.full(d_out, d_in) for _, (d_out, d_in) in layers])
+    starts = np.concatenate([sl.start + d_in * np.arange(d_out)
+                             for sl, (d_out, d_in) in zip(layout.slices, layout.shapes)])
+    fan_ins = np.concatenate([np.full(d_out, d_in) for d_out, d_in in layout.shapes])
     return starts, fan_ins
 
 
@@ -839,16 +896,15 @@ def _top_two(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _screen_weights(prepared, normalize: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The float32 weights of the screen's pass, in ``_forward_mlp``'s form.
+    """The float32 layers of the screen's pass, in ``_forward_mlp``'s form.
 
-    Each weight is the transposed view of a contiguous float32 transpose, so
-    the pass's ``x @ w.T`` multiplies by a C-contiguous (fan-in, fan-out)
-    array. On the standard 20-32-16-4 net's 8192 test rows, ``error_rate``
+    Each transposed weight is a contiguous (fan-in, fan-out) float32 array.
+    On the standard 20-32-16-4 net's 8192 test rows, ``error_rate``
     took 1102 against 1135 us with plain float32 casts of ``w`` (medians of
     60 interleaved sets of 20 calls, 55 won; 2 vCPU, numpy 2.4.6, OpenBLAS).
     The bound holds for any summation order, so any sgemm kernel will do.
     """
-    return [(np.ascontiguousarray(w.T, dtype=np.float32).T,
+    return [(np.ascontiguousarray(w.T, dtype=np.float32),
              extra if normalize else extra.astype(np.float32)) for w, extra in prepared]
 
 

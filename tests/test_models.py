@@ -351,7 +351,8 @@ def test_loss_is_bit_equal_to_the_row_max_formula(classes):
         recorded, row_max, row_sum = stats.record(128)
         np.copyto(recorded, logits)
         targets = _targets(labels, classes, smoothing)
-        dlogits = _dlogits(recorded, targets, row_max, row_sum)
+        dlogits = _dlogits(recorded, targets, row_max, row_sum, np.empty((classes, 128)),
+                           np.empty((128, classes)))
         (loss, _, _), = stats.reduce(targets, labels)
         ref_loss, ref_dlogits = _loss_with_row_max_along_rows(logits, labels, smoothing)
         assert loss == ref_loss
@@ -490,6 +491,92 @@ def test_the_epoch_reduction_equals_one_batch_sinks_bit_for_bit(
         assert (loss, error) == (want_loss, want_error)
 
 
+@settings(max_examples=80, deadline=None)
+@given(classes=st.integers(2, 6), sizes=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+       bad=st.sampled_from([None, np.nan, np.inf, -np.inf]), seed=st.integers(0, 2**32 - 1))
+@example(classes=2, sizes=[2], bad=None, seed=0)
+@example(classes=4, sizes=[3, 1], bad=np.nan, seed=1)
+def test_the_reduction_counts_errors_as_argmax_does(classes, sizes, bad, seed):
+    """Every finite step's error is the share of rows whose argmax is not
+    their label, on rows of tied logits and of +0.0/-0.0 ties at the row
+    max; a step holding a non-finite logit, placed after finite ones, raises
+    once those are yielded."""
+    from abel_sched.models import _softmax_numerators, _targets
+
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    logits = rng.choice([-1.0, -0.0, 0.0, 2.0], size=(n, classes))
+    labels = rng.integers(0, classes, n)
+    if n >= 2:  # a signed-zero tie at the max: argmax takes the first zero
+        logits[:2] = -1.0
+        logits[:2, :2] = [[-0.0, 0.0], [0.0, -0.0]]
+        labels[:2] = [1, 0]
+    if bad is not None:
+        logits[n - 1 - rng.integers(sizes[-1]), rng.integers(classes)] = bad
+    stats = StepStats(n, classes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for size in sizes:
+            out, row_max, row_sum = stats.record(size)
+            np.copyto(out, logits[stats.filled - size:stats.filled])
+            _softmax_numerators(out, row_max, row_sum, np.empty((classes, size)),
+                                np.empty((size, classes)))
+    got = []
+    if bad is None:
+        got = list(stats.reduce(_targets(labels, classes, 0.0), labels))
+    else:
+        with pytest.raises(NumericError, match="non-finite activations"):
+            got.extend(stats.reduce(_targets(labels, classes, 0.0), labels))
+    assert len(got) == len(sizes) - (bad is not None)
+    start = 0
+    for (_, error, rows), size in zip(got, sizes):
+        wrong = np.count_nonzero(logits[start:start + size].argmax(axis=1)
+                                 != labels[start:start + size])
+        assert rows == size and error == wrong / size
+        start += size
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("arch", [MLP_NORM, MLP_RELU], ids=["normalized", "relu-with-biases"])
+def test_the_kept_buffers_hold_nothing_from_an_earlier_call(arch):
+    """One model stepping on 128, 48 and 128 rows over two equal but distinct
+    layouts, with a one-batch probe of another size after each step, writes
+    every gradient and sink row that a fresh model writes; a returned
+    gradient is not changed by later calls."""
+    model = Model(arch)
+    first = model.init_params(0)
+    other = ParamSet.from_flat(first.layout, model.init_params(1).flat)  # the same layout
+    second = ParamSet(model.init_params(2).layers)  # an equal layout, another object
+    assert second.layout == first.layout and second.layout is not first.layout
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(304, arch.input_dim))
+    train = model.train_set(x, rng.integers(0, arch.classes, 304), 0.1)
+    steps = [(first, train[:128]), (other, train[128:176]), (second, train[176:])]
+    stats = StepStats(304, arch.classes)
+    kept = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (params, batch), probe in zip(steps, (other, second, first)):
+            grads = model.train_step_stats(params, batch, stats)
+            kept.append((grads, grads.flat.copy()))
+            _, probed, _ = model.batch_stats(probe, train[:7])
+            _, fresh, _ = Model(arch).batch_stats(probe, train[:7])
+            assert _same_bits(probed.flat, fresh.flat)
+    start = 0
+    for (grads, flat), (params, batch) in zip(kept, steps):
+        assert _same_bits(grads.flat, flat)
+        alone = StepStats(len(batch), arch.classes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = Model(arch).train_step_stats(params, batch, alone)
+        assert _same_bits(grads.flat, want.flat)
+        rows = slice(start, start + len(batch))
+        assert _same_bits(stats.logits[rows], alone.logits)
+        assert _same_bits(stats.row_max[rows], alone.row_max)
+        assert _same_bits(stats.row_sum[rows], alone.row_sum)
+        start += len(batch)
+
+
 @pytest.mark.parametrize("arch", [MLP_NORM, MLP_RELU, CONV],
                          ids=["normalized", "with-biases", "conv"])
 def test_a_layer_beyond_the_models_is_refused(arch):
@@ -583,9 +670,9 @@ def forward_calls(monkeypatch):
     calls = []
     forward_mlp = Model._forward_mlp
 
-    def recorded(self, weights, x, bufs=None):
+    def recorded(self, layers, x, outs=None):
         calls.append((x.dtype, x.shape[0]))
-        return forward_mlp(self, weights, x, bufs)
+        return forward_mlp(self, layers, x, outs)
 
     monkeypatch.setattr(Model, "_forward_mlp", recorded)
     return calls
@@ -662,10 +749,10 @@ def test_rows_whose_float32_class_is_wrong_are_not_taken_from_float32(forward_ca
     out = params["out.w"].value
     out[1] = out[0] + 1e-6 * rng.normal(size=out.shape[1])
     pool = rng.normal(size=(20000, 10))
-    prepared = model._dense_weights(params)
-    logits64 = model._forward_mlp(prepared, pool)[0]
-    logits32 = model._forward_mlp([(w.astype(np.float32), rn) for w, rn in prepared],
-                                  pool.astype(np.float32))[0]
+    layers = model._prepared(params).layers
+    logits64 = model._forward_mlp(layers, pool)
+    logits32 = model._forward_mlp([(w_t.astype(np.float32), b) for w_t, b in layers],
+                                  pool.astype(np.float32))
     flipped = np.flatnonzero(logits32.argmax(axis=1) != logits64.argmax(axis=1))
     clear = np.flatnonzero(np.sort(logits64, axis=1)[:, -1] - np.sort(logits64, axis=1)[:, -2]
                            > 1e-2)
@@ -765,13 +852,13 @@ def test_the_logit_bound_holds_on_a_trained_model(tmp_path):
     params = load_checkpoint(tmp_path / "run" / "epoch_0020.ckpt")[1].params
     model, data = build_model(config)
     test = model.eval_set(*data["test"])
-    prepared = model._dense_weights(params)
-    e32, e64 = _screen_bounds(prepared, test.max_abs, normalize=True)
-    as32 = _screen_weights(prepared, normalize=True)
-    # the screen's weights: transposed views of contiguous float32 transposes
-    assert all(w.dtype == np.float32 and w.T.flags.c_contiguous for w, _ in as32)
-    logits32, _ = model._forward_mlp(as32, test.x32)
-    logits64, _ = model._forward_mlp(prepared, test.x)
+    prepared = model._prepared(params)
+    e32, e64 = _screen_bounds(prepared.dense, test.max_abs, normalize=True)
+    as32 = _screen_weights(prepared.dense, normalize=True)
+    # the screen's transposed weights: contiguous float32 arrays
+    assert all(w_t.dtype == np.float32 and w_t.flags.c_contiguous for w_t, _ in as32)
+    logits32 = model._forward_mlp(as32, test.x32)
+    logits64 = model._forward_mlp(prepared.layers, test.x)
     gap = float(np.abs(logits32.astype(np.float64) - logits64).max())
     assert 0 < gap <= e32 + e64
     assert e32 + e64 < 1e-3  # loose enough to hold, tight enough to prove most rows

@@ -7,11 +7,12 @@ Usage, from the root of a checkout:
 Each side is extracted as ``tools/bench_record.py`` extracts it
 (``--change worktree`` is the working tree with every change staged, so run
 ``git add -A`` first). Both sides train the same runs, from the parent's
-config files: each shipped ``configs/*.txt`` and three variants of
+config files: each shipped ``configs/*.txt`` and four variants of
 ``configs/blobs_abel.txt``: a 10-epoch Adam run with the g.w probe and a
 checkpoint every epoch, a run at ``batch_size = 100`` (2048 rows leave a
 last minibatch of 48, where the shipped configs split them into 16 full
-ones), and a 20-epoch convnet.
+ones), a 20-epoch convnet, and a 20-epoch relu MLP with biases (no shipped
+config trains one).
 Every run writes into the same ``log_dir`` path on both sides, because
 checkpoint bytes embed the config's ``log_dir``, and is moved aside after.
 
@@ -52,6 +53,9 @@ VARIANTS = {
     "blobs_abel_conv": {"epochs": "20", "dataset.dim": "36", "model.kind": "conv",
                         "model.hidden": "4,6", "model.normalize": "false",
                         "model.input_shape": "1,6,6"},
+    # at the shipped base_lr of 4.0 the relu net dies (test error 0.75, loss log 4)
+    "blobs_abel_relu_bias": {"epochs": "20", "base_lr": "0.5", "model.activation": "relu",
+                             "model.normalize": "false"},
 }
 
 
