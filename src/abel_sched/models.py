@@ -39,9 +39,9 @@ copy of ``w``) with each layer's views and transposes, the flat gradient
 with its layer views, and the pull-back's projection vector. Per batch
 size it keeps every hidden output (the backward pass overwrites it with
 its activation's derivative), every layer's dL/dz and the class-major
-logits copy. The step is a flat sequence of ufunc calls that write into
-these with ``out=``; the returned gradient is a new vector (the
-pull-back's last ``divide``, or a copy), so no caller shares a buffer. Products of 2-D operands are
+logits copy. The step is one flat body of ufunc calls that write into
+these with ``out=``; the returned gradient is a new vector (the pull-back's
+last ``divide``, or a copy), so a caller may write it in place. Products of 2-D operands are
 ``np.dot(..., out=)``: numpy sends ``dot`` and ``matmul`` of the same
 float64 or float32 operands to the same BLAS gemm call, with the same
 transpose flags, so the floats are the same, and ``dot`` checks less.
@@ -267,18 +267,10 @@ def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(z, 0.0, out=out) if kind == "relu" else np.tanh(z, out=out)
 
 
-def _times_act_grad(d: np.ndarray, a: np.ndarray, kind: str,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def _times_act_grad(d: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     """``d`` times the derivative at the pre-activation, in place in ``d``, from
-    the activation a: relu's z > 0 is a > 0, tanh's derivative is 1 - a².
-    The derivative goes into ``out`` when given, which may be ``a`` itself
-    (relu's 1.0 or 0.0 multiplies as its bool does)."""
-    if kind == "relu":
-        g = np.greater(a, 0.0, out=out)
-    else:
-        g = np.multiply(a, a, out=out)
-        np.subtract(1.0, g, out=g)
-    return np.multiply(d, g, out=d)
+    the activation a: relu's z > 0 is a > 0, tanh's derivative is 1 - a²."""
+    return np.multiply(d, a > 0.0 if kind == "relu" else 1.0 - a * a, out=d)
 
 
 @lru_cache(maxsize=16)
@@ -473,17 +465,22 @@ class _Buffers:
         self._batches: dict[int, tuple] = {}
 
     def batch(self, rows: int) -> tuple:
-        """(hidden, dz, dz_t, cols) for a batch of ``rows`` rows, built on
-        first use and kept for the last few sizes: each hidden layer's
-        output; each layer's dL/dz, the last one dL/dlogits, and their
-        transposes; and the class-major logits copy."""
+        """The step's buffers for ``rows`` rows, built on first use and kept for
+        the last few sizes: per hidden layer its transposed weight, bias and
+        output; per layer from the last down to the second its dL/dz
+        transposed, input, weight and bias gradients, dL/dz, weight and the
+        dL/dz below; the first layer's first four; dL/dlogits; cols."""
         bufs = self._batches.get(rows)
         if bufs is None:
             if len(self._batches) == 4:
                 self._batches.clear()
             dz = [np.empty((rows, width)) for width in self._widths]
-            bufs = self._batches[rows] = ([np.empty(d.shape) for d in dz[:-1]], dz,
-                                          [d.T for d in dz], np.empty(dz[-1].T.shape))
+            hidden = [np.empty(d.shape) for d in dz[:-1]]
+            forward = tuple((w_t, b, out) for (w_t, b), out in zip(self.layers, hidden))
+            backward = tuple((dz[i].T, hidden[i - 1], *self.grads[i], dz[i], self.dense[i][0],
+                              dz[i - 1]) for i in range(len(dz) - 1, 0, -1))
+            bufs = self._batches[rows] = (forward, backward, (dz[0].T, *self.grads[0], dz[0]),
+                                          dz[-1], np.empty(dz[-1].T.shape))
         return bufs
 
 
@@ -709,38 +706,48 @@ class Model:
             self._backward_conv(params, cache, dlogits,
                                 dict(zip(layout.names, layout.views(flat))))
             return GradSet(layout, flat, self._grad_names)
-        hidden, dz, dz_t, cols = bound.batch(len(x))
-        self._forward_mlp(bound.layers, x, (*hidden, logits))
-        _dlogits(logits, batch.targets, row_max, row_sum, cols, dz[-1])
-        return GradSet(layout, self._backward_mlp(bound, (x, *hidden), dz, dz_t),
-                       self._grad_names)
-
-    def _backward_mlp(self, bound: _Buffers, acts: tuple, dz: list, dz_t: list) -> np.ndarray:
-        """The gradients as a new flat vector, from each dense layer's input
-        ``acts`` (the batch, then the hidden outputs) and ``dz[-1]``,
-        dL/dlogits, with the other buffers of ``bound.batch``. dL/dw, or
-        dL/dŵ when normalized, goes into ``bound.grad`` first; each hidden
-        output is overwritten by its derivative once its layer is done."""
-        kind = self.arch.activation
-        for i in reversed(range(len(dz))):
-            grad_w, grad_b = bound.grads[i]
-            np.dot(dz_t[i], acts[i], out=grad_w)
-            if grad_b is not None:
-                np.add.reduce(dz[i], axis=0, out=grad_b)
-            if i:  # no gradient is needed for the input itself
-                np.dot(dz[i], bound.dense[i][0], out=dz[i - 1])
-                _times_act_grad(dz[i - 1], acts[i], kind, out=acts[i])
+        # the MLP step: _forward_mlp's, _dlogits' and the activations' calls, inline
+        forward, backward, (dz_t, grad_w, grad_b, dz), e, cols = bound.batch(len(x))
+        relu = self.arch.activation == "relu"
+        a = x
+        for w_t, b, z in forward:
+            a = np.dot(a, w_t, out=z)
+            if b is not None:
+                np.add(z, b, out=z)
+            np.maximum(z, 0.0, out=z) if relu else np.tanh(z, out=z)
+        w_t, b = bound.layers[-1]
+        np.dot(a, w_t, out=logits)
+        if b is not None:
+            np.add(logits, b, out=logits)
+        # dL/dlogits = (e / s - targets) / n, e = exp(logits - max), s its row sums
+        np.copyto(cols, logits.T)
+        np.maximum.reduce(cols, axis=0, out=row_max)
+        np.subtract(logits, row_max[:, None], out=e)
+        np.exp(e, out=e)
+        np.add.reduce(e, axis=1, out=row_sum)
+        np.divide(e, row_sum[:, None], out=e)
+        np.subtract(e, batch.targets, out=e)
+        np.divide(e, len(x), out=e)
+        # dL/dw (dL/dŵ when normalized) into bound.grad; each hidden output then
+        # takes its activation's derivative: relu's z > 0 is a > 0, tanh's 1 - a²
+        for d_t, a, g_w, g_b, d, w, d_prev in backward:
+            np.dot(d_t, a, out=g_w)
+            if g_b is not None:
+                np.add.reduce(d, axis=0, out=g_b)
+            np.dot(d, w, out=d_prev)
+            np.greater(a, 0.0, out=a) if relu else np.subtract(1.0, np.multiply(a, a, out=a), out=a)
+            np.multiply(d_prev, a, out=d_prev)
+        np.dot(dz_t, x, out=grad_w)  # no gradient is needed for the input itself
+        if grad_b is not None:
+            np.add.reduce(dz, axis=0, out=grad_b)
         grad = bound.grad
         if bound.rows is None:
-            return grad.copy()
-        # pull the normalization back onto w: (dw_hat - (dw_hat.w_hat) w_hat) / |w_row|
+            return GradSet(layout, grad.copy(), self._grad_names)
+        # pull the normalization back onto w: (dŵ - (dŵ.ŵ) ŵ) / |w_row|
         starts, fan_ins = bound.rows
-        w_hat, proj = bound.w, bound.proj
-        np.multiply(grad, w_hat, out=proj)
-        dots = np.add.reduceat(proj, starts)
-        np.multiply(dots.repeat(fan_ins), w_hat, out=proj)
-        np.subtract(grad, proj, out=grad)
-        return np.divide(grad, bound.norms)
+        dots = np.add.reduceat(np.multiply(grad, bound.w, out=bound.proj), starts)
+        np.subtract(grad, np.multiply(dots.repeat(fan_ins), bound.w, out=bound.proj), out=grad)
+        return GradSet(layout, np.divide(grad, bound.norms), self._grad_names)
 
     def _backward_conv(self, params: ParamSet, cache, dlogits: np.ndarray,
                        grads: dict[str, np.ndarray]) -> None:

@@ -1,18 +1,20 @@
 """Optimizer steps, gradient clipping, and the squared-norm update identity.
 
-Clipping and the updates are kernels on whole flat vectors in the
-parameters' layout (see ``params``): :func:`clip_flat`, :func:`sgd_update`
-and :func:`adam_update`. They build no objects and never modify their
-inputs, so a caller that keeps an earlier vector (a checkpoint, a fork)
-keeps its values. The training loop calls them directly; it holds the
-optimizer state as the tuple of flat vectors that ``flat_state`` gives and
-``with_flat_state`` turns back into a state object.
+Clipping and the updates are kernels that write whole flat vectors in the
+parameters' layout (see ``params``) in place: :func:`clip_flat` scales a
+gradient, and :func:`sgd_update` and :func:`adam_update` write the weights
+and the optimizer's flat state, using the gradient as scratch. They compute
+the floats of the same formulas written with new arrays: the same
+operations on the same operands, in the same order. The training loop calls
+them (:func:`update_kernel`) on vectors of its own, which a state object's
+``flat_state`` and ``with_flat_state`` copy out and back in.
 
 :func:`clip_global_norm`, :func:`step_sgd` and :func:`step_adam` are the
-same kernels behind objects: gradients, momentum and Adam moments are
-GradSets of the layout, and a step returns a new ParamSet over a new
-vector. Plain name -> array mappings are accepted too and are checked and
-packed first.
+same kernels behind objects, run on copies: they never modify their
+inputs, so a caller that keeps an earlier vector keeps its values.
+Gradients, momentum and Adam moments are GradSets of the layout, and a step
+returns a new ParamSet over a new vector. Plain name -> array mappings are
+accepted too and are checked and packed first.
 
 The L2 coefficient acts as an added gradient ``weight_decay * w`` on layers
 with ``l2_enabled`` (plain L2 regularization, not decoupled decay, for both
@@ -28,15 +30,10 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .params import GradSet, Layout, ParamSet
-
-# (layout, w, grad, flat state, lr, weight_decay) -> (new w, new flat state)
-Update = Callable[[Layout, np.ndarray, np.ndarray, tuple, float, float],
-                  tuple[np.ndarray, tuple]]
 
 
 @dataclass
@@ -52,17 +49,13 @@ class MomentumState:
             raise ValueError("momentum must lie in [0, 1)")
         return cls(mu=mu, velocity=GradSet.zeros(params.layout))
 
-    def update(self) -> Update:
-        """:func:`sgd_update` at this state's momentum."""
-        return partial(sgd_update, mu=self.mu)
-
     def flat_state(self, layout: Layout) -> tuple[np.ndarray]:
-        """``(velocity,)`` as a flat vector of ``layout``."""
-        return (layout.flat_of(self.velocity, "velocity"),)
+        """``(velocity,)``, a copy as a flat vector of ``layout``."""
+        return (layout.flat_of(self.velocity, "velocity").copy(),)
 
     def with_flat_state(self, layout: Layout, state: tuple[np.ndarray]) -> "MomentumState":
-        """This state's momentum over the flat ``state`` of ``sgd_update``."""
-        return MomentumState(mu=self.mu, velocity=GradSet(layout, state[0]))
+        """This state's momentum over a copy of the flat ``state`` of ``sgd_update``."""
+        return MomentumState(mu=self.mu, velocity=GradSet(layout, state[0].copy()))
 
 
 @dataclass
@@ -82,127 +75,125 @@ class AdamState:
         return cls(m=GradSet.zeros(params.layout), v=GradSet.zeros(params.layout),
                    beta1=beta1, beta2=beta2, eps=eps)
 
-    def update(self) -> Update:
-        """:func:`adam_update` at this state's betas and eps."""
-        return partial(adam_update, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
-
     def flat_state(self, layout: Layout) -> tuple[np.ndarray, np.ndarray, int]:
-        """``(m, v, t)``, the moments as flat vectors of ``layout``."""
-        return (layout.flat_of(self.m, "first moment"),
-                layout.flat_of(self.v, "second moment"), self.t)
+        """``(m, v, t)``, the moments copied as flat vectors of ``layout``."""
+        return (layout.flat_of(self.m, "first moment").copy(),
+                layout.flat_of(self.v, "second moment").copy(), self.t)
 
     def with_flat_state(self, layout: Layout, state: tuple) -> "AdamState":
-        """This state's betas and eps over the flat ``state`` of ``adam_update``."""
+        """This state's betas and eps over a copy of the flat ``state`` of ``adam_update``."""
         m, v, t = state
-        return AdamState(m=GradSet(layout, m), v=GradSet(layout, v), t=t,
+        return AdamState(m=GradSet(layout, m.copy()), v=GradSet(layout, v.copy()), t=t,
                          beta1=self.beta1, beta2=self.beta2, eps=self.eps)
 
 
 OptState = MomentumState | AdamState
 
 
-def clip_flat(g: np.ndarray, parts: tuple[slice, ...], max_norm: float) -> np.ndarray:
-    """``g`` scaled by max_norm/||g|| when its norm exceeds ``max_norm``, else
-    ``g`` itself. The squared norm is one dot per slice of ``parts``, summed
-    in their order (a GradSet's, which is the backward pass's)."""
+def update_kernel(opt: OptState) -> tuple[Callable, tuple[float, ...]]:
+    """``opt``'s update kernel and its hyperparameters, the kernel's last arguments."""
+    if isinstance(opt, MomentumState):
+        return sgd_update, (opt.mu,)
+    return adam_update, (opt.beta1, opt.beta2, opt.eps)
+
+
+def clip_flat(g: np.ndarray, parts: tuple[slice, ...], max_norm: float) -> bool:
+    """Scale ``g`` in place by max_norm/||g|| when its norm exceeds
+    ``max_norm``; whether it did. The squared norm is one dot per slice of
+    ``parts``, summed in their order (a GradSet's, the backward pass's)."""
     total = 0.0
     for sl in parts:
         part = g[sl]
         total += part.dot(part)
     norm = math.sqrt(total)
     if norm <= max_norm:
-        return g
-    return g * (max_norm / norm)
+        return False
+    np.multiply(g, max_norm / norm, out=g)
+    return True
 
 
 def clip_global_norm(grads: Mapping[str, np.ndarray], max_norm: float) -> Mapping[str, np.ndarray]:
     """Scale all gradients by max_norm/||g|| when the global norm exceeds it.
 
     The norm sums the layers in the mapping's order. A GradSet is clipped to
-    a GradSet of its layout; a plain mapping is packed in its own order and
-    comes back, when clipped, as a GradSet of that packing."""
+    a new GradSet of its layout; a plain mapping is packed in its own order
+    and comes back, when clipped, as a GradSet of that packing."""
     if not max_norm > 0:
         raise ValueError("max_norm must be > 0")
     if isinstance(grads, GradSet):
-        flat_grads = grads
+        layout, names, g = grads.layout, grads.names, grads.flat.copy()
     else:
         layout = Layout(tuple((name, np.shape(g), True, False) for name, g in grads.items()))
-        flat_grads = GradSet(layout, layout.pack(grads, "gradient"))
-    layout, names = flat_grads.layout, flat_grads.names
-    g = clip_flat(flat_grads.flat, layout.slices_in(names), max_norm)
-    return grads if g is flat_grads.flat else GradSet(layout, g, names)
+        names, g = layout.names, layout.pack(grads, "gradient")
+    return GradSet(layout, g, names) if clip_flat(g, layout.slices_in(names), max_norm) else grads
 
 
-def _l2_grad(layout: Layout, g: np.ndarray, w: np.ndarray, weight_decay: float) -> np.ndarray:
-    """g + weight_decay*w on the slices of the l2_enabled layers, g elsewhere.
-
-    When one run covers the whole vector (every layer l2_enabled), the sum is
-    taken whole: the same floats as the copy-then-add below, with one pass less.
-    """
+def _with_l2(layout: Layout, out: np.ndarray, g: np.ndarray, w: np.ndarray,
+             weight_decay: float) -> None:
+    """``g`` + weight_decay*w on the l2_enabled layers' slices, ``g`` elsewhere,
+    into ``out``, which may be ``g``; another ``out`` takes the product first
+    when one run covers the whole vector: the add per run's floats, no new array."""
     runs = layout.l2_runs
-    if weight_decay == 0.0 or not runs:
-        return g
-    if len(runs) == 1 and runs[0].start == 0 and runs[0].stop == layout.size:
-        return g + weight_decay * w
-    out = g.copy()
-    for sl in runs:
-        out[sl] += weight_decay * w[sl]
-    return out
+    if weight_decay != 0.0 and out is not g and runs == (slice(0, layout.size),):
+        np.add(g, np.multiply(w, weight_decay, out=out), out=out)
+        return
+    if out is not g:
+        np.copyto(out, g)
+    for sl in runs if weight_decay != 0.0 else ():
+        part = out[sl]
+        part += weight_decay * w[sl]
 
 
 def sgd_update(layout: Layout, w: np.ndarray, g: np.ndarray, state: tuple[np.ndarray],
-               lr: float, weight_decay: float, mu: float) -> tuple[np.ndarray, tuple[np.ndarray]]:
-    """One SGD step on flat vectors: the new ``w`` and ``(velocity,)``.
-
-    At ``mu = 0`` the old velocity is not read, and the new one is the
-    gradient with its L2 term, so the step is exactly w - lr*g - lr*l2*w."""
-    g = _l2_grad(layout, g, w, weight_decay)
-    v = g if mu == 0.0 else mu * state[0] + g
-    return w - lr * v, (v,)
+               lr: float, weight_decay: float, mu: float) -> tuple[np.ndarray]:
+    """One SGD step in place on ``w`` and ``state = (velocity,)``, with ``g``
+    as scratch; returns ``state``. At ``mu = 0`` the old velocity is not read
+    (it may be ``g`` itself): the new one is the gradient with its L2 term,
+    so the step is exactly w - lr*g - lr*l2*w."""
+    v, = state
+    if mu == 0.0:
+        _with_l2(layout, v, g, w, weight_decay)
+    else:
+        _with_l2(layout, g, g, w, weight_decay)
+        v *= mu
+        v += g
+    w -= lr * v if v is g else np.multiply(v, lr, out=g)  # g is free once v is formed
+    return state
 
 
 def adam_update(layout: Layout, w: np.ndarray, g: np.ndarray, state: tuple, lr: float,
-                weight_decay: float, beta1: float, beta2: float, eps: float
-                ) -> tuple[np.ndarray, tuple]:
-    """One bias-corrected Adam step on flat vectors, L2 as an added gradient:
-    the new ``w`` and ``(m, v, t)``."""
+                weight_decay: float, beta1: float, beta2: float, eps: float) -> tuple:
+    """One bias-corrected Adam step in place on ``w`` and the moments of
+    ``state = (m, v, t)``, L2 as an added gradient; returns the new state."""
     m, v, t = state
-    g = _l2_grad(layout, g, w, weight_decay)
+    _with_l2(layout, g, g, w, weight_decay)
     t += 1
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
-    m = beta1 * m + (1.0 - beta1) * g
-    v = beta2 * v + (1.0 - beta2) * g * g
-    return w - lr * (m / c1) / (np.sqrt(v / c2) + eps), (m, v, t)
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    w -= lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+    return m, v, t
 
 
 def _step(params: ParamSet, opt: OptState, grads: Mapping[str, np.ndarray], lr: float,
           weight_decay: float) -> tuple[ParamSet, OptState]:
-    """``opt``'s update kernel behind objects."""
+    """``opt``'s update kernel behind objects, on copies of its inputs."""
     layout = params.layout
-    w, state = opt.update()(layout, params.flat, layout.flat_of(grads, "gradient"),
-                            opt.flat_state(layout), lr, weight_decay)
+    update, hyper = update_kernel(opt)
+    w, g = params.flat.copy(), layout.flat_of(grads, "gradient").copy()
+    state = update(layout, w, g, opt.flat_state(layout), lr, weight_decay, *hyper)
     return ParamSet.from_flat(layout, w), opt.with_flat_state(layout, state)
 
 
-def step_sgd(
-    params: ParamSet,
-    opt: MomentumState,
-    grads: Mapping[str, np.ndarray],
-    lr: float,
-    weight_decay: float = 0.0,
-) -> tuple[ParamSet, MomentumState]:
+def step_sgd(params: ParamSet, opt: MomentumState, grads: Mapping[str, np.ndarray], lr: float,
+             weight_decay: float = 0.0) -> tuple[ParamSet, MomentumState]:
     """One SGD step; with mu = 0 this is exactly w <- w - lr*g - lr*l2*w."""
     return _step(params, opt, grads, lr, weight_decay)
 
 
-def step_adam(
-    params: ParamSet,
-    opt: AdamState,
-    grads: Mapping[str, np.ndarray],
-    lr: float,
-    weight_decay: float = 0.0,
-) -> tuple[ParamSet, AdamState]:
+def step_adam(params: ParamSet, opt: AdamState, grads: Mapping[str, np.ndarray], lr: float,
+              weight_decay: float = 0.0) -> tuple[ParamSet, AdamState]:
     """One bias-corrected Adam step with L2 as an added gradient."""
     return _step(params, opt, grads, lr, weight_decay)
 

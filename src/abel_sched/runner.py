@@ -59,7 +59,7 @@ from .adaptive import AbelScheduler, PlateauScheduler, make_scheduler
 from .config import ConfigError, ExperimentConfig, config_hash, format_config
 from .datasets import dataset_meta, make_dataset
 from .models import Model, ModelArch, NumericError, StepStats
-from .optim import AdamState, MomentumState, clip_flat
+from .optim import AdamState, MomentumState, clip_flat, update_kernel
 from .params import ParamSet, inner_gw, weight_norm_sq
 from .schedules import LrEvent, ScheduleSpec, has_discrete_milestones, lr_at, warmup_scale
 
@@ -397,15 +397,16 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     watched = [(i, other, make_scheduler(other.schedule), [])
                for i, other in enumerate(watch)]
     probe = slice(0, min(config.batch_size, n))
-    # The steps run on flat vectors: w, the optimizer's flat state and its
-    # update kernel. The ParamSet and optimizer state objects that forks,
-    # checkpoints and the per-epoch measurements read are built at epoch ends.
-    # Each step records its logits into ``stats``, and the epoch's end reduces
-    # them to every step's loss and error.
+    # The steps write a live weight vector ``w`` (``live`` is a ParamSet over
+    # it) and the optimizer's flat state in place, both copies, so
+    # ``resume_state`` is never written. Each epoch's end copies them into the
+    # objects the measurements, forks and checkpoints read, and reduces the
+    # logits each step records into ``stats`` to every step's loss and error.
     stats = StepStats(n, model.arch.classes)
     layout = params.layout
-    w = params.flat
-    update = opt.update()
+    w = params.flat.copy()
+    live = ParamSet.from_flat(layout, w)
+    update, hyper = update_kernel(opt)
     opt_state = opt.flat_state(layout)
 
     try:
@@ -431,13 +432,13 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, n, config.batch_size):
                     batch = epoch_set[start:start + config.batch_size]
-                    grads = model.train_step_stats(ParamSet.from_flat(layout, w), batch, stats)
-                    g = grads.flat
+                    grads = model.train_step_stats(live, batch, stats)
                     if config.clip_norm > 0:
-                        g = clip_flat(g, layout.slices_in(grads.names), config.clip_norm)
+                        clip_flat(grads.flat, layout.slices_in(grads.names), config.clip_norm)
                     eff_lr = lr_epoch * warmup_scale(global_step, steps_per_epoch,
                                                      spec.warmup_epochs)
-                    w, opt_state = update(layout, w, g, opt_state, eff_lr, config.weight_decay)
+                    opt_state = update(layout, w, grads.flat, opt_state, eff_lr,
+                                       config.weight_decay, *hyper)
                     global_step += 1
             loss_sum = 0.0
             err_sum = 0.0
@@ -447,7 +448,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
                 loss_sum += loss * rows
                 err_sum += err * rows
 
-            params = ParamSet.from_flat(layout, w)
+            params = ParamSet.from_flat(layout, w.copy())
             opt = opt.with_flat_state(layout, opt_state)
             train_loss = loss_sum / n
             train_error = err_sum / n

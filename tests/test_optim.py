@@ -16,7 +16,7 @@ from abel_sched import (
     step_sgd,
     weight_norm_sq,
 )
-from abel_sched.optim import _l2_grad
+from abel_sched.optim import _with_l2, adam_update, sgd_update
 
 from helpers import measured_delta_wsq, ref_clip_global_norm, ref_step_adam, ref_step_sgd
 
@@ -315,10 +315,12 @@ def test_the_whole_vector_l2_term_equals_the_per_run_one(weight_decay):
     layout = params.layout
     assert layout.l2_runs == (slice(0, layout.size),)  # every tensor is L2-enabled
     g = np.random.default_rng(4).normal(size=layout.size)
-    saved = g.copy()
-    out = _l2_grad(layout, g, params.flat, weight_decay)
-    assert np.array_equal(out, _l2_by_runs(layout, g, params.flat, weight_decay))
-    assert out is not g and np.array_equal(g, saved)
+    expected = _l2_by_runs(layout, g, params.flat, weight_decay)
+    out = np.empty_like(g)
+    _with_l2(layout, out, g, params.flat, weight_decay)  # formed in out, taken whole
+    assert np.array_equal(out, expected)
+    _with_l2(layout, g, g, params.flat, weight_decay)  # added in place, run by run
+    assert np.array_equal(g, expected)
 
 
 def test_an_mlp_with_biases_adds_l2_run_by_run():
@@ -326,9 +328,77 @@ def test_an_mlp_with_biases_adds_l2_run_by_run():
     layout = params.layout
     assert len(layout.l2_runs) == 3  # the biases split the weights' runs
     g = np.random.default_rng(4).normal(size=layout.size)
-    out = _l2_grad(layout, g, params.flat, 5e-3)
+    out = np.empty_like(g)
+    _with_l2(layout, out, g, params.flat, 5e-3)
     assert np.array_equal(out, _l2_by_runs(layout, g, params.flat, 5e-3))
     for name, l2 in zip(layout.names, layout.l2):
         sl = layout.slice_of[name]
         if not l2:
             assert np.array_equal(out[sl], g[sl]), name  # biases get no L2 term
+
+
+# -- the in-place kernels against the allocating formulas ----------------------------
+#
+# The kernels as they were before they wrote in place: each returns new
+# vectors. The in-place kernels must give the same bits.
+
+
+def _allocating_l2_grad(layout, g, w, weight_decay):
+    runs = layout.l2_runs
+    if weight_decay == 0.0 or not runs:
+        return g
+    if len(runs) == 1 and runs[0].start == 0 and runs[0].stop == layout.size:
+        return g + weight_decay * w
+    out = g.copy()
+    for sl in runs:
+        out[sl] += weight_decay * w[sl]
+    return out
+
+
+def _allocating_sgd_update(layout, w, g, state, lr, weight_decay, mu):
+    g = _allocating_l2_grad(layout, g, w, weight_decay)
+    v = g if mu == 0.0 else mu * state[0] + g
+    return w - lr * v, (v,)
+
+
+def _allocating_adam_update(layout, w, g, state, lr, weight_decay, beta1, beta2, eps):
+    m, v, t = state
+    g = _allocating_l2_grad(layout, g, w, weight_decay)
+    t += 1
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    m = beta1 * m + (1.0 - beta1) * g
+    v = beta2 * v + (1.0 - beta2) * g * g
+    return w - lr * (m / c1) / (np.sqrt(v / c2) + eps), (m, v, t)
+
+
+def _bits(state) -> list:
+    return [a.tobytes() if isinstance(a, np.ndarray) else a for a in state]
+
+
+@pytest.mark.parametrize("arch,weight_decay", [(NORMALIZED, 0.0), (NORMALIZED, 5e-3),
+                                               (WITH_BIASES, 5e-3)],
+                         ids=["no-l2", "whole-vector-l2", "per-run-l2"])
+@pytest.mark.parametrize("kernel", ["momentum-0", "momentum-0-aliased", "momentum-0.9", "adam"])
+def test_the_in_place_kernels_match_the_allocating_formulas(arch, weight_decay, kernel):
+    layout = Model(arch).init_params(0).layout
+    assert len(layout.l2_runs) == (1 if arch is NORMALIZED else 3)
+    rng = np.random.default_rng(6)
+    w = rng.normal(size=layout.size)
+    if kernel == "adam":
+        update, allocating, hyper = adam_update, _allocating_adam_update, (0.9, 0.999, 1e-8)
+        state = (rng.normal(size=layout.size), rng.random(layout.size), 3)
+    else:
+        update, allocating = sgd_update, _allocating_sgd_update
+        hyper = (0.9,) if kernel == "momentum-0.9" else (0.0,)
+        state = (rng.normal(size=layout.size),)
+    for lr in (0.05, 0.3, 0.01):
+        g = rng.normal(size=layout.size)
+        want_w, want_state = allocating(layout, w.copy(), g.copy(), state, lr, weight_decay,
+                                        *hyper)
+        if kernel == "momentum-0-aliased":
+            state = (g,)  # the velocity buffer is the gradient buffer
+        state = update(layout, w, g, state, lr, weight_decay, *hyper)
+        assert w.tobytes() == want_w.tobytes()
+        assert _bits(state) == _bits(want_state)
+

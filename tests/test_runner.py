@@ -653,6 +653,52 @@ def test_watch_refuses_another_config_and_a_resume(tmp_path):
     assert not (tmp_path / "leader").exists()
 
 
+# -- the live vectors never leak -----------------------------------------------------
+#
+# The epoch loop writes one weight vector and the optimizer's flat state in
+# place. A state handed in (a resume) or handed out (a fork) must hold its own
+# vectors, or a later step would change it silently.
+
+
+def _state_bytes(state: RunState) -> tuple:
+    opt = state.opt
+    buffers = (opt.velocity,) if isinstance(opt, MomentumState) else (opt.m, opt.v)
+    return (state.epoch, state.global_step, state.params.flat.tobytes(),
+            *(b.flat.tobytes() for b in buffers), getattr(opt, "t", None), state.test_errors,
+            serialize_scheduler(state.scheduler) if state.scheduler is not None else None)
+
+
+@pytest.mark.parametrize("optimizer", [OptimizerSpec(kind="momentum", momentum=0.9),
+                                       OptimizerSpec(kind="momentum", momentum=0.0),
+                                       OptimizerSpec(kind="adam")],
+                         ids=["momentum-0.9", "momentum-0", "adam"])
+def test_a_resume_leaves_its_state_bit_for_bit(tmp_path, optimizer):
+    run_experiment(tiny_config(tmp_path / "run", schedule_kind="abel", checkpoint_every=4,
+                               optimizer=optimizer))
+    config, state = prepare_resume(tmp_path / "run" / "epoch_0004.ckpt",
+                                   log_dir=str(tmp_path / "resumed"))
+    # the loaded vectors are writable copies, so a write into them would not raise
+    assert state.params.flat.flags.writeable
+    before = _state_bytes(state)
+    run_experiment(config, resume_state=state)
+    assert _state_bytes(state) == before
+
+
+def test_each_fork_is_the_checkpoint_an_independent_run_saves(tmp_path):
+    leader = tiny_config(tmp_path / "leader", weight_decay=WATCH_WEIGHT_DECAY)
+    watch = [_watched(tmp_path, "stepwise", "stepwise"),
+             _watched(tmp_path, "abel-early", "abel", smoothing_window=1)]
+    result = run_experiment(leader, watch=watch)
+    assert all(fork is not None for fork in result.forks)
+    for config, fork in zip(watch, result.forks, strict=True):
+        alone = replace(config, log_dir=str(tmp_path / "alone" / Path(config.log_dir).name),
+                        checkpoint_every=1)
+        run_experiment(alone)
+        saved = Path(alone.log_dir) / f"epoch_{fork.epoch:04d}.ckpt"
+        save_checkpoint(tmp_path / "fork.ckpt", alone, fork)
+        assert (tmp_path / "fork.ckpt").read_bytes() == saved.read_bytes(), config.log_dir
+
+
 def test_checkpoint_preserves_adam_state(tmp_path):
     cfg = tiny_config(tmp_path / "run", epochs=8, checkpoint_every=4,
                       optimizer=OptimizerSpec(kind="adam"))

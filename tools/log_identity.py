@@ -7,12 +7,19 @@ Usage, from the root of a checkout:
 Each side is extracted as ``tools/bench_record.py`` extracts it
 (``--change worktree`` is the working tree with every change staged, so run
 ``git add -A`` first). Both sides train the same runs, from the parent's
-config files: each shipped ``configs/*.txt`` and four variants of
-``configs/blobs_abel.txt``: a 10-epoch Adam run with the g.w probe and a
-checkpoint every epoch, a run at ``batch_size = 100`` (2048 rows leave a
-last minibatch of 48, where the shipped configs split them into 16 full
-ones), a 20-epoch convnet, and a 20-epoch relu MLP with biases (no shipped
-config trains one).
+config files: each shipped ``configs/*.txt`` and six variants of
+``configs/blobs_abel.txt``:
+
+* a 10-epoch Adam run with the g.w probe and a checkpoint every epoch;
+* a run at ``batch_size = 100`` (2048 rows leave a last minibatch of 48,
+  where the shipped configs split them into 16 full ones);
+* a 20-epoch convnet;
+* a 20-epoch relu MLP with biases;
+* a 20-epoch run at momentum 0.9;
+* a 20-epoch run with neither clipping nor L2.
+
+No shipped config trains the last three: biases, momentum above 0, or a
+step that neither clips nor adds an L2 term.
 Every run writes into the same ``log_dir`` path on both sides, because
 checkpoint bytes embed the config's ``log_dir``, and is moved aside after.
 
@@ -56,6 +63,8 @@ VARIANTS = {
     # at the shipped base_lr of 4.0 the relu net dies (test error 0.75, loss log 4)
     "blobs_abel_relu_bias": {"epochs": "20", "base_lr": "0.5", "model.activation": "relu",
                              "model.normalize": "false"},
+    "blobs_abel_momentum": {"epochs": "20", "optimizer.momentum": "0.9"},
+    "blobs_abel_noclip_nol2": {"epochs": "20", "clip_norm": "0", "weight_decay": "0"},
 }
 
 
