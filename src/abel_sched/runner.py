@@ -48,7 +48,7 @@ import json
 import math
 import os
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -313,8 +313,16 @@ class _RunLog:
                      (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
 
 
+def watch_key(config: ExperimentConfig) -> tuple:
+    """What a run shares with the configs it may watch: every field but
+    ``schedule`` and ``log_dir``."""
+    return tuple(getattr(config, f.name) for f in fields(config)
+                 if f.name not in ("schedule", "log_dir"))
+
+
 def run_experiment(config: ExperimentConfig, resume_state: RunState | None = None,
-                   quiet: bool = True, watch: Sequence[ExperimentConfig] = ()) -> RunResult:
+                   quiet: bool = True, watch: Sequence[ExperimentConfig] = (),
+                   on_fork: Callable[[int, RunState], None] | None = None) -> RunResult:
     """Train per the config, logging one record per epoch.
 
     ``resume_state`` continues a checkpointed run; only epochs after
@@ -331,10 +339,13 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     rows of epochs 1..E and its own lr events, and ``forks[i]`` the state at
     E, from which ``run_experiment(watch[i], resume_state=forks[i])`` logs
     what an independent run would. Otherwise ``forks[i]`` is None.
+    ``on_fork(i, forks[i])`` is called as soon as ``forks[i]`` is set, after
+    the watched run's logs are written and before this run trains epoch
+    E + 1, so a caller can start the watched run while this one goes on.
     """
-    shared = [f.name for f in fields(config) if f.name not in ("schedule", "log_dir")]
+    key = watch_key(config)
     for other in watch:
-        if any(getattr(other, name) != getattr(config, name) for name in shared):
+        if watch_key(other) != key:
             raise ValueError(f"a watched config differs from the run's beyond its "
                              f"schedule and log_dir: {other.log_dir}")
     if watch and resume_state is not None:
@@ -423,6 +434,8 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
                     forks[i] = RunState(epoch=epoch - 1, global_step=global_step,
                                         params=params, opt=opt, scheduler=other_scheduler,
                                         test_errors=tuple(test_errors))
+                    if on_fork is not None:
+                        on_fork(i, forks[i])
             t0 = time.perf_counter()
             # One gather per epoch; each minibatch is then a contiguous slice.
             order = np.random.default_rng([config.seed, epoch]).permutation(n)

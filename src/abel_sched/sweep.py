@@ -8,19 +8,30 @@ subdirectory of the sweep directory; failures are recorded in the summary
 and do not stop the sweep. Points may run in parallel worker processes,
 each of which runs its BLAS calls on one thread.
 
-Families: grid points whose values agree on every axis except
-``decay_factor`` train identically until their lrs first differ. The first
-point of such a family in grid order, its leader, trains from scratch and
-watches the others, its followers (``run_experiment(watch=...)``). Each
-follower is submitted once the leader has returned and resumes from the
-fork the leader took for it, at the end of the last epoch E both trained
-alike; the leader has already written the follower's rows of epochs 1..E,
-so those ``metrics.csv`` rows carry the leader's ``wall_ms``, and the
-follower's ``meta.json`` reports ``start_epoch = E``. Every other byte of
-its logs equals that of an independent run of the point. A follower without
-a fork (its lr differs from epoch 1 on or never does, or the leader failed)
-trains from scratch. A grid without a ``decay_factor`` axis has one-point
-families, all of them leaders.
+Families: grid points whose configs are equal but for ``schedule`` and
+``log_dir``, the configs ``run_experiment(watch=...)`` accepts, train
+identically until their lrs first differ. On the sweepable axes these are
+the points that differ only in ``decay_factor``. The first point of a
+family in grid order, its leader, trains from scratch and watches the
+others, its followers. At the end of the last epoch E both trained alike,
+the leader writes the follower's rows of epochs 1..E and hands over the
+fork, its state at E (``on_fork``). The follower resumes from the fork, so
+those ``metrics.csv`` rows carry the leader's ``wall_ms`` and its
+``meta.json`` reports ``start_epoch = E``. Every other byte of its logs
+equals that of an independent run of the point. A follower forked before
+its leader failed still resumes from the fork. A follower without a fork
+(its lr differs from epoch 1 on or never does, or its leader failed first)
+trains from scratch once its leader has returned. A grid without a
+``decay_factor`` axis has one-point families, all of them leaders.
+
+Order: with ``jobs = 1`` the leaders run in grid order, then each leader's
+followers in the order the leaders finished. With ``jobs > 1`` a follower
+starts at its fork, while its leader trains on: the worker puts each fork
+on one queue, and a done-callback of each point's future puts its
+completion on the same queue, so the parent reads a leader's forks before
+its completion. At most ``jobs`` points run at a time, and the next to
+start is the ready point with the most epochs left, ties in grid order, so
+a late fork's long tail does not wait behind shorter runs.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from itertools import product
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, format_config
-from .runner import DivergenceError, RunState, run_experiment, write_atomic
+from .runner import DivergenceError, RunState, run_experiment, watch_key, write_atomic
 
 SWEEPABLE = ("base_lr", "decay_factor", "init_scale", "weight_decay")
 
@@ -126,7 +137,7 @@ def _openblas(stem: str):
 
 
 def _one_blas_thread() -> None:
-    """Pool initializer: limit OpenBLAS to one thread in this worker.
+    """Limit OpenBLAS to one thread in this pool worker.
 
     The workers already share the cores, so the BLAS threads each one
     inherits would oversubscribe them. Without a setter nothing changes.
@@ -141,20 +152,29 @@ def _one_blas_thread() -> None:
 # (index, config, grid values, configs it watches, state it resumes from)
 Task = tuple[int, ExperimentConfig, dict[str, float], list[ExperimentConfig], RunState | None]
 
+_forks = None  # in a pool worker, the queue that carries forks to the parent
 
-def _run_point(task: Task) -> tuple[SweepPoint, list[RunState | None]]:
-    """Train one point; returns its summary row and a fork (or None) for
-    each config it watched."""
+
+def _init_worker(queue) -> None:
+    """Pool initializer: one BLAS thread, and the parent's queue for forks."""
+    global _forks
+    _forks = queue
+    _one_blas_thread()
+
+
+def _run_point(task: Task, on_fork=None) -> SweepPoint:
+    """Train one point and return its summary row; ``on_fork(i, state)`` is
+    called for each config it watched as soon as that config forks."""
     index, config, values, watch, state = task
     point = SweepPoint(index=index, values=values, status="ok", log_dir=config.log_dir)
     try:
-        result = run_experiment(config, resume_state=state, watch=watch)
+        result = run_experiment(config, resume_state=state, watch=watch, on_fork=on_fork)
     except DivergenceError:
         point.status = "diverged"
-        return point, [None] * len(watch)
+        return point
     except Exception as exc:  # individual failures must not kill the sweep
         point.status = f"error: {exc}"
-        return point, [None] * len(watch)
+        return point
     meta = result.meta
     decays = [ev["epoch"] for ev in meta["decay_events"]]
     point.best_test_error = meta["best_test_error"]
@@ -165,7 +185,19 @@ def _run_point(task: Task) -> tuple[SweepPoint, list[RunState | None]]:
     point.decay_epochs = tuple(decays)
     if meta["status"] == "auto_stopped":
         point.status = "auto_stopped"
-    return point, result.forks
+    return point
+
+
+def _stream_point(task: Task) -> SweepPoint:
+    """``_run_point`` in a pool worker, putting each fork on the queue as it is taken."""
+    index = task[0]
+    return _run_point(task, lambda i, state: _forks.put(("fork", index, i, state)))
+
+
+def _start_order(task: Task) -> tuple[int, int]:
+    """The pool starts the ready task with the most epochs left, ties in grid order."""
+    index, config, _, _, state = task
+    return (state.epoch if state is not None else 0) - config.epochs, index
 
 
 def run_sweep(template: ExperimentConfig, grid: dict[str, list[float]],
@@ -183,35 +215,48 @@ def run_sweep(template: ExperimentConfig, grid: dict[str, list[float]],
         values = dict(zip(names, combo))
         config = apply_point(template, values)
         config = replace(config, log_dir=str(sweep_dir / _point_dir_name(index, values)))
-        family = tuple(v for name, v in values.items() if name != "decay_factor")
-        families.setdefault(family, []).append((index, config, values))
-    # tasks to submit: leaders in grid order, then followers as their forks arrive
+        families.setdefault(watch_key(config), []).append((index, config, values))
+    # tasks ready to start: the leaders, then followers as they fork or their leaders return
     ready: list[Task] = [(*leader, [f[1] for f in rest], None)
                          for leader, *rest in families.values()]
-    followers = {leader[0]: rest for leader, *rest in families.values()}
-
+    # each leader's followers yet to be submitted, by their place in its watch list
+    followers = {leader[0]: dict(enumerate(rest)) for leader, *rest in families.values()}
     by_index: dict[int, SweepPoint] = {}
-
-    def finish(point: SweepPoint, forks: list[RunState | None]) -> list[Task]:
-        by_index[point.index] = point
-        return [(*task, [], fork)
-                for task, fork in zip(followers.pop(point.index, ()), forks, strict=True)]
 
     if jobs > 1:
         # Imported here: the pool's modules cost about 25 ms at import time.
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_one_blas_thread) as pool:
-            running = set()
+        # One queue carries both kinds of message: ("fork", leader, i, state)
+        # from a worker, put before that leader returns, and ("done", index)
+        # from a future's done-callback. So a leader's forks arrive before it
+        # is done, and the parent waits on nothing else.
+        queue = multiprocessing.SimpleQueue()
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(queue,)) as pool:
+            running = {}
             while ready or running:
-                running |= {pool.submit(_run_point, task) for task in ready}
-                ready = []
-                done, running = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
-                    ready += finish(*future.result())
+                while ready and len(running) < jobs:
+                    task = min(ready, key=_start_order)
+                    ready.remove(task)
+                    future = pool.submit(_stream_point, task)
+                    running[task[0]] = future
+                    future.add_done_callback(lambda _, index=task[0]: queue.put(("done", index)))
+                kind, index, *fork = queue.get()
+                if kind == "fork":
+                    i, state = fork
+                    ready.append((*followers[index].pop(i), [], state))
+                else:
+                    by_index[index] = running.pop(index).result()
+                    ready += [(*f, [], None) for f in followers.pop(index, {}).values()]
+        queue.close()
     else:
         while ready:
-            ready += finish(*_run_point(ready.pop(0)))
+            task = ready.pop(0)
+            forks: dict[int, RunState] = {}
+            by_index[task[0]] = _run_point(task, forks.__setitem__)
+            ready += [(*f, [], forks.get(i)) for i, f in followers.pop(task[0], {}).items()]
     points = [by_index[index] for index in sorted(by_index)]
 
     # csv quotes only a field that needs it, such as an error status with a

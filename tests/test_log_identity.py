@@ -99,3 +99,29 @@ def test_a_column_whose_exact_value_is_0_is_bounded_by_its_largest_magnitude():
     assert lines == [
         "metrics.csv: gw_total differs in 2 of 3 rows, largest relative difference 1.3e+00, "
         "largest difference 4.0e-17 (8.0e-01 of the column's largest magnitude 5.0e-17)"]
+
+
+def _sweep_dir(path: Path, points: dict[str, dict], summary: str = "point,status\n0,ok\n") -> Path:
+    path.mkdir()
+    (path / "summary.csv").write_text(summary)
+    (path / "template.txt").write_text("epochs = 60\n")
+    for name, kwargs in points.items():
+        _run_dir(path / name, **kwargs)
+    return path
+
+
+def test_sweeps_are_compared_point_by_point_and_by_summary(tmp_path):
+    parent = _sweep_dir(tmp_path / "parent", {"point_000__a": {}, "point_001__b": {}})
+    same = _sweep_dir(tmp_path / "same", {"point_000__a": {"wall": (9, 9)}, "point_001__b": {}})
+    assert log_identity.compare_sweeps(parent, same) == []
+    change = _sweep_dir(tmp_path / "change",
+                        {"point_000__a": {"layers": "epoch,layer,wsq\n1,fc1.w,3.0\n"},
+                         "point_002__c": {}}, summary="point,status\n0,diverged\n")
+    assert log_identity.compare_sweeps(parent, change) == [
+        "summary.csv: bytes differ",
+        "point_000__a: layers.csv: bytes differ",
+        "point_001__b: only in parent",
+        "point_002__c: only in change",
+    ]
+    (change / "summary.csv").unlink()
+    assert log_identity.compare_sweeps(parent, change)[0] == "summary.csv: only in parent"

@@ -324,3 +324,68 @@ def test_a_grid_without_a_decay_factor_axis_resumes_nothing(tmp_path, monkeypatc
                        tmp_path / "sweep")
     assert len(calls) == 4 and all(state is None for state in calls.values())
     assert all(p.decay_epochs for p in points)
+
+
+def test_a_follower_starts_at_its_fork_while_its_leader_trains(tmp_path, monkeypatch):
+    """With jobs = 2 the leader streams its fork to the parent, which starts the
+    follower at once: after its real run the leader waits for the follower's
+    start marker, which appears only if the follower did not wait for it."""
+    import multiprocessing
+    import time
+
+    import abel_sched.sweep as sweep
+
+    inner = sweep.run_experiment
+    started = tmp_path / "follower-started"
+
+    def run(config, *args, **kwargs):  # forked workers inherit this wrapper
+        if kwargs.get("resume_state") is not None:
+            started.touch()
+            return inner(config, *args, **kwargs)
+        result = inner(config, *args, **kwargs)
+        deadline = time.monotonic() + 60
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        (tmp_path / "leader-saw-follower").write_text(str(started.exists()))
+        return result
+
+    monkeypatch.setattr(sweep, "run_experiment", run)
+    template = tiny_config(tmp_path / "unused", schedule_kind="abel")
+    points = run_sweep(template, {"base_lr": [0.5], "decay_factor": [0.5, 0.2]},
+                       tmp_path / "sweep", jobs=2)
+    assert (tmp_path / "leader-saw-follower").read_text() == "True"
+    assert not multiprocessing.active_children()  # the pool's workers are gone
+    assert [p.status for p in points] == ["ok", "ok"]
+    starts = _assert_points_match_independent_runs(tmp_path, template, points)
+    assert starts[0] == 0 and starts[1] > 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_follower_forked_before_its_leader_failed_resumes_once(tmp_path, monkeypatch, jobs):
+    """A leader that fails after its followers forked leaves them their forks:
+    each runs once, from its fork, and logs what an independent run does."""
+    import abel_sched.sweep as sweep
+
+    inner = sweep.run_experiment
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def run(config, *args, **kwargs):  # forked workers inherit this wrapper
+        state = kwargs.get("resume_state")
+        with open(calls / Path(config.log_dir).name, "a") as f:  # one line per call
+            f.write(f"{0 if state is None else state.epoch}\n")
+        result = inner(config, *args, **kwargs)
+        if kwargs.get("watch"):
+            raise DivergenceError("the leader fails after its run")
+        return result
+
+    monkeypatch.setattr(sweep, "run_experiment", run)
+    template = tiny_config(tmp_path / "unused", schedule_kind="abel")
+    points = run_sweep(template, {"base_lr": [0.5], "decay_factor": [0.5, 0.2, 0.1]},
+                       tmp_path / "sweep", jobs=jobs)
+    assert [p.status for p in points] == ["diverged", "ok", "ok"]
+    runs = {p.name: p.read_text().splitlines() for p in calls.iterdir()}
+    assert [runs[Path(p.log_dir).name] for p in points[:1]] == [["0"]]
+    starts = _assert_points_match_independent_runs(tmp_path, template, points[1:])
+    assert all(start > 0 for start in starts)
+    assert [runs[Path(p.log_dir).name] for p in points[1:]] == [[str(s)] for s in starts]

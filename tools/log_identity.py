@@ -20,12 +20,21 @@ config files: each shipped ``configs/*.txt`` and six variants of
 
 No shipped config trains the last three: biases, momentum above 0, or a
 step that neither clips nor adds an L2 term.
-Every run writes into the same ``log_dir`` path on both sides, because
-checkpoint bytes embed the config's ``log_dir``, and is moved aside after.
+
+Both sides also run one sweep, ``abel-sched sweep`` of
+``configs/blobs_abel.txt`` at 80 epochs over ``SWEEP_GRID`` with
+``--jobs 2``. The ``base_lr = 2`` and ``4`` families fork at the final
+decay (epoch 68), and the ``base_lr = 8`` family at its bounce (epoch 55),
+when a worker is free, so that follower resumes from a fork streamed by its
+leader while the leader still trains.
+Every run and the sweep write into the same ``log_dir`` path on both
+sides, because checkpoint bytes embed the config's ``log_dir``, and are
+moved aside after.
 
 The tool compares ``metrics.csv`` (without ``wall_ms``), ``layers.csv``,
-``events.csv`` and every checkpoint, prints each difference, and exits 1
-on any difference or failed run, 0 when everything matches. When
+``events.csv`` and every checkpoint of each run and of each sweep point,
+and the sweep's ``summary.csv`` byte for byte. It prints each difference,
+and exits 1 on any difference or failed run, 0 when everything matches. When
 ``metrics.csv`` or ``layers.csv`` differs, it also prints, per column that
 differs, how many rows differ, the largest relative difference
 ``|a - b| / max(|a|, |b|)``, the largest difference ``|a - b|`` and that
@@ -66,6 +75,9 @@ VARIANTS = {
     "blobs_abel_momentum": {"epochs": "20", "optimizer.momentum": "0.9"},
     "blobs_abel_noclip_nol2": {"epochs": "20", "clip_norm": "0", "weight_decay": "0"},
 }
+# the sweep of configs/blobs_abel.txt, with jobs = 2
+SWEEP_OVERRIDES = {"epochs": "80"}
+SWEEP_GRID = "base_lr=2,4,8;decay_factor=0.2,0.5"
 
 
 def with_overrides(text: str, overrides: dict[str, str]) -> str:
@@ -93,8 +105,7 @@ def compare_runs(parent: Path, change: Path) -> list[str]:
     for name in names:
         a, b = parent / name, change / name
         if not (a.exists() and b.exists()):
-            diffs.append(f"{name}: only in {'parent' if a.exists() else 'change'}"
-                         if a.exists() or b.exists() else f"{name}: missing on both sides")
+            diffs.append(_missing(name, a, b))
             continue
         if name == "metrics.csv":
             rows_a, rows_b = _rows(a), _rows(b)
@@ -105,6 +116,33 @@ def compare_runs(parent: Path, change: Path) -> list[str]:
         elif a.read_bytes() != b.read_bytes():
             diffs.append(f"{name}: bytes differ")
     return diffs
+
+
+def compare_sweeps(parent: Path, change: Path) -> list[str]:
+    """The differences between two sweep directories of the same sweep:
+    ``summary.csv`` byte for byte, and ``compare_runs`` of each point,
+    including a point that only one side has."""
+    diffs = []
+    a, b = parent / "summary.csv", change / "summary.csv"
+    if not (a.exists() and b.exists()):
+        diffs.append(_missing("summary.csv", a, b))
+    elif a.read_bytes() != b.read_bytes():
+        diffs.append("summary.csv: bytes differ")
+    for name in sorted({p.name for side in (parent, change) for p in side.glob("point_*")}):
+        a, b = parent / name, change / name
+        if not (a.exists() and b.exists()):
+            diffs.append(_missing(name, a, b))
+            continue
+        diffs += [f"{name}: {diff}" for diff in compare_runs(a, b)]
+    return diffs
+
+
+def _missing(name: str, a: Path, b: Path) -> str:
+    """The difference of a file or point that the parent (``a``) or the change
+    (``b``) lacks."""
+    if a.exists() or b.exists():
+        return f"{name}: only in {'parent' if a.exists() else 'change'}"
+    return f"{name}: missing on both sides"
 
 
 def _difference(a: str, b: str) -> tuple[float, float]:
@@ -166,11 +204,10 @@ def describe_differences(parent: Path, change: Path) -> list[str]:
     return out
 
 
-def run_config(tree: Path, config: Path, log_dir: Path) -> subprocess.CompletedProcess:
-    """``abel-sched run config`` with ``tree``'s library, logging into ``log_dir``."""
+def run_cli(tree: Path, *args: str) -> subprocess.CompletedProcess:
+    """``abel-sched *args`` with ``tree``'s library."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    return subprocess.run([sys.executable, "-m", "abel_sched.cli", "run", str(config),
-                           "--log-dir", str(log_dir)],
+    return subprocess.run([sys.executable, "-m", "abel_sched.cli", *args],
                           cwd=tree, env=env, capture_output=True, text=True)
 
 
@@ -185,29 +222,37 @@ def check(parent_rev: str, change_rev: str, scratch: Path) -> int:
     abel = (configs / "blobs_abel.txt").read_text()
     for stem, overrides in VARIANTS.items():
         (configs / f"{stem}.txt").write_text(with_overrides(abel, overrides))
+    sweep = scratch / "blobs_abel_sweep.txt"
+    sweep.write_text(with_overrides(abel, SWEEP_OVERRIDES))
 
     shared = scratch / "run"  # the one log_dir path both sides log into
+    # (label, name of the logs kept, CLI arguments, comparison)
+    jobs = [(config.name, config.stem, ["run", str(config), "--log-dir", str(shared)],
+             compare_runs) for config in sorted(configs.glob("*.txt"))]
+    jobs.append((f"{sweep.name} --grid {SWEEP_GRID} --jobs 2", sweep.stem,
+                 ["sweep", str(sweep), "--grid", SWEEP_GRID, "--jobs", "2",
+                  "--sweep-dir", str(shared)], compare_sweeps))
     failed = False
-    for config in sorted(configs.glob("*.txt")):
+    for label, name, args, compare in jobs:
         outputs = {}
         for side, tree in trees.items():
-            proc = run_config(tree, config, shared)
-            outputs[side] = scratch / "logs" / side / config.stem
+            proc = run_cli(tree, *args)
+            outputs[side] = scratch / "logs" / side / name
             outputs[side].parent.mkdir(parents=True, exist_ok=True)
             if shared.exists():
                 shutil.move(str(shared), outputs[side])
             if proc.returncode != 0:
-                print(f"{config.name} on {side}: exit {proc.returncode}: "
+                print(f"{label} on {side}: exit {proc.returncode}: "
                       f"{proc.stderr.strip().splitlines()[-1:]}")
                 failed = True
-        diffs = compare_runs(outputs["parent"], outputs["change"])
+        diffs = compare(outputs["parent"], outputs["change"])
         for diff in diffs:
-            print(f"{config.name}: {diff}")
+            print(f"{label}: {diff}")
         if any(diff.startswith(("metrics.csv", "layers.csv")) for diff in diffs):
             for line in describe_differences(outputs["parent"], outputs["change"]):
-                print(f"{config.name}:   {line}")
+                print(f"{label}:   {line}")
         if not diffs:
-            print(f"{config.name}: identical")
+            print(f"{label}: identical")
         failed = failed or bool(diffs)
     return 1 if failed else 0
 
