@@ -14,8 +14,12 @@ One run writes four files into its log directory:
 * ``config.txt`` -- the canonical config text.
 
 Determinism: parameters come from ``seed``; the epoch-e minibatch order
-comes from a generator seeded with ``[seed, e]``, so resuming at any epoch
-reproduces the remaining records exactly. The squared weight norm is
+is ``default_rng([seed, e]).permutation(n)``, so resuming at any epoch
+reproduces the remaining records exactly. The orders of the epochs a call
+trains are drawn ahead of them, back to back, into blocks of at most 1 MiB
+in the narrowest unsigned dtype that holds ``n - 1`` (the standard run's
+200 orders fill one block, drawn before its first epoch); each is cast to
+``intp`` once, as its epoch starts. The squared weight norm is
 measured after the last optimizer step of an epoch, before the scheduler
 observes it; the bounce scheduler watches the total squared norm, the
 plateau scheduler watches the epoch's mean training loss.
@@ -64,6 +68,7 @@ from .params import ParamSet, inner_gw, weight_norm_sq
 from .schedules import LrEvent, ScheduleSpec, has_discrete_milestones, lr_at, warmup_scale
 
 AUTO_STOP_SETTLE_EPOCHS = 3
+_ORDER_BLOCK_BYTES = 1 << 20  # the most memory one block of drawn epoch orders takes
 
 METRICS_COLUMNS = ("epoch", "lr", "train_loss", "train_error", "test_error",
                    "wsq_total", "wsq_l2_only", "gw_total", "wall_ms")
@@ -313,6 +318,29 @@ class _RunLog:
                      (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
 
 
+def _order_blocks(seed: int, n: int, start_epoch: int, epochs: int):
+    """The minibatch orders of epochs ``start_epoch + 1 .. epochs``, one row
+    each, in blocks of the narrowest unsigned dtype that holds ``n - 1`` and
+    of at most ``_ORDER_BLOCK_BYTES`` (one row when a row alone is larger).
+    Each block is drawn when the one before it is used up."""
+    dtype = np.min_scalar_type(n - 1)
+    per_block = max(1, _ORDER_BLOCK_BYTES // (n * dtype.itemsize))
+    for first in range(start_epoch + 1, epochs + 1, per_block):
+        block = np.empty((min(per_block, epochs + 1 - first), n), dtype)
+        for epoch, row in enumerate(block, start=first):
+            row[:] = np.random.default_rng([seed, epoch]).permutation(n)
+        yield block
+
+
+def _epoch_orders(seed: int, n: int, start_epoch: int, epochs: int):
+    """The minibatch order of each epoch ``start_epoch + 1 .. epochs`` as
+    ``intp``, for ``TrainSet.take``: epoch e's is
+    ``default_rng([seed, e]).permutation(n)``, drawn ahead by ``_order_blocks``."""
+    for block in _order_blocks(seed, n, start_epoch, epochs):
+        for row in block:
+            yield row.astype(np.intp)
+
+
 def watch_key(config: ExperimentConfig) -> tuple:
     """What a run shares with the configs it may watch: every field but
     ``schedule`` and ``log_dir``."""
@@ -420,8 +448,9 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     update, hyper = update_kernel(opt)
     opt_state = opt.flat_state(layout)
 
+    orders = _epoch_orders(config.seed, n, start_epoch, config.epochs)
     try:
-        for epoch in range(start_epoch + 1, config.epochs + 1):
+        for epoch, order in enumerate(orders, start=start_epoch + 1):
             lr_epoch = _schedule_lr(scheduler, spec, epoch)
             for track in list(watched):
                 i, other, other_scheduler, other_events = track
@@ -438,7 +467,6 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
                         on_fork(i, forks[i])
             t0 = time.perf_counter()
             # One gather per epoch; each minibatch is then a contiguous slice.
-            order = np.random.default_rng([config.seed, epoch]).permutation(n)
             epoch_set = train.take(order)
             eff_lr = lr_epoch
             # non-finite values are caught by the reduction below, in step order
@@ -501,7 +529,8 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
                 status = "auto_stopped"
                 break
     except NumericError as exc:
-        meta.update(status="diverged", error=str(exc), epochs_run=len(records))
+        meta.update(status="diverged", error=str(exc),
+                    epochs_run=start_epoch + len(records))
         log.write_meta(meta)
         log.close()
         raise DivergenceError(str(exc)) from exc

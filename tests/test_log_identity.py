@@ -125,3 +125,21 @@ def test_sweeps_are_compared_point_by_point_and_by_summary(tmp_path):
     ]
     (change / "summary.csv").unlink()
     assert log_identity.compare_sweeps(parent, change)[0] == "summary.csv: only in parent"
+
+
+def test_the_resume_job_reads_each_sides_own_checkpoint_after_its_run(tmp_path):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    for stem in ("blobs_abel", "blobs_abel_adam"):
+        (configs / f"{stem}.txt").write_text("epochs = 10\n")
+    shared, logs = tmp_path / "run", tmp_path / "logs"
+    jobs = log_identity.jobs(configs, tmp_path / "sweep.txt", shared, logs)
+    names = [name for _, name, _, _ in jobs]
+    assert names == ["blobs_abel", "blobs_abel_adam", "blobs_abel_adam_resumed", "sweep"]
+    _, _, args, compare = jobs[2]
+    assert compare is log_identity.compare_runs
+    for side in ("parent", "change"):
+        assert args[side] == ["resume", str(logs / side / "blobs_abel_adam" / "epoch_0005.ckpt"),
+                              "--epochs", "12", "--log-dir", str(shared)]
+    assert all(job_args["parent"] == job_args["change"]
+               for _, name, job_args, _ in jobs if name != "blobs_abel_adam_resumed")

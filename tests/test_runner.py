@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abel_sched import (
     AbelScheduler,
@@ -32,7 +34,7 @@ from abel_sched import (
     save_checkpoint,
     serialize_scheduler,
 )
-from abel_sched import checkpoint
+from abel_sched import checkpoint, runner
 from abel_sched.checkpoint import CheckpointError, ResumeRefusedError
 from abel_sched.config import config_hash
 from abel_sched.cli import main as cli_main
@@ -205,9 +207,11 @@ _DIVERGING = {
 def test_divergence_in_an_epoch_reads_as_a_check_after_every_step(tmp_path, case):
     """The steps' losses and logits are checked at the epoch's end, in step
     order with logits before loss; meta.json reads as if each step were
-    checked as it ran, as the per-step oracle does."""
+    checked as it ran, as the per-step oracle does. A run resumed from any
+    of its checkpoints diverges where it did, and its meta.json counts the
+    epochs of the whole run."""
     overrides, velocity, error, epochs_run = _DIVERGING[case]
-    cfg = tiny_config(tmp_path / "run", **overrides)
+    cfg = tiny_config(tmp_path / "run", checkpoint_every=1, **overrides)
     state = None if velocity is None else _state_with_velocity(cfg, *velocity)
     with np.errstate(over="ignore", invalid="ignore"):
         oracle = reference_epochs(cfg, state)
@@ -220,6 +224,15 @@ def test_divergence_in_an_epoch_reads_as_a_check_after_every_step(tmp_path, case
         run_experiment(cfg, resume_state=state)
     meta = json.loads((tmp_path / "run" / "meta.json").read_text())
     assert (meta["status"], meta["error"], meta["epochs_run"]) == ("diverged", error, epochs_run)
+    checkpoints = sorted((tmp_path / "run").glob("epoch_*.ckpt"))
+    assert len(checkpoints) == epochs_run
+    for epoch, ckpt in enumerate(checkpoints, start=1):
+        config, resumed = prepare_resume(ckpt, log_dir=str(tmp_path / f"resumed-{epoch}"))
+        with pytest.raises(DivergenceError, match=error):
+            run_experiment(config, resume_state=resumed)
+        meta = json.loads((tmp_path / f"resumed-{epoch}" / "meta.json").read_text())
+        assert (meta["status"], meta["error"], meta["start_epoch"], meta["epochs_run"]) == \
+            ("diverged", error, epoch, epochs_run)
 
 
 @pytest.mark.parametrize("key,value", [("model.activation", "sigmoid"), ("model.kind", "conv"),
@@ -324,20 +337,57 @@ def test_checkpoint_round_trip(tmp_path):
     assert state.params.names() == ["fc1.w", "fc1.b", "out.w", "out.b"]
 
 
-def test_resume_reproduces_remaining_records_byte_identically(tmp_path):
+@pytest.mark.parametrize("block", ["default", "one-epoch"])
+@pytest.mark.parametrize("cut", [1, 6, 11, 12])
+def test_resume_reproduces_remaining_records_byte_identically(tmp_path, monkeypatch, cut, block):
+    """Under the default block of drawn epoch orders (all 12 in one) and a
+    block of one epoch's order, a resume at epoch 1, 6, 11 or 12 (none left
+    to train) logs the rows the uninterrupted run logged after it."""
+    if block == "one-epoch":  # 256 training rows, each index one byte
+        monkeypatch.setattr(runner, "_ORDER_BLOCK_BYTES", 256)
     full_cfg = tiny_config(tmp_path / "full", epochs=12, checkpoint_every=0)
     run_experiment(full_cfg)
-    cut_cfg = tiny_config(tmp_path / "cut", epochs=12, checkpoint_every=6)
+    cut_cfg = tiny_config(tmp_path / "cut", epochs=12, checkpoint_every=cut)
     run_experiment(cut_cfg)
 
-    config, state = prepare_resume(tmp_path / "cut" / "epoch_0006.ckpt",
+    config, state = prepare_resume(tmp_path / "cut" / f"epoch_{cut:04d}.ckpt",
                                    log_dir=str(tmp_path / "resumed"))
     result = run_experiment(config, resume_state=state)
-    assert [r.epoch for r in result.records] == list(range(7, 13))
+    assert [r.epoch for r in result.records] == list(range(cut + 1, 13))
 
     full_rows = strip_wall_ms((tmp_path / "full" / "metrics.csv").read_text()).splitlines()
     res_rows = strip_wall_ms((tmp_path / "resumed" / "metrics.csv").read_text()).splitlines()
-    assert res_rows[1:] == full_rows[7:]  # rows for epochs 7..12
+    assert res_rows[1:] == full_rows[cut + 1:]  # rows for epochs cut + 1..12
+    assert len(full_rows) == 13
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.one_of(st.integers(1, 700), st.integers(65535, 65538)),
+       seed=st.integers(0, 2**32 - 1), start_epoch=st.integers(0, 12), more=st.integers(0, 12),
+       cap=st.integers(1, 3000))
+def test_epoch_orders_are_the_per_epoch_permutations_in_bounded_blocks(n, seed, start_epoch,
+                                                                      more, cap):
+    """Epochs start + 1..epochs get ``default_rng([seed, e]).permutation(n)``
+    in order, as intp; the blocks behind them use the narrowest unsigned
+    dtype and hold as many orders as fit in the cap, and at least one."""
+    epochs = start_epoch + more
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "_ORDER_BLOCK_BYTES", cap)
+        rows = list(runner._epoch_orders(seed, n, start_epoch, epochs))
+        blocks = list(runner._order_blocks(seed, n, start_epoch, epochs))
+    assert len(rows) == more
+    for epoch, row in enumerate(rows, start=start_epoch + 1):
+        assert row.dtype == np.intp
+        np.testing.assert_array_equal(row, np.random.default_rng([seed, epoch]).permutation(n))
+    dtype = np.dtype(np.uint8 if n <= 2**8 else np.uint16 if n <= 2**16 else np.uint32)
+    per_block = max(1, cap // (n * dtype.itemsize))
+    assert [b.shape for b in blocks] == \
+        [(min(per_block, more - i), n) for i in range(0, more, per_block)]
+    for block in blocks:
+        assert block.dtype == dtype
+        assert block.nbytes <= cap or len(block) == 1
+    if blocks:
+        np.testing.assert_array_equal(np.concatenate(blocks), np.array(rows).reshape(more, n))
 
 
 def test_resume_refuses_budget_change_for_cosine(tmp_path):

@@ -21,14 +21,18 @@ config files: each shipped ``configs/*.txt`` and six variants of
 No shipped config trains the last three: biases, momentum above 0, or a
 step that neither clips nor adds an L2 term.
 
+Each side then resumes its own Adam run, ``abel-sched resume`` of that
+run's ``epoch_0005.ckpt`` with ``--epochs 12`` (``RESUME``), so one loop
+starts past epoch 0 from a checkpoint, under a changed budget.
+
 Both sides also run one sweep, ``abel-sched sweep`` of
 ``configs/blobs_abel.txt`` at 80 epochs over ``SWEEP_GRID`` with
 ``--jobs 2``. The ``base_lr = 2`` and ``4`` families fork at the final
 decay (epoch 68), and the ``base_lr = 8`` family at its bounce (epoch 55),
 when a worker is free, so that follower resumes from a fork streamed by its
 leader while the leader still trains.
-Every run and the sweep write into the same ``log_dir`` path on both
-sides, because checkpoint bytes embed the config's ``log_dir``, and are
+Every run, the resume and the sweep write into the same ``log_dir`` path on
+both sides, because checkpoint bytes embed the config's ``log_dir``, and are
 moved aside after.
 
 The tool compares ``metrics.csv`` (without ``wall_ms``), ``layers.csv``,
@@ -60,6 +64,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_record import extract, resolve  # noqa: E402
 
 LOGS = ("metrics.csv", "layers.csv", "events.csv")
+SIDES = ("parent", "change")
 # variants of configs/blobs_abel.txt, by the stem of their config file
 VARIANTS = {
     "blobs_abel_adam": {"optimizer.kind": "adam", "base_lr": "0.01", "epochs": "10",
@@ -75,6 +80,8 @@ VARIANTS = {
     "blobs_abel_momentum": {"epochs": "20", "optimizer.momentum": "0.9"},
     "blobs_abel_noclip_nol2": {"epochs": "20", "clip_norm": "0", "weight_decay": "0"},
 }
+# the resume of a variant's checkpoint at a new budget: (variant, checkpoint, epochs)
+RESUME = ("blobs_abel_adam", "epoch_0005.ckpt", "12")
 # the sweep of configs/blobs_abel.txt, with jobs = 2
 SWEEP_OVERRIDES = {"epochs": "80"}
 SWEEP_GRID = "base_lr=2,4,8;decay_factor=0.2,0.5"
@@ -211,8 +218,26 @@ def run_cli(tree: Path, *args: str) -> subprocess.CompletedProcess:
                           cwd=tree, env=env, capture_output=True, text=True)
 
 
+def jobs(configs: Path, sweep: Path, shared: Path, logs: Path) -> list[tuple]:
+    """(label, name of the logs kept, CLI arguments per side, comparison) of
+    each job, in the order they run: a run of each config, the resume of
+    ``RESUME`` from each side's own logs of its run (kept under ``logs``),
+    and the sweep. Every job logs into ``shared``."""
+    out = [(config.name, config.stem,
+            dict.fromkeys(SIDES, ["run", str(config), "--log-dir", str(shared)]), compare_runs)
+           for config in sorted(configs.glob("*.txt"))]
+    stem, ckpt, epochs = RESUME
+    out.append((f"{stem} resume {ckpt} --epochs {epochs}", f"{stem}_resumed",
+                {side: ["resume", str(logs / side / stem / ckpt), "--epochs", epochs,
+                        "--log-dir", str(shared)] for side in SIDES}, compare_runs))
+    out.append((f"{sweep.name} --grid {SWEEP_GRID} --jobs 2", sweep.stem,
+                dict.fromkeys(SIDES, ["sweep", str(sweep), "--grid", SWEEP_GRID, "--jobs", "2",
+                                      "--sweep-dir", str(shared)]), compare_sweeps))
+    return out
+
+
 def check(parent_rev: str, change_rev: str, scratch: Path) -> int:
-    trees = {"parent": scratch / "parent", "change": scratch / "change"}
+    trees = {side: scratch / side for side in SIDES}
     for side, rev in (("parent", parent_rev), ("change", change_rev)):
         extract(resolve(rev), trees[side])
     configs = scratch / "configs"
@@ -226,18 +251,13 @@ def check(parent_rev: str, change_rev: str, scratch: Path) -> int:
     sweep.write_text(with_overrides(abel, SWEEP_OVERRIDES))
 
     shared = scratch / "run"  # the one log_dir path both sides log into
-    # (label, name of the logs kept, CLI arguments, comparison)
-    jobs = [(config.name, config.stem, ["run", str(config), "--log-dir", str(shared)],
-             compare_runs) for config in sorted(configs.glob("*.txt"))]
-    jobs.append((f"{sweep.name} --grid {SWEEP_GRID} --jobs 2", sweep.stem,
-                 ["sweep", str(sweep), "--grid", SWEEP_GRID, "--jobs", "2",
-                  "--sweep-dir", str(shared)], compare_sweeps))
+    logs = scratch / "logs"
     failed = False
-    for label, name, args, compare in jobs:
+    for label, name, args, compare in jobs(configs, sweep, shared, logs):
         outputs = {}
         for side, tree in trees.items():
-            proc = run_cli(tree, *args)
-            outputs[side] = scratch / "logs" / side / name
+            proc = run_cli(tree, *args[side])
+            outputs[side] = logs / side / name
             outputs[side].parent.mkdir(parents=True, exist_ok=True)
             if shared.exists():
                 shutil.move(str(shared), outputs[side])
