@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .schedules import LrEvent, ScheduleSpec
+from .schedules import PLATEAU_MODES, LrEvent, ScheduleSpec
 
 
 class AbelScheduler:
@@ -166,8 +166,8 @@ class PlateauScheduler:
             raise ValueError("patience must be >= 0")
         if not threshold >= 0:
             raise ValueError("threshold must be >= 0")
-        if mode not in ("min", "max"):
-            raise ValueError("mode must be 'min' or 'max'")
+        if mode not in PLATEAU_MODES:
+            raise ValueError(f"mode must be one of {PLATEAU_MODES}")
         self.base_lr = base_lr
         self.current_lr = base_lr
         self.factor = factor

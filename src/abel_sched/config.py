@@ -229,6 +229,8 @@ _DATASET_KEYS = {
     "idx": ("path", "subsample"),
 }
 
+_OPTIMIZER_KEYS = {"momentum": ("momentum",), "adam": ("beta1", "beta2", "eps")}
+
 _SCHEDULE_KEYS = {
     "constant": (),
     "stepwise": ("milestones",),
@@ -287,20 +289,18 @@ def config_from_values(raw: dict[str, object]) -> ExperimentConfig:
             init_scale=values["model.init_scale"],
             input_shape=values["model.input_shape"] or None,
         )
-        optimizer = OptimizerSpec(
-            kind=values["optimizer.kind"],
-            momentum=values["optimizer.momentum"],
-            beta1=values["optimizer.beta1"],
-            beta2=values["optimizer.beta2"],
-            eps=values["optimizer.eps"],
-        )
-        if optimizer.kind not in ("momentum", "adam"):
+        opt_kind = values["optimizer.kind"]
+        if opt_kind not in _OPTIMIZER_KEYS:
             raise ConfigError("optimizer.kind must be 'momentum' or 'adam'")
         for key in ("momentum", "beta1", "beta2"):
-            if not 0.0 <= getattr(optimizer, key) < 1.0:
+            if not 0.0 <= values[f"optimizer.{key}"] < 1.0:
                 raise ConfigError(f"optimizer.{key} must lie in [0, 1)")
-        if not optimizer.eps >= 0:
+        if not values["optimizer.eps"] >= 0:
             raise ConfigError("optimizer.eps must be >= 0")
+        # every given key is checked, but only the kind's own are kept: format_config
+        # writes no other, so a config holding one would not round-trip
+        optimizer = OptimizerSpec(kind=opt_kind, **{
+            key: values[f"optimizer.{key}"] for key in _OPTIMIZER_KEYS[opt_kind]})
         schedule = _build_schedule(values)
         return ExperimentConfig(
             epochs=values["epochs"],
@@ -415,11 +415,8 @@ def _format_config(config: ExperimentConfig) -> str:
         values["model.input_shape"] = m.input_shape
     opt = config.optimizer
     values["optimizer.kind"] = opt.kind
-    if opt.kind == "momentum":
-        values["optimizer.momentum"] = opt.momentum
-    else:
-        values.update({"optimizer.beta1": opt.beta1, "optimizer.beta2": opt.beta2,
-                       "optimizer.eps": opt.eps})
+    for key in _OPTIMIZER_KEYS[opt.kind]:
+        values[f"optimizer.{key}"] = getattr(opt, key)
     s = config.schedule
     values["schedule.kind"] = s.kind
     if s.warmup_epochs:

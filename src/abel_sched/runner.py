@@ -52,8 +52,8 @@ import json
 import math
 import os
 import time
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, fields
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -121,14 +121,12 @@ class RunState:
 class RunResult:
     """What a run returns. ``records`` and ``events`` cover the epochs this
     call trained; ``meta`` and the error properties cover the whole run, from
-    epoch 1. ``forks`` holds one entry per watched config (see
-    :func:`run_experiment`): the state to resume it from, or None."""
+    epoch 1."""
 
     records: list[EpochRecord]
     events: list[LrEvent]
     meta: dict
     log_dir: Path
-    forks: list[RunState | None] = field(default_factory=list)
 
     @property
     def best_test_error(self) -> float:
@@ -341,16 +339,9 @@ def _epoch_orders(seed: int, n: int, start_epoch: int, epochs: int):
             yield row.astype(np.intp)
 
 
-def watch_key(config: ExperimentConfig) -> tuple:
-    """What a run shares with the configs it may watch: every field but
-    ``schedule`` and ``log_dir``."""
-    return tuple(getattr(config, f.name) for f in fields(config)
-                 if f.name not in ("schedule", "log_dir"))
-
-
 def run_experiment(config: ExperimentConfig, resume_state: RunState | None = None,
-                   quiet: bool = True, watch: Sequence[ExperimentConfig] = (),
-                   on_fork: Callable[[int, RunState], None] | None = None) -> RunResult:
+                   quiet: bool = True,
+                   on_epoch: Callable[[EpochRecord, RunState], None] | None = None) -> RunResult:
     """Train per the config, logging one record per epoch.
 
     ``resume_state`` continues a checkpointed run; only epochs after
@@ -359,25 +350,13 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     ``resume_state`` as it was. Raises :class:`DivergenceError` on a
     non-finite training loss or squared weight norm.
 
-    ``watch`` holds configs that equal ``config`` but for ``schedule`` and
-    ``log_dir`` (others, or ``watch`` with ``resume_state``, raise
-    ``ValueError``); each has its own scheduler fed this run's records. At
-    the first epoch boundary E >= 1 after which a watched run's lr or
-    ``warmup_epochs`` differs from this run's, its log directory receives the
-    rows of epochs 1..E and its own lr events, and ``forks[i]`` the state at
-    E, from which ``run_experiment(watch[i], resume_state=forks[i])`` logs
-    what an independent run would. Otherwise ``forks[i]`` is None.
-    ``on_fork(i, forks[i])`` is called as soon as ``forks[i]`` is set, after
-    the watched run's logs are written and before this run trains epoch
-    E + 1, so a caller can start the watched run while this one goes on.
+    ``on_epoch(rec, state)`` is called at each epoch boundary the run goes on
+    from: after the epoch's logs, its checkpoint and the auto-stop check, and
+    never after the last epoch. ``state``, from which the run could resume,
+    holds its own copies of the weights and the optimizer state, but the live
+    scheduler (see :class:`RunState`). A sweep's leader watches its family
+    through it.
     """
-    key = watch_key(config)
-    for other in watch:
-        if watch_key(other) != key:
-            raise ValueError(f"a watched config differs from the run's beyond its "
-                             f"schedule and log_dir: {other.log_dir}")
-    if watch and resume_state is not None:
-        raise ValueError("a resumed run cannot watch other runs")
     model, data = build_model(config)
     # the sets hold their own copies; popping the dataset's arrays frees them
     train = model.train_set(*data.pop("train"), config.label_smoothing)
@@ -431,16 +410,12 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     records: list[EpochRecord] = []
     all_events: list[LrEvent] = []
     status = "completed"
-    forks: list[RunState | None] = [None] * len(watch)
-    # (index, config, scheduler, lr events) of each watched run yet to depart
-    watched = [(i, other, make_scheduler(other.schedule), [])
-               for i, other in enumerate(watch)]
     probe = slice(0, min(config.batch_size, n))
     # The steps write a live weight vector ``w`` (``live`` is a ParamSet over
     # it) and the optimizer's flat state in place, both copies, so
-    # ``resume_state`` is never written. Each epoch's end copies them into the
-    # objects the measurements, forks and checkpoints read, and reduces the
-    # logits each step records into ``stats`` to every step's loss and error.
+    # ``resume_state`` is never written. The measurements read ``live``; only a
+    # checkpoint or ``on_epoch`` gets a RunState, which copies both. Each epoch's
+    # end reduces the logits each step records into ``stats`` to each step's loss and error.
     stats = StepStats(n, model.arch.classes)
     layout = params.layout
     w = params.flat.copy()
@@ -452,19 +427,6 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     try:
         for epoch, order in enumerate(orders, start=start_epoch + 1):
             lr_epoch = _schedule_lr(scheduler, spec, epoch)
-            for track in list(watched):
-                i, other, other_scheduler, other_events = track
-                if (_schedule_lr(other_scheduler, other.schedule, epoch),
-                        other.schedule.warmup_epochs) == (lr_epoch, spec.warmup_epochs):
-                    continue
-                watched.remove(track)
-                if epoch > 1:
-                    _write_fork_logs(other, records, other_events)
-                    forks[i] = RunState(epoch=epoch - 1, global_step=global_step,
-                                        params=params, opt=opt, scheduler=other_scheduler,
-                                        test_errors=tuple(test_errors))
-                    if on_fork is not None:
-                        on_fork(i, forks[i])
             t0 = time.perf_counter()
             # One gather per epoch; each minibatch is then a contiguous slice.
             epoch_set = train.take(order)
@@ -489,20 +451,18 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
                 loss_sum += loss * rows
                 err_sum += err * rows
 
-            params = ParamSet.from_flat(layout, w.copy())
-            opt = opt.with_flat_state(layout, opt_state)
             train_loss = loss_sum / n
             train_error = err_sum / n
-            wsq_total, per_layer = weight_norm_sq(params)
+            wsq_total, per_layer = weight_norm_sq(live)
             if not math.isfinite(wsq_total):
                 raise NumericError(f"non-finite squared weight norm at epoch {epoch}")
-            # the same dots as weight_norm_sq(params, include="l2_only"), summed in its order
+            # the same dots as weight_norm_sq(live, include="l2_only"), summed in its order
             wsq_l2 = sum(v for v, l2 in zip(per_layer.values(), layout.l2) if l2)
             gw_total = None
             if config.log_gw:
-                _, grads, _ = model.batch_stats(params, train[probe])
-                gw_total, _ = inner_gw(params, grads)
-            test_error = model.error_rate(params, test, batch_size=config.eval_batch)
+                _, grads, _ = model.batch_stats(live, train[probe])
+                gw_total, _ = inner_gw(live, grads)
+            test_error = model.error_rate(live, test, batch_size=config.eval_batch)
 
             rec = EpochRecord(
                 epoch=epoch, lr=eff_lr, train_loss=train_loss, train_error=train_error,
@@ -510,24 +470,29 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
                 per_layer_wsq=per_layer, gw_total=gw_total,
                 wall_ms=int((time.perf_counter() - t0) * 1000))
             events = _lr_events(scheduler, spec, rec, config.epochs)
-            for _, other, other_scheduler, other_events in watched:
-                other_events += _lr_events(other_scheduler, other.schedule, rec, config.epochs)
             records.append(rec)
             test_errors.append(test_error)
             all_events.extend(events)
             log.write_record(rec)
             log.write_events(events)
 
-            if config.checkpoint_every > 0 and epoch % config.checkpoint_every == 0:
-                from .checkpoint import save_checkpoint
-                state = RunState(epoch=epoch, global_step=global_step, params=params, opt=opt,
+            checkpoint = config.checkpoint_every > 0 and epoch % config.checkpoint_every == 0
+            hook = on_epoch is not None and epoch < config.epochs
+            if checkpoint or hook:
+                state = RunState(epoch=epoch, global_step=global_step,
+                                 params=ParamSet.from_flat(layout, w.copy()),
+                                 opt=opt.with_flat_state(layout, opt_state),
                                  scheduler=scheduler, test_errors=tuple(test_errors))
+            if checkpoint:
+                from .checkpoint import save_checkpoint
                 save_checkpoint(log.dir / f"epoch_{epoch:04d}.ckpt", config, state)
 
             if _should_auto_stop(config, test_errors,
                                  scheduler.decay_log if scheduler else (), epoch):
                 status = "auto_stopped"
                 break
+            if hook:
+                on_epoch(rec, state)
     except NumericError as exc:
         meta.update(status="diverged", error=str(exc),
                     epochs_run=start_epoch + len(records))
@@ -551,8 +516,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     if not quiet:
         print(f"run {log.dir}: {meta['status']}, best test error "
               f"{meta['best_test_error']} at epoch {meta['best_epoch']}")
-    return RunResult(records=records, events=all_events, meta=meta, log_dir=log.dir,
-                     forks=forks)
+    return RunResult(records=records, events=all_events, meta=meta, log_dir=log.dir)
 
 
 def _write_fork_logs(config: ExperimentConfig, records: list[EpochRecord],

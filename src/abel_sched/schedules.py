@@ -16,7 +16,7 @@ ADAPTIVE_KINDS = ("abel", "plateau")
 SCHEDULE_KINDS = STATELESS_KINDS + ADAPTIVE_KINDS
 
 COSINE_FORMS = ("quarter", "half")
-PLATEAU_MODES = ("min", "max")
+PLATEAU_MODES = ("min", "max")  # a mode's index is its code in scheduler blobs (state_io)
 
 
 @dataclass(frozen=True)

@@ -33,14 +33,13 @@ import struct
 from functools import partial
 
 from .adaptive import AbelScheduler, PlateauScheduler
+from .schedules import PLATEAU_MODES
 
 MAGIC = b"LRS1"
 VERSION = 2
 
 _KIND_ABEL = 1
 _KIND_PLATEAU = 2
-
-_MODES = ("min", "max")
 
 
 class StateDecodeError(ValueError):
@@ -89,7 +88,7 @@ def serialize_scheduler(scheduler: AbelScheduler | PlateauScheduler) -> bytes:
     elif isinstance(scheduler, PlateauScheduler):
         p = scheduler
         spec = struct.pack("<BdddIB", _KIND_PLATEAU, p.base_lr, p.factor, p.threshold,
-                           p.patience, _MODES.index(p.mode))
+                           p.patience, PLATEAU_MODES.index(p.mode))
         observed = p.history
     else:
         raise TypeError(f"cannot serialize {type(scheduler).__name__}")
@@ -124,10 +123,10 @@ def restore_scheduler(data: bytes) -> AbelScheduler | PlateauScheduler:
         changes = budgets[1:]
     elif kind == _KIND_PLATEAU:
         base_lr, factor, threshold, patience, mode_code = r.take("<dddIB")
-        if mode_code >= len(_MODES):
+        if mode_code >= len(PLATEAU_MODES):
             raise StateDecodeError(f"unknown plateau mode code {mode_code}")
         fresh = partial(PlateauScheduler, base_lr=base_lr, factor=factor, patience=patience,
-                        threshold=threshold, mode=_MODES[mode_code])
+                        threshold=threshold, mode=PLATEAU_MODES[mode_code])
         changes = []
     else:
         raise StateDecodeError(f"unknown scheduler kind code {kind}")

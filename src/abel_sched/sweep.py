@@ -8,20 +8,20 @@ subdirectory of the sweep directory; failures are recorded in the summary
 and do not stop the sweep. Points may run in parallel worker processes,
 each of which runs its BLAS calls on one thread.
 
-Families: grid points whose configs are equal but for ``schedule`` and
-``log_dir``, the configs ``run_experiment(watch=...)`` accepts, train
-identically until their lrs first differ. On the sweepable axes these are
-the points that differ only in ``decay_factor``. The first point of a
-family in grid order, its leader, trains from scratch and watches the
-others, its followers. At the end of the last epoch E both trained alike,
-the leader writes the follower's rows of epochs 1..E and hands over the
-fork, its state at E (``on_fork``). The follower resumes from the fork, so
-those ``metrics.csv`` rows carry the leader's ``wall_ms`` and its
-``meta.json`` reports ``start_epoch = E``. Every other byte of its logs
-equals that of an independent run of the point. A follower forked before
-its leader failed still resumes from the fork. A follower without a fork
-(its lr differs from epoch 1 on or never does, or its leader failed first)
-trains from scratch once its leader has returned. A grid without a
+Families: grid points with the same ``watch_key``, configs equal but for
+``schedule`` and ``log_dir``, train identically until their lrs first
+differ. On the sweepable axes these are the points that differ only in
+``decay_factor``. The first point of a family in grid order, its leader,
+trains from scratch and watches the others, its followers, through the
+``on_epoch`` hook of ``run_experiment`` (``_watcher``). At the end of the
+last epoch E both trained alike, the leader writes the follower's rows of
+epochs 1..E and hands over the fork, its state at E. The follower resumes
+from the fork, so those ``metrics.csv`` rows carry the leader's ``wall_ms``
+and its ``meta.json`` reports ``start_epoch = E``. Every other byte of its
+logs equals that of an independent run of the point. A follower forked
+before its leader failed still resumes from the fork. A follower without a
+fork (its lr differs from epoch 1 on or never does, or its leader failed
+first) trains from scratch once its leader has returned. A grid without a
 ``decay_factor`` axis has one-point families, all of them leaders.
 
 Order: with ``jobs = 1`` the leaders run in grid order, then each leader's
@@ -39,12 +39,14 @@ from __future__ import annotations
 import csv
 import ctypes
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 
+from .adaptive import make_scheduler
 from .config import ConfigError, ExperimentConfig, format_config
-from .runner import DivergenceError, RunState, run_experiment, watch_key, write_atomic
+from .runner import (DivergenceError, EpochRecord, RunState, _lr_events, _schedule_lr,
+                     _write_fork_logs, run_experiment, write_atomic)
 
 SWEEPABLE = ("base_lr", "decay_factor", "init_scale", "weight_decay")
 
@@ -149,6 +151,43 @@ def _one_blas_thread() -> None:
         setter(1)
 
 
+def watch_key(config: ExperimentConfig) -> tuple:
+    """What the points of a family share: every field but ``schedule`` and ``log_dir``."""
+    return tuple(getattr(config, f.name) for f in fields(config)
+                 if f.name not in ("schedule", "log_dir"))
+
+
+def _watcher(leader: ExperimentConfig, followers: list[ExperimentConfig], on_fork):
+    """The ``on_epoch`` hook of ``leader``'s run from scratch, watching
+    ``followers`` of its family: at the first boundary E >= 1 after which
+    ``followers[i]``'s lr or ``warmup_epochs`` differs from the leader's, its
+    logs of epochs 1..E are written and ``on_fork(i, state)`` gets the state at
+    E. A follower that differs from epoch 1 on, or never, gets no fork."""
+
+    def plan(scheduler, config: ExperimentConfig, epoch: int) -> tuple:
+        return _schedule_lr(scheduler, config.schedule, epoch), config.schedule.warmup_epochs
+
+    first = plan(make_scheduler(leader.schedule), leader, 1)
+    schedulers = [make_scheduler(config.schedule) for config in followers]
+    # (index, config, scheduler, lr events) of each follower yet to fork
+    watched = [(i, config, scheduler, []) for i, (config, scheduler)
+               in enumerate(zip(followers, schedulers)) if plan(scheduler, config, 1) == first]
+    records: list[EpochRecord] = []
+
+    def on_epoch(rec: EpochRecord, state: RunState) -> None:
+        records.append(rec)
+        ahead = plan(state.scheduler, leader, rec.epoch + 1)
+        for track in list(watched):
+            i, config, scheduler, events = track
+            events += _lr_events(scheduler, config.schedule, rec, config.epochs)
+            if plan(scheduler, config, rec.epoch + 1) != ahead:
+                watched.remove(track)
+                _write_fork_logs(config, records, events)
+                on_fork(i, replace(state, scheduler=scheduler))
+
+    return on_epoch
+
+
 # (index, config, grid values, configs it watches, state it resumes from)
 Task = tuple[int, ExperimentConfig, dict[str, float], list[ExperimentConfig], RunState | None]
 
@@ -162,13 +201,14 @@ def _init_worker(queue) -> None:
     _one_blas_thread()
 
 
-def _run_point(task: Task, on_fork=None) -> SweepPoint:
+def _run_point(task: Task, on_fork) -> SweepPoint:
     """Train one point and return its summary row; ``on_fork(i, state)`` is
-    called for each config it watched as soon as that config forks."""
+    called for each config it watches as soon as that config forks."""
     index, config, values, watch, state = task
     point = SweepPoint(index=index, values=values, status="ok", log_dir=config.log_dir)
     try:
-        result = run_experiment(config, resume_state=state, watch=watch, on_fork=on_fork)
+        on_epoch = _watcher(config, watch, on_fork) if watch else None
+        result = run_experiment(config, resume_state=state, on_epoch=on_epoch)
     except DivergenceError:
         point.status = "diverged"
         return point

@@ -85,6 +85,8 @@ def test_milestones_syntax():
     "schedule.kind = simple\nschedule.decay_fraction = 0.9\nschedule.factor = 0.1\n",
     "schedule.kind = plateau\nschedule.patience = 7\nschedule.mode = max\n",
     "optimizer.kind = adam\noptimizer.beta1 = 0.95\n",
+    # a key of the other optimizer kind is not part of the config
+    "optimizer.kind = momentum\noptimizer.beta1 = 0.5\n",
     "dataset.kind = spirals\ndataset.samples = 512\n",
     "model.kind = conv\nmodel.hidden = 4,6\nmodel.input_shape = 1,8,8\n",
     "model.normalize = true\nmodel.activation = tanh\nmodel.init_scale = 4.0\n",

@@ -1,6 +1,7 @@
 """The comparison of tools/log_identity.py, which checks two revisions' logs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "log_identity.py"
@@ -9,14 +10,19 @@ log_identity = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(log_identity)
 
 METRICS = "epoch,lr,train_loss,wall_ms\n1,0.5,1.25,{}\n2,0.5,1.125,{}\n"
+META = {"config_hash": "ab12", "version": "0.1.0", "status": "completed", "start_epoch": 0,
+        "epochs": 2, "epochs_run": 2, "best_test_error": 0.25, "best_epoch": 2,
+        "final_test_error": 0.25, "decay_events": []}
 
 
 def _run_dir(path: Path, wall=(3, 4), layers="epoch,layer,wsq\n1,fc1.w,2.0\n",
-             ckpts: dict[str, bytes] | None = None) -> Path:
+             ckpts: dict[str, bytes] | None = None, meta: dict | None = None) -> Path:
     path.mkdir()
     (path / "metrics.csv").write_text(METRICS.format(*wall))
     (path / "layers.csv").write_text(layers)
     (path / "events.csv").write_text("epoch,old_lr,new_lr,trigger\n")
+    (path / "config.txt").write_text("epochs = 2\n")
+    (path / "meta.json").write_text(json.dumps({**META, **(meta or {})}, indent=2))
     for name, data in (ckpts or {}).items():
         (path / name).write_bytes(data)
     return path
@@ -43,6 +49,22 @@ def test_every_log_and_checkpoint_is_compared(tmp_path):
         "epoch_0001.ckpt: bytes differ",
         "epoch_0002.ckpt: only in parent",
     ]
+
+
+def test_meta_is_compared_but_for_its_version_and_config_by_its_bytes(tmp_path):
+    """A follower that resumes from another fork logs the same rows; its
+    ``start_epoch`` tells it apart."""
+    parent = _run_dir(tmp_path / "parent")
+    same = _run_dir(tmp_path / "same", meta={"version": "0.2.0"})
+    assert log_identity.compare_runs(parent, same) == []
+    change = _run_dir(tmp_path / "change", meta={"start_epoch": 1, "best_epoch": 1})
+    (change / "config.txt").write_text("epochs = 3\n")
+    assert log_identity.compare_runs(parent, change) == [
+        "config.txt: bytes differ",
+        "meta.json: differs in best_epoch, start_epoch (version left out)",
+    ]
+    (change / "meta.json").unlink()
+    assert log_identity.compare_runs(parent, change)[1] == "meta.json: only in parent"
 
 
 def test_a_metrics_file_cut_short_differs_after_its_last_row(tmp_path):

@@ -34,7 +34,7 @@ from abel_sched import (
     save_checkpoint,
     serialize_scheduler,
 )
-from abel_sched import checkpoint, runner
+from abel_sched import checkpoint, runner, sweep
 from abel_sched.checkpoint import CheckpointError, ResumeRefusedError
 from abel_sched.config import config_hash
 from abel_sched.cli import main as cli_main
@@ -638,7 +638,7 @@ def test_a_resumed_run_reports_the_whole_run_in_its_meta(tmp_path, kind, resumes
             (full.best_test_error, full.final_test_error)
 
 
-# -- watched runs ------------------------------------------------------------------
+# -- the per-epoch hook and the sweep's watcher ------------------------------------
 
 WATCH_WEIGHT_DECAY = 5e-3  # lets the bounce scheduler of window 1 fire at epoch 7
 
@@ -649,15 +649,22 @@ def _watched(tmp_path, name, kind, **schedule_changes):
     return replace(config, schedule=replace(config.schedule, **schedule_changes))
 
 
+def _watch(leader, followers) -> list:
+    """Train ``leader`` with the sweep's watcher over ``followers``: each one's fork, or None."""
+    forks = [None] * len(followers)
+    run_experiment(leader, on_epoch=sweep._watcher(leader, followers, forks.__setitem__))
+    return forks
+
+
 def test_a_resumed_fork_logs_what_an_independent_run_logs(tmp_path):
     leader = tiny_config(tmp_path / "leader", weight_decay=WATCH_WEIGHT_DECAY)
     watch = [_watched(tmp_path, "abel", "abel", smoothing_window=2),
              _watched(tmp_path, "stepwise", "stepwise"),
              _watched(tmp_path, "simple", "simple"),
              _watched(tmp_path, "abel-early", "abel", smoothing_window=1)]
-    result = run_experiment(leader, watch=watch)
+    forks = _watch(leader, watch)
     first_changes = []
-    for config, fork in zip(watch, result.forks, strict=True):
+    for config, fork in zip(watch, forks, strict=True):
         alone = replace(config, log_dir=str(tmp_path / "alone" / Path(config.log_dir).name))
         first_changes.append(run_experiment(alone).events[0].epoch)
         # the fork is the end of the last epoch the two lrs agreed on
@@ -684,30 +691,30 @@ def test_runs_that_depart_before_epoch_1_or_never_get_no_fork(tmp_path):
              # its lr would depart at epoch 4, but its warmup ramp does from epoch 1 on
              _watched(tmp_path, "warmup", "stepwise", warmup_epochs=2),
              _watched(tmp_path, "never", "stepwise", milestones=((20, 0.5),))]
-    result = run_experiment(leader, watch=watch)
-    assert result.forks == [None, None, None]
+    assert _watch(leader, watch) == [None, None, None]
     assert not any(Path(config.log_dir).exists() for config in watch)
 
 
-def test_watch_refuses_another_config_and_a_resume(tmp_path):
-    leader = tiny_config(tmp_path / "leader", epochs=6)
-    other = replace(leader, log_dir=str(tmp_path / "other"), weight_decay=1e-3)
-    with pytest.raises(ValueError, match="beyond its schedule and log_dir"):
-        run_experiment(leader, watch=[other])
-    stepwise = tiny_config(tmp_path / "stepwise", epochs=6, schedule_kind="stepwise")
-    fork = run_experiment(replace(leader, log_dir=str(tmp_path / "first")),
-                          watch=[stepwise]).forks[0]
-    assert fork.epoch == 4
-    with pytest.raises(ValueError, match="a resumed run cannot watch"):
-        run_experiment(stepwise, resume_state=fork, watch=[leader])
-    assert not (tmp_path / "leader").exists()
+def test_each_fork_is_the_checkpoint_an_independent_run_saves(tmp_path):
+    leader = tiny_config(tmp_path / "leader", weight_decay=WATCH_WEIGHT_DECAY)
+    watch = [_watched(tmp_path, "stepwise", "stepwise"),
+             _watched(tmp_path, "abel-early", "abel", smoothing_window=1)]
+    forks = _watch(leader, watch)
+    assert all(fork is not None for fork in forks)
+    for config, fork in zip(watch, forks, strict=True):
+        alone = replace(config, log_dir=str(tmp_path / "alone" / Path(config.log_dir).name),
+                        checkpoint_every=1)
+        run_experiment(alone)
+        saved = Path(alone.log_dir) / f"epoch_{fork.epoch:04d}.ckpt"
+        save_checkpoint(tmp_path / "fork.ckpt", alone, fork)
+        assert (tmp_path / "fork.ckpt").read_bytes() == saved.read_bytes(), config.log_dir
 
 
 # -- the live vectors never leak -----------------------------------------------------
 #
 # The epoch loop writes one weight vector and the optimizer's flat state in
-# place. A state handed in (a resume) or handed out (a fork) must hold its own
-# vectors, or a later step would change it silently.
+# place. A state handed in (a resume) or handed out (to ``on_epoch``) must hold
+# its own vectors, or a later step would change it silently.
 
 
 def _state_bytes(state: RunState) -> tuple:
@@ -734,19 +741,36 @@ def test_a_resume_leaves_its_state_bit_for_bit(tmp_path, optimizer):
     assert _state_bytes(state) == before
 
 
-def test_each_fork_is_the_checkpoint_an_independent_run_saves(tmp_path):
-    leader = tiny_config(tmp_path / "leader", weight_decay=WATCH_WEIGHT_DECAY)
-    watch = [_watched(tmp_path, "stepwise", "stepwise"),
-             _watched(tmp_path, "abel-early", "abel", smoothing_window=1)]
-    result = run_experiment(leader, watch=watch)
-    assert all(fork is not None for fork in result.forks)
-    for config, fork in zip(watch, result.forks, strict=True):
-        alone = replace(config, log_dir=str(tmp_path / "alone" / Path(config.log_dir).name),
-                        checkpoint_every=1)
-        run_experiment(alone)
-        saved = Path(alone.log_dir) / f"epoch_{fork.epoch:04d}.ckpt"
-        save_checkpoint(tmp_path / "fork.ckpt", alone, fork)
-        assert (tmp_path / "fork.ckpt").read_bytes() == saved.read_bytes(), config.log_dir
+@pytest.mark.parametrize("optimizer, kind, auto_stop, last", [
+    (OptimizerSpec(kind="momentum", momentum=0.9), "stepwise", 0.0, 12),
+    (OptimizerSpec(kind="momentum", momentum=0.0), "stepwise", 0.0, 12),
+    (OptimizerSpec(kind="adam"), "stepwise", 0.0, 12),
+    # the bounce decay at epoch 7 gains less than 0.5: auto-stop after epoch 10
+    (OptimizerSpec(kind="momentum", momentum=0.9), "abel", 0.5, 10),
+], ids=["momentum-0.9", "momentum-0", "adam", "abel-auto-stop"])
+def test_on_epoch_gets_each_boundary_the_run_goes_on_from(tmp_path, optimizer, kind,
+                                                          auto_stop, last):
+    config = replace(_watched(tmp_path, "run", kind, smoothing_window=1), optimizer=optimizer,
+                     auto_stop_min_improvement=auto_stop)
+    alone = replace(config, log_dir=str(tmp_path / "alone"), checkpoint_every=1)
+    seen = []
+
+    def record(rec, state):
+        save_checkpoint(tmp_path / f"hook_{rec.epoch:04d}.ckpt", alone, state)
+        seen.append((rec.epoch, state, _state_bytes(state)))
+
+    result = run_experiment(config, on_epoch=record)
+    assert result.records[-1].epoch == last
+    # neither after the last epoch nor after the auto-stop check fired
+    assert [epoch for epoch, _, _ in seen] == list(range(1, last))
+    run_experiment(alone)
+    for epoch, state, before in seen:
+        saved = Path(alone.log_dir) / f"epoch_{epoch:04d}.ckpt"
+        assert (tmp_path / f"hook_{epoch:04d}.ckpt").read_bytes() == saved.read_bytes(), epoch
+        # the vectors are the state's own; its scheduler is the run's live one (see RunState)
+        assert _state_bytes(state)[:-1] == before[:-1], epoch
+        if state.scheduler is None:
+            assert _state_bytes(state) == before
 
 
 def test_checkpoint_preserves_adam_state(tmp_path):

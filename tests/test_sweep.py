@@ -375,7 +375,7 @@ def test_a_follower_forked_before_its_leader_failed_resumes_once(tmp_path, monke
         with open(calls / Path(config.log_dir).name, "a") as f:  # one line per call
             f.write(f"{0 if state is None else state.epoch}\n")
         result = inner(config, *args, **kwargs)
-        if kwargs.get("watch"):
+        if kwargs.get("on_epoch"):
             raise DivergenceError("the leader fails after its run")
         return result
 

@@ -36,8 +36,11 @@ both sides, because checkpoint bytes embed the config's ``log_dir``, and are
 moved aside after.
 
 The tool compares ``metrics.csv`` (without ``wall_ms``), ``layers.csv``,
-``events.csv`` and every checkpoint of each run and of each sweep point,
-and the sweep's ``summary.csv`` byte for byte. It prints each difference,
+``events.csv``, ``config.txt``, ``meta.json`` (every key but ``version``)
+and every checkpoint of each run and of each sweep point, and the sweep's
+``summary.csv`` byte for byte. ``meta.json`` pins each run's summary and its
+``start_epoch``, so a sweep follower that forks at another epoch differs
+even when its logs match. It prints each difference,
 and exits 1 on any difference or failed run, 0 when everything matches. When
 ``metrics.csv`` or ``layers.csv`` differs, it also prints, per column that
 differs, how many rows differ, the largest relative difference
@@ -52,6 +55,7 @@ rounding noise is of order 1.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import shutil
@@ -64,6 +68,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_record import extract, resolve  # noqa: E402
 
 LOGS = ("metrics.csv", "layers.csv", "events.csv")
+RUN_FILES = LOGS + ("config.txt", "meta.json")  # what every run writes
 SIDES = ("parent", "change")
 # variants of configs/blobs_abel.txt, by the stem of their config file
 VARIANTS = {
@@ -102,12 +107,20 @@ def _rows(path: Path) -> list[str]:
     return lines
 
 
+def _meta(path: Path) -> dict:
+    """A ``meta.json`` without its ``version``, which names the revision."""
+    meta = json.loads(path.read_text())
+    meta.pop("version", None)
+    return meta
+
+
 def compare_runs(parent: Path, change: Path) -> list[str]:
     """The differences between two log directories of the same run: in the
-    three logs (``wall_ms`` left out of metrics.csv) and in every checkpoint,
-    including a file that only one side has."""
-    names = list(LOGS) + sorted({p.name for side in (parent, change)
-                                 for p in side.glob("*.ckpt")})
+    three logs (``wall_ms`` left out of metrics.csv), ``config.txt``,
+    ``meta.json`` (``version`` left out) and every checkpoint, including a
+    file that only one side has."""
+    names = list(RUN_FILES) + sorted({p.name for side in (parent, change)
+                                      for p in side.glob("*.ckpt")})
     diffs = []
     for name in names:
         a, b = parent / name, change / name
@@ -120,6 +133,12 @@ def compare_runs(parent: Path, change: Path) -> list[str]:
                 line = next((i for i, (x, y) in enumerate(zip(rows_a, rows_b), 1) if x != y),
                             min(len(rows_a), len(rows_b)) + 1)
                 diffs.append(f"{name}: differs from line {line} (wall_ms left out)")
+        elif name == "meta.json":
+            meta_a, meta_b = _meta(a), _meta(b)
+            keys = sorted(k for k in meta_a.keys() | meta_b.keys()
+                          if meta_a.get(k) != meta_b.get(k))
+            if keys:
+                diffs.append(f"{name}: differs in {', '.join(keys)} (version left out)")
         elif a.read_bytes() != b.read_bytes():
             diffs.append(f"{name}: bytes differ")
     return diffs
