@@ -39,9 +39,11 @@ copy of ``w``) with each layer's views and transposes, the flat gradient
 with its layer views, and the pull-back's projection vector. Per batch
 size it keeps every hidden output (the backward pass overwrites it with
 its activation's derivative), every layer's dL/dz and the class-major
-logits copy. The step is one flat body of ufunc calls that write into
-these with ``out=``; the returned gradient is a new vector (the pull-back's
-last ``divide``, or a copy), so a caller may write it in place. Products of 2-D operands are
+logits copy. The step's ufunc calls, and those of the softmax gradient
+(``_dlogits``) and the activation derivative (``_times_act_grad``) that it
+shares with the convnet, write into these with ``out=``; the returned
+gradient is a new vector (the pull-back's last ``divide``, or a copy), so a
+caller may write it in place. Products of 2-D operands are
 ``np.dot(..., out=)``: numpy sends ``dot`` and ``matmul`` of the same
 float64 or float32 operands to the same BLAS gemm call, with the same
 transpose flags, so the floats are the same, and ``dot`` checks less.
@@ -268,9 +270,14 @@ def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _times_act_grad(d: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    """``d`` times the derivative at the pre-activation, in place in ``d``, from
-    the activation a: relu's z > 0 is a > 0, tanh's derivative is 1 - a²."""
-    return np.multiply(d, a > 0.0 if kind == "relu" else 1.0 - a * a, out=d)
+    """``d`` times the derivative at the pre-activation, in place in ``d``; the
+    activation ``a`` is overwritten with that derivative: relu's z > 0 is
+    a > 0, tanh's derivative is 1 - a²."""
+    if kind == "relu":
+        np.greater(a, 0.0, out=a)
+    else:
+        np.subtract(1.0, np.multiply(a, a, out=a), out=a)
+    return np.multiply(d, a, out=d)
 
 
 @lru_cache(maxsize=16)
@@ -706,37 +713,28 @@ class Model:
             self._backward_conv(params, cache, dlogits,
                                 dict(zip(layout.names, layout.views(flat))))
             return GradSet(layout, flat, self._grad_names)
-        # the MLP step: _forward_mlp's, _dlogits' and the activations' calls, inline
+        # the MLP step: _forward_mlp's calls, inline
         forward, backward, (dz_t, grad_w, grad_b, dz), e, cols = bound.batch(len(x))
-        relu = self.arch.activation == "relu"
+        kind = self.arch.activation
         a = x
         for w_t, b, z in forward:
             a = np.dot(a, w_t, out=z)
             if b is not None:
                 np.add(z, b, out=z)
-            np.maximum(z, 0.0, out=z) if relu else np.tanh(z, out=z)
+            np.maximum(z, 0.0, out=z) if kind == "relu" else np.tanh(z, out=z)
         w_t, b = bound.layers[-1]
         np.dot(a, w_t, out=logits)
         if b is not None:
             np.add(logits, b, out=logits)
-        # dL/dlogits = (e / s - targets) / n, e = exp(logits - max), s its row sums
-        np.copyto(cols, logits.T)
-        np.maximum.reduce(cols, axis=0, out=row_max)
-        np.subtract(logits, row_max[:, None], out=e)
-        np.exp(e, out=e)
-        np.add.reduce(e, axis=1, out=row_sum)
-        np.divide(e, row_sum[:, None], out=e)
-        np.subtract(e, batch.targets, out=e)
-        np.divide(e, len(x), out=e)
+        _dlogits(logits, batch.targets, row_max, row_sum, cols, e)
         # dL/dw (dL/dŵ when normalized) into bound.grad; each hidden output then
-        # takes its activation's derivative: relu's z > 0 is a > 0, tanh's 1 - a²
+        # takes its activation's derivative
         for d_t, a, g_w, g_b, d, w, d_prev in backward:
             np.dot(d_t, a, out=g_w)
             if g_b is not None:
                 np.add.reduce(d, axis=0, out=g_b)
             np.dot(d, w, out=d_prev)
-            np.greater(a, 0.0, out=a) if relu else np.subtract(1.0, np.multiply(a, a, out=a), out=a)
-            np.multiply(d_prev, a, out=d_prev)
+            _times_act_grad(d_prev, a, kind)
         np.dot(dz_t, x, out=grad_w)  # no gradient is needed for the input itself
         if grad_b is not None:
             np.add.reduce(dz, axis=0, out=grad_b)

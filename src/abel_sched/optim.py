@@ -1,16 +1,16 @@
 """Optimizer steps, gradient clipping, and the squared-norm update identity.
 
-Clipping and the updates are kernels that write whole flat vectors in the
-parameters' layout (see ``params``) in place: :func:`clip_flat` scales a
-gradient, and :func:`sgd_update` and :func:`adam_update` write the weights
-and the optimizer's flat state, using the gradient as scratch. They compute
-the floats of the same formulas written with new arrays: the same
-operations on the same operands, in the same order. The training loop calls
-them (:func:`update_kernel`) on vectors of its own, which a state object's
-``flat_state`` and ``with_flat_state`` copy out and back in.
+Clipping and the updates write whole flat vectors in the parameters'
+layout (see ``params``) in place: :func:`clip_flat` scales a gradient, and
+a state's ``update`` (:meth:`MomentumState.update`, :meth:`AdamState.update`)
+writes the weights and the state's own buffers, using the gradient as
+scratch. They compute the floats of the same formulas written with new
+arrays: the same operations on the same operands, in the same order. The
+training loop steps a state of its own: a fresh one, or a ``copy`` of the
+one it resumes from.
 
 :func:`clip_global_norm`, :func:`step_sgd` and :func:`step_adam` are the
-same kernels behind objects, run on copies: they never modify their
+same updates behind objects, run on copies: they never modify their
 inputs, so a caller that keeps an earlier vector keeps its values.
 Gradients, momentum and Adam moments are GradSets of the layout, and a step
 returns a new ParamSet over a new vector. Plain name -> array mappings are
@@ -28,7 +28,7 @@ and g.w; :func:`predicted_delta_wsq` evaluates it.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +49,25 @@ class MomentumState:
             raise ValueError("momentum must lie in [0, 1)")
         return cls(mu=mu, velocity=GradSet.zeros(params.layout))
 
-    def flat_state(self, layout: Layout) -> tuple[np.ndarray]:
-        """``(velocity,)``, a copy as a flat vector of ``layout``."""
-        return (layout.flat_of(self.velocity, "velocity").copy(),)
+    def copy(self, layout: Layout) -> "MomentumState":
+        """This state over a copy of its velocity, a GradSet of ``layout``."""
+        return MomentumState(mu=self.mu, velocity=GradSet(
+            layout, layout.flat_of(self.velocity, "velocity").copy()))
 
-    def with_flat_state(self, layout: Layout, state: tuple[np.ndarray]) -> "MomentumState":
-        """This state's momentum over a copy of the flat ``state`` of ``sgd_update``."""
-        return MomentumState(mu=self.mu, velocity=GradSet(layout, state[0].copy()))
+    def update(self, layout: Layout, w: np.ndarray, g: np.ndarray, lr: float,
+               weight_decay: float) -> None:
+        """One SGD step in place on ``w`` and the velocity, a GradSet of
+        ``layout``, with ``g`` as scratch. At ``mu = 0`` the old velocity is
+        not read: the new one is the gradient with its L2 term, so the step
+        is exactly w - lr*g - lr*l2*w."""
+        v = self.velocity.flat
+        if self.mu == 0.0:
+            _with_l2(layout, v, g, w, weight_decay)
+        else:
+            _with_l2(layout, g, g, w, weight_decay)
+            v *= self.mu
+            v += g
+        w -= np.multiply(v, lr, out=g)  # g is free once v is formed
 
 
 @dataclass
@@ -72,29 +84,34 @@ class AdamState:
     @classmethod
     def init(cls, params: ParamSet, beta1: float = 0.9, beta2: float = 0.999,
              eps: float = 1e-8) -> "AdamState":
+        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if not eps >= 0.0:
+            raise ValueError("eps must be >= 0")
         return cls(m=GradSet.zeros(params.layout), v=GradSet.zeros(params.layout),
                    beta1=beta1, beta2=beta2, eps=eps)
 
-    def flat_state(self, layout: Layout) -> tuple[np.ndarray, np.ndarray, int]:
-        """``(m, v, t)``, the moments copied as flat vectors of ``layout``."""
-        return (layout.flat_of(self.m, "first moment").copy(),
-                layout.flat_of(self.v, "second moment").copy(), self.t)
+    def copy(self, layout: Layout) -> "AdamState":
+        """This state over copies of its moments, GradSets of ``layout``."""
+        return AdamState(m=GradSet(layout, layout.flat_of(self.m, "first moment").copy()),
+                         v=GradSet(layout, layout.flat_of(self.v, "second moment").copy()),
+                         t=self.t, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
 
-    def with_flat_state(self, layout: Layout, state: tuple) -> "AdamState":
-        """This state's betas and eps over a copy of the flat ``state`` of ``adam_update``."""
-        m, v, t = state
-        return AdamState(m=GradSet(layout, m.copy()), v=GradSet(layout, v.copy()), t=t,
-                         beta1=self.beta1, beta2=self.beta2, eps=self.eps)
+    def update(self, layout: Layout, w: np.ndarray, g: np.ndarray, lr: float,
+               weight_decay: float) -> None:
+        """One bias-corrected Adam step in place on ``w`` and the moments,
+        GradSets of ``layout``, L2 as an added gradient, with ``g`` as scratch."""
+        m, v, beta1, beta2 = self.m.flat, self.v.flat, self.beta1, self.beta2
+        _with_l2(layout, g, g, w, weight_decay)
+        self.t = t = self.t + 1
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        w -= lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + self.eps)
 
 
 OptState = MomentumState | AdamState
-
-
-def update_kernel(opt: OptState) -> tuple[Callable, tuple[float, ...]]:
-    """``opt``'s update kernel and its hyperparameters, the kernel's last arguments."""
-    if isinstance(opt, MomentumState):
-        return sgd_update, (opt.mu,)
-    return adam_update, (opt.beta1, opt.beta2, opt.eps)
 
 
 def clip_flat(g: np.ndarray, parts: tuple[slice, ...], max_norm: float) -> bool:
@@ -144,46 +161,13 @@ def _with_l2(layout: Layout, out: np.ndarray, g: np.ndarray, w: np.ndarray,
         part += weight_decay * w[sl]
 
 
-def sgd_update(layout: Layout, w: np.ndarray, g: np.ndarray, state: tuple[np.ndarray],
-               lr: float, weight_decay: float, mu: float) -> tuple[np.ndarray]:
-    """One SGD step in place on ``w`` and ``state = (velocity,)``, with ``g``
-    as scratch; returns ``state``. At ``mu = 0`` the old velocity is not read
-    (it may be ``g`` itself): the new one is the gradient with its L2 term,
-    so the step is exactly w - lr*g - lr*l2*w."""
-    v, = state
-    if mu == 0.0:
-        _with_l2(layout, v, g, w, weight_decay)
-    else:
-        _with_l2(layout, g, g, w, weight_decay)
-        v *= mu
-        v += g
-    w -= lr * v if v is g else np.multiply(v, lr, out=g)  # g is free once v is formed
-    return state
-
-
-def adam_update(layout: Layout, w: np.ndarray, g: np.ndarray, state: tuple, lr: float,
-                weight_decay: float, beta1: float, beta2: float, eps: float) -> tuple:
-    """One bias-corrected Adam step in place on ``w`` and the moments of
-    ``state = (m, v, t)``, L2 as an added gradient; returns the new state."""
-    m, v, t = state
-    _with_l2(layout, g, g, w, weight_decay)
-    t += 1
-    m *= beta1
-    m += (1.0 - beta1) * g
-    v *= beta2
-    v += (1.0 - beta2) * g * g
-    w -= lr * (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
-    return m, v, t
-
-
 def _step(params: ParamSet, opt: OptState, grads: Mapping[str, np.ndarray], lr: float,
           weight_decay: float) -> tuple[ParamSet, OptState]:
-    """``opt``'s update kernel behind objects, on copies of its inputs."""
+    """``opt``'s update behind objects, on copies of its inputs."""
     layout = params.layout
-    update, hyper = update_kernel(opt)
-    w, g = params.flat.copy(), layout.flat_of(grads, "gradient").copy()
-    state = update(layout, w, g, opt.flat_state(layout), lr, weight_decay, *hyper)
-    return ParamSet.from_flat(layout, w), opt.with_flat_state(layout, state)
+    w, new = params.flat.copy(), opt.copy(layout)
+    new.update(layout, w, layout.flat_of(grads, "gradient").copy(), lr, weight_decay)
+    return ParamSet.from_flat(layout, w), new
 
 
 def step_sgd(params: ParamSet, opt: MomentumState, grads: Mapping[str, np.ndarray], lr: float,

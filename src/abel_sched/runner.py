@@ -63,7 +63,7 @@ from .adaptive import AbelScheduler, PlateauScheduler, make_scheduler
 from .config import ConfigError, ExperimentConfig, config_hash, format_config
 from .datasets import dataset_meta, make_dataset
 from .models import Model, ModelArch, NumericError, StepStats
-from .optim import AdamState, MomentumState, clip_flat, update_kernel
+from .optim import AdamState, MomentumState, clip_flat
 from .params import ParamSet, inner_gw, weight_norm_sq
 from .schedules import LrEvent, ScheduleSpec, has_discrete_milestones, lr_at, warmup_scale
 
@@ -376,7 +376,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     else:
         _check_resume_fits(config, model, resume_state)
         params = resume_state.params
-        opt = resume_state.opt
+        opt = resume_state.opt.copy(params.layout)
         scheduler = copy.deepcopy(resume_state.scheduler)
         if isinstance(scheduler, AbelScheduler) and scheduler.total_epochs != config.epochs:
             scheduler.retarget(config.epochs)
@@ -411,8 +411,8 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     all_events: list[LrEvent] = []
     status = "completed"
     probe = slice(0, min(config.batch_size, n))
-    # The steps write a live weight vector ``w`` (``live`` is a ParamSet over
-    # it) and the optimizer's flat state in place, both copies, so
+    # ``opt.update`` writes a live weight vector ``w`` (``live`` is a ParamSet
+    # over it) and the optimizer state's buffers in place, both copies, so
     # ``resume_state`` is never written. The measurements read ``live``; only a
     # checkpoint or ``on_epoch`` gets a RunState, which copies both. Each epoch's
     # end reduces the logits each step records into ``stats`` to each step's loss and error.
@@ -420,8 +420,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     layout = params.layout
     w = params.flat.copy()
     live = ParamSet.from_flat(layout, w)
-    update, hyper = update_kernel(opt)
-    opt_state = opt.flat_state(layout)
+    update = opt.update
 
     orders = _epoch_orders(config.seed, n, start_epoch, config.epochs)
     try:
@@ -440,8 +439,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
                         clip_flat(grads.flat, layout.slices_in(grads.names), config.clip_norm)
                     eff_lr = lr_epoch * warmup_scale(global_step, steps_per_epoch,
                                                      spec.warmup_epochs)
-                    opt_state = update(layout, w, grads.flat, opt_state, eff_lr,
-                                       config.weight_decay, *hyper)
+                    update(layout, w, grads.flat, eff_lr, config.weight_decay)
                     global_step += 1
             loss_sum = 0.0
             err_sum = 0.0
@@ -481,7 +479,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
             if checkpoint or hook:
                 state = RunState(epoch=epoch, global_step=global_step,
                                  params=ParamSet.from_flat(layout, w.copy()),
-                                 opt=opt.with_flat_state(layout, opt_state),
+                                 opt=opt.copy(layout),
                                  scheduler=scheduler, test_errors=tuple(test_errors))
             if checkpoint:
                 from .checkpoint import save_checkpoint

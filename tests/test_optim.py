@@ -3,6 +3,7 @@ import pytest
 
 from abel_sched import (
     AdamState,
+    GradSet,
     Layer,
     Model,
     ModelArch,
@@ -16,7 +17,7 @@ from abel_sched import (
     step_sgd,
     weight_norm_sq,
 )
-from abel_sched.optim import _with_l2, adam_update, sgd_update
+from abel_sched.optim import _with_l2
 
 from helpers import measured_delta_wsq, ref_clip_global_norm, ref_step_adam, ref_step_sgd
 
@@ -133,6 +134,16 @@ def test_adam_applies_l2_only_to_flagged_layers():
     new, _ = step_adam(params, AdamState.init(params), grads, lr=0.1, weight_decay=0.1)
     assert np.all(new["w"].value != 1.0)
     np.testing.assert_array_equal(new["b"].value, np.ones(3))
+
+
+@pytest.mark.parametrize("hyper", [{"beta1": 1.0}, {"beta2": 1.0}, {"beta1": 1.5},
+                                   {"beta2": -0.1}, {"eps": -1.0}])
+def test_adam_refuses_what_config_refuses(hyper):
+    # beta = 1 would divide by 1 - beta**t = 0 and return nan weights
+    params = ParamSet([Layer("w", np.array([1.0, -2.0]))])
+    with pytest.raises(ValueError):
+        AdamState.init(params, **hyper)
+    AdamState.init(params, beta1=0.0, beta2=0.0, eps=0.0)  # the bounds' closed ends
 
 
 def test_clip_global_norm():
@@ -337,10 +348,10 @@ def test_an_mlp_with_biases_adds_l2_run_by_run():
             assert np.array_equal(out[sl], g[sl]), name  # biases get no L2 term
 
 
-# -- the in-place kernels against the allocating formulas ----------------------------
+# -- the in-place updates against the allocating formulas ----------------------------
 #
-# The kernels as they were before they wrote in place: each returns new
-# vectors. The in-place kernels must give the same bits.
+# The updates as they were before they wrote in place: each returns new
+# vectors. The states' in-place updates must give the same bits.
 
 
 def _allocating_l2_grad(layout, g, w, weight_decay):
@@ -376,29 +387,57 @@ def _bits(state) -> list:
     return [a.tobytes() if isinstance(a, np.ndarray) else a for a in state]
 
 
+def _flat_state(opt) -> tuple:
+    if isinstance(opt, MomentumState):
+        return (opt.velocity.flat,)
+    return opt.m.flat, opt.v.flat, opt.t
+
+
 @pytest.mark.parametrize("arch,weight_decay", [(NORMALIZED, 0.0), (NORMALIZED, 5e-3),
                                                (WITH_BIASES, 5e-3)],
                          ids=["no-l2", "whole-vector-l2", "per-run-l2"])
-@pytest.mark.parametrize("kernel", ["momentum-0", "momentum-0-aliased", "momentum-0.9", "adam"])
+@pytest.mark.parametrize("kernel", ["momentum-0", "momentum-0.9", "adam"])
 def test_the_in_place_kernels_match_the_allocating_formulas(arch, weight_decay, kernel):
     layout = Model(arch).init_params(0).layout
     assert len(layout.l2_runs) == (1 if arch is NORMALIZED else 3)
     rng = np.random.default_rng(6)
     w = rng.normal(size=layout.size)
     if kernel == "adam":
-        update, allocating, hyper = adam_update, _allocating_adam_update, (0.9, 0.999, 1e-8)
-        state = (rng.normal(size=layout.size), rng.random(layout.size), 3)
+        allocating, hyper = _allocating_adam_update, (0.9, 0.999, 1e-8)
+        opt = AdamState(GradSet(layout, rng.normal(size=layout.size)),
+                        GradSet(layout, rng.random(layout.size)), 3, *hyper)
     else:
-        update, allocating = sgd_update, _allocating_sgd_update
+        allocating = _allocating_sgd_update
         hyper = (0.9,) if kernel == "momentum-0.9" else (0.0,)
-        state = (rng.normal(size=layout.size),)
+        opt = MomentumState(*hyper, GradSet(layout, rng.normal(size=layout.size)))
     for lr in (0.05, 0.3, 0.01):
         g = rng.normal(size=layout.size)
-        want_w, want_state = allocating(layout, w.copy(), g.copy(), state, lr, weight_decay,
-                                        *hyper)
-        if kernel == "momentum-0-aliased":
-            state = (g,)  # the velocity buffer is the gradient buffer
-        state = update(layout, w, g, state, lr, weight_decay, *hyper)
+        want_w, want_state = allocating(layout, w.copy(), g.copy(), _flat_state(opt), lr,
+                                        weight_decay, *hyper)
+        opt.update(layout, w, g, lr, weight_decay)
         assert w.tobytes() == want_w.tobytes()
-        assert _bits(state) == _bits(want_state)
+        assert _bits(_flat_state(opt)) == _bits(want_state)
 
+
+@pytest.mark.parametrize("kind", ["momentum", "momentum-plain-mapping", "adam"])
+def test_updating_a_copy_leaves_its_source(kind):
+    layout = Model(WITH_BIASES).init_params(0).layout
+    rng = np.random.default_rng(8)
+    if kind == "adam":
+        source = AdamState(GradSet(layout, rng.normal(size=layout.size)),
+                           GradSet(layout, rng.random(layout.size)), t=3)
+        buffers = (source.m, source.v)
+    else:
+        velocity = GradSet(layout, rng.normal(size=layout.size))
+        if kind == "momentum-plain-mapping":
+            velocity = {name: velocity[name].copy() for name in reversed(layout.names)}
+        source = MomentumState(mu=0.9, velocity=velocity)
+        buffers = (velocity,)
+    before = [{name: a[name].tobytes() for name in layout.names} for a in buffers]
+    copied = source.copy(layout)
+    w = rng.normal(size=layout.size)
+    copied.update(layout, w, rng.normal(size=layout.size), 0.1, 5e-3)
+    assert [{name: a[name].tobytes() for name in layout.names} for a in buffers] == before
+    assert _bits(_flat_state(copied)) != _bits(_flat_state(source.copy(layout)))
+    if kind == "adam":
+        assert (source.t, copied.t) == (3, 4)
