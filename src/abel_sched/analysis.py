@@ -153,13 +153,7 @@ def detect_bounce(trace: NormTrace, noise_tol: float = DEFAULT_NOISE_TOL) -> lis
     """Bounce epochs, per fixed-lr segment; short segments contribute none."""
     if noise_tol < 0:
         raise ValueError("noise_tol must be >= 0")
-    found = []
-    for lo, hi in _segment_bounds(trace):
-        if hi - lo < MIN_SEGMENT_LEN:
-            continue
-        values = trace.wsq[lo:hi]
-        found.extend(trace.epochs[lo + m] for m in _bounce_indices(values, noise_tol))
-    return found
+    return [epoch for seg in _segment_reports(trace, noise_tol) for epoch in seg.bounce_epochs]
 
 
 def _monotone_label(values, noise_tol: float) -> str:

@@ -8,35 +8,35 @@ Grammar (one assignment per line)::
     key      := dotted identifier, e.g. ``dataset.kind``
     value    := int | float | bool | word | comma list | milestone list
 
-Every key has a declared type and default; unknown keys and out-of-range
-values are rejected with the offending key named. ``format_config`` emits
-keys in a fixed order with round-trippable float formatting, so
+``_SCHEMA`` declares every key: its parser and its default in a config
+file, in the order ``format_config`` writes them. ``epochs``, ``base_lr``,
+``log_dir`` and ``dataset.kind`` have no default and are required.
+``_SECTIONS`` maps the keys onto the fields of ``ExperimentConfig`` and its
+spec dataclasses: ``dataset.*`` are the fields of the ``dataset.kind``'s
+spec, ``model.*`` those of ``ModelSpec``, and ``optimizer.*`` and
+``schedule.*`` the fields that each kind uses. A key of another kind may be
+given: it is parsed (an optimizer key also range-checked) and left out of
+the config.
+
+Unknown keys and out-of-range values are rejected with the offending key
+named, and every real value, milestone factors included, must be finite,
+in a config built in Python too. ``format_config`` emits keys in a fixed
+order with round-trippable float formatting, so
 ``parse_config(format_config(c)) == c`` and the sha256 of the canonical
-text serves as the config hash.
-
-Keys (defaults in parentheses):
-
-    seed (0), epochs, batch_size (128), base_lr, weight_decay (0),
-    label_smoothing (0), clip_norm (0 = off), log_dir, checkpoint_every
-    (0 = off), log_gw (false), eval_batch (1024),
-    auto_stop.min_improvement (0 = off),
-    dataset.kind = blobs | spirals | idx  and per-kind fields,
-    model.kind = mlp | conv, model.hidden, model.activation,
-    model.normalize, model.init_scale, model.input_shape,
-    optimizer.kind = momentum | adam, optimizer.momentum,
-    optimizer.beta1/2, optimizer.eps,
-    schedule.kind and the per-kind schedule fields; the schedule's
-    base_lr and total_epochs come from the top-level keys, and an
-    ExperimentConfig whose schedule disagrees with them is refused.
-
-``epochs``, ``base_lr``, ``log_dir`` and ``dataset.kind`` are required.
+text serves as the config hash. It writes ``model.input_shape`` only when
+set and ``schedule.warmup_epochs`` only when non-zero. The schedule's
+``base_lr`` and ``total_epochs`` come from the top-level ``base_lr`` and
+``epochs``, and an ExperimentConfig whose schedule disagrees with them is
+refused.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from collections.abc import Callable
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .datasets import BlobsSpec, DatasetSpec, IdxSpec, SpiralsSpec
 from .schedules import ScheduleSpec
@@ -119,6 +119,13 @@ class ExperimentConfig:
                 f"schedule base_lr/total_epochs {self.schedule.base_lr!r}/"
                 f"{self.schedule.total_epochs} differ from base_lr/epochs "
                 f"{self.base_lr!r}/{self.epochs}")
+        # parse_config refuses a section kind the table lacks and a non-finite
+        # value, so a config holding one would write checkpoints never resumed
+        for spec, entry in _entries(self):
+            for name, key, is_finite in entry.finite:
+                value = getattr(spec, name)
+                if not is_finite(value):
+                    raise ConfigError(f"{key} must be finite, got {value!r}")
 
 
 # -- schema -------------------------------------------------------------------
@@ -142,6 +149,10 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in text.split(",") if part.strip())
+
+
+def _parse_shape(text: str) -> tuple[int, ...] | None:
+    return _parse_int_tuple(text) or None
 
 
 def _parse_milestones(text: str) -> tuple[tuple[int, float], ...]:
@@ -168,22 +179,23 @@ def _fmt_value(value) -> str:
 
 
 _INT, _FLOAT, _BOOL, _STR = int, _parse_float, _parse_bool, str
+_REQUIRED = object()
 
-# key -> (parser, default); None default means required
+# key -> (parser, default in a config file), in the order format_config writes
 _SCHEMA: dict[str, tuple] = {
     "seed": (_INT, 0),
-    "epochs": (_INT, None),
+    "epochs": (_INT, _REQUIRED),
     "batch_size": (_INT, 128),
-    "base_lr": (_FLOAT, None),
+    "base_lr": (_FLOAT, _REQUIRED),
     "weight_decay": (_FLOAT, 0.0),
     "label_smoothing": (_FLOAT, 0.0),
     "clip_norm": (_FLOAT, 0.0),
-    "log_dir": (_STR, None),
+    "log_dir": (_STR, _REQUIRED),
     "checkpoint_every": (_INT, 0),
     "log_gw": (_BOOL, False),
     "eval_batch": (_INT, 1024),
     "auto_stop.min_improvement": (_FLOAT, 0.0),
-    "dataset.kind": (_STR, None),
+    "dataset.kind": (_STR, _REQUIRED),
     "dataset.classes": (_INT, 4),
     "dataset.dim": (_INT, 20),
     "dataset.samples": (_INT, 2048),
@@ -200,7 +212,7 @@ _SCHEMA: dict[str, tuple] = {
     "model.activation": (_STR, "relu"),
     "model.normalize": (_BOOL, False),
     "model.init_scale": (_FLOAT, 1.0),
-    "model.input_shape": (_parse_int_tuple, ()),
+    "model.input_shape": (_parse_shape, None),
     "optimizer.kind": (_STR, "momentum"),
     "optimizer.momentum": (_FLOAT, 0.9),
     "optimizer.beta1": (_FLOAT, 0.9),
@@ -222,13 +234,6 @@ _SCHEMA: dict[str, tuple] = {
     "schedule.mode": (_STR, "min"),
 }
 
-_DATASET_KEYS = {
-    "blobs": ("classes", "dim", "samples", "test_samples", "label_noise",
-              "separation", "seed"),
-    "spirals": ("samples", "test_samples", "turns", "jitter", "label_noise", "seed"),
-    "idx": ("path", "subsample"),
-}
-
 _OPTIMIZER_KEYS = {"momentum": ("momentum",), "adam": ("beta1", "beta2", "eps")}
 
 _SCHEDULE_KEYS = {
@@ -241,118 +246,135 @@ _SCHEDULE_KEYS = {
     "plateau": ("factor", "patience", "threshold", "mode"),
 }
 
+_REQUIRED_KEYS = tuple(key for key, (_, default) in _SCHEMA.items() if default is _REQUIRED)
+_DEFAULTS = {key: default for key, (_, default) in _SCHEMA.items() if default is not _REQUIRED}
+# real-valued key -> the check that its value is finite
+_FINITE_CHECKS: dict[str, Callable] = {
+    key: math.isfinite for key, (parser, _) in _SCHEMA.items() if parser is _FLOAT}
+_FINITE_CHECKS["schedule.milestones"] = lambda pairs: all(math.isfinite(f) for _, f in pairs)
+# keys format_config writes only when their value is set (non-zero, non-empty)
+_WRITTEN_WHEN_SET = ("model.input_shape", "schedule.warmup_epochs")
+
+
+# -- the section table ----------------------------------------------------------
+
+class _Kind(NamedTuple):
+    """One kind of a section: its spec class and the keys the text carries."""
+
+    spec: type
+    keys: tuple[tuple[str, str], ...]  # (field, key) pairs
+    finite: tuple[tuple[str, str, Callable], ...]  # (field, key, check) of the real ones
+
+
+def _kind(spec: type, keys) -> _Kind:
+    keys = tuple(keys)
+    return _Kind(spec, keys, tuple((name, key, _FINITE_CHECKS[key]) for name, key in keys
+                                   if key in _FINITE_CHECKS))
+
+
+def _section_kind(spec: type, section: str, names=None) -> _Kind:
+    """``spec``'s entry with the keys ``section.name``, for ``names`` or every field."""
+    if names is None:
+        names = [f.name for f in fields(spec)]
+    return _kind(spec, ((name, f"{section}.{name}") for name in names))
+
+
+# section -> kind -> _Kind, with every key derived from a field name. "" is
+# the top level; it and the model have one entry, under None (the model's
+# kind is one of its fields). Each dataset kind has its own class. The
+# optimizer and schedule classes serve several kinds, so each kind lists the
+# fields it uses; the schedule's base_lr and total_epochs are the top-level
+# keys'.
+_SECTIONS: dict[str, dict[str | None, _Kind]] = {
+    "": {None: _kind(ExperimentConfig, (
+        (f.name, "auto_stop.min_improvement" if f.name == "auto_stop_min_improvement" else f.name)
+        for f in fields(ExperimentConfig)
+        if f.name not in ("dataset", "model", "optimizer", "schedule")))},
+    "dataset": {kind: _section_kind(spec, "dataset")
+                for kind, spec in (("blobs", BlobsSpec), ("spirals", SpiralsSpec),
+                                   ("idx", IdxSpec))},
+    "model": {None: _section_kind(ModelSpec, "model")},
+    "optimizer": {kind: _section_kind(OptimizerSpec, "optimizer", ("kind", *names))
+                  for kind, names in _OPTIMIZER_KEYS.items()},
+    "schedule": {kind: _section_kind(ScheduleSpec, "schedule", ("kind", "warmup_epochs", *names))
+                 for kind, names in _SCHEDULE_KEYS.items()},
+}
+_TOP, _MODEL = _SECTIONS[""][None], _SECTIONS["model"][None]
+_DATASET_KINDS = {entry.spec: kind for kind, entry in _SECTIONS["dataset"].items()}
+
+
+def _entry(section: str, kind) -> _Kind:
+    """``section``'s entry for ``kind``; a kind the table lacks is refused."""
+    kinds = _SECTIONS[section]
+    if kind not in kinds:
+        if section == "optimizer":
+            raise ConfigError("optimizer.kind must be 'momentum' or 'adam'")
+        raise ConfigError(f"{section}.kind must be one of {sorted(kinds)}")
+    return kinds[kind]
+
+
+def _entries(config: ExperimentConfig) -> tuple[tuple[object, _Kind], ...]:
+    """The config and each of its sections, with its table entry."""
+    dataset, optimizer, schedule = config.dataset, config.optimizer, config.schedule
+    return ((config, _TOP),
+            (dataset, _entry("dataset", _DATASET_KINDS.get(type(dataset)))),
+            (config.model, _MODEL),
+            (optimizer, _entry("optimizer", optimizer.kind)),
+            (schedule, _entry("schedule", schedule.kind)))
+
+
+def _build(values: dict[str, object], entry: _Kind, **given):
+    """``entry``'s spec from the parsed ``values`` and the ``given`` fields."""
+    for name, key in entry.keys:
+        given[name] = values[key]
+    return entry.spec(**given)
+
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document."""
-    raw: dict[str, object] = {}
+    given: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = line.partition("#")[0].strip()
         if not stripped:
             continue
         key, eq, value = stripped.partition("=")
         key = key.strip()
-        value = value.strip()
         if not eq:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
-        if key not in _SCHEMA:
+        declared = _SCHEMA.get(key)
+        if declared is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in raw:
+        if key in given:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        parser, _ = _SCHEMA[key]
         try:
-            raw[key] = parser(value)
+            given[key] = declared[0](value.strip())
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-    return config_from_values(raw)
-
-
-def config_from_values(raw: dict[str, object]) -> ExperimentConfig:
-    values = {}
-    for key, (_, default) in _SCHEMA.items():
-        if key in raw:
-            values[key] = raw[key]
-        elif default is None:
+    for key in _REQUIRED_KEYS:
+        if key not in given:
             raise ConfigError(f"missing required key {key!r}")
-        else:
-            values[key] = default
+    values = {**_DEFAULTS, **given}
 
-    kind = values["dataset.kind"]
-    if kind not in _DATASET_KEYS:
-        raise ConfigError(f"dataset.kind must be one of {sorted(_DATASET_KEYS)}")
     try:
-        dataset = _build_dataset(kind, values)
-        model = ModelSpec(
-            kind=values["model.kind"],
-            hidden=values["model.hidden"],
-            activation=values["model.activation"],
-            normalize=values["model.normalize"],
-            init_scale=values["model.init_scale"],
-            input_shape=values["model.input_shape"] or None,
-        )
-        opt_kind = values["optimizer.kind"]
-        if opt_kind not in _OPTIMIZER_KEYS:
-            raise ConfigError("optimizer.kind must be 'momentum' or 'adam'")
-        for key in ("momentum", "beta1", "beta2"):
-            if not 0.0 <= values[f"optimizer.{key}"] < 1.0:
-                raise ConfigError(f"optimizer.{key} must lie in [0, 1)")
+        dataset = _build(values, _entry("dataset", values["dataset.kind"]))
+        model = _build(values, _MODEL)
+        optimizer_kind = _entry("optimizer", values["optimizer.kind"])
+        for key in ("optimizer.momentum", "optimizer.beta1", "optimizer.beta2"):
+            if not 0.0 <= values[key] < 1.0:
+                raise ConfigError(f"{key} must lie in [0, 1)")
         if not values["optimizer.eps"] >= 0:
             raise ConfigError("optimizer.eps must be >= 0")
         # every given key is checked, but only the kind's own are kept: format_config
         # writes no other, so a config holding one would not round-trip
-        optimizer = OptimizerSpec(kind=opt_kind, **{
-            key: values[f"optimizer.{key}"] for key in _OPTIMIZER_KEYS[opt_kind]})
-        schedule = _build_schedule(values)
-        return ExperimentConfig(
-            epochs=values["epochs"],
-            base_lr=values["base_lr"],
-            log_dir=values["log_dir"],
-            dataset=dataset,
-            model=model,
-            optimizer=optimizer,
-            schedule=schedule,
-            seed=values["seed"],
-            batch_size=values["batch_size"],
-            weight_decay=values["weight_decay"],
-            label_smoothing=values["label_smoothing"],
-            clip_norm=values["clip_norm"],
-            checkpoint_every=values["checkpoint_every"],
-            log_gw=values["log_gw"],
-            eval_batch=values["eval_batch"],
-            auto_stop_min_improvement=values["auto_stop.min_improvement"],
-        )
+        optimizer = _build(values, optimizer_kind)
+        schedule = _build(values, _entry("schedule", values["schedule.kind"]),
+                          base_lr=values["base_lr"], total_epochs=values["epochs"])
+        return _build(values, _TOP, dataset=dataset, model=model, optimizer=optimizer,
+                      schedule=schedule)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _build_dataset(kind: str, values: dict) -> DatasetSpec:
-    if kind == "blobs":
-        return BlobsSpec(
-            classes=values["dataset.classes"], dim=values["dataset.dim"],
-            samples=values["dataset.samples"], test_samples=values["dataset.test_samples"],
-            label_noise=values["dataset.label_noise"],
-            separation=values["dataset.separation"], seed=values["dataset.seed"])
-    if kind == "spirals":
-        return SpiralsSpec(
-            samples=values["dataset.samples"], test_samples=values["dataset.test_samples"],
-            turns=values["dataset.turns"], jitter=values["dataset.jitter"],
-            label_noise=values["dataset.label_noise"], seed=values["dataset.seed"])
-    return IdxSpec(path=values["dataset.path"], subsample=values["dataset.subsample"])
-
-
-def _build_schedule(values: dict) -> ScheduleSpec:
-    kind = values["schedule.kind"]
-    if kind not in _SCHEDULE_KEYS:
-        raise ConfigError(f"schedule.kind must be one of {sorted(_SCHEDULE_KEYS)}")
-    kwargs = {param: values[f"schedule.{param}"] for param in _SCHEDULE_KEYS[kind]}
-    return ScheduleSpec(
-        kind=kind,
-        base_lr=values["base_lr"],
-        warmup_epochs=values["schedule.warmup_epochs"],
-        total_epochs=values["epochs"],
-        **kwargs,
-    )
 
 
 # The last (config, text) pair format_config produced. A run formats one
@@ -374,56 +396,13 @@ def format_config(config: ExperimentConfig) -> str:
 
 
 def _format_config(config: ExperimentConfig) -> str:
-    values: dict[str, object] = {
-        "seed": config.seed,
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "base_lr": config.base_lr,
-        "weight_decay": config.weight_decay,
-        "label_smoothing": config.label_smoothing,
-        "clip_norm": config.clip_norm,
-        "log_dir": config.log_dir,
-        "checkpoint_every": config.checkpoint_every,
-        "log_gw": config.log_gw,
-        "eval_batch": config.eval_batch,
-        "auto_stop.min_improvement": config.auto_stop_min_improvement,
-    }
-    ds = config.dataset
-    if isinstance(ds, BlobsSpec):
-        values["dataset.kind"] = "blobs"
-        values.update({
-            "dataset.classes": ds.classes, "dataset.dim": ds.dim,
-            "dataset.samples": ds.samples, "dataset.test_samples": ds.test_samples,
-            "dataset.label_noise": ds.label_noise, "dataset.separation": ds.separation,
-            "dataset.seed": ds.seed})
-    elif isinstance(ds, SpiralsSpec):
-        values["dataset.kind"] = "spirals"
-        values.update({
-            "dataset.samples": ds.samples, "dataset.test_samples": ds.test_samples,
-            "dataset.turns": ds.turns, "dataset.jitter": ds.jitter,
-            "dataset.label_noise": ds.label_noise, "dataset.seed": ds.seed})
-    else:
-        values["dataset.kind"] = "idx"
-        values.update({"dataset.path": ds.path, "dataset.subsample": ds.subsample})
-
-    m = config.model
-    values.update({
-        "model.kind": m.kind, "model.hidden": m.hidden,
-        "model.activation": m.activation, "model.normalize": m.normalize,
-        "model.init_scale": m.init_scale})
-    if m.input_shape:
-        values["model.input_shape"] = m.input_shape
-    opt = config.optimizer
-    values["optimizer.kind"] = opt.kind
-    for key in _OPTIMIZER_KEYS[opt.kind]:
-        values[f"optimizer.{key}"] = getattr(opt, key)
-    s = config.schedule
-    values["schedule.kind"] = s.kind
-    if s.warmup_epochs:
-        values["schedule.warmup_epochs"] = s.warmup_epochs
-    for param in _SCHEDULE_KEYS[s.kind]:
-        values[f"schedule.{param}"] = getattr(s, param)
-
+    values: dict[str, object] = {"dataset.kind": _DATASET_KINDS[type(config.dataset)]}
+    for spec, entry in _entries(config):
+        for name, key in entry.keys:
+            values[key] = getattr(spec, name)
+    for key in _WRITTEN_WHEN_SET:
+        if not values[key]:
+            del values[key]
     lines = [f"{key} = {_fmt_value(values[key])}" for key in _SCHEMA if key in values]
     return "\n".join(lines) + "\n"
 

@@ -44,7 +44,7 @@ from itertools import product
 from pathlib import Path
 
 from .adaptive import make_scheduler
-from .config import ConfigError, ExperimentConfig, format_config
+from .config import ConfigError, ExperimentConfig, _parse_float, format_config
 from .runner import (DivergenceError, EpochRecord, RunState, _lr_events, _schedule_lr,
                      _write_fork_logs, run_experiment, write_atomic)
 
@@ -76,7 +76,7 @@ def parse_grid(spec: str) -> dict[str, list[float]]:
         if not eq or name not in SWEEPABLE:
             raise ConfigError(f"grid axis must be one of {SWEEPABLE}, got {name!r}")
         try:
-            values = [float(v) for v in rest.split(",") if v.strip()]
+            values = [_parse_float(v) for v in rest.split(",") if v.strip()]
         except ValueError:
             raise ConfigError(f"bad grid values for {name!r}: {rest!r}") from None
         if not values:

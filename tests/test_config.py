@@ -1,9 +1,15 @@
-from dataclasses import replace
+import math
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
-from abel_sched import (BlobsSpec, ConfigError, ExperimentConfig, IdxSpec, ScheduleSpec,
-                        config_hash, format_config, parse_config)
+from abel_sched import (BlobsSpec, ConfigError, ExperimentConfig, IdxSpec, ModelSpec,
+                        OptimizerSpec, ScheduleSpec, SpiralsSpec, config_hash, format_config,
+                        parse_config)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = """
 epochs = 100
@@ -221,3 +227,78 @@ def test_a_negative_seed_is_refused_on_replace():
     config = parse_config(MINIMAL)
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         replace(config, seed=-1)
+
+
+def test_the_section_table_gives_every_field_one_schema_key():
+    """A field or key added in one place and not the other fails here by name."""
+    from abel_sched.config import _SCHEMA, _SECTIONS
+
+    keys_of: dict[tuple[type, str], set[str]] = {}
+    for kinds in _SECTIONS.values():
+        for entry in kinds.values():
+            for name, key in entry.keys:
+                keys_of.setdefault((entry.spec, name), set()).add(key)
+    # sections are not keys; the schedule takes base_lr and total_epochs from the top level
+    exempt = {(ExperimentConfig, name) for name in ("dataset", "model", "optimizer", "schedule")}
+    exempt |= {(ScheduleSpec, "base_lr"), (ScheduleSpec, "total_epochs")}
+    for spec in (ExperimentConfig, BlobsSpec, SpiralsSpec, IdxSpec, ModelSpec, OptimizerSpec,
+                 ScheduleSpec):
+        for f in fields(spec):
+            if (spec, f.name) in exempt:
+                assert (spec, f.name) not in keys_of
+                continue
+            keys = keys_of.get((spec, f.name), set())
+            assert len(keys) == 1, f"{spec.__name__}.{f.name} has the keys {keys}"
+            assert keys <= set(_SCHEMA), f"{spec.__name__}.{f.name}: {keys} not in _SCHEMA"
+    # dataset.kind selects the spec class and is no field of it
+    mapped = set().union(*keys_of.values())
+    assert set(_SCHEMA) - mapped == {"dataset.kind"}
+
+
+SHIPPED_CONFIG_HASHES = {
+    "blobs_abel": "754f3b222d7052801f8f45006cfb2e3bcd02a1028f5be3c432731096a7262d1f",
+    "blobs_cosine": "3b8016a2c16f331b82b57e69c908f4614a12da8a0a7b8c35e1bd18ce4ec4e042",
+    "blobs_simple": "e7cbc283effc32a28e91bb98af567f4afe94b7a96b725f1d05470753dc31b697",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIG_HASHES))
+def test_shipped_configs_keep_their_canonical_bytes(name):
+    """config.txt, meta.json's config_hash and every checkpoint embed this text;
+    a round trip alone would let its bytes drift."""
+    assert sorted(p.stem for p in CONFIGS.glob("*.txt")) == sorted(SHIPPED_CONFIG_HASHES)
+    config = parse_config((CONFIGS / f"{name}.txt").read_text())
+    assert config_hash(config) == SHIPPED_CONFIG_HASHES[name]
+
+
+# key -> a parsed MINIMAL config with that key's value replaced in Python
+PYTHON_BUILT = {
+    "weight_decay": lambda c, v: replace(c, weight_decay=v),
+    "clip_norm": lambda c, v: replace(c, clip_norm=v),
+    "auto_stop.min_improvement": lambda c, v: replace(c, auto_stop_min_improvement=v),
+    "dataset.separation": lambda c, v: replace(c, dataset=replace(c.dataset, separation=v)),
+    "dataset.turns": lambda c, v: replace(c, dataset=SpiralsSpec(turns=v)),
+    "dataset.jitter": lambda c, v: replace(c, dataset=SpiralsSpec(jitter=v)),
+    "model.init_scale": lambda c, v: replace(c, model=replace(c.model, init_scale=v)),
+    "optimizer.eps": lambda c, v: replace(c, optimizer=OptimizerSpec(kind="adam", eps=v)),
+    "schedule.final_lr": lambda c, v: replace(
+        c, schedule=replace(c.schedule, kind="linear", final_lr=v)),
+    "schedule.threshold": lambda c, v: replace(
+        c, schedule=replace(c.schedule, kind="plateau", threshold=v)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PYTHON_BUILT))
+def test_python_built_configs_refuse_infinite_floats(key):
+    """Each passed its range check and made a config whose text parse_config
+    refuses, so its checkpoints could not be resumed."""
+    config = parse_config(MINIMAL)
+    assert PYTHON_BUILT[key](config, 0.5)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        PYTHON_BUILT[key](config, math.inf)
+
+
+def test_an_optimizer_kind_the_text_cannot_carry_is_refused():
+    with pytest.raises(ConfigError, match="optimizer.kind"):
+        ExperimentConfig(epochs=1, base_lr=0.1, log_dir="runs", dataset=BlobsSpec(),
+                         optimizer=OptimizerSpec(kind="sgd"))

@@ -26,6 +26,14 @@ def test_parse_grid():
         parse_grid("")
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+def test_parse_grid_refuses_non_finite_values(value):
+    """A weight_decay = inf point used to train and write checkpoints whose
+    config text parse_config refuses, so they could never be resumed."""
+    with pytest.raises(ConfigError, match="weight_decay"):
+        parse_grid(f"weight_decay=0.1,{value}")
+
+
 def test_parse_grid_refuses_a_repeated_axis():
     """The second group used to replace the first without a word."""
     with pytest.raises(ConfigError, match="'base_lr' is given twice"):
