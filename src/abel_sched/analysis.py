@@ -151,9 +151,11 @@ def _bounce_indices(values, noise_tol: float) -> list[int]:
 
 def detect_bounce(trace: NormTrace, noise_tol: float = DEFAULT_NOISE_TOL) -> list[int]:
     """Bounce epochs, per fixed-lr segment; short segments contribute none."""
-    if noise_tol < 0:
-        raise ValueError("noise_tol must be >= 0")
-    return [epoch for seg in _segment_reports(trace, noise_tol) for epoch in seg.bounce_epochs]
+    return _bounces(_segment_reports(trace, noise_tol))
+
+
+def _bounces(segments: list[SegmentReport]) -> list[int]:
+    return [epoch for seg in segments for epoch in seg.bounce_epochs]
 
 
 def _monotone_label(values, noise_tol: float) -> str:
@@ -169,7 +171,12 @@ def _monotone_label(values, noise_tol: float) -> str:
 
 def classify_trace(trace: NormTrace, noise_tol: float = DEFAULT_NOISE_TOL) -> str:
     """One of bouncing / monotone_increasing / monotone_decreasing / flat."""
-    if detect_bounce(trace, noise_tol):
+    return _classify(trace, _segment_reports(trace, noise_tol), noise_tol)
+
+
+def _classify(trace: NormTrace, segments: list[SegmentReport], noise_tol: float) -> str:
+    """``classify_trace`` from the trace's segment reports."""
+    if _bounces(segments):
         return "bouncing"
     label = _monotone_label(trace.wsq, noise_tol)
     return {"increasing": "monotone_increasing", "decreasing": "monotone_decreasing",
@@ -177,6 +184,8 @@ def classify_trace(trace: NormTrace, noise_tol: float = DEFAULT_NOISE_TOL) -> st
 
 
 def _segment_reports(trace: NormTrace, noise_tol: float) -> list[SegmentReport]:
+    if noise_tol < 0:
+        raise ValueError("noise_tol must be >= 0")
     reports = []
     for lo, hi in _segment_bounds(trace):
         values = trace.wsq[lo:hi]
@@ -199,8 +208,12 @@ def decay_alignment(trace: NormTrace, noise_tol: float = DEFAULT_NOISE_TOL) -> l
     bounce before it; ``before_bounce`` when the only bounces of the run come
     later; ``no_bounce_segment`` when the run never bounces at all.
     """
-    segments = _segment_reports(trace, noise_tol)
-    all_bounces = [b for seg in segments for b in seg.bounce_epochs]
+    return _alignment(trace, _segment_reports(trace, noise_tol))
+
+
+def _alignment(trace: NormTrace, segments: list[SegmentReport]) -> list[DecayVerdict]:
+    """``decay_alignment`` from the trace's segment reports."""
+    all_bounces = _bounces(segments)
     verdicts = []
     for d in sorted(set(trace.decay_epochs)):
         own = next((seg for seg in segments if seg.start_epoch <= d <= seg.end_epoch), None)
@@ -290,13 +303,14 @@ def growth_rate_deciles(trace: NormTrace) -> list[float]:
 def analyze_trace(trace: NormTrace, errors: list[float] | None = None,
                   noise_tol: float = DEFAULT_NOISE_TOL, top_k: int = 3,
                   drop_window: int = 5) -> AnalysisReport:
-    """Full report: classification, segments, alignment, drops, layer shares."""
+    """Full report: classification, segments, alignment, drops, layer shares.
+    The segment reports are computed once and shared by every part."""
     segments = _segment_reports(trace, noise_tol)
     report = AnalysisReport(
-        classification=classify_trace(trace, noise_tol),
+        classification=_classify(trace, segments, noise_tol),
         segments=segments,
-        bounce_epochs=[b for seg in segments for b in seg.bounce_epochs],
-        decays=decay_alignment(trace, noise_tol),
+        bounce_epochs=_bounces(segments),
+        decays=_alignment(trace, segments),
         growth_rate_deciles=growth_rate_deciles(trace),
     )
     if errors is not None and trace.decay_epochs:

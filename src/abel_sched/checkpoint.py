@@ -56,13 +56,12 @@ from .config import ConfigError, ExperimentConfig, format_config, parse_config
 from .optim import AdamState, MomentumState
 from .params import GradSet, Layout, ParamSet
 from .runner import ResumeRefusedError, RunState, write_atomic
+from .schedules import BUDGET_FREE_KINDS
 from .state_io import Reader, StateDecodeError, restore_scheduler, serialize_scheduler
 
 MAGIC = b"ABCK"
 VERSION = 2
 DIGEST_SIZE = 32
-
-BUDGET_FREE_KINDS = ("constant", "stepwise", "abel", "plateau")
 
 
 class CheckpointError(ValueError):

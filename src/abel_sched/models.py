@@ -38,10 +38,11 @@ table, one flat vector of the weights the passes read (``w/|w_row|``, or a
 copy of ``w``) with each layer's views and transposes, the flat gradient
 with its layer views, and the pull-back's projection vector. Per batch
 size it keeps every hidden output (the backward pass overwrites it with
-its activation's derivative), every layer's dL/dz and the class-major
-logits copy. The step's ufunc calls, and those of the softmax gradient
-(``_dlogits``) and the activation derivative (``_times_act_grad``) that it
-shares with the convnet, write into these with ``out=``; the returned
+its activation's derivative), every layer's dL/dz (the last layer's first
+holds the logits) and the class-major ``exp(logits - max)``. The step's
+ufunc calls, and those of the softmax gradient (``_dlogits``) and the
+activation derivative (``_times_act_grad``) that it shares with the
+convnet, write into these with ``out=``; the returned
 gradient is a new vector (the pull-back's last ``divide``, or a copy), so a
 caller may write it in place. Products of 2-D operands are
 ``np.dot(..., out=)``: numpy sends ``dot`` and ``matmul`` of the same
@@ -52,26 +53,40 @@ The buffers are the model's own: a ``Model`` serves one thread.
 The loss computes one exp per logit: with ``e = exp(logits - max)`` and
 ``s`` its row sums, log p is ``logits - (log s + max)`` and the softmax in
 the gradient is ``e / s``, not a second ``exp(log p)``, which rounds
-differently in the last bits.
+differently in the last bits. ``_softmax_numerators`` is the one place
+that computes ``e``, for the MLP step, the convnet step and the loss.
 
 The step records, the epoch reduces
 -----------------------------------
 The gradient needs only ``e / s``, so ``Model.train_step_stats`` returns
 the gradients alone. It writes the batch's logits, row maxima and row sums
-``s`` into the next rows of a :class:`StepStats`, a per-run sink: the last
-layer's product goes there through ``out=``, and so do the maxima and
-sums of the reductions the gradient computes anyway.
+``s`` into the next rows of a :class:`StepStats`, a per-run sink that keeps
+the logits class-major, as ``(classes, rows)``. The last layer's product
+is a row-major BLAS result; the softmax copies it into the sink's
+class-major slice, and every pass over the class axis then runs on
+class-major arrays, as a few calls over long rows of one class where a
+row-major array runs numpy's inner loop once per short row of logits: the
+row max, ``exp(logits - max)``, the row sums and ``e / s``. The row-major
+dL/dlogits is written once, from ``e / s`` and the targets, into the
+product's buffer. Every float is the one the row-major formulas give, as
+each operation is elementwise except the row sums, and those follow
+numpy's summation order: numpy adds fewer than 8 entries in order, so
+below 8 classes a row's sum is the classes added one after another, and
+it sums 8 or more pairwise, so from 8 classes on the sums are numpy's
+row-wise reduce of a row-major copy (``_row_sums``).
 ``StepStats.reduce`` then makes one pass over every recorded row: log p,
-its product with the targets, one ``np.add.reduce`` per run of equal-sized
-steps over the products reshaped to one row per step, one finiteness test
-of the logits, and the errors. A row is right when its label is the first
-class whose logit equals the recorded row max, which is ``argmax``'s class
-for finite logits (+0.0 equals -0.0); one class-major pass counts, per row,
-the leading classes below the max, in a few calls per class where
-``argmax(axis=1)`` runs per row. A step's sum covers the
-same contiguous block, in the same order, as a sum over that step's
-products alone, so every loss and error is the one a step would have
-computed on its own. The reduction yields each step's ``(loss, error,
+read from the class-major sink and written row-major, its product with the
+targets (row-major, so that each step's products keep their row-major
+order for its sum), one ``np.add.reduce`` per run of equal-sized steps
+over the products reshaped to one row per step, one finiteness test of the
+logits, and the errors. A row is right when its
+label is the first class whose logit equals the recorded row max, which is
+``argmax``'s class for finite logits (+0.0 equals -0.0); one pass over the
+class-major sink counts, per row, the leading classes below the max, in a
+few calls per class where ``argmax(axis=1)`` runs per row. A step's sum
+covers the same contiguous block, in the same order, as a sum over that
+step's products alone, so every loss and error is the one a step would
+have computed on its own. The reduction yields each step's ``(loss, error,
 rows)`` in step order and raises :class:`NumericError` on reaching a step
 whose logits are not all finite, so a caller that checks each loss as it
 comes sees the first failing step's error, logits before loss. The step
@@ -317,55 +332,70 @@ def _mean_loss(logits: np.ndarray, targets: np.ndarray, labels: np.ndarray) -> f
     and reduced by a one-batch StepStats."""
     n, classes = logits.shape
     stats = StepStats(n, classes)
-    out, row_max, row_sum = stats.record(n)
-    np.copyto(out, logits)
+    cols, row_max, row_sum = stats.record(n)
+    product = np.empty((n, classes))
+    np.copyto(product, logits)
     with np.errstate(over="ignore", invalid="ignore"):
-        _softmax_numerators(out, row_max, row_sum, np.empty((classes, n)), np.empty_like(out))
+        _softmax_numerators(product, cols, row_max, row_sum, np.empty((classes, n)))
     (loss, _, _), = stats.reduce(targets, labels)
     return loss
 
 
-def _softmax_numerators(logits: np.ndarray, row_max: np.ndarray, row_sum: np.ndarray,
-                        cols: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """``e = exp(logits - max)`` of (batch, classes) ``logits``, written into
-    ``e``, with each row's max written into ``row_max`` and the row sums of
-    ``e`` into ``row_sum`` (see the module docstring); ``cols`` receives a
-    (classes, batch) copy. The reductions call their ufuncs directly,
-    skipping the ndarray methods' wrappers; the floats are the same."""
-    # The row max, reduced over a class-major copy: for few classes this is
-    # several times faster than max(axis=1), and max is exact either way.
-    np.copyto(cols, logits.T)
+def _softmax_numerators(product: np.ndarray, cols: np.ndarray, row_max: np.ndarray,
+                        row_sum: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``e = exp(logits - max)``, class-major, of the (batch, classes) logits
+    ``product``: they are copied into ``cols``, a (classes, batch) slice of a
+    sink, each row's max is written into ``row_max`` and the row sums of ``e``
+    into ``row_sum`` (see the module docstring). ``product`` is scratch
+    after the call. The reductions call their ufuncs directly, skipping the
+    ndarray methods' wrappers; the floats are the same."""
+    np.copyto(cols, product.T)
     np.maximum.reduce(cols, axis=0, out=row_max)
-    np.subtract(logits, row_max[:, None], out=e)
+    np.subtract(cols, row_max, out=e)
     np.exp(e, out=e)
-    np.add.reduce(e, axis=1, out=row_sum)
+    _row_sums(e, product, row_sum)
     return e
 
 
-def _dlogits(logits: np.ndarray, targets: np.ndarray, row_max: np.ndarray,
-             row_sum: np.ndarray, cols: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The gradient in the logits of the mean cross-entropy of ``logits``
-    against ``targets``, ``(e / s - targets) / n``, written into ``e``,
-    recording the row maxima and sums as ``_softmax_numerators`` does."""
-    _softmax_numerators(logits, row_max, row_sum, cols, e)
-    np.divide(e, row_sum[:, None], out=e)
-    np.subtract(e, targets, out=e)
-    return np.divide(e, logits.shape[0], out=e)
+def _row_sums(e: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each row's sum of the class-major ``e`` into ``out``, bit for bit as
+    ``np.add.reduce(e.T, axis=1)``. numpy adds fewer than 8 entries in order,
+    as its reduce over the class axis of ``e`` adds the classes one after
+    another; it sums 8 or more pairwise, so those rows are its row-wise
+    reduce of a row-major copy in ``scratch``."""
+    if len(e) < 8:
+        return np.add.reduce(e, axis=0, out=out)
+    np.copyto(scratch, e.T)
+    return np.add.reduce(scratch, axis=1, out=out)
+
+
+def _dlogits(product: np.ndarray, targets: np.ndarray, cols: np.ndarray,
+             row_max: np.ndarray, row_sum: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The gradient in the logits of the mean cross-entropy of the logits
+    ``product`` against ``targets``, ``(e / s - targets) / n``, written into
+    ``product``, recording the logits, row maxima and sums as
+    ``_softmax_numerators`` does."""
+    _softmax_numerators(product, cols, row_max, row_sum, e)
+    np.divide(e, row_sum, out=e)
+    np.subtract(e.T, targets, out=product)
+    return np.divide(product, len(product), out=product)
 
 
 class StepStats:
     """A sink for the training steps' logits, from which ``reduce`` computes
     every step's loss and error at once (see the module docstring).
 
-    It holds room for ``rows`` rows of ``classes`` logits, with each row's
-    max and sum of ``exp(logits - max)``. ``record`` hands out the next rows
-    to a step, and ``reduce`` empties the sink.
+    It holds room for ``rows`` rows of ``classes`` logits, class-major:
+    ``class_logits[c, i]`` is row i's logit of class c. Beside them it keeps
+    each row's max and sum of ``exp(logits - max)``, summed as numpy sums a
+    row (in order below 8 classes, pairwise from 8 on). ``record`` hands out
+    the next rows to a step, and ``reduce`` empties the sink.
     """
 
-    __slots__ = ("logits", "row_max", "row_sum", "starts", "sizes", "filled")
+    __slots__ = ("class_logits", "row_max", "row_sum", "starts", "sizes", "filled")
 
     def __init__(self, rows: int, classes: int):
-        self.logits = np.empty((rows, classes))
+        self.class_logits = np.empty((classes, rows))
         self.row_max = np.empty(rows)
         self.row_sum = np.empty(rows)
         # the first row and the row count of each recorded step, in step order
@@ -374,8 +404,8 @@ class StepStats:
         self.filled = 0
 
     def record(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Views of the next ``rows`` rows of the logits, row maxima and row
-        sums, for one step to write."""
+        """Views of the next ``rows`` rows of the logits (a (classes, rows)
+        slice), row maxima and row sums, for one step to write."""
         start, stop = self.filled, self.filled + rows
         if not 0 < rows <= len(self.row_max) - start:
             raise ValueError(f"a step of {rows} rows does not fit the {len(self.row_max)}-row "
@@ -383,7 +413,8 @@ class StepStats:
         self.filled = stop
         self.starts.append(start)
         self.sizes.append(rows)
-        return self.logits[start:stop], self.row_max[start:stop], self.row_sum[start:stop]
+        return (self.class_logits[:, start:stop], self.row_max[start:stop],
+                self.row_sum[start:stop])
 
     def reduce(self, targets: np.ndarray, labels: np.ndarray) -> Iterator[tuple[float, float, int]]:
         """Each recorded step's (mean loss, error rate, rows), in step order.
@@ -394,19 +425,22 @@ class StepStats:
         reaching a step whose logits are not all finite.
         """
         n, starts, sizes = self.filled, np.array(self.starts), self.sizes
-        if labels.shape != (n,) or targets.shape != (n, self.logits.shape[1]):
+        classes = len(self.class_logits)
+        if labels.shape != (n,) or targets.shape != (n, classes):
             raise ValueError(f"expected the labels and targets of the {n} recorded rows")
         self.filled, self.starts, self.sizes = 0, [], []
         if not n:
             return iter(())
-        logits = self.logits[:n]
-        classes = logits.shape[1]
+        cols = self.class_logits[:, :n]
         with np.errstate(over="ignore", invalid="ignore"):
             logp = np.log(self.row_sum[:n])
             np.add(logp, self.row_max[:n], out=logp)
-            prod = np.subtract(logits, logp[:, None])
+            # log p from the class-major logits, written row-major for its
+            # products with the targets and their sums: one sum per step over
+            # its contiguous block, as a lone step sums it
+            prod = np.empty((n, classes))
+            np.subtract(cols, logp, out=prod.T)
             np.multiply(targets, prod, out=prod)
-            # one sum per step over its contiguous block, as a lone step sums it
             sums, row = [], 0
             for size, run in groupby(sizes):
                 k = len(list(run))
@@ -415,17 +449,18 @@ class StepStats:
                 row += k * size
             rows = np.array(sizes)
             losses = np.divide(np.negative(np.concatenate(sums)), rows)
-        wrong = np.add.reduceat(_first_max(logits, self.row_max[:n]) != labels, starts,
+        wrong = np.add.reduceat(_first_max(cols, self.row_max[:n]) != labels, starts,
                                 dtype=np.intp)
-        finite = np.logical_and.reduceat(np.isfinite(logits).ravel(), starts * classes)
+        finite = np.logical_and.reduceat(np.logical_and.reduce(np.isfinite(cols), axis=0),
+                                         starts)
         return _in_step_order(losses.tolist(), (wrong / rows).tolist(), sizes, finite.tolist())
 
 
-def _first_max(logits: np.ndarray, row_max: np.ndarray) -> np.ndarray:
-    """Each row's first class whose logit equals ``row_max`` (its max): the
-    number of leading classes below it. That is ``argmax``'s class for a row
-    of finite logits; only the last class is left uncompared."""
-    cols = np.ascontiguousarray(logits.T)
+def _first_max(cols: np.ndarray, row_max: np.ndarray) -> np.ndarray:
+    """Each row's first class whose logit equals ``row_max`` (its max), from
+    the class-major logits ``cols``: the number of leading classes below it.
+    That is ``argmax``'s class for a row of finite logits; only the last class
+    is left uncompared."""
     below = cols[0] != row_max
     first = below.astype(np.min_scalar_type(len(cols) - 1))
     for col in cols[1:-1]:
@@ -476,7 +511,8 @@ class _Buffers:
         the last few sizes: per hidden layer its transposed weight, bias and
         output; per layer from the last down to the second its dL/dz
         transposed, input, weight and bias gradients, dL/dz, weight and the
-        dL/dz below; the first layer's first four; dL/dlogits; cols."""
+        dL/dz below; the first layer's first four; the logits, which become
+        dL/dlogits; the class-major ``exp(logits - max)``."""
         bufs = self._batches.get(rows)
         if bufs is None:
             if len(self._batches) == 4:
@@ -702,19 +738,19 @@ class Model:
         reduction.
         """
         x = batch.x
-        logits, row_max, row_sum = stats.record(len(x))
+        cols, row_max, row_sum = stats.record(len(x))
         layout = params.layout
         bound = self._prepared(params)
         if self.arch.kind == "conv":
-            _, cache = self._forward_conv(params, x, logits)
-            dlogits = _dlogits(logits, batch.targets, row_max, row_sum,
-                               np.empty(logits.shape[::-1]), np.empty_like(logits))
+            logits, cache = self._forward_conv(params, x, np.empty(cols.shape[::-1]))
+            dlogits = _dlogits(logits, batch.targets, cols, row_max, row_sum,
+                               np.empty(cols.shape))
             flat = np.empty(layout.size)
             self._backward_conv(params, cache, dlogits,
                                 dict(zip(layout.names, layout.views(flat))))
             return GradSet(layout, flat, self._grad_names)
         # the MLP step: _forward_mlp's calls, inline
-        forward, backward, (dz_t, grad_w, grad_b, dz), e, cols = bound.batch(len(x))
+        forward, backward, (dz_t, grad_w, grad_b, dz), logits, e = bound.batch(len(x))
         kind = self.arch.activation
         a = x
         for w_t, b, z in forward:
@@ -726,7 +762,7 @@ class Model:
         np.dot(a, w_t, out=logits)
         if b is not None:
             np.add(logits, b, out=logits)
-        _dlogits(logits, batch.targets, row_max, row_sum, cols, e)
+        _dlogits(logits, batch.targets, cols, row_max, row_sum, e)
         # dL/dw (dL/dŵ when normalized) into bound.grad; each hidden output then
         # takes its activation's derivative
         for d_t, a, g_w, g_b, d, w, d_prev in backward:

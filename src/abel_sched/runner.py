@@ -39,8 +39,12 @@ from the checkpoint's test errors plus the new epochs, and its decay events
 include those before the checkpoint; only ``start_epoch`` tells it apart
 from the uninterrupted run's. Logs that lack a row at or before the
 checkpoint epoch (or a whole file) refuse the resume with
-:class:`ResumeRefusedError`, as does a resume state whose test errors or
-scheduler cover another number of epochs than the checkpoint.
+:class:`ResumeRefusedError`, and so do logs that the checkpointed run did
+not write: a kept row whose test error is not the checkpoint's for that
+epoch, or a ``config.txt`` that differs from the resumed config in more
+than ``log_dir`` and an allowed change of ``epochs``. So does a resume
+state whose test errors or scheduler cover another number of epochs than
+the checkpoint.
 ``meta.json``, ``config.txt`` and checkpoints are written through a temp
 file and ``os.replace``, so a crash never leaves a torn file.
 """
@@ -65,7 +69,8 @@ from .datasets import dataset_meta, make_dataset
 from .models import Model, ModelArch, NumericError, StepStats
 from .optim import AdamState, MomentumState, clip_flat
 from .params import ParamSet, inner_gw, weight_norm_sq
-from .schedules import LrEvent, ScheduleSpec, has_discrete_milestones, lr_at, warmup_scale
+from .schedules import (BUDGET_FREE_KINDS, LrEvent, ScheduleSpec, has_discrete_milestones,
+                        lr_at, warmup_scale)
 
 AUTO_STOP_SETTLE_EPOCHS = 3
 _ORDER_BLOCK_BYTES = 1 << 20  # the most memory one block of drawn epoch orders takes
@@ -236,14 +241,21 @@ def write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-def _log_history(log_dir: Path, epoch: int) -> dict[str, list[str]] | None:
-    """The rows of ``log_dir``'s logs up to ``epoch``; None when it holds no logs.
+def _log_history(log_dir: Path, config: ExperimentConfig,
+                 test_errors: list[float]) -> dict[str, list[str]] | None:
+    """The rows of ``log_dir``'s logs up to the checkpoint epoch, the number
+    of ``test_errors``; None when it holds no logs.
 
-    The metrics rows kept must be consecutive epochs ending at ``epoch``, and
-    the per-layer rows must cover the same epochs; anything else refuses.
+    The logs must be the checkpointed run's: ``config.txt`` must be
+    ``config``'s text (see ``_check_logged_config``), the metrics rows kept
+    must be consecutive epochs ending at the checkpoint epoch, each with the
+    checkpoint's test error of its epoch, bit for bit, and the per-layer rows
+    must cover the same epochs. Anything else refuses.
     """
     if not (log_dir / "metrics.csv").exists():
         return None
+    _check_logged_config(log_dir, config)
+    epoch = len(test_errors)
     kept: dict[str, list[str]] = {}
     epochs: dict[str, list[int]] = {}
     for name, header in LOG_HEADERS.items():
@@ -266,7 +278,34 @@ def _log_history(log_dir: Path, epoch: int) -> dict[str, list[str]] | None:
         raise ResumeRefusedError(
             f"the logs in {log_dir} lack rows up to the checkpoint epoch {epoch}; "
             f"resume into another log_dir")
+    column = METRICS_COLUMNS.index("test_error")
+    for line, e in zip(kept["metrics.csv"], logged):
+        fields = line.split(",")
+        # logs write round-trippable reprs, so equal text is equal bits
+        if len(fields) != len(METRICS_COLUMNS) or fields[column] != _fmt(test_errors[e - 1]):
+            raise ResumeRefusedError(
+                f"the logs in {log_dir} were not written by the checkpointed run: epoch {e} "
+                f"logs another test error than the checkpoint's; resume into another log_dir")
     return kept
+
+
+def _check_logged_config(log_dir: Path, config: ExperimentConfig) -> None:
+    """Refuse logs whose ``config.txt`` is not ``config``'s canonical text,
+    naming the first key that differs. Only ``log_dir`` may differ, and
+    ``epochs`` for a schedule whose lr does not depend on the budget (a
+    resume may change it; ``schedule.total_epochs`` follows ``epochs``)."""
+    path = log_dir / "config.txt"
+    if not path.exists():
+        raise ResumeRefusedError(f"cannot append to the logs in {log_dir}: no config.txt")
+    free = {"log_dir"} | ({"epochs"} if config.schedule.kind in BUDGET_FREE_KINDS else set())
+    logged, wanted = (dict(line.partition(" = ")[::2] for line in text.splitlines())
+                      for text in (path.read_text(), format_config(config)))
+    for key in dict.fromkeys([*wanted, *logged]):
+        if key not in free and logged.get(key) != wanted.get(key):
+            raise ResumeRefusedError(
+                f"the logs in {log_dir} were written by another config: {key} is "
+                f"{logged.get(key)!r} there, {wanted.get(key)!r} in the resumed run; "
+                f"resume into another log_dir")
 
 
 class _RunLog:
@@ -395,7 +434,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
                       [ev for e in range(1, start_epoch + 1)
                        for ev in _milestone_events(spec, e, config.epochs)])
 
-    history = (_log_history(Path(config.log_dir), start_epoch)
+    history = (_log_history(Path(config.log_dir), config, test_errors)
                if resume_state is not None else None)
     log = _RunLog(Path(config.log_dir), config, history)
     meta = {

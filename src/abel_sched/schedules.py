@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 STATELESS_KINDS = ("constant", "stepwise", "cosine", "linear", "simple")
 ADAPTIVE_KINDS = ("abel", "plateau")
 SCHEDULE_KINDS = STATELESS_KINDS + ADAPTIVE_KINDS
+# kinds whose lr at an epoch does not depend on the epoch budget, so a resume may change it
+BUDGET_FREE_KINDS = ("constant", "stepwise", "abel", "plateau")
 
 COSINE_FORMS = ("quarter", "half")
 PLATEAU_MODES = ("min", "max")  # a mode's index is its code in scheduler blobs (state_io)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abel_sched import (
     NormTrace,
@@ -156,6 +158,30 @@ def test_analyze_trace_full_report():
     assert report.decays[0].alignment == "after_bounce"
     assert len(report.drops) == 1
     assert len(report.growth_rate_deciles) == 11
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.floats(-0.2, 0.2), min_size=0, max_size=60),
+       decays=st.sets(st.integers(1, 61), max_size=4),
+       noise_tol=st.sampled_from([0.0, 0.005, 0.05]), layered=st.booleans())
+def test_analyze_trace_is_its_public_parts(steps, decays, noise_tol, layered):
+    """analyze_trace shares one computation of the segment reports between
+    its parts; each part still equals the public function it stands for."""
+    values = list(np.exp(np.cumsum([0.0, *steps])))
+    decays = tuple(d for d in sorted(decays) if d <= len(values))
+    per_layer = ({"a": [v / 3 for v in values], "b": [2 * v / 3 for v in values]}
+                 if layered else None)
+    trace = trace_of(values, decays=decays, per_layer=per_layer)
+    report = analyze_trace(trace, noise_tol=noise_tol)
+    assert report.classification == classify_trace(trace, noise_tol)
+    assert report.bounce_epochs == detect_bounce(trace, noise_tol)
+    assert report.decays == decay_alignment(trace, noise_tol)
+    assert report.bounce_epochs == [b for seg in report.segments for b in seg.bounce_epochs]
+    if layered:
+        assert report.top_layers == top_layer_contribution(trace, 2, noise_tol)
+    for part in (analyze_trace, decay_alignment):
+        with pytest.raises(ValueError, match="noise_tol must be >= 0"):
+            part(trace, noise_tol=-0.1)
 
 
 def test_trace_validation():

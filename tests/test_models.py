@@ -348,16 +348,41 @@ def test_loss_is_bit_equal_to_the_row_max_formula(classes):
     labels = rng.integers(0, classes, 128)
     for smoothing in (0.0, 0.1):
         stats = StepStats(128, classes)
-        recorded, row_max, row_sum = stats.record(128)
-        np.copyto(recorded, logits)
+        cols, row_max, row_sum = stats.record(128)
         targets = _targets(labels, classes, smoothing)
-        dlogits = _dlogits(recorded, targets, row_max, row_sum, np.empty((classes, 128)),
-                           np.empty((128, classes)))
+        dlogits = _dlogits(logits.copy(), targets, cols, row_max, row_sum,
+                           np.empty((classes, 128)))
+        assert np.array_equal(stats.class_logits, logits.T)
         (loss, _, _), = stats.reduce(targets, labels)
         ref_loss, ref_dlogits = _loss_with_row_max_along_rows(logits, labels, smoothing)
         assert loss == ref_loss
         assert np.array_equal(dlogits, ref_dlogits)
         assert np.array_equal(np.signbit(dlogits), np.signbit(ref_dlogits))
+
+
+@settings(max_examples=80, deadline=None)
+@given(classes=st.one_of(st.integers(2, 20), st.sampled_from([100, 129])),
+       rows=st.integers(1, 300), spread=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+@example(classes=4, rows=1, spread=30, seed=0)
+@example(classes=7, rows=128, spread=30, seed=1)
+@example(classes=8, rows=128, spread=30, seed=2)
+@example(classes=129, rows=3, spread=30, seed=3)
+def test_the_class_major_row_sum_is_numpys_row_sum(classes, rows, spread, seed):
+    """The softmax sums each row of its class-major ``exp(logits - max)``
+    as ``np.add.reduce(e, axis=1)`` sums the row-major array, bit for bit:
+    in order below 8 classes, pairwise from 8 on (129 classes is one
+    pairwise block of 128 past the first entry). Entries of mixed signs and
+    magnitudes make every other order of the adds show."""
+    from abel_sched.models import _row_sums
+
+    rng = np.random.default_rng(seed)
+    e = rng.normal(size=(rows, classes)) * 2.0 ** rng.integers(-spread, spread + 1,
+                                                               (rows, classes))
+    want = np.add.reduce(e, axis=1)
+    cols = np.ascontiguousarray(e.T)
+    got = _row_sums(cols, np.empty((rows, classes)), np.empty(rows))
+    assert _same_bits(got, want)
+    assert np.array_equal(cols, e.T)  # the class-major input is left as it was
 
 
 def test_lazy_layer_views_alias_the_flat_vector():
@@ -516,10 +541,9 @@ def test_the_reduction_counts_errors_as_argmax_does(classes, sizes, bad, seed):
     stats = StepStats(n, classes)
     with np.errstate(over="ignore", invalid="ignore"):
         for size in sizes:
-            out, row_max, row_sum = stats.record(size)
-            np.copyto(out, logits[stats.filled - size:stats.filled])
-            _softmax_numerators(out, row_max, row_sum, np.empty((classes, size)),
-                                np.empty((size, classes)))
+            cols, row_max, row_sum = stats.record(size)
+            _softmax_numerators(logits[stats.filled - size:stats.filled].copy(), cols,
+                                row_max, row_sum, np.empty((classes, size)))
     got = []
     if bad is None:
         got = list(stats.reduce(_targets(labels, classes, 0.0), labels))
@@ -571,7 +595,7 @@ def test_the_kept_buffers_hold_nothing_from_an_earlier_call(arch):
             want = Model(arch).train_step_stats(params, batch, alone)
         assert _same_bits(grads.flat, want.flat)
         rows = slice(start, start + len(batch))
-        assert _same_bits(stats.logits[rows], alone.logits)
+        assert _same_bits(stats.class_logits[:, rows], alone.class_logits)
         assert _same_bits(stats.row_max[rows], alone.row_max)
         assert _same_bits(stats.row_sum[rows], alone.row_sum)
         start += len(batch)

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import re
 import struct
 import sys
 from dataclasses import replace
@@ -1028,20 +1029,55 @@ def _drop_metrics_row(log_dir: Path, epoch: int) -> None:
                             if not line.startswith(f"{epoch},")))
 
 
-@pytest.mark.parametrize("damage", ["metrics-row", "layers-file", "metrics-header"])
+def _edit_file(path: Path, edit) -> None:
+    path.write_text("".join(edit(line) for line in path.read_text().splitlines(keepends=True)))
+
+
+# what each case's refusal names
+_REFUSALS = {
+    "metrics-row": "lack rows up to the checkpoint epoch 6",
+    "layers-file": "no layers.csv",
+    "metrics-header": "unexpected header",
+    "splice": "seed is '1' there, '0' in the resumed run",
+    "test-error": "epoch 3 logs another test error",
+    "config-key": "clip_norm is '4.0' there, '5.0'",
+    "cosine-budget": "epochs is '24' there, '12'",
+}
+
+
+@pytest.mark.parametrize("damage", list(_REFUSALS))
 def test_resume_refuses_logs_that_lack_rows(tmp_path, damage):
-    cfg = tiny_config(tmp_path / "run", checkpoint_every=6)
+    """Logs that lack rows, or that the checkpointed run did not write, refuse
+    the resume and are left as they were. The splice is another seed's run in
+    the same directory, which leaves the first run's checkpoint beside its
+    own logs: resuming it used to splice the two runs' rows into one log.
+    A cosine schedule's budget may not change, so neither may its logs'."""
+    cfg = tiny_config(tmp_path / "run", checkpoint_every=6,
+                      schedule_kind="cosine" if damage == "cosine-budget" else "constant")
     run_experiment(cfg)
     run_dir = tmp_path / "run"
     if damage == "metrics-row":
         _drop_metrics_row(run_dir, 5)
     elif damage == "layers-file":
         (run_dir / "layers.csv").unlink()
-    else:
+    elif damage == "metrics-header":
         (run_dir / "metrics.csv").write_text("epoch,lr\n")
+    elif damage == "splice":
+        run_experiment(tiny_config(run_dir, seed=1))
+    elif damage == "test-error":
+        def other_test_error(line):
+            fields = line.split(",")
+            if fields[0] == "3":
+                fields[4] = repr(float(fields[4]) + 0.25)
+            return ",".join(fields)
+        _edit_file(run_dir / "metrics.csv", other_test_error)
+    else:
+        key, new = ("clip_norm", "4.0") if damage == "config-key" else ("epochs", "24")
+        _edit_file(run_dir / "config.txt", lambda line: f"{key} = {new}\n"
+                   if line.startswith(f"{key} = ") else line)
     before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
     config, state = prepare_resume(run_dir / "epoch_0006.ckpt", log_dir=str(run_dir))
-    with pytest.raises(ResumeRefusedError):
+    with pytest.raises(ResumeRefusedError, match=re.escape(_REFUSALS[damage])):
         run_experiment(config, resume_state=state)
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
     ckpt = str(run_dir / "epoch_0006.ckpt")

@@ -7,13 +7,15 @@ Usage, from the root of a checkout:
 Each side is extracted as ``tools/bench_record.py`` extracts it
 (``--change worktree`` is the working tree with every change staged, so run
 ``git add -A`` first). Both sides train the same runs, from the parent's
-config files: each shipped ``configs/*.txt`` and six variants of
+config files: each shipped ``configs/*.txt`` and seven variants of
 ``configs/blobs_abel.txt``:
 
 * a 10-epoch Adam run with the g.w probe and a checkpoint every epoch;
 * a run at ``batch_size = 100`` (2048 rows leave a last minibatch of 48,
   where the shipped configs split them into 16 full ones);
 * a 20-epoch convnet;
+* a 20-epoch run of 10 classes (every shipped config has 4), where the
+  softmax sums each row pairwise, as numpy sums 8 or more entries;
 * a 20-epoch relu MLP with biases;
 * a 20-epoch run at momentum 0.9;
 * a 20-epoch run with neither clipping nor L2.
@@ -80,6 +82,7 @@ VARIANTS = {
                         "model.hidden": "4,6", "model.normalize": "false",
                         "model.input_shape": "1,6,6"},
     # at the shipped base_lr of 4.0 the relu net dies (test error 0.75, loss log 4)
+    "blobs_abel_classes10": {"epochs": "20", "dataset.classes": "10"},
     "blobs_abel_relu_bias": {"epochs": "20", "base_lr": "0.5", "model.activation": "relu",
                              "model.normalize": "false"},
     "blobs_abel_momentum": {"epochs": "20", "optimizer.momentum": "0.9"},
