@@ -1,28 +1,30 @@
 """Grid sweeps over a template config.
 
 A grid specification is ``name=v1,v2,...`` groups joined by semicolons, e.g.
-``base_lr=0.5,1,2;decay_factor=0.5,0.2,0.1``. Sweepable names: ``base_lr``,
-``decay_factor`` (the decay multiplier of whichever schedule is configured),
-``init_scale`` and ``weight_decay``. Each grid point trains in its own
-subdirectory of the sweep directory; failures are recorded in the summary
-and do not stop the sweep. Points may run in parallel worker processes,
-each of which runs its BLAS calls on one thread.
+``base_lr=0.5,1,2;schedule.smoothing_window=1,5``. An axis is an int or
+float config key, read with its parser, or an alias (``_ALIASES``). A point
+is the template's canonical text with its key lines replaced, through
+``parse_config``; a key the text does not carry, or that two axes set, is
+refused. Each grid point trains in its own subdirectory of the sweep
+directory; failures are recorded in the summary and do not stop the sweep.
+Points may run in parallel worker processes, each of which runs its BLAS
+calls on one thread.
 
 Families: grid points with the same ``watch_key``, configs equal but for
 ``schedule`` and ``log_dir``, train identically until their lrs first
-differ. On the sweepable axes these are the points that differ only in
-``decay_factor``. The first point of a family in grid order, its leader,
-trains from scratch and watches the others, its followers, through the
-``on_epoch`` hook of ``run_experiment`` (``_watcher``). At the end of the
-last epoch E both trained alike, the leader writes the follower's rows of
-epochs 1..E and hands over the fork, its state at E. The follower resumes
-from the fork, so those ``metrics.csv`` rows carry the leader's ``wall_ms``
-and its ``meta.json`` reports ``start_epoch = E``. Every other byte of its
-logs equals that of an independent run of the point. A follower forked
-before its leader failed still resumes from the fork. A follower without a
-fork (its lr differs from epoch 1 on or never does, or its leader failed
-first) trains from scratch once its leader has returned. A grid without a
-``decay_factor`` axis has one-point families, all of them leaders.
+differ, as points that differ only in ``decay_factor`` or ``schedule.*``
+keys do. The first point of a family in grid order, its leader, trains from
+scratch and watches the others, its followers, through the ``on_epoch`` hook
+of ``run_experiment`` (``_watcher``). At the end of the last epoch E both
+trained alike, the leader writes the follower's rows of epochs 1..E and
+hands over the fork, its state at E. The follower resumes from the fork, so
+those ``metrics.csv`` rows carry the leader's ``wall_ms`` and its
+``meta.json`` reports ``start_epoch = E``. Every other byte of its logs
+equals that of an independent run of the point. A follower forked before its
+leader failed still resumes from the fork. A follower without a fork (its lr
+differs from epoch 1 on or never does, or its leader failed first) trains
+from scratch once its leader has returned. A grid without such an axis has
+one-point families, all of them leaders.
 
 Order: with ``jobs = 1`` the leaders run in grid order, then each leader's
 followers in the order the leaders finished. With ``jobs > 1`` a follower
@@ -44,11 +46,16 @@ from itertools import product
 from pathlib import Path
 
 from .adaptive import make_scheduler
-from .config import ConfigError, ExperimentConfig, _parse_float, format_config
+from .config import (_FLOAT, _INT, _SCHEMA, _WRITTEN_WHEN_SET, ConfigError, ExperimentConfig,
+                     _fmt_value, format_config, parse_config)
 from .runner import (DivergenceError, EpochRecord, RunState, _lr_events, _schedule_lr,
                      _write_fork_logs, run_experiment, write_atomic)
 
-SWEEPABLE = ("base_lr", "decay_factor", "init_scale", "weight_decay")
+# The two grid axes that are not config keys. decay_factor is abel's key, or the one
+# _DECAY_KEYS gives the template's schedule kind (stepwise: every milestone's factor).
+_ALIASES = {"init_scale": "model.init_scale", "decay_factor": "schedule.decay_factor"}
+_DECAY_KEYS = {"simple": "schedule.factor", "plateau": "schedule.factor",
+               "stepwise": "schedule.milestones"}
 
 
 @dataclass
@@ -73,10 +80,11 @@ def parse_grid(spec: str) -> dict[str, list[float]]:
             continue
         name, eq, rest = group.partition("=")
         name = name.strip()
-        if not eq or name not in SWEEPABLE:
-            raise ConfigError(f"grid axis must be one of {SWEEPABLE}, got {name!r}")
+        parse = _SCHEMA.get(_ALIASES.get(name, name), (None,))[0]
+        if not eq or parse not in (_INT, _FLOAT):
+            raise ConfigError(f"grid axis must be an int or float config key, got {name!r}")
         try:
-            values = [_parse_float(v) for v in rest.split(",") if v.strip()]
+            values = [parse(v) for v in rest.split(",") if v.strip()]
         except ValueError:
             raise ConfigError(f"bad grid values for {name!r}: {rest!r}") from None
         if not values:
@@ -90,33 +98,25 @@ def parse_grid(spec: str) -> dict[str, list[float]]:
 
 
 def apply_point(config: ExperimentConfig, values: dict[str, float]) -> ExperimentConfig:
-    """Template config with one grid point's values substituted."""
-    sched = config.schedule
-    changes: dict[str, object] = {}
+    """``config``'s canonical text with one grid point's key lines replaced, parsed."""
+    lines = dict(line.split(" = ", 1) for line in format_config(config).splitlines())
+    point: dict[str, str] = {}
     for name, value in values.items():
-        if name == "base_lr":
-            changes["base_lr"] = value
-            sched = replace(sched, base_lr=value)
-        elif name == "decay_factor":
-            if sched.kind == "abel":
-                sched = replace(sched, decay_factor=value)
-            elif sched.kind in ("simple", "plateau"):
-                sched = replace(sched, factor=value)
-            elif sched.kind == "stepwise":
-                sched = replace(sched, milestones=tuple(
-                    (epoch, value) for epoch, _ in sched.milestones))
-            else:
-                raise ConfigError(
-                    f"decay_factor does not apply to a {sched.kind!r} schedule")
-        elif name == "init_scale":
-            changes["model"] = replace(config.model, init_scale=value)
-        elif name == "weight_decay":
-            changes["weight_decay"] = value
-    return replace(config, schedule=sched, **changes)
+        key = _ALIASES.get(name, name)
+        if name == "decay_factor":
+            key = _DECAY_KEYS.get(config.schedule.kind, key)
+        if key == "schedule.milestones":
+            value = tuple((epoch, value) for epoch, _ in config.schedule.milestones)
+        if key not in lines and key not in _WRITTEN_WHEN_SET:
+            raise ConfigError(f"grid axis {name!r}: the template does not carry {key!r}")
+        if key in point:
+            raise ConfigError(f"two grid axes set {key!r}")
+        point[key] = _fmt_value(value)
+    return parse_config("".join(f"{key} = {value}\n" for key, value in {**lines, **point}.items()))
 
 
 def _point_dir_name(index: int, values: dict[str, float]) -> str:
-    tags = "__".join(f"{k}={v:g}" for k, v in values.items())
+    tags = "__".join(f"{k}={v if isinstance(v, int) else f'{v:g}'}" for k, v in values.items())
     return f"point_{index:03d}__{tags}"
 
 
@@ -246,9 +246,6 @@ def run_sweep(template: ExperimentConfig, grid: dict[str, list[float]],
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     sweep_dir = Path(sweep_dir)
-    sweep_dir.mkdir(parents=True, exist_ok=True)
-    write_atomic(sweep_dir / "template.txt", format_config(template).encode())
-
     names = list(grid)
     families: dict[tuple, list] = {}
     for index, combo in enumerate(product(*(grid[name] for name in names))):
@@ -256,6 +253,9 @@ def run_sweep(template: ExperimentConfig, grid: dict[str, list[float]],
         config = apply_point(template, values)
         config = replace(config, log_dir=str(sweep_dir / _point_dir_name(index, values)))
         families.setdefault(watch_key(config), []).append((index, config, values))
+    # every point is built, so a refused one leaves no sweep directory
+    sweep_dir.mkdir(parents=True, exist_ok=True)
+    write_atomic(sweep_dir / "template.txt", format_config(template).encode())
     # tasks ready to start: the leaders, then followers as they fork or their leaders return
     ready: list[Task] = [(*leader, [f[1] for f in rest], None)
                          for leader, *rest in families.values()]

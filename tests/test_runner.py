@@ -1135,3 +1135,111 @@ def test_a_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, failure, 
     assert sorted(p.name for p in path.parent.iterdir()) == [
         "config.txt", "epoch_0001.ckpt", "epoch_0002.ckpt", "events.csv", "layers.csv",
         "meta.json", "metrics.csv"]
+
+
+# -- a crash at any write -----------------------------------------------------------
+
+# Run in a subprocess: ``abel-sched run`` of argv[2], killed by os._exit at the
+# argv[4]-th write of kind argv[3]. A kind is a log file's appended rows (written
+# at each flush), or the temp file or os.replace of write_atomic for a
+# checkpoint or meta.json. A "torn" crash (argv[5]) first writes half of the
+# bytes; a rename has no bytes to halve, so its torn crash dies just after it.
+_CRASHING_RUN = """
+import os, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import abel_sched.runner as runner
+from abel_sched.cli import main
+
+config, kind, occurrence, torn = sys.argv[2], sys.argv[3], int(sys.argv[4]), sys.argv[5] == "torn"
+seen = []
+
+def boundary(this_kind, write_half):
+    if this_kind == kind:
+        seen.append(this_kind)
+        if len(seen) == occurrence:
+            if torn:
+                write_half()
+            os._exit(9)
+
+def target(path, suffix):
+    name = Path(path).name
+    if name.endswith(".tmp"):  # write_atomic's temp file .<name>.<pid>.tmp
+        name = name[1:].rsplit(".", 2)[0]
+    return ("checkpoint" if name.endswith(".ckpt") else name) + suffix
+
+class File:
+    def __init__(self, f, kind):
+        self.f, self.kind, self.pending = f, kind, []
+    def write(self, data):
+        self.pending.append(data)
+    def flush(self):
+        if self.pending:
+            data, self.pending = self.pending[0][:0].join(self.pending), []
+            def write_half():
+                self.f.write(data[:len(data) // 2])
+                self.f.flush()
+            boundary(self.kind, write_half)
+            self.f.write(data)
+        self.f.flush()
+    def close(self):
+        self.flush()
+        self.f.close()
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        self.close()
+
+real_open, real_replace = open, os.replace
+runner.open = lambda path, mode: File(real_open(path, mode),
+                                      target(path, "" if "a" in mode else " temp"))
+def replace(src, dst):
+    boundary(target(dst, " replace"), lambda: real_replace(src, dst))
+    real_replace(src, dst)
+os.replace = replace
+sys.exit(main(["run", config]))
+"""
+
+# (kind, occurrence): epoch 3 of 4 for the per-epoch writes (its events are
+# the second milestone's), the closing meta.json for the others
+_CRASHES = [("metrics.csv", 3), ("layers.csv", 3), ("events.csv", 2), ("checkpoint temp", 3),
+            ("checkpoint replace", 3), ("meta.json temp", 2), ("meta.json replace", 2)]
+
+
+def _crash_config(log_dir) -> ExperimentConfig:
+    return tiny_config(log_dir, epochs=4, checkpoint_every=1, schedule=ScheduleSpec(
+        kind="stepwise", base_lr=0.5, total_epochs=4, milestones=((2, 0.5), (3, 0.5))))
+
+
+@pytest.mark.parametrize("torn", ["clean", "torn"])
+@pytest.mark.parametrize("kind, occurrence", _CRASHES)
+def test_a_resume_after_a_crash_at_any_write_gives_the_uninterrupted_logs(
+        tmp_path, kind, occurrence, torn):
+    """Each epoch writes and flushes its rows and events before its checkpoint,
+    and each checkpoint and meta.json goes through a temp file and os.replace.
+    So a resume from the newest checkpoint after a crash at any of these writes
+    must give the uninterrupted run's bytes, or be refused (exit 4); it must
+    never exit 0 with other bytes."""
+    import subprocess
+
+    import abel_sched
+
+    run_experiment(_crash_config(tmp_path / "full"))
+    expected = run_logs(tmp_path / "full")
+    config = _crash_config(tmp_path / "run")
+    expected["meta.json"]["config_hash"] = config_hash(config)
+    path = tmp_path / "config.txt"
+    path.write_text(format_config(config))
+    src = str(Path(abel_sched.__file__).parents[1])
+    crashed = subprocess.run([sys.executable, "-c", _CRASHING_RUN, src, str(path), kind,
+                              str(occurrence), torn], capture_output=True, text=True, timeout=120)
+    assert crashed.returncode == 9, crashed.stderr
+    run_dir = tmp_path / "run"
+    if torn == "torn" and kind.endswith(".csv"):
+        # half of epoch 3's rows: a part of a row, or one layer's row of two
+        assert (run_dir / kind).read_text().splitlines()[-1].startswith("3,")
+    newest = max(run_dir.glob("epoch_*.ckpt"))
+    code = cli_main(["resume", str(newest), "--log-dir", str(run_dir)])
+    # every case resumes today; a refusal (exit 4) would also keep the logs whole
+    assert code == 0
+    assert run_logs(run_dir) == expected

@@ -1,15 +1,18 @@
 import csv
 import json
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from abel_sched import (ConfigError, DivergenceError, OptimizerSpec, ScheduleSpec, apply_point,
                         format_config, parse_grid, run_experiment, run_sweep)
 from abel_sched.cli import main as cli_main
-from abel_sched.config import config_hash
+from abel_sched.config import _FLOAT, _INT, _SCHEMA, _WRITTEN_WHEN_SET, _fmt_value, config_hash
 
 from helpers import run_logs, standard_config
 from test_runner import tiny_config
@@ -72,6 +75,117 @@ def test_apply_point_touches_the_right_knobs(tmp_path):
     cosine = tiny_config(tmp_path, schedule_kind="cosine")
     with pytest.raises(ConfigError):
         apply_point(cosine, {"decay_factor": 0.5})
+
+
+def test_parse_grid_takes_any_numeric_config_key_typed_by_its_parser():
+    grid = parse_grid("seed=3,4;schedule.smoothing_window=1,9;base_lr=4;init_scale=2")
+    assert grid == {"seed": [3, 4], "schedule.smoothing_window": [1, 9], "base_lr": [4.0],
+                    "init_scale": [2.0]}
+    assert [type(v) for values in grid.values() for v in values] == [int] * 4 + [float] * 2
+
+
+def test_a_point_dir_names_an_int_value_in_full():
+    """:g would name seed 1234567 "1.23457e+06", as it names base_lr 4.0 "4"."""
+    from abel_sched.sweep import _point_dir_name
+
+    assert _point_dir_name(3, {"seed": 1234567, "base_lr": 4.0, "weight_decay": 1e-3}) == (
+        "point_003__seed=1234567__base_lr=4__weight_decay=0.001")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("log_dir=a", "int or float config key, got 'log_dir'"),
+    ("model.normalize=1", "int or float config key, got 'model.normalize'"),
+    ("schedule.kind=1", "int or float config key, got 'schedule.kind'"),
+    ("schedule.milestones=1", "int or float config key, got 'schedule.milestones'"),
+    ("learning_rate=1", "int or float config key, got 'learning_rate'"),
+    ("seed=1,2.5", "bad grid values for 'seed'"),
+    ("schedule.smoothing_window=3.0", "bad grid values for 'schedule.smoothing_window'"),
+    ("schedule.last_decay_fraction=0.8,inf", "bad grid values"),
+])
+def test_parse_grid_refuses_what_no_numeric_key_takes(spec, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_grid(spec)
+
+
+@pytest.mark.parametrize("kind, values, message", [
+    # without the check parse_config would drop a key of another kind, and
+    # every point would train the template
+    ("abel", {"schedule.factor": 0.5}, "does not carry 'schedule.factor'"),
+    ("simple", {"optimizer.beta1": 0.5}, "does not carry 'optimizer.beta1'"),
+    ("cosine", {"decay_factor": 0.5}, "does not carry 'schedule.decay_factor'"),
+    ("abel", {"init_scale": 0.5, "model.init_scale": 2.0}, "two grid axes set 'model.init_scale'"),
+    ("simple", {"decay_factor": 0.5, "schedule.factor": 0.1},
+     "two grid axes set 'schedule.factor'"),
+    ("abel", {"base_lr": -1.0}, "base_lr"),
+    ("abel", {"schedule.smoothing_window": 0}, "smoothing_window"),
+])
+def test_apply_point_refuses_a_key_the_template_lacks_or_a_bad_value(tmp_path, kind, values,
+                                                                      message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        apply_point(tiny_config(tmp_path, schedule_kind=kind), values)
+
+
+def test_a_warmup_axis_applies_to_a_template_without_warmup(tmp_path):
+    """format_config leaves out a zero warmup_epochs, yet every schedule kind takes it."""
+    template = tiny_config(tmp_path, schedule_kind="abel")
+    assert "schedule.warmup_epochs" not in format_config(template)
+    points = [apply_point(template, {"schedule.warmup_epochs": w}) for w in (0, 3)]
+    assert points[0] == template
+    assert points[1] == replace(template, schedule=replace(template.schedule, warmup_epochs=3))
+
+
+@pytest.mark.parametrize("config, grid", [
+    ("blobs_abel.txt", "base_lr=-1"),
+    ("blobs_abel.txt", "base_lr=1;schedule.min_history=0"),
+    ("blobs_abel.txt", "init_scale=1;model.init_scale=2"),
+    ("blobs_cosine.txt", "decay_factor=0.5"),
+])
+def test_a_refused_grid_point_exits_2_and_leaves_no_sweep_dir(tmp_path, capsys, config, grid):
+    """base_lr=-1 used to die with a ValueError traceback and exit 1, and the
+    sweep directory was made, holding template.txt, before any point was built."""
+    path = Path(__file__).resolve().parents[1] / "configs" / config
+    sweep_dir = tmp_path / "sweep"
+    assert cli_main(["sweep", str(path), "--grid", grid, "--sweep-dir", str(sweep_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not sweep_dir.exists()
+
+
+def _carried_key_and_value():
+    """A template, a numeric key its text carries, and a value of that key's type."""
+    templates = [tiny_config("unused", schedule_kind=kind) for kind in
+                 ("abel", "simple", "plateau", "stepwise", "cosine", "linear")]
+    templates.append(tiny_config("unused", schedule_kind="abel", optimizer=OptimizerSpec(
+        kind="adam"), schedule=ScheduleSpec(kind="abel", base_lr=0.5, total_epochs=12,
+                                            warmup_epochs=2)))
+
+    def keys(template):
+        lines = format_config(template).splitlines()
+        return [line.split(" = ")[0] for line in lines
+                if _SCHEMA[line.split(" = ")[0]][0] in (_INT, _FLOAT)]
+
+    def value(key):
+        if _SCHEMA[key][0] is _INT:
+            return st.integers(0, 40)
+        return st.floats(0.0, 1.0, exclude_max=True) | st.floats(0.0, 1e6)
+
+    return st.sampled_from(templates).flatmap(
+        lambda t: st.sampled_from(keys(t)).flatmap(
+            lambda key: value(key).map(lambda v: (t, key, v))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_carried_key_and_value())
+def test_a_point_changes_only_its_own_line_of_the_text(case):
+    template, key, value = case
+    try:
+        point = apply_point(template, {key: value})
+    except ConfigError:
+        reject()  # a value out of the key's range
+    lines = dict(line.split(" = ", 1) for line in format_config(template).splitlines())
+    lines[key] = _fmt_value(value)
+    if key in _WRITTEN_WHEN_SET and not value:
+        del lines[key]
+    assert format_config(point) == "".join(f"{k} = {v}\n" for k, v in lines.items())
 
 
 def test_sweep_runs_grid_and_records_failures(tmp_path):
@@ -264,6 +378,31 @@ def test_every_family_point_equals_an_independent_run(tmp_path, kind, optimizer)
         assert starts[::2] == [0, 0]
         assert starts[1::2] == [p.decay_epochs[0] for p in leaders]
         assert all(start > 0 for start in starts[1::2])
+
+
+@pytest.mark.parametrize("kind, grid", [
+    ("abel", {"schedule.smoothing_window": [1, 2, 3]}),
+    ("simple", {"schedule.decay_fraction": [0.5, 0.75, 0.25]}),
+    ("abel", {"seed": [0, 1, 2]}),
+])
+def test_config_key_axes_equal_independent_runs(tmp_path, kind, grid):
+    """A schedule key's points form one family whose followers fork after epoch 0;
+    each seed trains its own family from scratch."""
+    # at weight decay 5e-3 the 20-epoch abel run bounces at epoch 7 with
+    # window 1, and later with window 2 or 3
+    template = tiny_config(tmp_path / "unused", epochs=20, schedule_kind=kind,
+                           weight_decay=5e-3)
+    for jobs in (1, 2):
+        points = run_sweep(template, grid, tmp_path / f"jobs-{jobs}", jobs=jobs)
+        assert [p.status for p in points] == ["ok"] * 3
+        [(key, values)] = grid.items()
+        for p, value in zip(points, values):
+            assert f"{key} = {value}" in (Path(p.log_dir) / "config.txt").read_text().splitlines()
+        starts = _assert_points_match_independent_runs(tmp_path, template, points)
+        if key == "seed":
+            assert starts == [0, 0, 0]
+        else:
+            assert starts[0] == 0 and all(start > 0 for start in starts[1:])
 
 
 def _recording(monkeypatch, tamper=None):
