@@ -46,7 +46,8 @@ than ``log_dir`` and an allowed change of ``epochs``. So does a resume
 state whose test errors or scheduler cover another number of epochs than
 the checkpoint.
 ``meta.json``, ``config.txt`` and checkpoints are written through a temp
-file and ``os.replace``, so a crash never leaves a torn file.
+file and ``os.replace``, so a crash never leaves a torn file; the next run in
+that log directory removes a temp file that a crash left.
 """
 
 from __future__ import annotations
@@ -310,11 +311,14 @@ def _check_logged_config(log_dir: Path, config: ExperimentConfig) -> None:
 
 class _RunLog:
     """The run's log files, opened for appending after their header and any
-    rows of ``history`` (see ``_log_history``)."""
+    rows of ``history`` (see ``_log_history``). The temp files of
+    ``write_atomic`` that a crash left in the directory are removed."""
 
     def __init__(self, log_dir: Path, config: ExperimentConfig,
                  history: dict[str, list[str]] | None = None):
         log_dir.mkdir(parents=True, exist_ok=True)
+        for leftover in log_dir.glob(".*.[0-9]*.tmp"):  # .<name>.<pid>.tmp
+            leftover.unlink(missing_ok=True)
         self.dir = log_dir
         write_atomic(log_dir / "config.txt", format_config(config).encode())
         for name, header in LOG_HEADERS.items():

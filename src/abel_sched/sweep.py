@@ -10,30 +10,28 @@ directory; failures are recorded in the summary and do not stop the sweep.
 Points may run in parallel worker processes, each of which runs its BLAS
 calls on one thread.
 
-Families: grid points with the same ``watch_key``, configs equal but for
-``schedule`` and ``log_dir``, train identically until their lrs first
-differ, as points that differ only in ``decay_factor`` or ``schedule.*``
-keys do. The first point of a family in grid order, its leader, trains from
-scratch and watches the others, its followers, through the ``on_epoch`` hook
-of ``run_experiment`` (``_watcher``). At the end of the last epoch E both
+Families: configs with the same ``watch_key``, equal but for ``schedule``
+and ``log_dir``, train identically until their lrs first differ, as grid
+points that differ only in ``decay_factor`` or ``schedule.*`` keys do. The
+first of a family in the given order, its leader, trains from scratch and
+watches the others, its followers, through the ``on_epoch`` hook of
+``run_experiment`` (``_watcher``). At the end of the last epoch E both
 trained alike, the leader writes the follower's rows of epochs 1..E and
 hands over the fork, its state at E. The follower resumes from the fork, so
 those ``metrics.csv`` rows carry the leader's ``wall_ms`` and its
-``meta.json`` reports ``start_epoch = E``. Every other byte of its logs
-equals that of an independent run of the point. A follower forked before its
-leader failed still resumes from the fork. A follower without a fork (its lr
-differs from epoch 1 on or never does, or its leader failed first) trains
-from scratch once its leader has returned. A grid without such an axis has
-one-point families, all of them leaders.
+``meta.json`` reports ``start_epoch = E``; every other byte of its logs
+equals an independent run's. A follower forked before its leader failed
+still resumes from the fork; one without a fork (its lr differs from epoch 1
+on or never does, or its leader failed first) trains from scratch once its
+leader has returned.
 
-Order: with ``jobs = 1`` the leaders run in grid order, then each leader's
-followers in the order the leaders finished. With ``jobs > 1`` a follower
-starts at its fork, while its leader trains on: the worker puts each fork
-on one queue, and a done-callback of each point's future puts its
-completion on the same queue, so the parent reads a leader's forks before
-its completion. At most ``jobs`` points run at a time, and the next to
-start is the ready point with the most epochs left, ties in grid order, so
-a late fork's long tail does not wait behind shorter runs.
+Order: ``run_tree`` is the one loop for every ``jobs``. At most ``jobs``
+points run at a time, and the next to start is the ready one with the most
+epochs left, ties in the given order, so a late fork's long tail does not
+wait behind shorter runs. A point's forks, then its completion, arrive on
+one queue. With ``jobs > 1`` points train in pool workers, and a follower
+starts at its fork while its leader trains on; with ``jobs = 1`` each point
+trains in the calling process.
 """
 
 from __future__ import annotations
@@ -41,7 +39,9 @@ from __future__ import annotations
 import csv
 import ctypes
 import io
+from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -107,7 +107,7 @@ def apply_point(config: ExperimentConfig, values: dict[str, float]) -> Experimen
             key = _DECAY_KEYS.get(config.schedule.kind, key)
         if key == "schedule.milestones":
             value = tuple((epoch, value) for epoch, _ in config.schedule.milestones)
-        if key not in lines and key not in _WRITTEN_WHEN_SET:
+        if not lines.get(key) and key not in _WRITTEN_WHEN_SET:  # "" for no milestones
             raise ConfigError(f"grid axis {name!r}: the template does not carry {key!r}")
         if key in point:
             raise ConfigError(f"two grid axes set {key!r}")
@@ -136,19 +136,6 @@ def _openblas(stem: str):
             if fn is not None:
                 return fn
     return None
-
-
-def _one_blas_thread() -> None:
-    """Limit OpenBLAS to one thread in this pool worker.
-
-    The workers already share the cores, so the BLAS threads each one
-    inherits would oversubscribe them. Without a setter nothing changes.
-    """
-    setter = _openblas("set_num_threads")
-    if setter is not None:
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-        setter(1)
 
 
 def watch_key(config: ExperimentConfig) -> tuple:
@@ -188,116 +175,123 @@ def _watcher(leader: ExperimentConfig, followers: list[ExperimentConfig], on_for
     return on_epoch
 
 
-# (index, config, grid values, configs it watches, state it resumes from)
-Task = tuple[int, ExperimentConfig, dict[str, float], list[ExperimentConfig], RunState | None]
+# (index, config, configs it watches, state it resumes from)
+Task = tuple[int, ExperimentConfig, list[ExperimentConfig], RunState | None]
 
 _forks = None  # in a pool worker, the queue that carries forks to the parent
 
 
 def _init_worker(queue) -> None:
-    """Pool initializer: one BLAS thread, and the parent's queue for forks."""
+    """Pool initializer: the parent's queue for forks, and one BLAS thread, as
+    the workers already share the cores; without a setter nothing changes."""
     global _forks
     _forks = queue
-    _one_blas_thread()
+    setter = _openblas("set_num_threads")
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
 
 
-def _run_point(task: Task, on_fork) -> SweepPoint:
-    """Train one point and return its summary row; ``on_fork(i, state)`` is
-    called for each config it watches as soon as that config forks."""
-    index, config, values, watch, state = task
-    point = SweepPoint(index=index, values=values, status="ok", log_dir=config.log_dir)
+def _run_point(task: Task, forks=None) -> SweepPoint:
+    """Train one point and return its summary row, ``values`` left empty; each
+    fork of a config it watches goes on ``forks`` (in a pool worker, the queue
+    from its initializer) as soon as it is taken."""
+    index, config, watch, state = task
+    forks = _forks if forks is None else forks
     try:
-        on_epoch = _watcher(config, watch, on_fork) if watch else None
-        result = run_experiment(config, resume_state=state, on_epoch=on_epoch)
+        on_epoch = (_watcher(config, watch, lambda i, fork: forks.put(("fork", index, i, fork)))
+                    if watch else None)
+        meta = run_experiment(config, resume_state=state, on_epoch=on_epoch).meta
     except DivergenceError:
-        point.status = "diverged"
-        return point
+        return SweepPoint(index, {}, "diverged", log_dir=config.log_dir)
     except Exception as exc:  # individual failures must not kill the sweep
-        point.status = f"error: {exc}"
-        return point
-    meta = result.meta
-    decays = [ev["epoch"] for ev in meta["decay_events"]]
-    point.best_test_error = meta["best_test_error"]
-    point.best_epoch = meta["best_epoch"]
-    point.final_test_error = meta["final_test_error"]
-    point.first_decay_epoch = decays[0] if decays else None
-    point.n_decays = len(decays)
-    point.decay_epochs = tuple(decays)
-    if meta["status"] == "auto_stopped":
-        point.status = "auto_stopped"
-    return point
-
-
-def _stream_point(task: Task) -> SweepPoint:
-    """``_run_point`` in a pool worker, putting each fork on the queue as it is taken."""
-    index = task[0]
-    return _run_point(task, lambda i, state: _forks.put(("fork", index, i, state)))
+        return SweepPoint(index, {}, f"error: {exc}", log_dir=config.log_dir)
+    decays = tuple(ev["epoch"] for ev in meta["decay_events"])
+    status = "auto_stopped" if meta["status"] == "auto_stopped" else "ok"
+    return SweepPoint(index, {}, status, best_test_error=meta["best_test_error"],
+                      best_epoch=meta["best_epoch"], final_test_error=meta["final_test_error"],
+                      first_decay_epoch=decays[0] if decays else None, n_decays=len(decays),
+                      decay_epochs=decays, log_dir=config.log_dir)
 
 
 def _start_order(task: Task) -> tuple[int, int]:
-    """The pool starts the ready task with the most epochs left, ties in grid order."""
-    index, config, _, _, state = task
+    """The next to start is the ready task with the most epochs left, ties in order."""
+    index, config, _, state = task
     return (state.epoch if state is not None else 0) - config.epochs, index
+
+
+def run_tree(configs: list[ExperimentConfig], jobs: int = 1) -> list[SweepPoint]:
+    """Train ``configs`` as families, at most ``jobs`` at a time; returns each
+    config's summary row, in order, with ``values`` left empty."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    families: dict[tuple, list] = {}
+    for index, config in enumerate(configs):
+        families.setdefault(watch_key(config), []).append((index, config))
+    # tasks ready to start: the leaders, then followers as they fork or their leaders return
+    ready: list[Task] = [(*leader, [f[1] for f in rest], None)
+                         for leader, *rest in families.values()]
+    # each leader's followers yet to start, by their place in its watch list
+    followers = {leader[0]: dict(enumerate(rest)) for leader, *rest in families.values()}
+    points: dict[int, SweepPoint] = {}
+    with ExitStack() as stack:
+        if jobs > 1:
+            # Imported here: the pool's modules cost about 25 ms at import time.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            queue = multiprocessing.SimpleQueue()
+            stack.callback(queue.close)  # after the pool has shut down
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=jobs, initializer=_init_worker, initargs=(queue,)))
+            submit = partial(pool.submit, _run_point)
+        else:
+            from concurrent.futures import Future
+            from queue import SimpleQueue
+
+            queue = SimpleQueue()
+
+            def submit(task: Task) -> Future:  # the point trains now, in this process
+                future = Future()
+                future.set_result(_run_point(task, queue))
+                return future
+
+        # ("fork", leader, i, state) comes from the point, before it returns, and
+        # ("done", index) from its future's done-callback, so a leader's forks
+        # arrive before it is done, and the loop waits on nothing else.
+        running = {}
+        while ready or running:
+            while ready and len(running) < jobs:
+                task = min(ready, key=_start_order)
+                ready.remove(task)
+                running[task[0]] = future = submit(task)
+                future.add_done_callback(lambda _, index=task[0]: queue.put(("done", index)))
+            kind, index, *fork = queue.get()
+            if kind == "fork":
+                i, state = fork
+                ready.append((*followers[index].pop(i), [], state))
+            else:
+                points[index] = running.pop(index).result()
+                ready += [(*f, [], None) for f in followers.pop(index, {}).values()]
+    return [points[index] for index in range(len(configs))]
 
 
 def run_sweep(template: ExperimentConfig, grid: dict[str, list[float]],
               sweep_dir: str | Path, jobs: int = 1) -> list[SweepPoint]:
-    """One run per grid point; returns summary rows and writes summary.csv."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    """One run per grid point, through ``run_tree``; returns summary rows and
+    writes template.txt and summary.csv."""
     sweep_dir = Path(sweep_dir)
     names = list(grid)
-    families: dict[tuple, list] = {}
-    for index, combo in enumerate(product(*(grid[name] for name in names))):
-        values = dict(zip(names, combo))
-        config = apply_point(template, values)
-        config = replace(config, log_dir=str(sweep_dir / _point_dir_name(index, values)))
-        families.setdefault(watch_key(config), []).append((index, config, values))
-    # every point is built, so a refused one leaves no sweep directory
+    grid_values = [dict(zip(names, combo)) for combo in product(*(grid[n] for n in names))]
+    # every point is built before any trains, so a refused one leaves no sweep directory
+    configs = [replace(apply_point(template, values),
+                       log_dir=str(sweep_dir / _point_dir_name(index, values)))
+               for index, values in enumerate(grid_values)]
+    points = run_tree(configs, jobs)
+    for point, values in zip(points, grid_values):
+        point.values = values
     sweep_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(sweep_dir / "template.txt", format_config(template).encode())
-    # tasks ready to start: the leaders, then followers as they fork or their leaders return
-    ready: list[Task] = [(*leader, [f[1] for f in rest], None)
-                         for leader, *rest in families.values()]
-    # each leader's followers yet to be submitted, by their place in its watch list
-    followers = {leader[0]: dict(enumerate(rest)) for leader, *rest in families.values()}
-    by_index: dict[int, SweepPoint] = {}
-
-    if jobs > 1:
-        # Imported here: the pool's modules cost about 25 ms at import time.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # One queue carries both kinds of message: ("fork", leader, i, state)
-        # from a worker, put before that leader returns, and ("done", index)
-        # from a future's done-callback. So a leader's forks arrive before it
-        # is done, and the parent waits on nothing else.
-        queue = multiprocessing.SimpleQueue()
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                 initargs=(queue,)) as pool:
-            running = {}
-            while ready or running:
-                while ready and len(running) < jobs:
-                    task = min(ready, key=_start_order)
-                    ready.remove(task)
-                    future = pool.submit(_stream_point, task)
-                    running[task[0]] = future
-                    future.add_done_callback(lambda _, index=task[0]: queue.put(("done", index)))
-                kind, index, *fork = queue.get()
-                if kind == "fork":
-                    i, state = fork
-                    ready.append((*followers[index].pop(i), [], state))
-                else:
-                    by_index[index] = running.pop(index).result()
-                    ready += [(*f, [], None) for f in followers.pop(index, {}).values()]
-        queue.close()
-    else:
-        while ready:
-            task = ready.pop(0)
-            forks: dict[int, RunState] = {}
-            by_index[task[0]] = _run_point(task, forks.__setitem__)
-            ready += [(*f, [], forks.get(i)) for i, f in followers.pop(task[0], {}).items()]
-    points = [by_index[index] for index in sorted(by_index)]
 
     # csv quotes only a field that needs it, such as an error status with a
     # comma; it writes None as an empty field and a float as its repr

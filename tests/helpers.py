@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +24,14 @@ from abel_sched import (
     MomentumState,
     NumericError,
     OptimizerSpec,
+    RunResult,
     RunState,
     ScheduleSpec,
     clip_global_norm,
     config_hash,
     lr_at,
+    read_events,
+    read_metrics,
     run_experiment,
     step_adam,
     step_sgd,
@@ -34,6 +39,7 @@ from abel_sched import (
     weight_norm_sq,
 )
 from abel_sched.runner import build_model
+from abel_sched.sweep import run_tree, watch_key
 
 # -- the standard hard synthetic task ------------------------------------------
 #
@@ -91,16 +97,53 @@ def standard_config(schedule_kind: str, *, base_lr: float = STANDARD_LR,
     )
 
 
-_RUN_CACHE: dict[tuple, object] = {}
+# -- the suites' run set -------------------------------------------------------------
+#
+# Every config that the acceptance and phenomenology suites train through
+# ``run_cached``. Configs equal but for their schedule form a family
+# (``sweep.watch_key``); ``run_tree`` trains each family's first config here,
+# its leader, and forks the rest from it at their first lr change. So each
+# family lists its constant run first where it has one, then simple, whose one
+# decay comes at epoch 170.
 
 
-def run_cached(config: ExperimentConfig, tmp_root) -> object:
-    """Run once per distinct config per session; log dirs under tmp_root."""
+def _suite_runs() -> list[ExperimentConfig]:
+    # criterion 06 and the bounce precondition
+    runs = [standard_config("constant", base_lr=lr) for lr in (STANDARD_LR, 8.0, STANDARD_LR / 10)]
+    runs += [standard_config("constant", base_lr=lr, weight_decay=0.0)
+             for lr in (STANDARD_LR, 1.0, 8.0)]
+    for seed in (0, 1, 2):  # criteria 07 and 08
+        runs.append(standard_config("simple", seed=seed))
+        runs += [standard_config(kind, seed=seed, decay_factor=df)
+                 for kind in ("abel", "stepwise") for df in (0.2, 0.5, 0.1)]
+        runs += [standard_config(kind, seed=seed, weight_decay=0.0)
+                 for kind in ("simple", "cosine")]
+    runs += [standard_config("abel", base_lr=lr) for lr in (0.5, 1.0, 2.0, 8.0)]  # criterion 08
+    runs.append(replace(standard_config("constant", base_lr=0.02, weight_decay=1e-3, epochs=150),
+                        optimizer=OptimizerSpec(kind="adam")))
+    return list({config_hash(config): config for config in runs}.values())
+
+
+SUITE_RUNS = _suite_runs()
+_RUN_CACHE: dict[str, RunResult] = {}
+
+
+def run_cached(config: ExperimentConfig, tmp_root) -> RunResult:
+    """The whole run of ``config``, one of ``SUITE_RUNS``, with its logs under
+    ``tmp_root``. The first call for a family trains all of it through
+    ``run_tree``, one worker per core; a follower's records, events and meta
+    are read back from its logs, as ``run_experiment`` returns only the epochs
+    after its fork."""
     key = config_hash(config)
     if key not in _RUN_CACHE:
-        from dataclasses import replace
-        cfg = replace(config, log_dir=str(tmp_root / f"run-{key[:12]}"))
-        _RUN_CACHE[key] = run_experiment(cfg)
+        family = {config_hash(c): c for c in SUITE_RUNS if watch_key(c) == watch_key(config)}
+        assert key in family, "run_cached trains only the configs SUITE_RUNS declares"
+        runs = [replace(c, log_dir=str(tmp_root / f"run-{k[:12]}")) for k, c in family.items()]
+        for k, point in zip(family, run_tree(runs, min(len(runs), os.cpu_count() or 1))):
+            assert point.status == "ok", (point.log_dir, point.status)
+            log_dir = Path(point.log_dir)
+            _RUN_CACHE[k] = RunResult(read_metrics(log_dir), read_events(log_dir),
+                                      json.loads((log_dir / "meta.json").read_text()), log_dir)
     return _RUN_CACHE[key]
 
 

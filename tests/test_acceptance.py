@@ -3,8 +3,8 @@
 Criteria 6-8 run the standard hard synthetic task (see helpers.py): blobs
 with 20% train label noise, a row-normalized tanh MLP, plain SGD with
 clipping, label smoothing and warmup, 200 epochs. The largest stable
-learning rate on the documented grid is 4.0; runs are cached per config so
-shared grid points train once. Criteria 7 and 8 compare both the best-epoch
+learning rate on the documented grid is 4.0; each run trains once per
+session, with its family (see ``helpers.run_cached``). Criteria 7 and 8 compare both the best-epoch
 and the final test error, under the same bounds. On this task every
 schedule reaches its best test error at epoch 11, 11 and 16 for seeds 0-2,
 before any schedule first lowers the lr (epoch 60), so the best-error
@@ -53,11 +53,6 @@ from helpers import (
     standard_config,
     strip_wall_ms,
 )
-
-
-@pytest.fixture(scope="session")
-def run_root(tmp_path_factory):
-    return tmp_path_factory.mktemp("acceptance-runs")
 
 
 def report(n, elapsed, limit, detail):

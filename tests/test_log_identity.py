@@ -157,7 +157,8 @@ def test_the_resume_job_reads_each_sides_own_checkpoint_after_its_run(tmp_path):
     shared, logs = tmp_path / "run", tmp_path / "logs"
     jobs = log_identity.jobs(configs, tmp_path / "sweep.txt", shared, logs)
     names = [name for _, name, _, _ in jobs]
-    assert names == ["blobs_abel", "blobs_abel_adam", "blobs_abel_adam_resumed", "sweep"]
+    assert names == ["blobs_abel", "blobs_abel_adam", "blobs_abel_adam_resumed", "sweep",
+                     "sweep_jobs1"]
     _, _, args, compare = jobs[2]
     assert compare is log_identity.compare_runs
     for side in ("parent", "change"):

@@ -2,11 +2,12 @@
 
 These are slower, integration-level checks: the bounce precondition,
 scheduler/detector consistency, layer-wise norm behaviour, the optimizer
-variants, and init-scale robustness. Runs are cached per config across the
-test session.
+variants, and init-scale robustness. Each run trains once per session, with
+its family (see ``helpers.run_cached``).
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +25,6 @@ from abel_sched import (
 )
 
 from helpers import CLASSIFY_TOL, FlipReplay, run_cached, standard_config
-
-
-@pytest.fixture(scope="session")
-def run_root(tmp_path_factory):
-    return tmp_path_factory.mktemp("phenomenology-runs")
 
 
 def trace_from(result, with_layers=False) -> NormTrace:
@@ -120,8 +116,8 @@ def test_final_norm_roughly_independent_of_init_scale(tmp_path):
     points = run_sweep(template, {"init_scale": [0.25, 1.0, 4.0]}, tmp_path / "sweep")
     finals = {}
     for p in points:
-        records = np.loadtxt(tmp_path / "sweep" / f"point_{p.index:03d}__init_scale={p.values['init_scale']:g}" / "metrics.csv",
-                             delimiter=",", skiprows=1, usecols=5)
+        records = np.loadtxt(Path(p.log_dir) / "metrics.csv", delimiter=",", skiprows=1,
+                             usecols=5)
         finals[p.values["init_scale"]] = float(records[-1])
     values = list(finals.values())
     assert max(values) / min(values) < 2.0, finals

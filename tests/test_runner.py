@@ -1243,3 +1243,4 @@ def test_a_resume_after_a_crash_at_any_write_gives_the_uninterrupted_logs(
     # every case resumes today; a refusal (exit 4) would also keep the logs whole
     assert code == 0
     assert run_logs(run_dir) == expected
+    assert list(run_dir.glob("*.tmp")) == []  # a temp file the crash left is removed

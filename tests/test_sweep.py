@@ -150,6 +150,21 @@ def test_a_refused_grid_point_exits_2_and_leaves_no_sweep_dir(tmp_path, capsys, 
     assert not sweep_dir.exists()
 
 
+def test_a_decay_factor_axis_on_a_template_without_milestones_is_refused(tmp_path, capsys):
+    """Every point used to equal the template: the axis set no milestone's factor."""
+    template = tiny_config(tmp_path / "unused", schedule=ScheduleSpec(
+        kind="stepwise", base_lr=0.5, total_epochs=12))
+    with pytest.raises(ConfigError, match="does not carry 'schedule.milestones'"):
+        apply_point(template, {"decay_factor": 0.1})
+    path = tmp_path / "template.txt"
+    path.write_text(format_config(template))
+    sweep_dir = tmp_path / "sweep"
+    assert cli_main(["sweep", str(path), "--grid", "decay_factor=0.1,0.5",
+                     "--sweep-dir", str(sweep_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not sweep_dir.exists()
+
+
 def _carried_key_and_value():
     """A template, a numeric key its text carries, and a value of that key's type."""
     templates = [tiny_config("unused", schedule_kind=kind) for kind in
@@ -320,6 +335,29 @@ def test_importing_the_package_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_a_sweep_at_one_job_trains_in_this_process_without_the_pool(tmp_path):
+    """With jobs = 1 the one scheduling loop trains each point in the calling
+    process, follower forks included, and loads no process pool."""
+    import subprocess
+    import sys
+
+    import abel_sched
+
+    path = tmp_path / "template.txt"
+    path.write_text(format_config(tiny_config(tmp_path / "unused", schedule_kind="abel")))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from abel_sched.cli import main; "
+            "code = main(['sweep', sys.argv[2], '--grid', 'decay_factor=0.5,0.2', "
+            "'--sweep-dir', sys.argv[3]]); "
+            "print(code, sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code, str(Path(abel_sched.__file__).parents[1]),
+                          str(path), str(tmp_path / "sweep")],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip().splitlines()[-1] == "0 []"
+    starts = [json.loads(meta.read_text())["start_epoch"]
+              for meta in sorted((tmp_path / "sweep").glob("point_*/meta.json"))]
+    assert starts[0] == 0 and starts[1] > 0
 
 
 # -- decay-factor families ----------------------------------------------------------

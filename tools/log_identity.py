@@ -28,11 +28,13 @@ run's ``epoch_0005.ckpt`` with ``--epochs 12`` (``RESUME``), so one loop
 starts past epoch 0 from a checkpoint, under a changed budget.
 
 Both sides also run one sweep, ``abel-sched sweep`` of
-``configs/blobs_abel.txt`` at 80 epochs over ``SWEEP_GRID`` with
-``--jobs 2``. The ``base_lr = 2`` and ``4`` families fork at the final
-decay (epoch 68), and the ``base_lr = 8`` family at its bounce (epoch 55),
-when a worker is free, so that follower resumes from a fork streamed by its
-leader while the leader still trains.
+``configs/blobs_abel.txt`` at 80 epochs over ``SWEEP_GRID``, twice: with
+``--jobs 2`` and with ``--jobs 1``. The ``base_lr = 2`` and ``4`` families
+fork at the final decay (epoch 68), and the ``base_lr = 8`` family at its
+bounce (epoch 55). With 2 jobs that follower starts when a worker is free,
+from a fork streamed by its leader's worker while the leader still trains;
+with 1 job every point trains in the CLI's own process, one at a time, in
+the order of the same scheduling loop.
 Every run, the resume and the sweep write into the same ``log_dir`` path on
 both sides, because checkpoint bytes embed the config's ``log_dir``, and are
 moved aside after.
@@ -90,7 +92,7 @@ VARIANTS = {
 }
 # the resume of a variant's checkpoint at a new budget: (variant, checkpoint, epochs)
 RESUME = ("blobs_abel_adam", "epoch_0005.ckpt", "12")
-# the sweep of configs/blobs_abel.txt, with jobs = 2
+# the sweep of configs/blobs_abel.txt, run with jobs = 2 and with jobs = 1
 SWEEP_OVERRIDES = {"epochs": "80"}
 SWEEP_GRID = "base_lr=2,4,8;decay_factor=0.2,0.5"
 
@@ -244,7 +246,7 @@ def jobs(configs: Path, sweep: Path, shared: Path, logs: Path) -> list[tuple]:
     """(label, name of the logs kept, CLI arguments per side, comparison) of
     each job, in the order they run: a run of each config, the resume of
     ``RESUME`` from each side's own logs of its run (kept under ``logs``),
-    and the sweep. Every job logs into ``shared``."""
+    and the sweep at 2 jobs and at 1. Every job logs into ``shared``."""
     out = [(config.name, config.stem,
             dict.fromkeys(SIDES, ["run", str(config), "--log-dir", str(shared)]), compare_runs)
            for config in sorted(configs.glob("*.txt"))]
@@ -252,9 +254,11 @@ def jobs(configs: Path, sweep: Path, shared: Path, logs: Path) -> list[tuple]:
     out.append((f"{stem} resume {ckpt} --epochs {epochs}", f"{stem}_resumed",
                 {side: ["resume", str(logs / side / stem / ckpt), "--epochs", epochs,
                         "--log-dir", str(shared)] for side in SIDES}, compare_runs))
-    out.append((f"{sweep.name} --grid {SWEEP_GRID} --jobs 2", sweep.stem,
-                dict.fromkeys(SIDES, ["sweep", str(sweep), "--grid", SWEEP_GRID, "--jobs", "2",
-                                      "--sweep-dir", str(shared)]), compare_sweeps))
+    for workers, name in (("2", sweep.stem), ("1", f"{sweep.stem}_jobs1")):
+        out.append((f"{sweep.name} --grid {SWEEP_GRID} --jobs {workers}", name,
+                    dict.fromkeys(SIDES, ["sweep", str(sweep), "--grid", SWEEP_GRID,
+                                          "--jobs", workers, "--sweep-dir", str(shared)]),
+                    compare_sweeps))
     return out
 
 
