@@ -51,7 +51,7 @@ from .optim import (
     step_adam,
     step_sgd,
 )
-from .params import GradSet, Layer, ParamSet, angle_cos_sin, inner_gw, weight_norm_sq
+from .params import Layout, ParamSet, angle_cos_sin, inner_gw, weight_norm_sq
 from .schedules import LrEvent, ScheduleSpec, lr_at, warmup_scale
 from .state_io import StateDecodeError, restore_scheduler, serialize_scheduler
 
@@ -79,9 +79,8 @@ __all__ = [
     "EpochRecord",
     "EvalSet",
     "ExperimentConfig",
-    "GradSet",
     "IdxSpec",
-    "Layer",
+    "Layout",
     "LrEvent",
     "Model",
     "ModelArch",

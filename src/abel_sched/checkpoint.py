@@ -39,7 +39,11 @@ step-wise, plateau, and the bounce scheduler, whose final decay is
 re-derived from its fraction of the new budget; its state records each
 budget change with its epoch, so a final decay taken under an earlier
 budget survives any later resume). Cosine, linear and simple decay refuse
-a changed budget: their entire profile depends on it.
+a changed budget: their entire profile depends on it. A bounce-scheduler
+resume whose new budget puts the final decay at or before the checkpoint
+epoch, when the checkpointed run has taken no final decay, is refused by
+``run_experiment`` before it writes anything: the resumed run would skip
+the decay that an uninterrupted run at that budget takes.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import numpy as np
 from .adaptive import make_scheduler
 from .config import ConfigError, ExperimentConfig, format_config, parse_config
 from .optim import AdamState, MomentumState
-from .params import GradSet, Layout, ParamSet
+from .params import Layout, ParamSet
 from .runner import ResumeRefusedError, RunState, write_atomic
 from .schedules import BUDGET_FREE_KINDS
 from .state_io import Reader, StateDecodeError, restore_scheduler, serialize_scheduler
@@ -154,14 +158,14 @@ def _decode(data: bytes) -> tuple[ExperimentConfig, RunState]:
         kind = config.schedule.kind
         raise CheckpointError(f"{len(blob)}-byte scheduler state does not fit a {kind!r} schedule")
 
-    buffers = [GradSet(layout, floats[k * size:(k + 1) * size]) for k in range(1, 1 + n_buffers)]
+    buffers = [ParamSet(layout, floats[k * size:(k + 1) * size]) for k in range(1, 1 + n_buffers)]
     if opt_kind == 1:
         opt: MomentumState | AdamState = MomentumState(mu=opt_fields[0], velocity=buffers[0])
     else:
         beta1, beta2, eps, t = opt_fields
         opt = AdamState(m=buffers[0], v=buffers[1], t=t, beta1=beta1, beta2=beta2, eps=eps)
     return config, RunState(epoch=epoch, global_step=global_step,
-                            params=ParamSet.from_flat(layout, floats[:size]), opt=opt,
+                            params=ParamSet(layout, floats[:size]), opt=opt,
                             scheduler=scheduler, test_errors=tuple(floats[end:].tolist()))
 
 

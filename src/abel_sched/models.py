@@ -9,112 +9,60 @@ Two families:
 * ``conv`` -- two 3x3 valid convolutions, a 2x2 mean pool, and a dense
   readout; used to get per-layer norm heterogeneity on image-shaped inputs.
 
+Parameters and gradients
+------------------------
+A :class:`Model` builds its parameter layout once, as ``Model.layout``, and
+``init_params`` draws into a zero ParamSet of it. The passes take any
+ParamSet whose layer names and shapes are the model's and refuse any other.
 Gradients are of the bare loss only: the L2 term is applied by the
-optimizer, never folded into these gradients. They are written straight
-into one flat vector in the parameters' layout (a GradSet), listed in the
-order the backward pass produces them.
+optimizer, never folded into these gradients. They come back as a new
+ParamSet of the parameters' layout, listed in the order the backward pass
+produces them, so a caller may write them in place.
 
-A normalized MLP's parameters are its dense weights only, so their rows
-tile the flat vector, and its step works on the whole vector. Each
-layout's buffers (below) hold a row table: every weight row's start in
-the flat vector and its fan-in, in layout order. The forward pass squares the flat vector once, sums every
-row with one ``np.add.reduceat`` over the row starts, takes one square root
-and divides once by the norms repeated to each row's fan-in; each layer's
-``w/|w_row|`` is a view of the quotient. The backward pass writes dL/dŵ
-into the flat gradient, then pulls it back onto w once over the whole
-vector, ``(dŵ - (dŵ.ŵ) ŵ) / |w_row|``, with one more reduceat for the row
-dot products. A row's sum is reduceat's sum of its segment, which groups
-the additions differently from a per-layer ``sum(axis=1)``: the two differ
-in the last bits. Every float equals that of the same formulas applied
-layer by layer with each row summed as a reduceat segment. Widths are at
-least 1 (``ModelArch`` refuses less), so no segment is empty; reduceat
-would return the entry at an empty segment's start, not 0.
-
-Buffers built once per layout and batch size
---------------------------------------------
-An MLP's step rebuilds nothing that stays the same during a run. For the
-last layout it saw, ``Model._prepared`` keeps a :class:`_Buffers`: the row
-table, one flat vector of the weights the passes read (``w/|w_row|``, or a
-copy of ``w``) with each layer's views and transposes, the flat gradient
-with its layer views, and the pull-back's projection vector. Per batch
-size it keeps every hidden output (the backward pass overwrites it with
-its activation's derivative), every layer's dL/dz (the last layer's first
-holds the logits) and the class-major ``exp(logits - max)``. The step's
-ufunc calls, and those of the softmax gradient (``_dlogits``) and the
-activation derivative (``_times_act_grad``) that it shares with the
-convnet, write into these with ``out=``; the returned
-gradient is a new vector (the pull-back's last ``divide``, or a copy), so a
-caller may write it in place. Products of 2-D operands are
-``np.dot(..., out=)``: numpy sends ``dot`` and ``matmul`` of the same
-float64 or float32 operands to the same BLAS gemm call, with the same
-transpose flags, so the floats are the same, and ``dot`` checks less.
-The buffers are the model's own: a ``Model`` serves one thread.
-
-The loss computes one exp per logit: with ``e = exp(logits - max)`` and
-``s`` its row sums, log p is ``logits - (log s + max)`` and the softmax in
-the gradient is ``e / s``, not a second ``exp(log p)``, which rounds
-differently in the last bits. ``_softmax_numerators`` is the one place
-that computes ``e``, for the MLP step, the convnet step and the loss.
+Every float of the loss, the gradients and the error is that of the same
+formulas applied layer by layer. A normalized MLP divides by its row norms
+and pulls the gradient back through them, ``(dŵ - (dŵ.ŵ) ŵ) / |w_row|``,
+over the whole flat vector, whose weight rows tile it; each row sum is one
+segment of ``np.add.reduceat``, which groups the additions differently
+from a per-layer ``sum(axis=1)``; widths are at least 1 (``ModelArch``
+refuses less), so no segment is empty, where reduceat would return the
+entry at its start, not 0. The softmax computes one exp per logit:
+with ``e = exp(logits - max)`` and ``s`` its row sums (added as numpy adds
+a row: in order below 8 classes, pairwise from 8 on), log p is ``logits -
+(log s + max)`` and the gradient uses ``e / s``. An MLP keeps its buffers
+for the last layout it saw and a few batch sizes (:class:`_Buffers`), so a
+``Model`` serves one thread.
 
 The step records, the epoch reduces
 -----------------------------------
-The gradient needs only ``e / s``, so ``Model.train_step_stats`` returns
-the gradients alone. It writes the batch's logits, row maxima and row sums
-``s`` into the next rows of a :class:`StepStats`, a per-run sink that keeps
-the logits class-major, as ``(classes, rows)``. The last layer's product
-is a row-major BLAS result; the softmax copies it into the sink's
-class-major slice, and every pass over the class axis then runs on
-class-major arrays, as a few calls over long rows of one class where a
-row-major array runs numpy's inner loop once per short row of logits: the
-row max, ``exp(logits - max)``, the row sums and ``e / s``. The row-major
-dL/dlogits is written once, from ``e / s`` and the targets, into the
-product's buffer. Every float is the one the row-major formulas give, as
-each operation is elementwise except the row sums, and those follow
-numpy's summation order: numpy adds fewer than 8 entries in order, so
-below 8 classes a row's sum is the classes added one after another, and
-it sums 8 or more pairwise, so from 8 classes on the sums are numpy's
-row-wise reduce of a row-major copy (``_row_sums``).
-``StepStats.reduce`` then makes one pass over every recorded row: log p,
-read from the class-major sink and written row-major, its product with the
-targets (row-major, so that each step's products keep their row-major
-order for its sum), one ``np.add.reduce`` per run of equal-sized steps
-over the products reshaped to one row per step, one finiteness test of the
-logits, and the errors. A row is right when its
-label is the first class whose logit equals the recorded row max, which is
-``argmax``'s class for finite logits (+0.0 equals -0.0); one pass over the
-class-major sink counts, per row, the leading classes below the max, in a
-few calls per class where ``argmax(axis=1)`` runs per row. A step's sum
-covers the same contiguous block, in the same order, as a sum over that
-step's products alone, so every loss and error is the one a step would
-have computed on its own. The reduction yields each step's ``(loss, error,
-rows)`` in step order and raises :class:`NumericError` on reaching a step
-whose logits are not all finite, so a caller that checks each loss as it
-comes sees the first failing step's error, logits before loss. The step
-itself checks nothing; non-finite values reach the sink, and callers run
-the step under ``np.errstate(over="ignore", invalid="ignore")``.
-``Model.loss``, ``Model.loss_and_grad``, ``Model.batch_stats`` and
-:func:`loss_ce` go through a one-batch sink.
+``Model.train_step_stats`` returns the gradients alone. It writes the
+batch's logits (class-major), row maxima and row sums into the next rows of
+a :class:`StepStats`, a per-run sink. ``StepStats.reduce`` then yields each
+step's ``(loss, error, rows)`` in step order, each the one that step would
+have computed on its own, and raises :class:`NumericError` on reaching a
+step whose logits are not all finite, so a caller that checks each loss as
+it comes sees the first failing step's error, logits before loss. A row is
+right when its label is the first class whose logit equals the row max,
+which is ``argmax``'s class for finite logits. The step itself checks
+nothing; callers run it under ``np.errstate(over="ignore",
+invalid="ignore")``. ``Model.loss``, ``Model.loss_and_grad``,
+``Model.batch_stats`` and :func:`loss_ce` go through a one-batch sink.
 
 Fixed training and test sets
 ----------------------------
 Everything a run's data needs checked or derived is done once per run.
 ``Model.train_set`` checks the training rows' width, the labels against
 ``classes`` and the label smoothing against [0, 1), and keeps every row's
-smoothed target row beside its label (a :class:`TrainSet`). The runner
-gathers the epoch's shuffle of rows, labels and targets with one
-``TrainSet.take`` and steps on slices of it, which are views checked no
-further; ``Model.train_step_stats`` checks neither its input nor its
-output. The test set is prepared by ``Model.eval_set`` (below).
+smoothed target row beside its label (a :class:`TrainSet`); its gathers and
+slices are checked no further. ``Model.eval_set`` prepares the test set
+once (an :class:`EvalSet`).
 
 Screened evaluation
 -------------------
 A test error depends only on each row's argmax, so ``Model.error_rate``
-of a tanh MLP (normalized or with biases) first runs every row in float32
-and keeps the float32 class of each row whose class it can prove equal to
-the float64 one. The fixed test set is prepared once per run by
-``Model.eval_set`` (an :class:`EvalSet`): its checked rows and labels, their
-float32 cast and ``max|x|``. The float32 pass multiplies by contiguous
-transposes of the float32 weights. Let "exact" mean exact arithmetic on the
+of a tanh MLP (normalized or with biases) of at most 16 classes first runs
+every row in float32 and keeps the float32 class of each row whose class it
+can prove equal to the float64 one. Let "exact" mean exact arithmetic on the
 float64 inputs and prepared weights (``w/|w_row|``, or ``w`` and ``b``). One
 scalar bound E on |computed - exact| for every logit follows from the
 standard dot-product bound (Higham, *Accuracy and Stability of Numerical
@@ -163,7 +111,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .params import GradSet, Layer, Layout, ParamSet
+from .params import Layout, ParamSet
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -478,13 +426,19 @@ def _in_step_order(losses: list[float], errors: list[float], sizes: list[int],
 
 
 class _Buffers:
-    """What an MLP's passes read and write for one layout (see the module
-    docstring), built by ``Model._prepared``.
+    """What an MLP's passes read and write for one layout, built by
+    ``Model._prepared``, so that a step rebuilds nothing that stays the same
+    during a run: its ufunc calls write into these with ``out=``, and its
+    products of 2-D operands are ``np.dot(..., out=)``, which numpy sends to
+    the same BLAS gemm call as ``matmul`` with the same transpose flags.
 
-    ``rows``, the row table of a normalized MLP (None otherwise), holds
-    every weight row's start in the flat vector and then every row's
-    fan-in, in layout order: the segments of one ``np.add.reduceat`` and the
-    repeat counts that spread one value per row over the flat vector.
+    ``w`` holds the weights the passes read (``w/|w_row|``, or a copy of
+    the flat vector), ``grad`` the flat gradient and ``proj`` the
+    pull-back's scratch. ``rows``, the row table of a normalized MLP (None
+    otherwise), holds every weight row's start in the flat vector and then
+    every row's fan-in, in layout order: the segments of one
+    ``np.add.reduceat`` and the repeat counts that spread one value per row
+    over the flat vector.
     ``dense`` holds per dense layer the views of its weight and bias (None
     when normalized) in ``w``, ``layers`` the same with each weight
     transposed, and ``grads`` the views in ``grad``.
@@ -530,9 +484,10 @@ class _Buffers:
 class Model:
     """Stateless network: parameters travel separately as a ParamSet.
 
-    A model keeps, for the last layout it saw, once that layout's layer
-    names and shapes are checked against the model's own, an MLP's
-    :class:`_Buffers` (see ``_prepared``).
+    ``layout`` is the model's own parameter layout, built once: every
+    ``init_params`` set has it. A model keeps, for the last layout it saw,
+    once that layout's layer names and shapes are checked against the
+    model's own, an MLP's :class:`_Buffers` (see ``_prepared``).
     """
 
     def __init__(self, arch: ModelArch):
@@ -546,8 +501,12 @@ class Model:
                                      for part in parts)
         else:
             self._grad_names = ("out.w", "out.b", "conv2.w", "conv2.b", "conv1.w", "conv1.b")
-        self._layers = self._layer_specs()
-        self._shapes = {name: shape for name, shape, _ in self._layers}
+        specs = self._layer_specs()
+        # the fan-in of each weight, in init order; biases start at zero
+        self._fan_ins = {name: fan_in for name, _, fan_in in specs if fan_in is not None}
+        self.layout = Layout(tuple((name, shape, fan_in is not None,
+                                    fan_in is not None and arch.normalize)
+                                   for name, shape, fan_in in specs))
 
     def _layer_specs(self) -> tuple[tuple[str, tuple[int, ...], int | None], ...]:
         """(name, shape, fan-in) of each parameter tensor in init order; a
@@ -571,7 +530,8 @@ class Model:
     # -- initialization -----------------------------------------------------
 
     def init_params(self, seed: int, init_scale: float | None = None) -> ParamSet:
-        """Fan-in-scaled uniform init times ``init_scale``; biases start at zero.
+        """Fan-in-scaled uniform init times ``init_scale``, drawn into a zero set
+        of the model's ``layout``; biases stay at zero.
 
         Deterministic in (arch, seed, init_scale). The raw draws do not
         depend on init_scale, so scaling the init scales every weight
@@ -581,17 +541,11 @@ class Model:
         if not scale > 0:
             raise ValueError("init_scale must be > 0")
         rng = np.random.default_rng(seed)
-        layers: list[Layer] = []
-        for name, shape, fan_in in self._layers:
-            if fan_in is None:
-                layers.append(Layer(name, np.zeros(shape), l2_enabled=False,
-                                    scale_invariant=False))
-            else:
-                a = np.sqrt(3.0 / fan_in)
-                w = rng.uniform(-a, a, size=shape) * scale
-                layers.append(Layer(name, w, l2_enabled=True,
-                                    scale_invariant=self.arch.normalize))
-        return ParamSet(layers)
+        params = ParamSet.zeros(self.layout)
+        for name, fan_in in self._fan_ins.items():
+            a = np.sqrt(3.0 / fan_in)
+            params[name][...] = rng.uniform(-a, a, size=params[name].shape) * scale
+        return params
 
     # -- forward ------------------------------------------------------------
 
@@ -641,16 +595,17 @@ class Model:
         shape: the passes would compute another net, or leave gradient
         entries unwritten."""
         given = dict(zip(layout.names, layout.shapes))
-        if given == self._shapes:
+        own = dict(zip(self.layout.names, self.layout.shapes))
+        if given == own:
             return
-        extra = sorted(set(given) - set(self._shapes))
+        extra = sorted(set(given) - set(own))
         if extra:
             raise ValueError(f"parameters hold layers the model does not have: {extra}")
-        missing = sorted(set(self._shapes) - set(given))
+        missing = sorted(set(own) - set(given))
         if missing:
             raise ValueError(f"parameters lack layers of the model: {missing}")
         wrong = ", ".join(f"{name} {given[name]} (the model's: {shape})"
-                          for name, shape in self._shapes.items() if given[name] != shape)
+                          for name, shape in own.items() if given[name] != shape)
         raise ValueError(f"parameter shapes differ from the model's: {wrong}")
 
     @staticmethod
@@ -682,14 +637,14 @@ class Model:
         """Logits, written into ``out`` when given, and the backward pass's cache."""
         arch = self.arch
         imgs = x.reshape(x.shape[0], *arch.input_shape)
-        z1 = _conv_valid(imgs, params["conv1.w"].value, params["conv1.b"].value)
+        z1 = _conv_valid(imgs, params["conv1.w"], params["conv1.b"])
         a1 = _act(z1, arch.activation)
-        z2 = _conv_valid(a1, params["conv2.w"].value, params["conv2.b"].value)
+        z2 = _conv_valid(a1, params["conv2.w"], params["conv2.b"])
         a2 = _act(z2, arch.activation)
         pooled = _avgpool2(a2)
         flat = pooled.reshape(pooled.shape[0], -1)
-        logits = np.matmul(flat, params["out.w"].value.T, out=out)
-        logits += params["out.b"].value
+        logits = np.matmul(flat, params["out.w"].T, out=out)
+        logits += params["out.b"]
         cache = (imgs, a1, a2, pooled.shape, flat)
         return logits, cache
 
@@ -711,12 +666,12 @@ class Model:
 
     def loss_and_grad(
         self, params: ParamSet, x: np.ndarray, y: np.ndarray, label_smoothing: float = 0.0
-    ) -> tuple[float, GradSet]:
+    ) -> tuple[float, ParamSet]:
         """Loss and exact gradients of the bare loss w.r.t. every tensor."""
         loss, grads, _ = self.batch_stats(params, self.train_set(x, y, label_smoothing))
         return loss, grads
 
-    def batch_stats(self, params: ParamSet, batch: TrainSet) -> tuple[float, GradSet, float]:
+    def batch_stats(self, params: ParamSet, batch: TrainSet) -> tuple[float, ParamSet, float]:
         """Loss, gradients and error rate of ``batch``: one ``train_step_stats``
         into a sink of its own, reduced at once. Raises NumericError when a
         logit is not finite; the loss may still be non-finite."""
@@ -726,7 +681,7 @@ class Model:
         (loss, error, _), = stats.reduce(batch.targets, batch.y)
         return loss, grads, error
 
-    def train_step_stats(self, params: ParamSet, batch: TrainSet, stats: StepStats) -> GradSet:
+    def train_step_stats(self, params: ParamSet, batch: TrainSet, stats: StepStats) -> ParamSet:
         """Gradients of the loss of ``batch`` (a ``train_set`` or a gather or
         slice of one) from a single forward/backward.
 
@@ -745,10 +700,9 @@ class Model:
             logits, cache = self._forward_conv(params, x, np.empty(cols.shape[::-1]))
             dlogits = _dlogits(logits, batch.targets, cols, row_max, row_sum,
                                np.empty(cols.shape))
-            flat = np.empty(layout.size)
-            self._backward_conv(params, cache, dlogits,
-                                dict(zip(layout.names, layout.views(flat))))
-            return GradSet(layout, flat, self._grad_names)
+            grads = ParamSet(layout, np.empty(layout.size), self._grad_names)
+            self._backward_conv(params, cache, dlogits, grads)
+            return grads
         # the MLP step: _forward_mlp's calls, inline
         forward, backward, (dz_t, grad_w, grad_b, dz), logits, e = bound.batch(len(x))
         kind = self.arch.activation
@@ -776,27 +730,27 @@ class Model:
             np.add.reduce(dz, axis=0, out=grad_b)
         grad = bound.grad
         if bound.rows is None:
-            return GradSet(layout, grad.copy(), self._grad_names)
+            return ParamSet(layout, grad.copy(), self._grad_names)
         # pull the normalization back onto w: (dŵ - (dŵ.ŵ) ŵ) / |w_row|
         starts, fan_ins = bound.rows
         dots = np.add.reduceat(np.multiply(grad, bound.w, out=bound.proj), starts)
         np.subtract(grad, np.multiply(dots.repeat(fan_ins), bound.w, out=bound.proj), out=grad)
-        return GradSet(layout, np.divide(grad, bound.norms), self._grad_names)
+        return ParamSet(layout, np.divide(grad, bound.norms), self._grad_names)
 
     def _backward_conv(self, params: ParamSet, cache, dlogits: np.ndarray,
-                       grads: dict[str, np.ndarray]) -> None:
+                       grads: ParamSet) -> None:
         arch = self.arch
         imgs, a1, a2, pooled_shape, flat = cache
         grads["out.w"][...] = dlogits.T @ flat
         grads["out.b"][...] = dlogits.sum(axis=0)
-        dpool = (dlogits @ params["out.w"].value).reshape(pooled_shape)
+        dpool = (dlogits @ params["out.w"]).reshape(pooled_shape)
         da2 = _avgpool2_backward(dpool, a2.shape)
         dz2 = _times_act_grad(da2, a2, arch.activation)
         grads["conv2.w"][...], grads["conv2.b"][...], da1 = _conv_valid_backward(
-            a1, params["conv2.w"].value, dz2)
+            a1, params["conv2.w"], dz2)
         dz1 = _times_act_grad(da1, a1, arch.activation)
         grads["conv1.w"][...], grads["conv1.b"][...], _ = _conv_valid_backward(
-            imgs, params["conv1.w"].value, dz1)
+            imgs, params["conv1.w"], dz1)
 
     # -- evaluation -----------------------------------------------------------
 

@@ -12,9 +12,9 @@ one it resumes from.
 :func:`clip_global_norm`, :func:`step_sgd` and :func:`step_adam` are the
 same updates behind objects, run on copies: they never modify their
 inputs, so a caller that keeps an earlier vector keeps its values.
-Gradients, momentum and Adam moments are GradSets of the layout, and a step
-returns a new ParamSet over a new vector. Plain name -> array mappings are
-accepted too and are checked and packed first.
+Weights, gradients, momentum and Adam moments are ParamSets of one layout,
+and a step returns a new ParamSet over a new vector. Plain name -> array
+mappings are accepted too and are checked and packed first.
 
 The L2 coefficient acts as an added gradient ``weight_decay * w`` on layers
 with ``l2_enabled`` (plain L2 regularization, not decoupled decay, for both
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import GradSet, Layout, ParamSet
+from .params import Layout, ParamSet
 
 
 @dataclass
@@ -41,22 +41,22 @@ class MomentumState:
     """Heavy-ball buffer: v <- mu*v + (g + l2*w), step is -lr*v."""
 
     mu: float
-    velocity: GradSet
+    velocity: ParamSet
 
     @classmethod
     def init(cls, params: ParamSet, mu: float = 0.9) -> "MomentumState":
         if not 0.0 <= mu < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        return cls(mu=mu, velocity=GradSet.zeros(params.layout))
+        return cls(mu=mu, velocity=ParamSet.zeros(params.layout))
 
     def copy(self, layout: Layout) -> "MomentumState":
-        """This state over a copy of its velocity, a GradSet of ``layout``."""
-        return MomentumState(mu=self.mu, velocity=GradSet(
+        """This state over a copy of its velocity, a ParamSet of ``layout``."""
+        return MomentumState(mu=self.mu, velocity=ParamSet(
             layout, layout.flat_of(self.velocity, "velocity").copy()))
 
     def update(self, layout: Layout, w: np.ndarray, g: np.ndarray, lr: float,
                weight_decay: float) -> None:
-        """One SGD step in place on ``w`` and the velocity, a GradSet of
+        """One SGD step in place on ``w`` and the velocity, a ParamSet of
         ``layout``, with ``g`` as scratch. At ``mu = 0`` the old velocity is
         not read: the new one is the gradient with its L2 term, so the step
         is exactly w - lr*g - lr*l2*w."""
@@ -74,8 +74,8 @@ class MomentumState:
 class AdamState:
     """Bias-corrected Adam moments."""
 
-    m: GradSet
-    v: GradSet
+    m: ParamSet
+    v: ParamSet
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -88,19 +88,19 @@ class AdamState:
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if not eps >= 0.0:
             raise ValueError("eps must be >= 0")
-        return cls(m=GradSet.zeros(params.layout), v=GradSet.zeros(params.layout),
+        return cls(m=ParamSet.zeros(params.layout), v=ParamSet.zeros(params.layout),
                    beta1=beta1, beta2=beta2, eps=eps)
 
     def copy(self, layout: Layout) -> "AdamState":
-        """This state over copies of its moments, GradSets of ``layout``."""
-        return AdamState(m=GradSet(layout, layout.flat_of(self.m, "first moment").copy()),
-                         v=GradSet(layout, layout.flat_of(self.v, "second moment").copy()),
+        """This state over copies of its moments, ParamSets of ``layout``."""
+        return AdamState(m=ParamSet(layout, layout.flat_of(self.m, "first moment").copy()),
+                         v=ParamSet(layout, layout.flat_of(self.v, "second moment").copy()),
                          t=self.t, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
 
     def update(self, layout: Layout, w: np.ndarray, g: np.ndarray, lr: float,
                weight_decay: float) -> None:
         """One bias-corrected Adam step in place on ``w`` and the moments,
-        GradSets of ``layout``, L2 as an added gradient, with ``g`` as scratch."""
+        ParamSets of ``layout``, L2 as an added gradient, with ``g`` as scratch."""
         m, v, beta1, beta2 = self.m.flat, self.v.flat, self.beta1, self.beta2
         _with_l2(layout, g, g, w, weight_decay)
         self.t = t = self.t + 1
@@ -117,7 +117,7 @@ OptState = MomentumState | AdamState
 def clip_flat(g: np.ndarray, parts: tuple[slice, ...], max_norm: float) -> bool:
     """Scale ``g`` in place by max_norm/||g|| when its norm exceeds
     ``max_norm``; whether it did. The squared norm is one dot per slice of
-    ``parts``, summed in their order (a GradSet's, the backward pass's)."""
+    ``parts``, summed in their order (a ParamSet's, the backward pass's)."""
     total = 0.0
     for sl in parts:
         part = g[sl]
@@ -132,17 +132,17 @@ def clip_flat(g: np.ndarray, parts: tuple[slice, ...], max_norm: float) -> bool:
 def clip_global_norm(grads: Mapping[str, np.ndarray], max_norm: float) -> Mapping[str, np.ndarray]:
     """Scale all gradients by max_norm/||g|| when the global norm exceeds it.
 
-    The norm sums the layers in the mapping's order. A GradSet is clipped to
-    a new GradSet of its layout; a plain mapping is packed in its own order
-    and comes back, when clipped, as a GradSet of that packing."""
+    The norm sums the layers in the mapping's order. A ParamSet is clipped to
+    a new ParamSet of its layout; a plain mapping is packed in its own order
+    and comes back, when clipped, as a ParamSet of that packing."""
     if not max_norm > 0:
         raise ValueError("max_norm must be > 0")
-    if isinstance(grads, GradSet):
+    if isinstance(grads, ParamSet):
         layout, names, g = grads.layout, grads.names, grads.flat.copy()
     else:
         layout = Layout(tuple((name, np.shape(g), True, False) for name, g in grads.items()))
         names, g = layout.names, layout.pack(grads, "gradient")
-    return GradSet(layout, g, names) if clip_flat(g, layout.slices_in(names), max_norm) else grads
+    return ParamSet(layout, g, names) if clip_flat(g, layout.slices_in(names), max_norm) else grads
 
 
 def _with_l2(layout: Layout, out: np.ndarray, g: np.ndarray, w: np.ndarray,
@@ -167,7 +167,7 @@ def _step(params: ParamSet, opt: OptState, grads: Mapping[str, np.ndarray], lr: 
     layout = params.layout
     w, new = params.flat.copy(), opt.copy(layout)
     new.update(layout, w, layout.flat_of(grads, "gradient").copy(), lr, weight_decay)
-    return ParamSet.from_flat(layout, w), new
+    return ParamSet(layout, w), new
 
 
 def step_sgd(params: ParamSet, opt: MomentumState, grads: Mapping[str, np.ndarray], lr: float,

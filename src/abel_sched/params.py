@@ -1,10 +1,11 @@
 """Named parameter tensors in one flat buffer, with per-layer norm instrumentation.
 
-A :class:`ParamSet` owns one contiguous float64 vector. Each layer's
-``value`` is a reshaped view into it, in layer order, as the set's
-:class:`Layout` records. Gradients and optimizer state (:class:`GradSet`)
-use the same layout, so the optimizer, clipping and checkpoints work on
-whole vectors while every caller still sees named per-layer arrays.
+A :class:`Layout` holds the names, shapes and flags of a set's layers and
+where each sits in one flat float64 vector. A :class:`ParamSet` maps each
+layer name to a reshaped view into such a vector. Weights, gradients and
+optimizer buffers are all ParamSets of the same layout, so the optimizer,
+clipping and checkpoints work on whole vectors while every caller still
+sees named per-layer arrays.
 
 The total squared weight norm is the sum over layers of each tensor's
 squared L2 norm. Norms and inner products stay one dot product per layer,
@@ -20,21 +21,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-
-
-@dataclass(frozen=True, slots=True)
-class Layer:
-    """One named tensor. Inside a ParamSet, ``value`` is a view into its flat
-    buffer: edit it in place, never rebind it."""
-
-    name: str
-    value: np.ndarray
-    l2_enabled: bool = True
-    scale_invariant: bool = False
 
 
 class Layout:
@@ -72,7 +61,7 @@ class Layout:
 
     def slices_in(self, names: tuple[str, ...]) -> tuple[slice, ...]:
         """The slices of the layers ``names``, in that order; resolved once per
-        names tuple (a GradSet's summation order) and then reused."""
+        names tuple (a set's summation order) and then reused."""
         slices = self._orders.get(names)
         if slices is None:
             slices = self._orders[names] = tuple(self.slice_of[name] for name in names)
@@ -96,22 +85,30 @@ class Layout:
                               dtype=np.float64)
 
     def flat_of(self, arrays: Mapping[str, np.ndarray], what: str) -> np.ndarray:
-        """The flat vector of ``arrays``: a GradSet's own buffer when it has this
+        """The flat vector of ``arrays``: a ParamSet's own buffer when it has this
         layout, otherwise a checked, packed copy."""
-        if isinstance(arrays, GradSet) and (arrays.layout is self or arrays.layout == self):
+        if isinstance(arrays, ParamSet) and (arrays.layout is self or arrays.layout == self):
             return arrays.flat
         return self.pack(arrays, what)
 
 
-class GradSet(Mapping):
-    """Per-layer arrays (gradients, optimizer buffers) as views into one flat vector.
+class ParamSet(Mapping):
+    """Per-layer arrays (weights, gradients, optimizer buffers) as views into one
+    float64 vector of ``layout.size``: ``flat`` itself, not a copy.
 
-    Iteration follows ``names``, the layout's order by default. A model lists
-    its gradients in the order its backward pass produces them, and sums over
-    a GradSet (the global gradient norm) keep that order.
+    ``params[name]`` is a reshaped view into ``flat``, made on first use:
+    edit it in place. Iteration follows ``names``, the layout's order by
+    default. A model lists its gradients in the order its backward pass
+    produces them, and sums over such a set (the global gradient norm) keep
+    that order.
+
+    Two sets are equal only when they are the same object: the mapping's
+    own comparison would compare arrays.
     """
 
     __slots__ = ("layout", "flat", "names", "_views")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, layout: Layout, flat: np.ndarray,
                  names: tuple[str, ...] | None = None):
@@ -121,8 +118,12 @@ class GradSet(Mapping):
         self._views: dict[str, np.ndarray] | None = None
 
     @classmethod
-    def zeros(cls, layout: Layout) -> "GradSet":
+    def zeros(cls, layout: Layout) -> "ParamSet":
         return cls(layout, np.zeros(layout.size))
+
+    def copy(self) -> "ParamSet":
+        """A set over a copy of ``flat``, with the same layout and names."""
+        return ParamSet(self.layout, self.flat.copy(), self.names)
 
     def _view_map(self) -> dict[str, np.ndarray]:
         if self._views is None:
@@ -144,69 +145,6 @@ class GradSet(Mapping):
 
     def items(self):
         return self._view_map().items()
-
-
-class ParamSet:
-    """Ordered collection of named parameter tensors over one flat buffer.
-
-    Building one over a flat vector costs O(1): the Layer views and the
-    by-name lookup are made on first use.
-    """
-
-    __slots__ = ("layout", "flat", "_by_name")
-
-    def __init__(self, layers: list[Layer]):
-        layout = Layout(tuple((l.name, tuple(np.shape(l.value)), l.l2_enabled,
-                               l.scale_invariant) for l in layers))
-        self._bind(layout, layout.pack({l.name: l.value for l in layers}))
-
-    @classmethod
-    def from_flat(cls, layout: Layout, flat: np.ndarray) -> "ParamSet":
-        """A ParamSet over ``flat`` itself (not a copy): a float64 vector of ``layout.size``."""
-        params = cls.__new__(cls)
-        params._bind(layout, flat)
-        return params
-
-    def _bind(self, layout: Layout, flat: np.ndarray) -> None:
-        self.layout = layout
-        self.flat = flat
-        self._by_name: dict[str, Layer] | None = None
-
-    def _layer_map(self) -> dict[str, Layer]:
-        if self._by_name is None:
-            self._by_name = {
-                name: Layer(name, value, l2, invariant) for (name, _, l2, invariant), value
-                in zip(self.layout.specs, self.layout.views(self.flat))}
-        return self._by_name
-
-    @property
-    def layers(self) -> list[Layer]:
-        return list(self._layer_map().values())
-
-    def __iter__(self):
-        return iter(self._layer_map().values())
-
-    def __len__(self) -> int:
-        return len(self.layout.names)
-
-    def __getitem__(self, name: str) -> Layer:
-        return self._layer_map()[name]
-
-    def names(self) -> list[str]:
-        return list(self.layout.names)
-
-    def values(self) -> dict[str, np.ndarray]:
-        return {name: layer.value for name, layer in self._layer_map().items()}
-
-    def copy(self) -> "ParamSet":
-        return ParamSet.from_flat(self.layout, self.flat.copy())
-
-    def with_values(self, values: Mapping[str, np.ndarray]) -> "ParamSet":
-        """New ParamSet with the same layer metadata and the given tensors."""
-        return ParamSet.from_flat(self.layout, self.layout.pack(values))
-
-    def scaled(self, alpha: float) -> "ParamSet":
-        return ParamSet.from_flat(self.layout, self.flat * alpha)
 
 
 def weight_norm_sq(params: ParamSet, include: str = "all") -> tuple[float, dict[str, float]]:
@@ -235,17 +173,19 @@ def inner_gw(params: ParamSet, grads: Mapping[str, np.ndarray]) -> tuple[float, 
 
 def angle_cos_sin(w_prev: ParamSet, w_next: ParamSet) -> tuple[float, float]:
     """Cosine and sine of the angle between two full parameter vectors."""
-    if w_prev.names() != w_next.names():
+    if w_prev.names != w_next.names:
         raise ValueError("parameter sets have different layers")
     dot = 0.0
     nsq_prev = 0.0
     nsq_next = 0.0
-    for a, b in zip(w_prev, w_next):
-        if a.value.shape != b.value.shape:
-            raise ValueError(f"shape mismatch on layer {a.name!r}")
-        dot += float(np.dot(a.value.ravel(), b.value.ravel()))
-        nsq_prev += float(np.dot(a.value.ravel(), a.value.ravel()))
-        nsq_next += float(np.dot(b.value.ravel(), b.value.ravel()))
+    for name, a in w_prev.items():
+        b = w_next[name]
+        if a.shape != b.shape:
+            raise ValueError(f"shape mismatch on layer {name!r}")
+        a, b = a.ravel(), b.ravel()
+        dot += float(np.dot(a, b))
+        nsq_prev += float(np.dot(a, a))
+        nsq_next += float(np.dot(b, b))
     if nsq_prev == 0.0 or nsq_next == 0.0:
         raise ValueError("angle is undefined for a zero parameter vector")
     cos = dot / np.sqrt(nsq_prev * nsq_next)

@@ -182,7 +182,7 @@ def _check_resume_fits(config: ExperimentConfig, model: Model, state: RunState) 
         raise ResumeRefusedError(f"the resume state's optimizer {found} does not fit the "
                                  f"config's {wanted}")
     layout = state.params.layout
-    if layout != model.init_params(config.seed).layout:
+    if layout != model.layout:
         shapes = dict(zip(layout.names, layout.shapes))
         raise ResumeRefusedError(f"the resume state's layers {shapes} do not fit the "
                                  f"config's model")
@@ -423,6 +423,13 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
         scheduler = copy.deepcopy(resume_state.scheduler)
         if isinstance(scheduler, AbelScheduler) and scheduler.total_epochs != config.epochs:
             scheduler.retarget(config.epochs)
+            final = scheduler.last_decay_epoch
+            if (0 < final <= resume_state.epoch
+                    and all(ev.trigger != "final_decay" for ev in scheduler.decay_log)):
+                raise ResumeRefusedError(
+                    f"a budget of {config.epochs} epochs puts the final decay at epoch "
+                    f"{final}, at or before the resume state's epoch {resume_state.epoch}, "
+                    f"which took no final decay; the resumed run would skip it")
         start_epoch = resume_state.epoch
         global_step = resume_state.global_step
         test_errors = list(resume_state.test_errors)
@@ -462,7 +469,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
     stats = StepStats(n, model.arch.classes)
     layout = params.layout
     w = params.flat.copy()
-    live = ParamSet.from_flat(layout, w)
+    live = ParamSet(layout, w)
     update = opt.update
 
     orders = _epoch_orders(config.seed, n, start_epoch, config.epochs)
@@ -473,7 +480,8 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
             # One gather per epoch; each minibatch is then a contiguous slice.
             epoch_set = train.take(order)
             eff_lr = lr_epoch
-            # non-finite values are caught by the reduction below, in step order
+            # non-finite values are refused below: by the reduction, in step
+            # order, then by the norm check
             with np.errstate(over="ignore", invalid="ignore"):
                 for start in range(0, n, config.batch_size):
                     batch = epoch_set[start:start + config.batch_size]
@@ -484,19 +492,19 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
                                                      spec.warmup_epochs)
                     update(layout, w, grads.flat, eff_lr, config.weight_decay)
                     global_step += 1
-            loss_sum = 0.0
-            err_sum = 0.0
-            for loss, err, rows in stats.reduce(epoch_set.targets, epoch_set.y):
-                if not math.isfinite(loss):
-                    raise NumericError(f"non-finite loss at epoch {epoch}")
-                loss_sum += loss * rows
-                err_sum += err * rows
+                loss_sum = 0.0
+                err_sum = 0.0
+                for loss, err, rows in stats.reduce(epoch_set.targets, epoch_set.y):
+                    if not math.isfinite(loss):
+                        raise NumericError(f"non-finite loss at epoch {epoch}")
+                    loss_sum += loss * rows
+                    err_sum += err * rows
+                wsq_total, per_layer = weight_norm_sq(live)
+            if not math.isfinite(wsq_total):
+                raise NumericError(f"non-finite squared weight norm at epoch {epoch}")
 
             train_loss = loss_sum / n
             train_error = err_sum / n
-            wsq_total, per_layer = weight_norm_sq(live)
-            if not math.isfinite(wsq_total):
-                raise NumericError(f"non-finite squared weight norm at epoch {epoch}")
             # the same dots as weight_norm_sq(live, include="l2_only"), summed in its order
             wsq_l2 = sum(v for v, l2 in zip(per_layer.values(), layout.l2) if l2)
             gw_total = None
@@ -521,7 +529,7 @@ def run_experiment(config: ExperimentConfig, resume_state: RunState | None = Non
             hook = on_epoch is not None and epoch < config.epochs
             if checkpoint or hook:
                 state = RunState(epoch=epoch, global_step=global_step,
-                                 params=ParamSet.from_flat(layout, w.copy()),
+                                 params=ParamSet(layout, w.copy()),
                                  opt=opt.copy(layout),
                                  scheduler=scheduler, test_errors=tuple(test_errors))
             if checkpoint:

@@ -89,6 +89,8 @@ def parse_grid(spec: str) -> dict[str, list[float]]:
             raise ConfigError(f"bad grid values for {name!r}: {rest!r}") from None
         if not values:
             raise ConfigError(f"empty grid for {name!r}")
+        if len(set(values)) != len(values):
+            raise ConfigError(f"grid axis {name!r} repeats a value: {rest!r}")
         if name in grid:
             raise ConfigError(f"grid axis {name!r} is given twice")
         grid[name] = values

@@ -19,11 +19,13 @@ from abel_sched import (
     AdamState,
     BlobsSpec,
     ExperimentConfig,
+    Layout,
     Model,
     ModelSpec,
     MomentumState,
     NumericError,
     OptimizerSpec,
+    ParamSet,
     RunResult,
     RunState,
     ScheduleSpec,
@@ -147,14 +149,29 @@ def run_cached(config: ExperimentConfig, tmp_root) -> RunResult:
     return _RUN_CACHE[key]
 
 
+# -- parameter sets -------------------------------------------------------------
+
+
+def param_set(specs, arrays) -> ParamSet:
+    """A ParamSet of the layout ``specs`` ((name, shape, l2_enabled,
+    scale_invariant) per layer) over a checked, packed copy of ``arrays``."""
+    layout = Layout(tuple(specs))
+    return ParamSet(layout, layout.pack(arrays))
+
+
+def l2_flags(params: ParamSet) -> dict[str, bool]:
+    """Each layer's ``l2_enabled`` flag, by name."""
+    return dict(zip(params.layout.names, params.layout.l2))
+
+
 # -- oracles --------------------------------------------------------------------
 
 
 def finite_difference_grads(model: Model, params, x, y, label_smoothing=0.0, h=1e-5):
     """Central-difference gradients, the independent oracle for backprop."""
     grads = {}
-    for layer in params:
-        flat = layer.value.ravel()
+    for name, value in params.items():
+        flat = value.ravel()
         g = np.empty_like(flat)
         for i in range(flat.size):
             orig = flat[i]
@@ -164,7 +181,7 @@ def finite_difference_grads(model: Model, params, x, y, label_smoothing=0.0, h=1
             lm = model.loss(params, x, y, label_smoothing)
             flat[i] = orig
             g[i] = (lp - lm) / (2.0 * h)
-        grads[layer.name] = g.reshape(layer.value.shape)
+        grads[name] = g.reshape(value.shape)
     return grads
 
 
@@ -183,9 +200,9 @@ def gradcheck_worst_rel_err(arch, seed=0, n_coords=40, h=1e-5, batch=8,
     _, grads = model.loss_and_grad(params, x, y, label_smoothing)
     worst = 0.0
     total = 0
-    for layer in params:
-        flat = layer.value.ravel()
-        g = grads[layer.name].ravel()
+    for name, value in params.items():
+        flat = value.ravel()
+        g = grads[name].ravel()
         idx = rng.choice(flat.size, size=min(n_coords, flat.size), replace=False)
         for i in idx:
             orig = flat[i]
@@ -267,10 +284,10 @@ def measured_delta_wsq(before, after) -> dict[str, float]:
     change is tiny relative to the norm itself.
     """
     out = {}
-    for layer in before:
-        w0 = layer.value.ravel()
-        w1 = after[layer.name].value.ravel()
-        out[layer.name] = float(np.dot(w1 - w0, w1 + w0))
+    for name, value in before.items():
+        w0 = value.ravel()
+        w1 = after[name].ravel()
+        out[name] = float(np.dot(w1 - w0, w1 + w0))
     return out
 
 
@@ -305,10 +322,10 @@ def ref_clip_global_norm(grads: dict, max_norm: float) -> dict:
     return {name: g * scale for name, g in grads.items()}
 
 
-def _ref_l2_grad(layer, grads: dict, weight_decay: float) -> np.ndarray:
-    g = grads[layer.name]
-    if weight_decay != 0.0 and layer.l2_enabled:
-        return g + weight_decay * layer.value
+def _ref_l2_grad(name, value, l2: bool, grads: dict, weight_decay: float) -> np.ndarray:
+    g = grads[name]
+    if weight_decay != 0.0 and l2:
+        return g + weight_decay * value
     return g
 
 
@@ -316,11 +333,12 @@ def ref_step_sgd(params, velocity: dict, mu: float, grads: dict, lr: float,
                  weight_decay: float) -> tuple[dict, dict]:
     """New parameter values and velocity, both by layer name."""
     values, new_velocity = {}, {}
-    for layer in params:
-        g = _ref_l2_grad(layer, grads, weight_decay)
-        v = g if mu == 0.0 else mu * velocity[layer.name] + g
-        new_velocity[layer.name] = v
-        values[layer.name] = layer.value - lr * v
+    l2 = l2_flags(params)
+    for name, value in params.items():
+        g = _ref_l2_grad(name, value, l2[name], grads, weight_decay)
+        v = g if mu == 0.0 else mu * velocity[name] + g
+        new_velocity[name] = v
+        values[name] = value - lr * v
     return values, new_velocity
 
 
@@ -331,13 +349,14 @@ def ref_step_adam(params, m: dict, v: dict, t: int, grads: dict, lr: float,
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
     values, new_m, new_v = {}, {}, {}
-    for layer in params:
-        g = _ref_l2_grad(layer, grads, weight_decay)
-        mi = beta1 * m[layer.name] + (1.0 - beta1) * g
-        vi = beta2 * v[layer.name] + (1.0 - beta2) * g * g
-        new_m[layer.name] = mi
-        new_v[layer.name] = vi
-        values[layer.name] = layer.value - lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+    l2 = l2_flags(params)
+    for name, value in params.items():
+        g = _ref_l2_grad(name, value, l2[name], grads, weight_decay)
+        mi = beta1 * m[name] + (1.0 - beta1) * g
+        vi = beta2 * v[name] + (1.0 - beta2) * g * g
+        new_m[name] = mi
+        new_v[name] = vi
+        values[name] = value - lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
     return values, new_m, new_v, t
 
 
@@ -360,12 +379,12 @@ def ref_mlp_loss_and_grads(arch, params, x, y, label_smoothing: float = 0.0):
     names = [f"fc{i + 1}" for i in range(len(arch.hidden))] + ["out"]
     weights = []
     for name in names:
-        w = params[f"{name}.w"].value
+        w = params[f"{name}.w"]
         if arch.normalize:
             rn = np.sqrt(_ref_row_sums(w * w))
             weights.append((w / rn, rn))
         else:
-            weights.append((w, params[f"{name}.b"].value))
+            weights.append((w, params[f"{name}.b"]))
     acts = [x]
     for i, (w, extra) in enumerate(weights):
         z = acts[-1] @ w.T

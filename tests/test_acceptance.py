@@ -133,13 +133,12 @@ def test_criterion_02_exact_norm_dynamics_identity():
             _, gw = inner_gw(params, grads)
             new, opt = step_sgd(params, opt, grads, lr, lam)
             measured = measured_delta_wsq(params, new)
-            for layer in params:
-                g = grads[layer.name].ravel()
+            for name, l2 in zip(params.layout.names, params.layout.l2):
+                g = grads[name].ravel()
                 predicted = predicted_delta_wsq(
-                    wsq[layer.name], float(np.dot(g, g)), gw[layer.name], lr,
-                    lam if layer.l2_enabled else 0.0)
-                rel = abs(measured[layer.name] - predicted) / max(
-                    abs(measured[layer.name]), abs(predicted), 1e-30)
+                    wsq[name], float(np.dot(g, g)), gw[name], lr, lam if l2 else 0.0)
+                rel = abs(measured[name] - predicted) / max(
+                    abs(measured[name]), abs(predicted), 1e-30)
                 worst = max(worst, rel)
             params = new
     assert worst < 1e-10
@@ -180,10 +179,10 @@ def test_criterion_04_scale_invariance_and_angle_identity():
     worst_angle = 0.0
     for _ in range(20):
         _, grads = model.loss_and_grad(params, x, y)
-        for layer in params:
-            g = grads[layer.name]
-            ratio = abs(float(np.dot(g.ravel(), layer.value.ravel()))) / (
-                np.linalg.norm(g) * np.linalg.norm(layer.value))
+        for name, value in params.items():
+            g = grads[name]
+            ratio = abs(float(np.dot(g.ravel(), value.ravel()))) / (
+                np.linalg.norm(g) * np.linalg.norm(value))
             worst_gw = max(worst_gw, ratio)
         new, opt = step_sgd(params, opt, grads, 0.05, 0.0)
         from abel_sched import angle_cos_sin

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abel_sched import (
-    Layer,
+    AdamState,
+    Layout,
     Model,
     ModelArch,
     MomentumState,
@@ -24,7 +25,13 @@ from abel_sched import (
 )
 from abel_sched.runner import RunState, build_model, run_experiment
 
-from helpers import gradcheck_worst_rel_err, ref_mlp_loss_and_grads, standard_config, strip_wall_ms
+from helpers import (
+    gradcheck_worst_rel_err,
+    param_set,
+    ref_mlp_loss_and_grads,
+    standard_config,
+    strip_wall_ms,
+)
 
 MLP_RELU = ModelArch(input_dim=10, hidden=(16, 8), classes=4)
 MLP_NORM = ModelArch(input_dim=10, hidden=(16, 8), classes=4, activation="tanh",
@@ -97,7 +104,7 @@ def test_duplicated_sample_batch_equals_single_sample_gradient():
 def test_zero_output_weights_block_upstream_gradients():
     model = Model(MLP_RELU)
     params = model.init_params(5)
-    params["out.w"].value[:] = 0.0
+    params["out.w"][:] = 0.0
     rng = np.random.default_rng(6)
     _, grads = model.loss_and_grad(params, rng.normal(size=(8, 10)),
                                    rng.integers(0, 4, 8))
@@ -109,7 +116,7 @@ def test_zero_output_weights_block_upstream_gradients():
 def test_non_finite_forward_raises_numeric_error():
     model = Model(MLP_RELU)
     params = model.init_params(0)
-    params["fc1.w"].value[:] = 1e308
+    params["fc1.w"][:] = 1e308
     x = np.full((2, 10), 1e5)
     with pytest.raises(NumericError):
         model.loss_and_grad(params, x, np.array([0, 1]))
@@ -123,9 +130,9 @@ def test_init_deterministic_in_seed():
     a = model.init_params(11)
     b = model.init_params(11)
     c = model.init_params(12)
-    for la, lb in zip(a, b):
-        np.testing.assert_array_equal(la.value, lb.value)
-    assert any(not np.array_equal(la.value, lc.value) for la, lc in zip(a, c))
+    for la, lb in zip(a.values(), b.values()):
+        np.testing.assert_array_equal(la, lb)
+    assert any(not np.array_equal(la, lc) for la, lc in zip(a.values(), c.values()))
 
 
 def test_init_scale_scales_total_norm_quadratically():
@@ -137,29 +144,27 @@ def test_init_scale_scales_total_norm_quadratically():
 
 def test_biases_start_at_zero_and_are_not_l2_flagged():
     params = Model(MLP_RELU).init_params(0)
-    for layer in params:
-        if layer.name.endswith(".b"):
-            assert np.all(layer.value == 0.0)
-            assert not layer.l2_enabled
+    for (name, value), l2 in zip(params.items(), params.layout.l2):
+        if name.endswith(".b"):
+            assert np.all(value == 0.0)
+            assert not l2
         else:
-            assert layer.l2_enabled
+            assert l2
 
 
 def test_conv_init_shapes():
     params = Model(CONV).init_params(0)
-    assert params["conv1.w"].value.shape == (4, 1, 3, 3)
-    assert params["conv2.w"].value.shape == (6, 4, 3, 3)
-    assert params["out.w"].value.shape == (3, 6 * 2 * 2)
+    assert params["conv1.w"].shape == (4, 1, 3, 3)
+    assert params["conv2.w"].shape == (6, 4, 3, 3)
+    assert params["out.w"].shape == (3, 6 * 2 * 2)
 
 
 # -- norms, inner products, angles ----------------------------------------------
 
 
 def test_weight_norm_additivity():
-    params = ParamSet([
-        Layer("a", np.array([np.sqrt(3.0)])),
-        Layer("b", np.array([2.0]), l2_enabled=False),
-    ])
+    params = param_set([("a", (1,), True, False), ("b", (1,), False, False)],
+                       {"a": [np.sqrt(3.0)], "b": [2.0]})
     total, per_layer = weight_norm_sq(params)
     assert total == pytest.approx(7.0)
     assert per_layer == {"a": pytest.approx(3.0), "b": pytest.approx(4.0)}
@@ -168,16 +173,17 @@ def test_weight_norm_additivity():
 
 
 def test_per_layer_norms_nonnegative_zero_iff_zero():
-    params = ParamSet([Layer("z", np.zeros((3, 3))), Layer("w", np.ones(2))])
+    params = param_set([("z", (3, 3), True, False), ("w", (2,), True, False)],
+                       {"z": np.zeros((3, 3)), "w": np.ones(2)})
     _, per_layer = weight_norm_sq(params)
     assert per_layer["z"] == 0.0 and per_layer["w"] > 0.0
 
 
 def test_inner_gw_identity_and_additivity():
     rng = np.random.default_rng(0)
-    params = ParamSet([Layer("a", rng.normal(size=(4, 3))),
-                       Layer("b", rng.normal(size=5))])
-    grads = {"a": params["a"].value.copy(), "b": params["b"].value.copy()}
+    params = param_set([("a", (4, 3), True, False), ("b", (5,), True, False)],
+                       {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=5)})
+    grads = {"a": params["a"].copy(), "b": params["b"].copy()}
     total, per_layer = inner_gw(params, grads)
     wsq, _ = weight_norm_sq(params)
     assert total == pytest.approx(wsq, rel=1e-12)
@@ -192,35 +198,35 @@ def test_scale_invariant_layers_have_orthogonal_gradients():
     y = rng.integers(0, 4, 16)
     base = model.forward(params, x)
     for alpha in (0.5, 2.0, 10.0):
-        np.testing.assert_allclose(model.forward(params.scaled(alpha), x), base,
-                                   rtol=0, atol=1e-10)
+        scaled = ParamSet(params.layout, params.flat * alpha)
+        np.testing.assert_allclose(model.forward(scaled, x), base, rtol=0, atol=1e-10)
     _, grads = model.loss_and_grad(params, x, y)
-    for layer in params:
-        assert layer.scale_invariant
-        g = grads[layer.name]
-        gw = abs(float(np.dot(g.ravel(), layer.value.ravel())))
-        assert gw < 1e-6 * np.linalg.norm(g) * np.linalg.norm(layer.value)
+    assert all(invariant for _, _, _, invariant in params.layout.specs)
+    for name, value in params.items():
+        g = grads[name]
+        gw = abs(float(np.dot(g.ravel(), value.ravel())))
+        assert gw < 1e-6 * np.linalg.norm(g) * np.linalg.norm(value)
 
 
 def test_angle_trivial_cases():
     rng = np.random.default_rng(1)
-    params = ParamSet([Layer("a", rng.normal(size=(3, 3)))])
+    params = param_set([("a", (3, 3), True, False)], {"a": rng.normal(size=(3, 3))})
     cos, sin = angle_cos_sin(params, params.copy())
     assert cos == pytest.approx(1.0) and sin == pytest.approx(0.0, abs=1e-12)
-    cos, sin = angle_cos_sin(params, params.scaled(2.0))
+    cos, sin = angle_cos_sin(params, ParamSet(params.layout, params.flat * 2.0))
     assert cos == pytest.approx(1.0) and sin == pytest.approx(0.0, abs=1e-7)
     with pytest.raises(ValueError):
-        angle_cos_sin(params, params.scaled(0.0))
+        angle_cos_sin(params, ParamSet(params.layout, params.flat * 0.0))
 
 
-def test_paramset_rejects_mismatched_values():
-    params = ParamSet([Layer("a", np.zeros(3))])
+def test_a_layout_rejects_mismatched_values():
+    layout = Layout((("a", (3,), True, False),))
     with pytest.raises(ValueError):
-        params.with_values({"b": np.zeros(3)})
+        layout.pack({"b": np.zeros(3)})
     with pytest.raises(ValueError):
-        params.with_values({"a": np.zeros(4)})
+        layout.pack({"a": np.zeros(4)})
     with pytest.raises(ValueError):
-        ParamSet([Layer("a", np.zeros(1)), Layer("a", np.zeros(1))])
+        Layout((("a", (1,), True, False), ("a", (1,), True, False)))
 
 
 def test_arch_validation():
@@ -296,19 +302,64 @@ def test_error_rate_equals_chunked_forward_count(arch, batch_size):
 def test_layers_are_views_into_one_flat_vector():
     params = Model(MLP_RELU).init_params(0)
     offset = 0
-    for layer in params:
-        size = layer.value.size
-        assert np.shares_memory(layer.value, params.flat)
-        np.testing.assert_array_equal(params.flat[offset:offset + size], layer.value.ravel())
+    for value in params.values():
+        size = value.size
+        assert np.shares_memory(value, params.flat)
+        np.testing.assert_array_equal(params.flat[offset:offset + size], value.ravel())
         offset += size
     assert offset == params.flat.size
-    params["fc1.b"].value[:] = 7.0  # in-place edits reach the flat vector
-    assert np.count_nonzero(params.flat == 7.0) == params["fc1.b"].value.size
-    with pytest.raises(AttributeError):
-        params["fc1.b"].value = np.zeros(16)  # rebinding would detach the view
+    params["fc1.b"][:] = 7.0  # in-place edits reach the flat vector
+    assert np.count_nonzero(params.flat == 7.0) == params["fc1.b"].size
+    with pytest.raises(TypeError):
+        params["fc1.b"] = np.zeros(16)  # rebinding would detach the view
     # copies and scaled sets own their vectors
     assert not np.shares_memory(params.copy().flat, params.flat)
-    assert not np.shares_memory(params.scaled(2.0).flat, params.flat)
+    assert not np.shares_memory(ParamSet(params.layout, params.flat * 2.0).flat, params.flat)
+
+
+@pytest.mark.parametrize("arch", [MLP_NORM, MLP_RELU, CONV],
+                         ids=["normalized", "with-biases", "conv"])
+def test_an_init_draws_into_the_models_own_layout(arch):
+    model = Model(arch)
+    assert model.init_params(0).layout is model.layout
+    assert model.init_params(1, init_scale=2.0).layout is model.layout
+
+
+_SPECS = st.lists(st.tuples(st.lists(st.integers(1, 4), max_size=3).map(tuple),
+                            st.booleans(), st.booleans()), min_size=1, max_size=6).map(
+    lambda layers: tuple((f"t{i}", *layer) for i, layer in enumerate(layers)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs=_SPECS, data=st.data())
+def test_a_param_set_maps_names_to_views_of_its_own_vector(specs, data):
+    """Over random layouts, in a random name order."""
+    layout = Layout(specs)
+    names = tuple(data.draw(st.permutations(layout.names)))
+    params = ParamSet(layout, np.arange(layout.size, dtype=np.float64), names)
+    assert list(params) == list(names) and len(params) == len(specs)
+    for name, shape, _, _ in specs:
+        view = params[name]
+        assert view.shape == shape and np.shares_memory(view, params.flat)
+        assert np.array_equal(view.ravel(), params.flat[layout.slice_of[name]])
+    params[names[0]][...] = -1.0  # an in-place edit of a view reaches the vector
+    assert np.all(params.flat[layout.slice_of[names[0]]] == -1.0)
+    # an equal layout takes the set's own buffer; a plain mapping is checked and packed
+    assert Layout(specs).flat_of(params, "value") is params.flat
+    plain = {name: params[name].copy() for name in reversed(names)}
+    packed = layout.flat_of(plain, "value")
+    assert np.array_equal(packed, params.flat) and not np.shares_memory(packed, params.flat)
+    with pytest.raises(ValueError):
+        layout.flat_of({**plain, names[0]: np.zeros(params[names[0]].size + 1)}, "value")
+    # a copy keeps the names' order over a vector of its own
+    copy = params.copy()
+    assert copy.names == names and list(copy) == list(names)
+    assert np.array_equal(copy.flat, params.flat) and not np.shares_memory(copy.flat, params.flat)
+    assert all(np.shares_memory(copy[name], copy.flat) for name in names)
+    # sets compare by identity, so comparing optimizer states never compares arrays
+    for init in (MomentumState.init, AdamState.init):
+        state = init(params)
+        assert state == state and state != init(params)
 
 
 def test_gradients_share_the_parameter_layout():
@@ -317,9 +368,9 @@ def test_gradients_share_the_parameter_layout():
     rng = np.random.default_rng(1)
     _, grads = model.loss_and_grad(params, rng.normal(size=(4, 10)), rng.integers(0, 4, 4))
     assert grads.layout is params.layout
-    for layer in params:
-        assert grads[layer.name].shape == layer.value.shape
-        assert np.shares_memory(grads[layer.name], grads.flat)
+    for name, value in params.items():
+        assert grads[name].shape == value.shape
+        assert np.shares_memory(grads[name], grads.flat)
 
 
 def _loss_with_row_max_along_rows(logits, labels, label_smoothing):
@@ -387,15 +438,15 @@ def test_the_class_major_row_sum_is_numpys_row_sum(classes, rows, spread, seed):
 
 def test_lazy_layer_views_alias_the_flat_vector():
     params = Model(MLP_NORM).init_params(0)
-    lazy = ParamSet.from_flat(params.layout, params.flat)
-    values = lazy.values()
-    for layer in lazy:
-        assert np.shares_memory(layer.value, params.flat)
-        assert np.shares_memory(values[layer.name], params.flat)
+    lazy = ParamSet(params.layout, params.flat)
+    items = dict(lazy.items())
+    for name, value in zip(lazy, lazy.values()):
+        assert np.shares_memory(value, params.flat)
+        assert np.shares_memory(items[name], params.flat)
     assert lazy["fc1.w"] is lazy["fc1.w"]  # built once, then reused
-    lazy["out.w"].value[0, 0] = 123.0
-    assert params["out.w"].value[0, 0] == 123.0  # in-place edits reach every view
-    assert [l.name for l in lazy.layers] == lazy.names()
+    lazy["out.w"][0, 0] = 123.0
+    assert params["out.w"][0, 0] == 123.0  # in-place edits reach every view
+    assert list(lazy) == list(lazy.names) == list(lazy.layout.names)
 
 
 # -- the slot table ----------------------------------------------------------------
@@ -420,7 +471,7 @@ def test_the_slot_table_follows_the_layout_object(tmp_path):
     config = standard_config("constant", epochs=1, log_dir=str(tmp_path / "run"))
     model, data = build_model(config)
     init = model.init_params(config.seed)
-    state = RunState(epoch=0, global_step=0, params=init.scaled(0.5),
+    state = RunState(epoch=0, global_step=0, params=ParamSet(init.layout, init.flat * 0.5),
                      opt=MomentumState.init(init, mu=0.0), scheduler=None,
                      test_errors=())
     save_checkpoint(tmp_path / "saved.ckpt", config, state)
@@ -438,7 +489,7 @@ def test_the_slot_table_is_rebuilt_for_a_reordered_layout(arch):
     that served the first layout's slots would read the wrong weights."""
     model = Model(arch)
     params = model.init_params(5)
-    reordered = ParamSet(list(reversed(params.layers)))
+    reordered = param_set(params.layout.specs[::-1], params)
     assert reordered.layout.slices != params.layout.slices
     rng = np.random.default_rng(6)
     x = rng.normal(size=(32, arch.input_dim))
@@ -466,14 +517,14 @@ def test_the_step_matches_the_per_layer_reference_bit_for_bit(
     model = Model(arch)
     params = model.init_params(3)
     if reordered:
-        params = ParamSet(list(reversed(params.layers)))
+        params = param_set(params.layout.specs[::-1], params)
     rng = np.random.default_rng(batch)
     x = rng.normal(size=(batch, input_dim))
     y = rng.integers(0, 4, batch)
     loss, grads, error = model.batch_stats(params, model.train_set(x, y, smoothing))
     want_loss, want_grads, want_error = ref_mlp_loss_and_grads(arch, params, x, y, smoothing)
     assert loss == want_loss and error == want_error
-    assert set(grads) == set(want_grads) == set(params.names())
+    assert set(grads) == set(want_grads) == set(params)
     for name in want_grads:
         assert np.array_equal(grads[name], want_grads[name]), name
 
@@ -571,8 +622,8 @@ def test_the_kept_buffers_hold_nothing_from_an_earlier_call(arch):
     gradient is not changed by later calls."""
     model = Model(arch)
     first = model.init_params(0)
-    other = ParamSet.from_flat(first.layout, model.init_params(1).flat)  # the same layout
-    second = ParamSet(model.init_params(2).layers)  # an equal layout, another object
+    other = ParamSet(first.layout, model.init_params(1).flat)  # the same layout
+    second = param_set(first.layout.specs, model.init_params(2))  # an equal layout, another object
     assert second.layout == first.layout and second.layout is not first.layout
     rng = np.random.default_rng(1)
     x = rng.normal(size=(304, arch.input_dim))
@@ -608,7 +659,8 @@ def test_a_layer_beyond_the_models_is_refused(arch):
     layer's gradient entries were left as uninitialized memory."""
     model = Model(arch)
     params = model.init_params(0)
-    extra = ParamSet(params.layers + [Layer("stray", np.zeros(3), l2_enabled=False)])
+    extra = param_set(params.layout.specs + (("stray", (3,), False, False),),
+                      {**params, "stray": np.zeros(3)})
     x = np.zeros((2, arch.input_dim))
     with pytest.raises(ValueError, match=r"layers the model does not have: \['stray'\]"):
         model.train_step_stats(extra, model.train_set(x, np.array([0, 1])),
@@ -626,7 +678,7 @@ def test_parameters_of_other_widths_are_refused(arch, other, wrong, call):
     describe, e.g. a (32, 16) ParamSet on a (16, 32) model."""
     model = Model(arch)
     params = Model(other).init_params(0)
-    assert params.names() == model.init_params(0).names()
+    assert params.names == model.init_params(0).names
     x, y = np.zeros((4, arch.input_dim)), np.array([0, 1, 2, 0])
     calls = {"forward": lambda: model.forward(params, x),
              "error_rate": lambda: model.error_rate(params, model.eval_set(x, y)),
@@ -639,7 +691,8 @@ def test_parameters_of_other_widths_are_refused(arch, other, wrong, call):
 def test_a_missing_layer_is_refused():
     model = Model(MLP_RELU)
     params = model.init_params(0)
-    short = ParamSet([layer for layer in params.layers if layer.name != "fc1.b"])
+    short = param_set([spec for spec in params.layout.specs if spec[0] != "fc1.b"],
+                      {name: value for name, value in params.items() if name != "fc1.b"})
     with pytest.raises(ValueError, match=r"lack layers of the model: \['fc1.b'\]"):
         model.forward(short, np.zeros((2, MLP_RELU.input_dim)))
 
@@ -736,8 +789,8 @@ def test_screened_error_rate_equals_the_chunked_loop(normalize, hidden, classes,
     model = Model(arch)
     rng = np.random.default_rng(seed)
     params = model.init_params(seed % 1000)
-    for layer, log_scale in zip(params, log_scales):
-        layer.value[...] = rng.normal(size=layer.value.shape) * 10.0 ** log_scale
+    for value, log_scale in zip(params.values(), log_scales):
+        value[...] = rng.normal(size=value.shape) * 10.0 ** log_scale
     x = rng.normal(size=(n, 6)) * 10.0 ** log_scales[-1]
     y = rng.integers(0, classes, n)
     assert model.error_rate(params, model.eval_set(x, y), batch_size) == _chunked_error(
@@ -770,7 +823,7 @@ def test_rows_whose_float32_class_is_wrong_are_not_taken_from_float32(forward_ca
     model = Model(MLP_NORM)
     params = model.init_params(1)
     rng = np.random.default_rng(7)
-    out = params["out.w"].value
+    out = params["out.w"]
     out[1] = out[0] + 1e-6 * rng.normal(size=out.shape[1])
     pool = rng.normal(size=(20000, 10))
     layers = model._prepared(params).layers
@@ -794,7 +847,7 @@ def test_a_net_with_duplicated_output_rows_falls_back(forward_calls):
     """Identical output rows tie every row, far more than 1/8 of them."""
     model = Model(MLP_NORM)
     params = model.init_params(1)
-    params["out.w"].value[1:] = params["out.w"].value[0]
+    params["out.w"][1:] = params["out.w"][0]
     rng = np.random.default_rng(3)
     x = rng.normal(size=(100, 10))
     y = rng.integers(0, 4, 100)
@@ -858,7 +911,7 @@ def test_relu_and_conv_evaluation_is_not_screened(arch, forward_calls):
 def test_overflowing_weights_skip_the_float32_screen(forward_calls):
     model = Model(ModelArch(input_dim=10, hidden=(16, 8), classes=4, activation="tanh"))
     params = model.init_params(0)
-    params["fc1.w"].value[0, 0] = 1e300  # would overflow a float32 cast
+    params["fc1.w"][0, 0] = 1e300  # would overflow a float32 cast
     rng = np.random.default_rng(5)
     x = rng.normal(size=(64, 10))
     y = rng.integers(0, 4, 64)

@@ -3,8 +3,6 @@ import pytest
 
 from abel_sched import (
     AdamState,
-    GradSet,
-    Layer,
     Model,
     ModelArch,
     MomentumState,
@@ -19,7 +17,14 @@ from abel_sched import (
 )
 from abel_sched.optim import _with_l2
 
-from helpers import measured_delta_wsq, ref_clip_global_norm, ref_step_adam, ref_step_sgd
+from helpers import (
+    l2_flags,
+    measured_delta_wsq,
+    param_set,
+    ref_clip_global_norm,
+    ref_step_adam,
+    ref_step_sgd,
+)
 
 ARCH = ModelArch(input_dim=10, hidden=(16, 8), classes=4)
 
@@ -38,9 +43,8 @@ def test_plain_sgd_is_exactly_w_minus_lr_g():
     _, grads = model.loss_and_grad(params, x, y)
     opt = MomentumState.init(params, mu=0.0)
     new, _ = step_sgd(params, opt, grads, lr=0.3, weight_decay=0.0)
-    for layer in params:
-        np.testing.assert_array_equal(new[layer.name].value,
-                                      layer.value - 0.3 * grads[layer.name])
+    for name, value in params.items():
+        np.testing.assert_array_equal(new[name], value - 0.3 * grads[name])
 
 
 @pytest.mark.parametrize("lr", [0.1, 1.0])
@@ -55,11 +59,10 @@ def test_exact_norm_identity_per_layer(lr, weight_decay):
         _, gw = inner_gw(params, grads)
         new, opt = step_sgd(params, opt, grads, lr, weight_decay)
         measured = measured_delta_wsq(params, new)
-        for layer in params:
-            name = layer.name
+        for name, l2 in l2_flags(params).items():
             g = grads[name].ravel()
             gsq = float(np.dot(g, g))
-            lam = weight_decay if layer.l2_enabled else 0.0
+            lam = weight_decay if l2 else 0.0
             predicted = predicted_delta_wsq(wsq[name], gsq, gw[name], lr, lam)
             rel = abs(measured[name] - predicted) / max(
                 abs(measured[name]), abs(predicted), 1e-30)
@@ -78,17 +81,17 @@ def test_momentum_buffer_accumulates_l2_gradient():
     opt = MomentumState.init(params, mu=0.9)
     lam = 0.01
     p1, opt1 = step_sgd(params, opt, grads, lr=0.1, weight_decay=lam)
-    for layer in params:
-        expected_v = grads[layer.name] + (lam * layer.value if layer.l2_enabled else 0.0)
-        np.testing.assert_allclose(opt1.velocity[layer.name], expected_v, rtol=1e-15)
-        np.testing.assert_allclose(p1[layer.name].value,
-                                   layer.value - 0.1 * expected_v, rtol=1e-15)
+    l2 = l2_flags(params)
+    for name, value in params.items():
+        expected_v = grads[name] + (lam * value if l2[name] else 0.0)
+        np.testing.assert_allclose(opt1.velocity[name], expected_v, rtol=1e-15)
+        np.testing.assert_allclose(p1[name], value - 0.1 * expected_v, rtol=1e-15)
     # second step mixes the buffer
     _, grads2 = model.loss_and_grad(p1, x, y)
     p2, opt2 = step_sgd(p1, opt1, grads2, lr=0.1, weight_decay=lam)
     name = "fc1.w"
     expected_v2 = (0.9 * opt1.velocity[name] + grads2[name]
-                   + lam * p1[name].value)
+                   + lam * p1[name])
     np.testing.assert_allclose(opt2.velocity[name], expected_v2, rtol=1e-15)
 
 
@@ -103,44 +106,45 @@ def test_l2_filter_layers_without_flag_unaffected_by_lambda():
         _, wsq_new = weight_norm_sq(new)
         _, wsq_old = weight_norm_sq(params)
         deltas[lam] = {n: wsq_new[n] - wsq_old[n] for n in wsq_new}
-    for layer in params:
-        if layer.l2_enabled:
+    for name, l2 in l2_flags(params).items():
+        if l2:
             continue
-        assert deltas[0.0][layer.name] == deltas[0.05][layer.name]
+        assert deltas[0.0][name] == deltas[0.05][name]
     assert deltas[0.0]["fc1.w"] != deltas[0.05]["fc1.w"]
 
 
 def test_adam_first_step_magnitude_is_about_lr():
-    params = ParamSet([Layer("w", np.array([1.0, -2.0, 3.0]))])
+    params = param_set([("w", (3,), True, False)], {"w": [1.0, -2.0, 3.0]})
     grads = {"w": np.array([0.5, 0.5, 0.5])}
     opt = AdamState.init(params)
     new, opt = step_adam(params, opt, grads, lr=0.01)
-    step = new["w"].value - params["w"].value
+    step = new["w"] - params["w"]
     np.testing.assert_allclose(np.abs(step), 0.01, rtol=1e-6)
     assert opt.t == 1
 
 
 def test_adam_zero_gradient_zero_decay_is_fixed_point():
-    params = ParamSet([Layer("w", np.array([1.0, -2.0]))])
+    params = param_set([("w", (2,), True, False)], {"w": [1.0, -2.0]})
     grads = {"w": np.zeros(2)}
     opt = AdamState.init(params)
     new, _ = step_adam(params, opt, grads, lr=0.1, weight_decay=0.0)
-    np.testing.assert_array_equal(new["w"].value, params["w"].value)
+    np.testing.assert_array_equal(new["w"], params["w"])
 
 
 def test_adam_applies_l2_only_to_flagged_layers():
-    params = ParamSet([Layer("w", np.ones(3)), Layer("b", np.ones(3), l2_enabled=False)])
+    params = param_set([("w", (3,), True, False), ("b", (3,), False, False)],
+                       {"w": np.ones(3), "b": np.ones(3)})
     grads = {"w": np.zeros(3), "b": np.zeros(3)}
     new, _ = step_adam(params, AdamState.init(params), grads, lr=0.1, weight_decay=0.1)
-    assert np.all(new["w"].value != 1.0)
-    np.testing.assert_array_equal(new["b"].value, np.ones(3))
+    assert np.all(new["w"] != 1.0)
+    np.testing.assert_array_equal(new["b"], np.ones(3))
 
 
 @pytest.mark.parametrize("hyper", [{"beta1": 1.0}, {"beta2": 1.0}, {"beta1": 1.5},
                                    {"beta2": -0.1}, {"eps": -1.0}])
 def test_adam_refuses_what_config_refuses(hyper):
     # beta = 1 would divide by 1 - beta**t = 0 and return nan weights
-    params = ParamSet([Layer("w", np.array([1.0, -2.0]))])
+    params = param_set([("w", (2,), True, False)], {"w": [1.0, -2.0]})
     with pytest.raises(ValueError):
         AdamState.init(params, **hyper)
     AdamState.init(params, beta1=0.0, beta2=0.0, eps=0.0)  # the bounds' closed ends
@@ -204,7 +208,7 @@ def test_per_step_growth_heuristic_on_the_toy_net():
 
 
 def test_shape_mismatch_rejected():
-    params = ParamSet([Layer("w", np.zeros((2, 2)))])
+    params = param_set([("w", (2, 2), True, False)], {"w": np.zeros((2, 2))})
     opt = MomentumState.init(params, mu=0.0)
     with pytest.raises(ValueError):
         step_sgd(params, opt, {"w": np.zeros(3)}, lr=0.1)
@@ -254,7 +258,7 @@ def test_flat_steps_match_per_layer_reference_bit_for_bit(arch, optimizer, clip,
         norm = np.sqrt(sum(float(np.dot(g.ravel(), g.ravel())) for g in grads.values()))
         max_norm = 0.5 * norm if clip == "fires" else 2.0 * norm
         ref_grads = ref_clip_global_norm(snapshot(grads), max_norm)
-        before = (snapshot(params.values()), snapshot(grads),
+        before = (snapshot(params), snapshot(grads),
                   [snapshot(s) for s in ((opt.m, opt.v) if optimizer == "adam"
                                          else (opt.velocity,))])
 
@@ -272,10 +276,10 @@ def test_flat_steps_match_per_layer_reference_bit_for_bit(arch, optimizer, clip,
             values, velocity = ref_step_sgd(params, ref, opt.mu, ref_grads, lr, weight_decay)
             assert_same(new_opt.velocity, velocity)
             ref = velocity
-        assert_same(new.values(), values)
+        assert_same(new, values)
 
         # a step reads its inputs and never writes them
-        assert_same(params.values(), before[0])
+        assert_same(params, before[0])
         assert_same(grads, before[1])
         for state, saved in zip((opt.m, opt.v) if optimizer == "adam" else (opt.velocity,),
                                 before[2]):
@@ -295,15 +299,15 @@ def test_gradients_come_in_backward_order():
 
 
 def test_plain_mappings_are_checked_and_packed():
-    params = ParamSet([Layer("w", np.array([1.0, 2.0])), Layer("b", np.array([3.0]),
-                                                               l2_enabled=False)])
+    params = param_set([("w", (2,), True, False), ("b", (1,), False, False)],
+                       {"w": [1.0, 2.0], "b": [3.0]})
     opt = MomentumState(mu=0.5, velocity={"b": np.array([1.0]), "w": np.array([0.0, 2.0])})
     new, new_opt = step_sgd(params, opt, {"b": np.array([1.0]), "w": np.array([1.0, 1.0])},
                             lr=0.5, weight_decay=0.1)
     np.testing.assert_array_equal(new_opt.velocity["w"], [0.5 * 0.0 + (1.0 + 0.1),
                                                           0.5 * 2.0 + (1.0 + 0.2)])
     np.testing.assert_array_equal(new_opt.velocity["b"], [0.5 + 1.0])
-    np.testing.assert_array_equal(new["b"].value, [3.0 - 0.5 * 1.5])
+    np.testing.assert_array_equal(new["b"], [3.0 - 0.5 * 1.5])
     with pytest.raises(ValueError):
         step_sgd(params, MomentumState(mu=0.5, velocity={"w": np.zeros(2)}),
                  {"b": np.zeros(1), "w": np.zeros(2)}, lr=0.1)
@@ -404,12 +408,12 @@ def test_the_in_place_kernels_match_the_allocating_formulas(arch, weight_decay, 
     w = rng.normal(size=layout.size)
     if kernel == "adam":
         allocating, hyper = _allocating_adam_update, (0.9, 0.999, 1e-8)
-        opt = AdamState(GradSet(layout, rng.normal(size=layout.size)),
-                        GradSet(layout, rng.random(layout.size)), 3, *hyper)
+        opt = AdamState(ParamSet(layout, rng.normal(size=layout.size)),
+                        ParamSet(layout, rng.random(layout.size)), 3, *hyper)
     else:
         allocating = _allocating_sgd_update
         hyper = (0.9,) if kernel == "momentum-0.9" else (0.0,)
-        opt = MomentumState(*hyper, GradSet(layout, rng.normal(size=layout.size)))
+        opt = MomentumState(*hyper, ParamSet(layout, rng.normal(size=layout.size)))
     for lr in (0.05, 0.3, 0.01):
         g = rng.normal(size=layout.size)
         want_w, want_state = allocating(layout, w.copy(), g.copy(), _flat_state(opt), lr,
@@ -424,11 +428,11 @@ def test_updating_a_copy_leaves_its_source(kind):
     layout = Model(WITH_BIASES).init_params(0).layout
     rng = np.random.default_rng(8)
     if kind == "adam":
-        source = AdamState(GradSet(layout, rng.normal(size=layout.size)),
-                           GradSet(layout, rng.random(layout.size)), t=3)
+        source = AdamState(ParamSet(layout, rng.normal(size=layout.size)),
+                           ParamSet(layout, rng.random(layout.size)), t=3)
         buffers = (source.m, source.v)
     else:
-        velocity = GradSet(layout, rng.normal(size=layout.size))
+        velocity = ParamSet(layout, rng.normal(size=layout.size))
         if kind == "momentum-plain-mapping":
             velocity = {name: velocity[name].copy() for name in reversed(layout.names)}
         source = MomentumState(mu=0.9, velocity=velocity)

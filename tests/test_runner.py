@@ -1,4 +1,3 @@
-import contextlib
 import json
 import re
 import struct
@@ -17,11 +16,11 @@ from abel_sched import (
     ConfigError,
     DivergenceError,
     ExperimentConfig,
-    GradSet,
     ModelSpec,
     MomentumState,
     NumericError,
     OptimizerSpec,
+    ParamSet,
     ScheduleSpec,
     format_config,
     load_checkpoint,
@@ -157,29 +156,51 @@ def test_standard_runs_log_only_their_milestones(tmp_path_factory, kind, epochs)
 
 @pytest.mark.parametrize("case", ["loss", "weight-norm-abel", "weight-norm-constant"])
 def test_divergence_aborts_with_status(tmp_path, case):
+    """No RuntimeWarning escapes either divergence (the suite makes one an
+    error); the squared norm's overflow in dot used to warn."""
     if case == "loss":
         cfg = tiny_config(tmp_path / "run", base_lr=1e18, clip_norm=0.0,
                           weight_decay=0.0)
-        overflow = contextlib.nullcontext()
     else:
         # a normalized net keeps its loss finite while |w|^2 overflows to inf
         cfg = standard_config(case.rsplit("-", 1)[1], epochs=3, log_dir=str(tmp_path / "run"))
         cfg = replace(cfg, model=replace(cfg.model, init_scale=1e160))
-        overflow = pytest.warns(RuntimeWarning, match="overflow")
     (tmp_path / "run.txt").write_text(format_config(cfg))
-    with overflow:
-        with pytest.raises(DivergenceError):
-            run_experiment(cfg)
-        assert cli_main(["run", str(tmp_path / "run.txt"), "--log-dir", str(tmp_path / "cli")]) == 3
+    with pytest.raises(DivergenceError):
+        run_experiment(cfg)
+    assert cli_main(["run", str(tmp_path / "run.txt"), "--log-dir", str(tmp_path / "cli")]) == 3
     for run in ("run", "cli"):
         assert json.loads((tmp_path / run / "meta.json").read_text())["status"] == "diverged"
+
+
+def test_an_overflowing_norm_diverges_when_runtime_warnings_are_errors(tmp_path):
+    """The squared norm was measured outside the epoch's np.errstate, so under
+    ``-W error::RuntimeWarning`` its overflow in dot ended the run with a
+    traceback (exit 1) and left meta.json at status running."""
+    import subprocess
+
+    import abel_sched
+
+    template = parse_config((Path(__file__).resolve().parents[1] / "configs"
+                             / "blobs_abel.txt").read_text())
+    path = tmp_path / "run.txt"
+    path.write_text(format_config(sweep.apply_point(template, {"base_lr": 1e18,
+                                                               "clip_norm": 0.0})))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from abel_sched.cli import main; "
+            "sys.exit(main(['run', sys.argv[2], '--log-dir', sys.argv[3]]))")
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code,
+                          str(Path(abel_sched.__file__).parents[1]), str(path),
+                          str(tmp_path / "run")], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 3, out.stderr
+    assert "Warning" not in out.stderr
+    assert json.loads((tmp_path / "run" / "meta.json").read_text())["status"] == "diverged"
 
 
 def _state_with_velocity(config: ExperimentConfig, layer: str, entries: dict) -> RunState:
     """The epoch-0 state of ``config`` with its momentum buffer zero but for
     ``entries`` (flat index -> value) of ``layer``."""
     params = build_model(config)[0].init_params(config.seed)
-    velocity = GradSet.zeros(params.layout)
+    velocity = ParamSet.zeros(params.layout)
     for i, value in entries.items():
         velocity[layer].flat[i] = value
     return RunState(epoch=0, global_step=0, params=params,
@@ -335,7 +356,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert config == cfg
     assert state.epoch == 6
     assert state.global_step == 6 * 4  # 256 samples / batch 64
-    assert state.params.names() == ["fc1.w", "fc1.b", "out.w", "out.b"]
+    assert list(state.params) == ["fc1.w", "fc1.b", "out.w", "out.b"]
 
 
 @pytest.mark.parametrize("block", ["default", "one-epoch"])
@@ -599,6 +620,33 @@ def test_a_final_decay_survives_a_second_resume_at_a_new_budget(tmp_path):
     assert [(ev["epoch"], ev["trigger"]) for ev in resumed.meta["decay_events"]] == \
         [(10, "bounce"), (13, "bounce"), (17, "final_decay"), (34, "final_decay")]
     assert [ev.epoch for ev in read_events(tmp_path / "run")] == [10, 13, 17, 34]
+
+
+@pytest.mark.parametrize("checkpoint, epochs, finals", [(6, 7, None), (6, 8, [7]), (12, 13, [10])],
+                         ids=["untaken-and-behind", "ahead", "taken"])
+def test_a_resume_refuses_a_budget_that_puts_an_untaken_final_decay_behind_it(
+        tmp_path, checkpoint, epochs, finals):
+    """The 12-epoch run takes its final decay at round(0.85 * 12) = 10. Resumed
+    at epoch 6 with 7 epochs, the final decay falls at round(0.85 * 7) = 6,
+    behind the checkpoint: the resume used to exit 0 and train epoch 7 without
+    it, where an uninterrupted 7-epoch run decays at 6. A final decay ahead of
+    the checkpoint, or one already taken, still resumes."""
+    run_experiment(tiny_config(tmp_path / "run", schedule_kind="abel", checkpoint_every=6))
+    ckpt = tmp_path / "run" / f"epoch_{checkpoint:04d}.ckpt"
+    resumed_dir = tmp_path / "resumed"
+    config, state = prepare_resume(ckpt, epochs=epochs, log_dir=str(resumed_dir))
+    if finals is None:
+        with pytest.raises(ResumeRefusedError, match="final decay at epoch 6"):
+            run_experiment(config, resume_state=state)
+        assert cli_main(["resume", str(ckpt), "--epochs", str(epochs),
+                         "--log-dir", str(resumed_dir)]) == 4
+        assert not resumed_dir.exists()
+        return
+    meta = run_experiment(config, resume_state=state).meta
+    assert [ev["epoch"] for ev in meta["decay_events"] if ev["trigger"] == "final_decay"] == finals
+    if checkpoint < finals[0]:  # as the uninterrupted run at the new budget decays
+        full = run_experiment(tiny_config(tmp_path / "full", schedule_kind="abel", epochs=epochs))
+        assert meta["decay_events"] == full.meta["decay_events"]
 
 
 def test_resume_auto_stops_where_the_uninterrupted_run_does(tmp_path):

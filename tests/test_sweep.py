@@ -43,6 +43,20 @@ def test_parse_grid_refuses_a_repeated_axis():
         parse_grid("base_lr=0.5;base_lr=1")
 
 
+@pytest.mark.parametrize("grid", ["seed=2,2", "base_lr=1,1.0",
+                                  "base_lr=0.5,2;decay_factor=0.2,0.5,0.2"])
+def test_a_value_repeated_on_one_axis_is_refused(tmp_path, capsys, grid):
+    """The repeated point used to train the same run again from scratch, as a
+    follower that never forks, and the summary got two identical rows."""
+    with pytest.raises(ConfigError, match="repeats a value"):
+        parse_grid(grid)
+    path = Path(__file__).resolve().parents[1] / "configs" / "blobs_abel.txt"
+    sweep_dir = tmp_path / "sweep"
+    assert cli_main(["sweep", str(path), "--grid", grid, "--sweep-dir", str(sweep_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not sweep_dir.exists()
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_a_sweep_refuses_fewer_than_one_job(tmp_path, capsys, jobs):
     """Both used to run the sweep serially without a word."""
@@ -222,8 +236,7 @@ def test_sweep_runs_grid_and_records_failures(tmp_path):
 
 def test_a_point_whose_weight_norm_overflows_reads_diverged(tmp_path):
     template = standard_config("abel", epochs=3)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        points = run_sweep(template, {"init_scale": [1e160]}, tmp_path / "sweep")
+    points = run_sweep(template, {"init_scale": [1e160]}, tmp_path / "sweep")
     assert [p.status for p in points] == ["diverged"]
 
 
